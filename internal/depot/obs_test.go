@@ -194,6 +194,47 @@ func TestPumpPartialBytesAccounted(t *testing.T) {
 	waitFor(t, func() bool { return reg.Gauge(MetricPipelineOccupancy).Value() == 0 })
 }
 
+// gatedFailWriter fails its first write once released.
+type gatedFailWriter struct{ release chan struct{} }
+
+func (w gatedFailWriter) Write([]byte) (int, error) {
+	<-w.release
+	return 0, errors.New("sublink died")
+}
+
+// TestPumpWriteErrorDrainsGrownQueue lets the reader run far enough
+// ahead of a stuck writer that the queue has chained several segments,
+// then fails the write: the drain must follow the chain to its end, or
+// the reader goroutine and the occupancy it holds are left behind.
+func TestPumpWriteErrorDrainsGrownQueue(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := New(Config{
+		Self: epB,
+		Dial: lsl.DialerFunc(func(string) (net.Conn, error) {
+			return nil, errors.New("unused")
+		}),
+		Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const chunks = 400 // past the 16- and 64-slot segments, into the third
+	w := gatedFailWriter{release: make(chan struct{})}
+	occupancy := reg.Gauge(MetricPipelineOccupancy)
+	pumped := make(chan error, 1)
+	go func() {
+		_, err := srv.pump(w, bytes.NewReader(make([]byte, chunks*chunkSize)), nil)
+		pumped <- err
+	}()
+	// The writer holds one chunk; the rest sit in the queue.
+	waitFor(t, func() bool { return occupancy.Value() >= (chunks-1)*chunkSize })
+	close(w.release)
+	if err := <-pumped; err == nil {
+		t.Fatal("pump succeeded through a failing writer")
+	}
+	waitFor(t, func() bool { return occupancy.Value() == 0 })
+}
+
 // TestHopIndexPropagation checks the wire-level hop counting a trace
 // depends on: a depot one hop in stamps the forwarded header so the
 // next depot knows it is hop 2.

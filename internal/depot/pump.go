@@ -41,12 +41,173 @@ func (f *flow) acquire(n int) {
 	}
 }
 
+// chunk is one slot of a pump's queue: a pooled buffer holding payload,
+// or the terminal item (data == nil) carrying the reader's error.
+type chunk struct {
+	data []byte
+	buf  *[]byte // pool token; nil for the terminal item
+	err  error
+}
+
+// pumpQueueStart is the slot count a pump's queue starts with, and
+// pumpQueueGrowth the factor it grows by each time the reader finds it
+// full short of the pipeline bound. A session the downstream sublink
+// never back-pressures — every small object, every balanced chain —
+// ends having allocated these 16 slots, not PipelineBytes/chunkSize.
+const (
+	pumpQueueStart  = 16
+	pumpQueueGrowth = 4
+)
+
+// pumpQueue is the FIFO between a pump's reader goroutine (push) and
+// its writer (pop): a chain of channel segments, so a chunk still
+// costs one channel hand-off, but the storage follows the occupancy.
+// When the reader finds the tail segment full and smaller than the
+// pipeline bound, it chains a larger segment, publishes it in
+// tail.next and closes the old channel; the writer drains the old
+// segment to its close and then follows next, which keeps FIFO order.
+//
+// The bound stays hard across a hand-over. A new tail whose capacity
+// could overshoot it, by whatever the closed segments still hold, is
+// filled on credit until the writer reaches it: the reader spends no
+// more than depth minus what is queued, recounting when it runs out.
+type pumpQueue struct {
+	depth int // PipelineBytes in chunks: the bound on queued chunks
+
+	// Reader side.
+	tail    *pumpSegment
+	old     *pumpSegment  // oldest segment that may still hold chunks
+	total   int           // summed capacity of every segment chained so far
+	reached chan struct{} // non-nil while the tail is filled on credit
+	credit  int           // chunks the tail may take before a recount
+
+	// Writer side.
+	head *pumpSegment
+}
+
+type pumpSegment struct {
+	ch      chan chunk
+	next    *pumpSegment  // set by the reader before it closes ch
+	reached chan struct{} // closed by the writer on arrival; nil unless the reader may wait on it
+}
+
+func newPumpQueue(depth int) *pumpQueue {
+	if depth < 1 {
+		depth = 1
+	}
+	n := pumpQueueStart
+	if n > depth {
+		n = depth
+	}
+	seg := &pumpSegment{ch: make(chan chunk, n)}
+	return &pumpQueue{depth: depth, tail: seg, old: seg, total: n, head: seg}
+}
+
+// push appends c, blocking while the queue holds depth chunks, and
+// returns how long it blocked: the time the upstream sublink spent
+// back-pressured by this depot. Reader goroutine only.
+func (q *pumpQueue) push(c chunk) (stall time.Duration) {
+	for {
+		if q.reached != nil {
+			if q.spend() {
+				q.tail.ch <- c // holds less than its credit: never blocks
+				return stall
+			}
+			if q.reached != nil {
+				// Full, some of it in closed segments: there is no
+				// channel to block on until the writer has drained those.
+				t0 := time.Now()
+				<-q.reached
+				stall += time.Since(t0)
+				q.reached = nil
+			}
+		}
+		select {
+		case q.tail.ch <- c:
+			return stall
+		default:
+		}
+		if cap(q.tail.ch) == q.depth {
+			t0 := time.Now()
+			q.tail.ch <- c
+			return stall + time.Since(t0)
+		}
+		q.grow()
+	}
+}
+
+// grow chains a larger tail segment and closes the full one.
+func (q *pumpQueue) grow() {
+	n := cap(q.tail.ch) * pumpQueueGrowth
+	if n > q.depth {
+		n = q.depth
+	}
+	seg := &pumpSegment{ch: make(chan chunk, n)}
+	if q.total+n > q.depth {
+		seg.reached = make(chan struct{})
+		q.reached, q.credit = seg.reached, 0
+	}
+	q.total += n
+	q.tail.next = seg
+	close(q.tail.ch)
+	q.tail = seg
+}
+
+// spend takes one chunk of credit for the tail. It reports false when
+// the queue holds depth chunks, and also — having left credit mode —
+// once every closed segment is drained. The count is exact when taken
+// and can only be overtaken by the writer: nothing is added to a
+// closed channel.
+func (q *pumpQueue) spend() bool {
+	if q.credit == 0 {
+		for q.old != q.tail && len(q.old.ch) == 0 {
+			q.old = q.old.next
+		}
+		if q.old == q.tail {
+			q.reached = nil
+			return false
+		}
+		queued := 0
+		for s := q.old; s != nil; s = s.next {
+			queued += len(s.ch)
+		}
+		if queued >= q.depth {
+			return false
+		}
+		q.credit = q.depth - queued
+	}
+	q.credit--
+	return true
+}
+
+// close ends the stream after the terminal chunk. Reader goroutine
+// only.
+func (q *pumpQueue) close() { close(q.tail.ch) }
+
+// pop returns the next chunk in push order; ok is false once the
+// reader has closed the queue and it is drained. One goroutine at a
+// time.
+func (q *pumpQueue) pop() (c chunk, ok bool) {
+	for {
+		if c, ok = <-q.head.ch; ok {
+			return c, true
+		}
+		if q.head.next == nil {
+			return chunk{}, false
+		}
+		q.head = q.head.next
+		if q.head.reached != nil {
+			close(q.head.reached)
+		}
+	}
+}
+
 // pump moves the session payload from src to dst through a bounded
 // pipeline of PipelineBytes: a reader goroutine fills chunks into a
-// channel whose total capacity is the pipeline size, and the writer
-// drains it. When the downstream sublink is slower, the channel fills
-// and the reader — and therefore the upstream TCP connection — blocks:
-// the depot back-pressure of Figure 5.
+// queue whose capacity grows with its occupancy up to the pipeline
+// size, and the writer drains it. When the downstream sublink is
+// slower, the queue fills and the reader — and therefore the upstream
+// TCP connection — blocks: the depot back-pressure of Figure 5.
 //
 // Chunk buffers come from the shared bufpool: a chunk lives from its
 // read until the downstream write completes (possibly queued for the
@@ -64,31 +225,18 @@ func (f *flow) acquire(n int) {
 // lands in the server's counters, only per-session reporting is
 // skipped.
 func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
-	depth := s.cfg.PipelineBytes / chunkSize
-	if depth < 1 {
-		depth = 1
-	}
-	type item struct {
-		data []byte
-		buf  *[]byte // pool token; nil for the terminal error item
-		err  error
-	}
-	ch := make(chan item, depth)
-	enqueue := func(it item) {
+	q := newPumpQueue(s.cfg.PipelineBytes / chunkSize)
+	enqueue := func(it chunk) {
 		n := int64(len(it.data))
 		s.met.occupancy.Add(n)
 		f.addQueued(n)
-		select {
-		case ch <- it:
-		default:
-			// Pipeline full: the upstream sublink is now blocked on
-			// this depot — Figure 5 back-pressure, measured.
-			t0 := time.Now()
-			ch <- it
-			s.met.stallNanos.Add(time.Since(t0).Nanoseconds())
+		if stall := q.push(it); stall > 0 {
+			// Pipeline full: the upstream sublink was blocked on this
+			// depot — Figure 5 back-pressure, measured.
+			s.met.stallNanos.Add(stall.Nanoseconds())
 		}
 	}
-	dequeued := func(it item) {
+	dequeued := func(it chunk) {
 		n := int64(len(it.data))
 		s.met.occupancy.Add(-n)
 		f.addQueued(-n)
@@ -100,7 +248,7 @@ func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
 			buf := *bp
 			n, err := src.Read(buf)
 			if n > 0 {
-				enqueue(item{data: buf[:n], buf: bp})
+				enqueue(chunk{data: buf[:n], buf: bp})
 			} else {
 				bufpool.Put(bp)
 			}
@@ -108,8 +256,8 @@ func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
 				if errors.Is(err, io.EOF) {
 					err = nil
 				}
-				enqueue(item{err: err})
-				close(ch)
+				enqueue(chunk{err: err})
+				q.close()
 				return
 			}
 		}
@@ -124,7 +272,11 @@ func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
 		}
 		return written, err
 	}
-	for it := range ch {
+	for {
+		it, ok := q.pop()
+		if !ok {
+			break
+		}
 		if it.data == nil {
 			if it.err != nil {
 				return finish(fmt.Errorf("pump read: %w", it.err))
@@ -152,7 +304,11 @@ func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
 			// Drain the reader goroutine so it can exit, releasing the
 			// occupancy the queued chunks still hold.
 			go func() {
-				for it := range ch {
+				for {
+					it, ok := q.pop()
+					if !ok {
+						return
+					}
 					dequeued(it)
 				}
 			}()

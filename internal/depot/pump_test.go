@@ -3,6 +3,7 @@ package depot
 import (
 	"bytes"
 	"io"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -163,6 +164,91 @@ func TestPumpTinyPipeline(t *testing.T) {
 	if err != nil || n != 100<<10 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}
+}
+
+// TestPumpQueueStorageFollowsOccupancy is the reason the queue is not
+// one channel of PipelineBytes/chunkSize slots: a session the writer
+// keeps up with ends with the slots it started with.
+func TestPumpQueueStorageFollowsOccupancy(t *testing.T) {
+	q := newPumpQueue(DefaultPipelineBytes / chunkSize)
+	for i := 0; i < 10000; i++ {
+		q.push(chunk{data: []byte{byte(i)}})
+		if c, ok := q.pop(); !ok || c.data[0] != byte(i) {
+			t.Fatalf("chunk %d: got %v, %v", i, c.data, ok)
+		}
+	}
+	if q.total != pumpQueueStart || cap(q.tail.ch) != pumpQueueStart {
+		t.Fatalf("an always-drained queue grew to %d slots", q.total)
+	}
+}
+
+// TestPumpQueueBoundAndOrder fills the queue against a paused writer:
+// the reader must block holding exactly depth chunks however many
+// segments that took and wherever the writer stopped, and everything
+// must come out in push order.
+func TestPumpQueueBoundAndOrder(t *testing.T) {
+	for _, tc := range []struct{ depth, popFirst, popAt int }{
+		{depth: 1},
+		{depth: 5},
+		{depth: pumpQueueStart},
+		{depth: pumpQueueStart + 1},
+		{depth: 70}, // 16, 64, 70: two segments filled on credit
+		{depth: 1024},
+		{depth: 1024, popFirst: 10, popAt: 16},   // writer stopped inside the first segment
+		{depth: 1024, popFirst: 100, popAt: 300}, // ... inside the third
+		{depth: 70, popFirst: 20, popAt: 60},
+	} {
+		q := newPumpQueue(tc.depth)
+		total := 3*tc.depth + 7
+		var pushed atomic.Int64
+		var stalled atomic.Int64
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for i := 0; i < total; i++ {
+				if tc.popFirst > 0 && i == tc.popAt {
+					popInOrder(t, q, 0, tc.popFirst)
+				}
+				stalled.Add(int64(q.push(chunk{data: []byte{byte(i), byte(i >> 8)}})))
+				pushed.Add(1)
+			}
+			q.push(chunk{})
+			q.close()
+		}()
+		want := int64(tc.depth + tc.popFirst)
+		waitFor(t, func() bool { return pushed.Load() >= want })
+		time.Sleep(20 * time.Millisecond)
+		if got := pushed.Load(); got != want {
+			t.Fatalf("depth %d, %d popped: reader ran %d chunks ahead of the writer, want %d",
+				tc.depth, tc.popFirst, got-int64(tc.popFirst), tc.depth)
+		}
+		if !popInOrder(t, q, tc.popFirst, total) {
+			t.Fatalf("depth %d, %d popped at %d: order broken", tc.depth, tc.popFirst, tc.popAt)
+		}
+		if c, ok := q.pop(); !ok || c.data != nil {
+			t.Fatalf("depth %d: no terminal chunk", tc.depth)
+		}
+		if _, ok := q.pop(); ok {
+			t.Fatalf("depth %d: queue not closed after the terminal chunk", tc.depth)
+		}
+		<-done
+		if stalled.Load() <= 0 {
+			t.Fatalf("depth %d: a reader blocked on a full queue reported no stall", tc.depth)
+		}
+	}
+}
+
+// popInOrder pops chunks from..to-1 as the pump's writer would and
+// reports whether they carried their push index.
+func popInOrder(t *testing.T, q *pumpQueue, from, to int) bool {
+	for i := from; i < to; i++ {
+		c, ok := q.pop()
+		if !ok || len(c.data) != 2 || int(c.data[0])|int(c.data[1])<<8 != i {
+			t.Errorf("chunk %d came out as %v, %v", i, c.data, ok)
+			return false
+		}
+	}
+	return true
 }
 
 func TestPipeConnInterface(t *testing.T) {
