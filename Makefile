@@ -78,11 +78,15 @@ bench:
 # runs of the hot-path benchmarks, appended to $(BENCH_OUT) for
 # benchstat and cmd/benchgate to compare across commits. Fixed
 # -benchtime iteration counts keep base and head doing identical work.
+# BenchmarkRelayTCP* cross real loopback sockets through one depot: the
+# plain and small rungs take the kernel relay, the armed one the pump.
 BENCH_COUNT ?= 6
 BENCH_OUT ?= bench.txt
 bench-guarded:
 	: > $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkPump$$|BenchmarkPumpChecksum$$|BenchmarkFairShare$$' -benchtime 100x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench 'BenchmarkRelayTCP$$' -benchtime 100x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench 'BenchmarkRelayTCPSmall$$' -benchtime 2000x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkEmit$$' -count $(BENCH_COUNT) ./internal/obs/ | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkStriping$$|BenchmarkMultipath$$' -benchtime 1x -count $(BENCH_COUNT) . | tee -a $(BENCH_OUT)
 

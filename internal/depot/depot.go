@@ -236,6 +236,7 @@ type metrics struct {
 	queueTOs     *obs.Counter
 	checksumErrs *obs.Counter
 	reindexDrops *obs.Counter
+	kernelRelays *obs.Counter
 	tableEpoch   *obs.Gauge
 	occupancy    *obs.Gauge
 	active       *obs.Gauge
@@ -247,6 +248,12 @@ type metrics struct {
 }
 
 // Metric and gauge names published to Config.Metrics.
+//
+// MetricPipelineOccupancy sums, over live sessions, the payload queued
+// in pump pipelines and — sampled once per relay window, on Linux — the
+// payload a kernel-relayed session has parked in this depot's socket
+// buffers. MetricPumpStallNanos is pump-only: a kernel-relayed session
+// has no user-space pipeline to stall on and adds nothing to it.
 const (
 	MetricSessionsAccepted  = "depot_sessions_accepted_total"
 	MetricSessionsRefused   = "depot_sessions_refused_total"
@@ -278,6 +285,11 @@ const (
 	// or torn .p payloads). Set once at startup; a non-zero value after
 	// a restart means durable state was lost between runs.
 	MetricSpoolReindexDropped = "depot_spool_reindex_dropped_total"
+	// MetricRelayKernelSessions counts forwarded data sessions relayed
+	// in the kernel (no byte-touching stage armed, TCP on both sides).
+	// Against depot_sessions_accepted_total it gives the share of
+	// sessions that leave the fast path for the user-space pump.
+	MetricRelayKernelSessions = "depot_relay_kernel_sessions_total"
 )
 
 func newMetrics(r *obs.Registry) metrics {
@@ -300,6 +312,7 @@ func newMetrics(r *obs.Registry) metrics {
 		queueTOs:     r.Counter(MetricAdmissionTimeouts),
 		checksumErrs: r.Counter(MetricChecksumErrors),
 		reindexDrops: r.Counter(MetricSpoolReindexDropped),
+		kernelRelays: r.Counter(MetricRelayKernelSessions),
 		tableEpoch:   r.Gauge(MetricTableEpoch),
 		occupancy:    r.Gauge(MetricPipelineOccupancy),
 		active:       r.Gauge(MetricActiveSessions),
@@ -527,6 +540,9 @@ func (s *Server) Handle(conn net.Conn) {
 		conn.Close()
 		return
 	}
+	// The relay plan of a forwarded data session is built from the raw
+	// transport: what Handle interposes below would hide its type.
+	raw := conn
 	if d := s.cfg.IdleTimeout; d > 0 {
 		conn = &idleConn{Conn: conn, timeout: d}
 	}
@@ -620,7 +636,7 @@ func (s *Server) Handle(conn net.Conn) {
 	sess := &lsl.Session{Conn: s.cfg.Faults.wrap(conn, s.met.faults), Header: h}
 	switch h.Type {
 	case wire.TypeData:
-		err = s.handleData(sess, f)
+		err = s.handleData(sess, raw, f)
 	case wire.TypeGenerate:
 		err = s.handleGenerate(sess, f)
 	case wire.TypeMulticast:
@@ -783,7 +799,10 @@ func forwardHeader(h *wire.Header, rest []wire.Endpoint, hop int) *wire.Header {
 	return out
 }
 
-func (s *Server) handleData(sess *lsl.Session, f *flow) error {
+// handleData forwards or delivers a data session. up is the accepted
+// transport as the listener returned it; sess.Conn is the same
+// transport behind the idle-deadline and fault-injection wrappers.
+func (s *Server) handleData(sess *lsl.Session, up net.Conn, f *flow) error {
 	defer sess.Close()
 	next, rest, local, err := s.nextHop(sess.Header)
 	if err != nil {
@@ -818,21 +837,21 @@ func (s *Server) handleData(sess *lsl.Session, f *flow) error {
 		}
 	}
 	defer out.Close()
-	f.emit(obs.KindConnect, obs.Event{Peer: next.String()})
+	plan := s.planRelay(up, sess.Header, f)
+	kup, kdn, kernel := plan.kernelPair(out)
+	f.emit(obs.KindConnect, obs.Event{Peer: next.String(), Detail: relayDetail(kernel)})
 	fh := forwardHeader(sess.Header, rest, f.hop)
 	fh.Type = wire.TypeData
 	if err := wire.WriteHeader(out, fh); err != nil {
 		return err
 	}
-	src := s.checkedSource(sess)
-	tap := s.cacheTap(sess.Header)
-	if tap != nil {
-		// On-forward cache population: the tap rides after the verifier,
-		// so only CRC-proven payload ever enters the cache.
-		src = io.TeeReader(src, tap)
+	if kernel {
+		s.met.kernelRelays.Inc()
+		_, err = s.relayKernel(kdn, kup, plan.idle, f)
+	} else {
+		_, err = s.pump(out, plan.source(sess), f)
 	}
-	_, err = s.pump(out, src, f)
-	tap.commit(err == nil)
+	plan.tap.commit(err == nil)
 	s.st.forwarded.Add(1)
 	return s.flagCorrupt(sess, f, err)
 }

@@ -202,6 +202,23 @@ func (q *pumpQueue) pop() (c chunk, ok bool) {
 	}
 }
 
+// countForwarded records n payload bytes moved downstream, in the
+// server's counters and the session's live progress.
+func (s *Server) countForwarded(f *flow, n int64) {
+	s.st.bytesForwarded.Add(n)
+	s.met.bytesFwd.Add(n)
+	f.addBytes(n)
+}
+
+// lastByte closes a relay's accounting, whichever relay it was: the
+// last-byte event and the sublink's achieved throughput.
+func (s *Server) lastByte(f *flow, start time.Time, written int64) {
+	f.emit(obs.KindLastByte, obs.Event{Bytes: written})
+	if elapsed := time.Since(start).Seconds(); elapsed > 0 && written > 0 {
+		s.met.throughput.Observe(float64(written) * 8 / 1e6 / elapsed)
+	}
+}
+
 // pump moves the session payload from src to dst through a bounded
 // pipeline of PipelineBytes: a reader goroutine fills chunks into a
 // queue whose capacity grows with its occupancy up to the pipeline
@@ -266,10 +283,7 @@ func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
 	start := time.Now()
 	var written int64
 	finish := func(err error) (int64, error) {
-		f.emit(obs.KindLastByte, obs.Event{Bytes: written})
-		if elapsed := time.Since(start).Seconds(); elapsed > 0 && written > 0 {
-			s.met.throughput.Observe(float64(written) * 8 / 1e6 / elapsed)
-		}
+		s.lastByte(f, start, written)
 		return written, err
 	}
 	for {
@@ -297,9 +311,7 @@ func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
 		// Record bytes as they move, not when the pump completes:
 		// partial transfers keep their accounting on every error path.
 		written += int64(n)
-		s.st.bytesForwarded.Add(int64(n))
-		s.met.bytesFwd.Add(int64(n))
-		f.addBytes(int64(n))
+		s.countForwarded(f, int64(n))
 		if err != nil {
 			// Drain the reader goroutine so it can exit, releasing the
 			// occupancy the queued chunks still hold.

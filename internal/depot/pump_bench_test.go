@@ -100,3 +100,57 @@ func BenchmarkWritePattern(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRelayTCP moves 8 MiB per iteration source → one depot → sink
+// over loopback sockets, every byte compared at the sink: the guarded
+// figure that crosses a kernel. plain arms no stage, so the depot
+// relays it in the kernel; armed carries CRC frames through a
+// fair-share depot, so it rides the pump with every stage the
+// benchmark's tcp-armed workload has. A fast path bought at the pump's
+// expense shows as armed slowing while plain gains.
+func BenchmarkRelayTCP(b *testing.B) {
+	const size = 8 << 20
+	b.Run("plain", func(b *testing.B) {
+		rig := newTCPRig(b, Config{})
+		b.SetBytes(size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got := rig.send(b, size); got.err != nil || got.bytes != size {
+				b.Fatalf("sink read %d of %d bytes, err %v", got.bytes, size, got.err)
+			}
+		}
+	})
+	b.Run("armed", func(b *testing.B) {
+		rig := newTCPRig(b, Config{FairShare: fairshare.New(fairshare.Config{})})
+		rig.drain = func(s *lsl.Session) (int64, error) { return readCycle(wire.NewFrameReader(s)) }
+		b.SetBytes(size)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sess := rig.open(b, wire.ChunkChecksumOption(), wire.SessionWeightOption(2))
+			werr := writeCycle(wire.NewFrameWriter(sess), size)
+			sess.Close()
+			if got := <-rig.sunk; werr != nil || got.err != nil || got.bytes != size {
+				b.Fatalf("write err %v; sink read %d of %d bytes, err %v", werr, got.bytes, size, got.err)
+			}
+		}
+	})
+}
+
+// BenchmarkRelayTCPSmall opens, fills and closes one 4 KiB session per
+// iteration through one loopback depot: what a session costs a depot
+// before its first payload byte — accept, header, onward dial, relay
+// set-up and teardown.
+func BenchmarkRelayTCPSmall(b *testing.B) {
+	const size = 4 << 10
+	rig := newTCPRig(b, Config{})
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if got := rig.send(b, size); got.err != nil || got.bytes != size {
+			b.Fatalf("sink read %d of %d bytes, err %v", got.bytes, size, got.err)
+		}
+	}
+}
