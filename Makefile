@@ -45,19 +45,22 @@ vulncheck:
 		$(GO) run golang.org/x/vuln/cmd/govulncheck@$(GOVULNCHECK_VERSION) ./...; \
 	fi
 
-# Short fuzzing bursts over the wire-format parsers: enough to catch a
-# freshly introduced panic or round-trip break without burning minutes.
+# Short fuzzing bursts over the wire-format parsers and the pattern
+# kernel: enough to catch a freshly introduced panic, round-trip break
+# or departure from the byte-loop reference without burning minutes.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseOptions -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzReadHeader -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzChunkFrames -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzCacheOptions -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzPathOptions -fuzztime 10s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz FuzzPatternKernel -fuzztime 10s ./internal/depot/
 
 # The data path is lock-free by design; prove it under the race
-# detector where the concurrency lives.
+# detector where the concurrency lives — the buffer pool and the
+# emulated pipes that recycle its buffers included.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/...
+	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/... ./internal/emu/... ./internal/bufpool/...
 
 # Statement-coverage floors for the packages whose untested branches
 # hurt the most (see coverage-floors.txt for which and why). The
@@ -80,6 +83,8 @@ bench:
 # -benchtime iteration counts keep base and head doing identical work.
 # BenchmarkRelayTCP* cross real loopback sockets through one depot: the
 # plain and small rungs take the kernel relay, the armed one the pump.
+# BenchmarkPattern, BenchmarkCachePopulate and BenchmarkEmuConn hold the
+# in-process engine's content path: generate, check, cache, emulate.
 BENCH_COUNT ?= 6
 BENCH_OUT ?= bench.txt
 bench-guarded:
@@ -87,6 +92,9 @@ bench-guarded:
 	$(GO) test -run '^$$' -bench 'BenchmarkPump$$|BenchmarkPumpChecksum$$|BenchmarkFairShare$$' -benchtime 100x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkRelayTCP$$' -benchtime 100x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkRelayTCPSmall$$' -benchtime 2000x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench 'BenchmarkPattern$$' -benchtime 1000x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench 'BenchmarkCachePopulate$$' -benchtime 100x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
+	$(GO) test -run '^$$' -bench 'BenchmarkEmuConn$$' -benchtime 500x -count $(BENCH_COUNT) ./internal/emu/ | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkEmit$$' -count $(BENCH_COUNT) ./internal/obs/ | tee -a $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkStriping$$|BenchmarkMultipath$$' -benchtime 1x -count $(BENCH_COUNT) . | tee -a $(BENCH_OUT)
 

@@ -7,9 +7,13 @@
 // Entries are immutable by construction — the key commits to both the
 // object's size and its SHA-256, so a digest can only ever name one
 // byte string and there is no invalidation protocol. Ranges accrete
-// monotonically as sessions are forwarded; once an entry reaches full
-// coverage the cache re-hashes it end to end and drops it on mismatch,
-// after which the entry is advertised in the depot's digest inventory.
+// monotonically as sessions are forwarded, each through a Fill that
+// copies, CRCs and hashes the payload once, as it arrives. An entry
+// that reaches full coverage is advertised in the depot's digest
+// inventory only once a SHA-256 over exactly its stored bytes has
+// matched the key — the running hash of a fill that was the whole
+// object, or a re-read of the spans of one completed by accretion —
+// and is dropped on mismatch.
 //
 // Storage is two-tiered with a single recency order spanning both
 // tiers, mirroring the depot spool LRU: spans live in memory until the
@@ -93,15 +97,22 @@ type Stats struct {
 	Dropped     int // damaged files dropped during re-index
 }
 
+// frameHeader is the [len|crc] a frame is stored under.
+type frameHeader = [wire.FrameHeaderLen]byte
+
 // span is one cached byte range of one object, stored CRC-framed in
-// exactly one tier.
+// exactly one tier: frames of MaxFramePayload bytes, the last one
+// shorter. On disk they lie back to back, headers inline. In memory
+// each frame's payload is a block of its own — 64 KiB is a whole
+// number of pages, 64 KiB + 8 is not — and the headers sit beside them.
 type span struct {
 	key    wire.ContentDigest
 	off    int64
-	length int64  // payload bytes
-	framed int64  // stored bytes (payload + frame headers)
-	frames []byte // memory tier; nil when spilled
-	path   string // disk tier; empty while in memory
+	length int64         // payload bytes
+	framed int64         // stored bytes (payload + frame headers)
+	blocks [][]byte      // memory tier: payload by frame; nil when spilled
+	hdrs   []frameHeader // memory tier: blocks[i] is stored under hdrs[i]
+	path   string        // disk tier; empty while in memory
 	el     *list.Element
 }
 
@@ -184,13 +195,8 @@ func (c *Cache) setOccupancy() {
 	}
 }
 
-// Put stores data as the object's bytes at [off, off+len(data)).
-// Already-held portions are skipped (entries are immutable, so the
-// bytes cannot differ unless something upstream is broken — and full
-// coverage re-verifies the whole object against the digest). The new
-// span becomes the most recently used and the budgets are rebalanced:
-// memory overflow spills the coldest spans to disk, disk overflow
-// evicts. A span too large for every configured tier is rejected.
+// Put stores data as the object's bytes at [off, off+len(data)): a
+// fill of that range begun, written, committed and settled in one call.
 func (c *Cache) Put(key wire.ContentDigest, off int64, data []byte) error {
 	if len(data) == 0 {
 		return nil
@@ -198,39 +204,13 @@ func (c *Cache) Put(key wire.ContentDigest, off int64, data []byte) error {
 	if off < 0 || off+int64(len(data)) > key.Size {
 		return fmt.Errorf("cache: put [%d,%d) outside object of %d bytes", off, off+int64(len(data)), key.Size)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e == nil {
-		e = &entry{}
-		c.entries[key] = e
+	f := c.Begin(key, wire.ByteRange{Off: off, Len: int64(len(data))})
+	if f == nil {
+		return nil // already held
 	}
-	for _, gap := range uncovered(e.spans, off, off+int64(len(data))) {
-		sub := data[gap.Off-off : gap.End()-off]
-		framed := frameBytes(sub)
-		if int64(len(framed)) > c.memCap && (c.dir == "" || int64(len(framed)) > c.diskCap) {
-			return errTooLarge
-		}
-		sp := &span{key: key, off: gap.Off, length: gap.Len, framed: int64(len(framed)), frames: framed}
-		sp.el = c.lru.PushFront(sp)
-		c.memUsed += sp.framed
-		e.spans = insertSpan(e.spans, sp)
-	}
-	c.rebalance()
-	c.setOccupancy()
-	if !e.complete && coversAll(e.spans, key.Size) {
-		c.verifyComplete(key, e)
-	}
-	return nil
-}
-
-// frameBytes CRC-frames payload into a fresh buffer.
-func frameBytes(payload []byte) []byte {
-	var buf bytes.Buffer
-	buf.Grow(len(payload) + FrameOverhead(len(payload)))
-	fw := wire.NewFrameWriter(&buf)
-	_, _ = fw.Write(payload) // bytes.Buffer writes cannot fail
-	return buf.Bytes()
+	f.Write(data) // cannot overflow: the range is len(data) long
+	defer f.Settle()
+	return f.Commit()
 }
 
 // FrameOverhead returns the framing bytes added to a payload of n
@@ -299,62 +279,71 @@ func coverFrom(spans []*span, from int64) int64 {
 	return at
 }
 
-// verifyComplete re-hashes a fully covered entry against its digest,
-// marking it advertisable on success and dropping it wholesale on
-// mismatch. Called with mu held.
-func (c *Cache) verifyComplete(key wire.ContentDigest, e *entry) {
-	h := sha256.New()
-	at := int64(0)
-	for _, sp := range e.spans {
-		payload, err := c.spanPayload(sp)
-		if err != nil {
+// verifyComplete marks a fully covered entry advertisable when the
+// SHA-256 over its stored bytes matches the key, and drops it
+// wholesale otherwise. proven is that hash when the caller computed it
+// over the very bytes it stored (a fill that was the whole object);
+// nil has the spans re-read. Called with mu held.
+func (c *Cache) verifyComplete(key wire.ContentDigest, e *entry, proven *[wire.DigestLen]byte) {
+	if proven == nil {
+		sum, ok := hashEntry(e)
+		if !ok {
 			c.dropEntryLocked(key)
 			return
 		}
-		// Overlap is impossible by construction; adjacency means the
-		// payload starts exactly at `at`.
-		if sp.off != at {
-			c.dropEntryLocked(key)
-			return
-		}
-		h.Write(payload)
-		at = sp.end()
+		proven = &sum
 	}
-	var sum [wire.DigestLen]byte
-	h.Sum(sum[:0])
-	if sum != key.Sum {
+	if *proven != key.Sum {
 		c.dropEntryLocked(key)
 		return
 	}
 	e.complete = true
 }
 
-// spanPayload reads and CRC-verifies one span's payload. Called with
-// mu held.
-func (c *Cache) spanPayload(sp *span) ([]byte, error) {
-	var src io.Reader
-	var closer io.Closer
-	if sp.frames != nil {
-		src = bytes.NewReader(sp.frames)
-	} else {
+// hashEntry hashes an entry's spans in offset order, CRC-checking
+// every frame on the way: memory frames are walked in place, disk
+// spans stream through the frame reader. It reports false when a span
+// fails its check or the spans are not one contiguous run from offset
+// 0. Called with mu held.
+func hashEntry(e *entry) (sum [wire.DigestLen]byte, ok bool) {
+	h := sha256.New()
+	at := int64(0)
+	for _, sp := range e.spans {
+		// Overlap is impossible by construction; adjacency means the
+		// payload starts exactly at `at`.
+		if sp.off != at {
+			return sum, false
+		}
+		n, err := hashSpan(h, sp)
+		if err != nil || n != sp.length {
+			return sum, false
+		}
+		at = sp.end()
+	}
+	h.Sum(sum[:0])
+	return sum, true
+}
+
+// hashSpan writes one span's CRC-verified payload to h and returns its
+// length.
+func hashSpan(h io.Writer, sp *span) (int64, error) {
+	if sp.blocks == nil {
 		f, err := os.Open(sp.path)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		src = f
-		closer = f
+		defer f.Close()
+		return io.Copy(h, wire.NewFrameReader(f))
 	}
-	payload, err := io.ReadAll(wire.NewFrameReader(src))
-	if closer != nil {
-		closer.Close()
+	var n int64
+	for i, block := range sp.blocks {
+		if wire.FrameHeader(block) != sp.hdrs[i] {
+			return n, fmt.Errorf("%w: cached frame %d", wire.ErrChecksum, i)
+		}
+		h.Write(block)
+		n += int64(len(block))
 	}
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(payload)) != sp.length {
-		return nil, fmt.Errorf("%w: span payload %d != %d", wire.ErrChecksum, len(payload), sp.length)
-	}
-	return payload, nil
+	return n, nil
 }
 
 // rebalance restores the tier budgets: memory overflow spills the
@@ -384,7 +373,7 @@ func (c *Cache) rebalance() {
 func (c *Cache) coldest(memory bool) *span {
 	for el := c.lru.Back(); el != nil; el = el.Prev() {
 		sp := el.Value.(*span)
-		if (sp.frames != nil) == memory {
+		if (sp.blocks != nil) == memory {
 			return sp
 		}
 	}
@@ -401,7 +390,7 @@ func (c *Cache) spill(sp *span) bool {
 	if err != nil {
 		return false
 	}
-	_, werr := tmp.Write(sp.frames)
+	_, werr := io.Copy(tmp, &framesReader{blocks: sp.blocks, hdrs: sp.hdrs})
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -413,7 +402,7 @@ func (c *Cache) spill(sp *span) bool {
 	}
 	c.memUsed -= sp.framed
 	c.diskUsed += sp.framed
-	sp.frames = nil
+	sp.blocks, sp.hdrs = nil, nil
 	sp.path = path
 	return true
 }
@@ -445,9 +434,9 @@ func (c *Cache) removeSpan(sp *span) {
 		c.lru.Remove(sp.el)
 		sp.el = nil
 	}
-	if sp.frames != nil {
+	if sp.blocks != nil {
 		c.memUsed -= sp.framed
-		sp.frames = nil
+		sp.blocks, sp.hdrs = nil, nil
 	} else if sp.path != "" {
 		c.diskUsed -= sp.framed
 		os.Remove(sp.path)

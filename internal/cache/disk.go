@@ -111,7 +111,7 @@ func (c *Cache) recover() error {
 	// advertises digests this process has proven.
 	for key, e := range c.entries {
 		if coversAll(e.spans, key.Size) {
-			c.verifyComplete(key, e)
+			c.verifyComplete(key, e, nil)
 		}
 	}
 	// A shrunken budget takes effect immediately: recovery itself can

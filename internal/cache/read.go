@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -40,7 +39,8 @@ func (c *Cache) Open(key wire.ContentDigest, r wire.ByteRange) (io.ReadCloser, e
 		}
 		parts = append(parts, spanPart{
 			sp:     sp,
-			frames: sp.frames,
+			blocks: sp.blocks,
+			hdrs:   sp.hdrs,
 			path:   sp.path,
 			skip:   skip,
 			take:   take - (sp.off + skip),
@@ -59,7 +59,8 @@ func (c *Cache) Open(key wire.ContentDigest, r wire.ByteRange) (io.ReadCloser, e
 // disk span surfaces as a read error and the caller falls back.
 type spanPart struct {
 	sp     *span
-	frames []byte
+	blocks [][]byte
+	hdrs   []frameHeader
 	path   string
 	skip   int64 // payload bytes to discard at the front
 	take   int64 // payload bytes to yield
@@ -127,8 +128,8 @@ func (rr *rangeReader) Read(p []byte) (int, error) {
 func (rr *rangeReader) start(part spanPart) error {
 	var src io.Reader
 	switch {
-	case part.frames != nil:
-		src = bytes.NewReader(part.frames)
+	case part.blocks != nil:
+		src = &framesReader{blocks: part.blocks, hdrs: part.hdrs}
 	case part.path != "":
 		f, err := os.Open(part.path)
 		if err != nil {
@@ -147,6 +148,31 @@ func (rr *rangeReader) start(part spanPart) error {
 	}
 	rr.cur = fr
 	return nil
+}
+
+// framesReader reads a memory span as the file of a spilled one reads:
+// each frame's header, then its payload, back to back. It holds its own
+// position; the blocks are shared with the span and its other readers.
+type framesReader struct {
+	blocks [][]byte
+	hdrs   []frameHeader
+	pos    int // read so far of the first frame left, header included
+}
+
+func (r *framesReader) Read(p []byte) (int, error) {
+	for len(r.blocks) > 0 {
+		var n int
+		if r.pos < wire.FrameHeaderLen {
+			n = copy(p, r.hdrs[0][r.pos:])
+		} else {
+			n = copy(p, r.blocks[0][r.pos-wire.FrameHeaderLen:])
+		}
+		if r.pos += n; n > 0 || len(p) == 0 {
+			return n, nil
+		}
+		r.blocks, r.hdrs, r.pos = r.blocks[1:], r.hdrs[1:], 0
+	}
+	return 0, io.EOF
 }
 
 // fail records a failed serve: the offending span (when known) is
@@ -191,15 +217,12 @@ func (c *Cache) Tamper(key wire.ContentDigest, off int64) bool {
 		}
 		rel := off - sp.off
 		frame := rel / wire.MaxFramePayload
-		pos := frame*(wire.FrameHeaderLen+wire.MaxFramePayload) + wire.FrameHeaderLen + rel%wire.MaxFramePayload
-		if sp.frames != nil {
-			if pos >= int64(len(sp.frames)) {
-				return false
-			}
-			sp.frames[pos] ^= 0xFF
+		if sp.blocks != nil {
+			sp.blocks[frame][rel%wire.MaxFramePayload] ^= 0xFF
 			c.tampered++
 			return true
 		}
+		pos := frame*(wire.FrameHeaderLen+wire.MaxFramePayload) + wire.FrameHeaderLen + rel%wire.MaxFramePayload
 		data, err := os.ReadFile(sp.path)
 		if err != nil || pos >= int64(len(data)) {
 			return false

@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/netlogistics/lsl/internal/ctl"
 	"github.com/netlogistics/lsl/internal/depot"
@@ -60,6 +61,28 @@ func tracePath(sink *obs.MemorySink, srcEP, id string) []string {
 		}
 	}
 	return path
+}
+
+// waitDeliver returns the deliver event of a session other than `not`,
+// waiting a bounded time for it. A Transfer* returns when the sink's
+// handler has verified the payload and completed the waiter; the
+// delivering depot emits KindDeliver only after that handler has
+// returned to it, because the event reports the handler's whole run —
+// the bytes it consumed, the moment it finished. So the event can
+// trail the transfer's return by a scheduling quantum, and a test that
+// reads the trace the moment the call returns must wait for it.
+func waitDeliver(t *testing.T, sink *obs.MemorySink, not string) obs.Event {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		for _, e := range sink.Events() {
+			if e.Kind == obs.KindDeliver && e.Session != not {
+				return e
+			}
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no delivery traced (other than session %q)", not)
+		}
+	}
 }
 
 // plannedEndpoints maps the planner's current path to endpoint strings.
@@ -122,16 +145,7 @@ func TestControlPlaneReroutesAroundDegradation(t *testing.T) {
 	}
 	// The session's trace must show it actually took the planned path —
 	// no source route was present to force it.
-	evs := sink.Events()
-	var firstID string
-	for _, e := range evs {
-		if e.Kind == obs.KindDeliver {
-			firstID = e.Session
-		}
-	}
-	if firstID == "" {
-		t.Fatal("no delivery event traced")
-	}
+	firstID := waitDeliver(t, sink, "").Session
 	srcEP := sys.Endpoint(tp.MustHost("src.edu")).String()
 	actual := tracePath(sink, srcEP, firstID)
 	if strings.Join(actual, ",") != strings.Join(planned, ",") {
@@ -184,15 +198,7 @@ func TestControlPlaneReroutesAroundDegradation(t *testing.T) {
 	if res2.Bytes != size {
 		t.Fatalf("bytes = %d", res2.Bytes)
 	}
-	var secondID string
-	for _, e := range sink.Events() {
-		if e.Kind == obs.KindDeliver && e.Session != firstID {
-			secondID = e.Session
-		}
-	}
-	if secondID == "" {
-		t.Fatal("no second delivery traced")
-	}
+	secondID := waitDeliver(t, sink, firstID).Session
 	actual2 := tracePath(sink, srcEP, secondID)
 	if strings.Join(actual2, ",") != strings.Join(planned, ",") {
 		t.Fatalf("post-degradation traced path %v != planned %v", actual2, planned)

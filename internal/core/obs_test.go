@@ -49,14 +49,11 @@ func TestSystemTelemetryThreading(t *testing.T) {
 
 	// The trace carries the initiator's hop-0 lifecycle, in order, and
 	// a deliver event from the final depot at the last hop.
+	deliverHop := waitDeliver(t, sink, "").Hop
 	var kinds0 []string
-	deliverHop := -1
 	for _, e := range sink.Events() {
 		if e.Hop == 0 {
 			kinds0 = append(kinds0, e.Kind)
-		}
-		if e.Kind == obs.KindDeliver {
-			deliverHop = e.Hop
 		}
 	}
 	want := []string{obs.KindConnect, obs.KindFirstByte, obs.KindLastByte}

@@ -1,7 +1,6 @@
 package depot
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -217,25 +216,28 @@ func (s *Server) cacheShortCircuit(sess *lsl.Session, f *flow, next wire.Endpoin
 	return true, s.flagCorrupt(sess, f, perr)
 }
 
-// cacheTap accumulates the payload a forwarding pump moves and commits
-// it to the cache when the session ends — on-forward population. For a
-// checksummed session the tap rides after the verifying reader, so it
-// sees CRC-proven frames and unframes them incrementally; whatever
-// complete frames arrived before a failure are still good bytes and
-// are committed. An unchecked stream carries no per-chunk proof, so it
-// is committed only when the session completes cleanly.
+// cacheTap writes the payload a forwarding pump moves into a cache
+// fill as it passes and commits the fill when the session ends —
+// on-forward population. For a checksummed session the tap rides after
+// the verifying reader, so it sees CRC-proven frames and unframes them
+// incrementally; whatever complete frames arrived before a failure are
+// still good bytes and are committed. An unchecked stream carries no
+// per-chunk proof, so it is committed only when the session completes
+// cleanly.
 type cacheTap struct {
-	c       *cache.Cache
-	key     wire.ContentDigest
-	base    int64
-	framed  bool
-	raw     bytes.Buffer
-	pending []byte
-	broken  bool
+	fill   *cache.Fill
+	framed bool
+	hdr    [wire.FrameHeaderLen]byte // the upstream frame header being assembled
+	nhdr   int                       // bytes of hdr received
+	left   int                       // payload bytes the current upstream frame still owes
+	seen   int64                     // payload bytes handed to the fill
+	whole  int64                     // seen, as of the last complete upstream frame
+	broken bool
 }
 
 // cacheTap returns a population tap for the session, or nil when the
-// session is not cacheable or would not fit the cache.
+// session is not cacheable, would not fit the cache, or carries a range
+// the cache already holds.
 func (s *Server) cacheTap(h *wire.Header) *cacheTap {
 	if s.cfg.Cache == nil {
 		return nil
@@ -244,54 +246,82 @@ func (s *Server) cacheTap(h *wire.Header) *cacheTap {
 	if !ok || !s.cfg.Cache.Fits(r.Len) {
 		return nil
 	}
-	return &cacheTap{c: s.cfg.Cache, key: d, base: r.Off, framed: h.Checksummed()}
+	fill := s.cfg.Cache.Begin(d, r)
+	if fill == nil {
+		return nil
+	}
+	return &cacheTap{fill: fill, framed: h.Checksummed()}
 }
 
 // Write implements io.Writer for the tee off the pump source. It never
 // fails: population is best-effort and must not disturb forwarding.
 func (t *cacheTap) Write(p []byte) (int, error) {
-	if t.broken {
-		return len(p), nil
-	}
+	n := len(p)
 	if !t.framed {
-		t.raw.Write(p)
-		if int64(t.raw.Len()) > t.key.Size-t.base {
-			// More payload than the digest promised: not trustworthy.
-			t.broken = true
-		}
-		return len(p), nil
+		t.put(p)
+		return n, nil
 	}
-	t.pending = append(t.pending, p...)
-	for len(t.pending) >= wire.FrameHeaderLen {
-		length := int(binary.BigEndian.Uint32(t.pending[0:4]))
-		if length == 0 || length > wire.MaxFramePayload {
-			t.broken = true
-			return len(p), nil
+	for len(p) > 0 && !t.broken {
+		if t.left == 0 {
+			k := copy(t.hdr[t.nhdr:], p)
+			p = p[k:]
+			if t.nhdr += k; t.nhdr < len(t.hdr) {
+				break
+			}
+			t.nhdr = 0
+			length := binary.BigEndian.Uint32(t.hdr[0:4])
+			if length == 0 || length > wire.MaxFramePayload {
+				t.broken = true
+				break
+			}
+			t.left = int(length)
+			continue
 		}
-		if len(t.pending) < wire.FrameHeaderLen+length {
-			break
-		}
-		t.raw.Write(t.pending[wire.FrameHeaderLen : wire.FrameHeaderLen+length])
-		t.pending = t.pending[wire.FrameHeaderLen+length:]
-		if int64(t.raw.Len()) > t.key.Size-t.base {
-			t.broken = true
-			return len(p), nil
+		k := min(len(p), t.left)
+		t.put(p[:k])
+		p = p[k:]
+		t.seen += int64(k)
+		if t.left -= k; t.left == 0 {
+			t.whole = t.seen
 		}
 	}
-	return len(p), nil
+	return n, nil
 }
 
-// commit stores the accumulated payload. Verified (framed) bytes are
-// committed even after a mid-session failure — a partial range is
-// still a true range; unverified bytes only on a clean end.
+// put hands payload to the fill. More payload than the digest promised
+// is not trustworthy: the tap is poisoned and commits nothing.
+func (t *cacheTap) put(payload []byte) {
+	if t.broken {
+		return
+	}
+	if _, err := t.fill.Write(payload); err != nil {
+		t.broken = true
+	}
+}
+
+// commit makes what the fill holds part of the cache: an index
+// operation, cheap enough to precede the downstream close. Verified
+// (framed) bytes are committed even after a mid-session failure — a
+// partial range is still a true range — but only up to the last
+// complete upstream frame; unverified bytes only on a clean end.
 func (t *cacheTap) commit(clean bool) {
-	if t == nil || t.broken || t.raw.Len() == 0 {
+	if t == nil || t.broken {
 		return
 	}
-	if !t.framed && !clean {
+	if t.framed {
+		t.fill.Truncate(t.whole)
+	} else if !clean {
 		return
 	}
-	_ = t.c.Put(t.key, t.base, t.raw.Bytes())
+	_ = t.fill.Commit() // best-effort: a span the budgets reject is simply not cached
+}
+
+// settle does the cache work a commit leaves for after the session:
+// tier rebalancing and the proof of an object the commit completed.
+func (t *cacheTap) settle() {
+	if t != nil {
+		t.fill.Settle()
+	}
 }
 
 // CacheStats exposes the configured cache's statistics (zero Stats

@@ -17,7 +17,7 @@ import (
 )
 
 // testCache builds a memory-only cache for depot tests.
-func testCache(t *testing.T, capacity int64) *cache.Cache {
+func testCache(t testing.TB, capacity int64) *cache.Cache {
 	t.Helper()
 	c, err := cache.New(cache.Config{MemoryBytes: capacity})
 	if err != nil {

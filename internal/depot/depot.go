@@ -851,8 +851,15 @@ func (s *Server) handleData(sess *lsl.Session, up net.Conn, f *flow) error {
 	} else {
 		_, err = s.pump(out, plan.source(sess), f)
 	}
+	// The commit only indexes, so whoever sees this session end finds
+	// the cache holding it and the session counted. The downstream
+	// sublink is closed before anything slower — a spill, the hash of
+	// an object this session completed — and not by the deferred Close,
+	// which would run after.
 	plan.tap.commit(err == nil)
 	s.st.forwarded.Add(1)
+	out.Close()
+	plan.tap.settle()
 	return s.flagCorrupt(sess, f, err)
 }
 
@@ -994,27 +1001,6 @@ func writePattern(w io.Writer, size int64, id wire.SessionID) (int64, error) {
 		}
 	}
 	return written, nil
-}
-
-// FillPattern fills buf with the deterministic byte pattern of the
-// session at the given stream offset.
-func FillPattern(buf []byte, id wire.SessionID, offset int64) {
-	for i := range buf {
-		pos := offset + int64(i)
-		buf[i] = id[pos%16] ^ byte(pos) ^ byte(pos>>8)
-	}
-}
-
-// VerifyPattern checks that buf matches the session pattern at offset.
-func VerifyPattern(buf []byte, id wire.SessionID, offset int64) error {
-	for i := range buf {
-		pos := offset + int64(i)
-		want := id[pos%16] ^ byte(pos) ^ byte(pos>>8)
-		if buf[i] != want {
-			return fmt.Errorf("depot: pattern mismatch at offset %d", pos)
-		}
-	}
-	return nil
 }
 
 // idleConn arms a fresh read deadline before every read, so a stalled

@@ -20,6 +20,8 @@ import (
 	"os"
 	"sync"
 	"time"
+
+	"github.com/netlogistics/lsl/internal/bufpool"
 )
 
 // LinkProps describes one direction of an emulated path.
@@ -220,9 +222,13 @@ var _ net.Conn = (*conn)(nil)
 // ErrClosed is returned by writes on a closed pipe.
 var ErrClosed = errors.New("emu: connection closed")
 
-// segment is a chunk of bytes in flight with its delivery time.
+// segment is a chunk of bytes in flight with its delivery time. The
+// bytes sit in a pooled buffer, which goes back to the pool when the
+// reader has drained it; a pipe closed with segments still in flight
+// leaves theirs to the GC. (Why pooled: DESIGN.md §10.)
 type segment struct {
-	data    []byte
+	buf     *[]byte // from bufpool
+	data    []byte  // the unread part of *buf
 	readyAt time.Time
 }
 
@@ -249,8 +255,9 @@ func newShapedPipe(props LinkProps) *shapedPipe {
 	return p
 }
 
-// maxSegment bounds chunking so pacing is smooth.
-const maxSegment = 32 << 10
+// maxSegment bounds chunking so pacing is smooth; one segment fills
+// one pooled buffer.
+const maxSegment = bufpool.ChunkSize
 
 func (p *shapedPipe) Write(buf []byte) (int, error) {
 	total := 0
@@ -294,11 +301,12 @@ func (p *shapedPipe) writeSegment(chunk []byte) (int, error) {
 		tx = time.Duration(float64(len(chunk)) / p.props.Rate * float64(time.Second))
 	}
 	p.nextFree = start.Add(tx)
-	seg := segment{
-		data:    append([]byte(nil), chunk...),
+	buf := bufpool.Get()
+	p.segs = append(p.segs, segment{
+		buf:     buf,
+		data:    (*buf)[:copy(*buf, chunk)],
 		readyAt: start.Add(tx + p.props.Latency),
-	}
-	p.segs = append(p.segs, seg)
+	})
 	p.inFlight += len(chunk)
 	p.cond.Broadcast()
 	return len(chunk), nil
@@ -322,6 +330,9 @@ func (p *shapedPipe) Read(buf []byte) (int, error) {
 				head.data = head.data[n:]
 				p.inFlight -= n
 				if len(head.data) == 0 {
+					// Drained, and no longer referenced from the queue.
+					bufpool.Put(head.buf)
+					*head = segment{}
 					p.segs = p.segs[1:]
 				}
 				p.cond.Broadcast() // window space freed

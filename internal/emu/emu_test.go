@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math/rand"
 	"net"
 	"os"
 	"sync"
@@ -349,5 +350,145 @@ func TestListenerAddr(t *testing.T) {
 	defer ln.Close()
 	if ln.Addr().String() != "somehost:42" || ln.Addr().Network() != "emu" {
 		t.Fatalf("addr = %v/%v", ln.Addr().Network(), ln.Addr())
+	}
+}
+
+// streamByte is what stream `id` carries at position pos: distinct per
+// stream, so bytes that leak from one pipe's buffer into another's
+// cannot pass for the right ones.
+func streamByte(id int, pos int64) byte { return byte(pos) ^ byte(pos>>8)*31 ^ byte(id*37+1) }
+
+// TestPooledSegmentsDoNotAlias drives many pipes at once over the one
+// buffer pool they share: writes of 1 B to 96 KiB, reads of every size
+// (most leave a segment part-read), read deadlines that fire with a
+// segment part-read, and readers that close with segments in flight.
+// Every byte read must be the byte written at that position. A buffer
+// returned to the pool while any of it is unread would be refilled by
+// another pipe's writer — a wrong byte here, and a data race under
+// -race (the two pipes hold different locks).
+func TestPooledSegmentsDoNotAlias(t *testing.T) {
+	n := NewNetwork(0.001)
+	n.SetDefaultLink(LinkProps{Latency: 2 * time.Millisecond, Window: 256 << 10})
+	const pipes, total = 12, 3 << 20
+	var wg sync.WaitGroup
+	for id := 0; id < pipes; id++ {
+		client, server := pairOn(t, n, "src", net.JoinHostPort("dst", string(rune('a'+id))))
+		abandonAt := int64(-1)
+		if id%4 == 3 {
+			abandonAt = total / 3 // this reader walks away with segments in flight
+		}
+		wg.Add(2)
+		go func(id int) { // writer
+			defer wg.Done()
+			defer client.Close()
+			rng := rand.New(rand.NewSource(int64(id)))
+			buf := make([]byte, 96<<10)
+			for pos := int64(0); pos < total; {
+				chunk := buf[:1+rng.Intn(len(buf))]
+				if rng.Intn(4) == 0 {
+					chunk = chunk[:1+rng.Intn(64)]
+				}
+				chunk = chunk[:min(int64(len(chunk)), total-pos)]
+				for i := range chunk {
+					chunk[i] = streamByte(id, pos+int64(i))
+				}
+				m, err := client.Write(chunk)
+				pos += int64(m)
+				if err != nil {
+					if abandonAt < 0 || !errors.Is(err, ErrClosed) {
+						t.Errorf("pipe %d: write at %d: %v", id, pos, err)
+					}
+					return
+				}
+			}
+		}(id)
+		go func(id int) { // reader
+			defer wg.Done()
+			defer server.Close()
+			rng := rand.New(rand.NewSource(int64(1000 + id)))
+			buf := make([]byte, 50<<10)
+			conn := server.(net.Conn)
+			for pos := int64(0); ; {
+				if abandonAt >= 0 && pos >= abandonAt {
+					return
+				}
+				if rng.Intn(8) == 0 {
+					// Expires at once or in a moment: either way with the
+					// head segment possibly half consumed.
+					conn.SetReadDeadline(time.Now().Add(time.Duration(rng.Intn(200)) * time.Microsecond))
+				} else {
+					conn.SetReadDeadline(time.Time{})
+				}
+				m, err := server.Read(buf[:1+rng.Intn(len(buf))])
+				for i := 0; i < m; i++ {
+					if buf[i] != streamByte(id, pos+int64(i)) {
+						t.Errorf("pipe %d: byte %d is %#x, want %#x", id, pos+int64(i), buf[i], streamByte(id, pos+int64(i)))
+						return
+					}
+				}
+				pos += int64(m)
+				switch {
+				case err == nil || errors.Is(err, os.ErrDeadlineExceeded):
+				case err == io.EOF && pos == total:
+					return
+				default:
+					t.Errorf("pipe %d: read at %d: %v", id, pos, err)
+					return
+				}
+			}
+		}(id)
+	}
+	wg.Wait()
+}
+
+// BenchmarkEmuConn moves 8 MiB over an unpaced pipe: what the emulator
+// itself costs per byte — a copy in, a copy out, and the segment queue.
+func BenchmarkEmuConn(b *testing.B) {
+	n := NewNetwork(1)
+	n.SetDefaultLink(LinkProps{Window: 4 << 20})
+	ln, err := n.Listen("sink:1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ln.Close()
+	drained := make(chan int64)
+	go func() {
+		buf := make([]byte, 32<<10)
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			var total int64
+			for {
+				m, err := conn.Read(buf)
+				total += int64(m)
+				if err != nil {
+					break
+				}
+			}
+			conn.Close()
+			drained <- total
+		}
+	}()
+	block := make([]byte, 1<<20)
+	const size = 8 << 20
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn, err := n.Dial("src", "sink:1")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for off := 0; off < size; off += len(block) {
+			if _, err := conn.Write(block); err != nil {
+				b.Fatal(err)
+			}
+		}
+		conn.Close()
+		if got := <-drained; got != size {
+			b.Fatalf("drained %d bytes", got)
+		}
 	}
 }

@@ -170,3 +170,22 @@ func TestFrameTornStream(t *testing.T) {
 		t.Fatalf("torn header: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
+
+// TestFrameHeaderIsTheFrameWritersHeader: storage that stamps frames
+// in place must produce the header the stream encoder would.
+func TestFrameHeaderIsTheFrameWritersHeader(t *testing.T) {
+	for _, n := range []int{1, 9, MaxFramePayload - 1, MaxFramePayload} {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*7 + n)
+		}
+		var framed bytes.Buffer
+		if _, err := NewFrameWriter(&framed).Write(payload); err != nil {
+			t.Fatal(err)
+		}
+		hdr := FrameHeader(payload)
+		if !bytes.Equal(hdr[:], framed.Bytes()[:FrameHeaderLen]) {
+			t.Fatalf("payload of %d bytes: FrameHeader %x, FrameWriter %x", n, hdr, framed.Bytes()[:FrameHeaderLen])
+		}
+	}
+}
