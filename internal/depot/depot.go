@@ -836,13 +836,13 @@ func (s *Server) handleData(sess *lsl.Session, up net.Conn, f *flow) error {
 			return fmt.Errorf("failover dial %s: %w", next, err)
 		}
 	}
-	defer out.Close()
 	plan := s.planRelay(up, sess.Header, f)
 	kup, kdn, kernel := plan.kernelPair(out)
 	f.emit(obs.KindConnect, obs.Event{Peer: next.String(), Detail: relayDetail(kernel)})
 	fh := forwardHeader(sess.Header, rest, f.hop)
 	fh.Type = wire.TypeData
 	if err := wire.WriteHeader(out, fh); err != nil {
+		out.Close()
 		return err
 	}
 	if kernel {
@@ -853,9 +853,8 @@ func (s *Server) handleData(sess *lsl.Session, up net.Conn, f *flow) error {
 	}
 	// The commit only indexes, so whoever sees this session end finds
 	// the cache holding it and the session counted. The downstream
-	// sublink is closed before anything slower — a spill, the hash of
-	// an object this session completed — and not by the deferred Close,
-	// which would run after.
+	// sublink is closed here, not deferred: before anything slower — a
+	// spill, the hash of an object this session completed.
 	plan.tap.commit(err == nil)
 	s.st.forwarded.Add(1)
 	out.Close()
