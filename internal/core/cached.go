@@ -85,7 +85,7 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	// Cached transfers always travel with integrity stamps: the chunk
 	// framing is what lets depots trust (and cache) forwarded bytes, and
 	// the content digest is the cache key itself.
-	integrity := integrityOptions(id, size)
+	integrity := integrityOptions(digest)
 	defer s.digests.drop(id)
 	tid := mintTrace()
 	start := time.Now()

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sync"
 
-	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -22,11 +21,13 @@ const MetricDigestMismatches = "core_digest_mismatches_total"
 // carries: per-chunk CRC-32C framing verified at every depot hop, and a
 // whole-object SHA-256 digest the sink checks on completion. The digest
 // is computable before the first byte moves because the payload is the
-// deterministic session pattern keyed by id.
-func integrityOptions(id wire.SessionID, size int64) []wire.Option {
+// deterministic session pattern keyed by id (depot.PatternDigest); it
+// costs a pass over the whole object, so a transfer computes it once
+// and hands it in.
+func integrityOptions(digest wire.ContentDigest) []wire.Option {
 	return []wire.Option{
 		wire.ChunkChecksumOption(),
-		wire.ContentDigestOption(depot.PatternDigest(id, size)),
+		wire.ContentDigestOption(digest),
 	}
 }
 

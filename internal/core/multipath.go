@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/retry"
@@ -327,7 +328,7 @@ func (s *System) TransferMultipath(srcHost, dstHost string, size int64, k int, p
 	// here instead of once per range session.
 	var integ []wire.Option
 	if s.cfg.Integrity {
-		integ = integrityOptions(id, size)
+		integ = integrityOptions(depot.PatternDigest(id, size))
 	}
 
 	start := time.Now()

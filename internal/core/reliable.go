@@ -120,7 +120,7 @@ func (s *System) TransferReliable(srcHost, dstHost string, size int64, pol Recov
 			return TransferResult{}, err
 		}
 		shared = id
-		integrity = integrityOptions(id, size)
+		integrity = integrityOptions(depot.PatternDigest(id, size))
 		defer s.digests.drop(id)
 	}
 	var (

@@ -222,7 +222,7 @@ func (s *System) transferAlong(path []int, size int64, extra ...wire.Option) (Tr
 			return TransferResult{}, ierr
 		}
 		defer s.digests.drop(id)
-		opts = append(opts, integrityOptions(id, size)...)
+		opts = append(opts, integrityOptions(depot.PatternDigest(id, size))...)
 		sess, err = lsl.OpenAtID(s.dialerFor(src), id, s.endpoints[src], s.endpoints[dst], route, 0, opts...)
 	} else {
 		sess, err = lsl.Open(s.dialerFor(src), s.endpoints[src], s.endpoints[dst], route, opts...)
