@@ -73,14 +73,27 @@ func tracePath(sink *obs.MemorySink, srcEP, id string) []string {
 // reads the trace the moment the call returns must wait for it.
 func waitDeliver(t *testing.T, sink *obs.MemorySink, not string) obs.Event {
 	t.Helper()
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+	var found obs.Event
+	eventually(t, "a delivery traced (other than session "+not+")", func() bool {
 		for _, e := range sink.Events() {
 			if e.Kind == obs.KindDeliver && e.Session != not {
-				return e
+				found = e
+				return true
 			}
 		}
+		return false
+	})
+	return found
+}
+
+// eventually polls cond for a bounded time: for state a depot settles
+// after the sink has already seen the session end — a relay's
+// end-of-session gauges, the deliver event.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("no delivery traced (other than session %q)", not)
+			t.Fatalf("never saw %s", what)
 		}
 	}
 }
