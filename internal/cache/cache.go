@@ -97,22 +97,17 @@ type Stats struct {
 	Dropped     int // damaged files dropped during re-index
 }
 
-// frameHeader is the [len|crc] a frame is stored under.
-type frameHeader = [wire.FrameHeaderLen]byte
-
 // span is one cached byte range of one object, stored CRC-framed in
-// exactly one tier: frames of MaxFramePayload bytes, the last one
-// shorter. On disk they lie back to back, headers inline. In memory
-// each frame's payload is a block of its own — 64 KiB is a whole
-// number of pages, 64 KiB + 8 is not — and the headers sit beside them.
+// exactly one tier: [len|crc|payload] frames of MaxFramePayload bytes,
+// the last one shorter. A file holds them back to back; memory holds
+// the same bytes, a block per frame.
 type span struct {
 	key    wire.ContentDigest
 	off    int64
-	length int64         // payload bytes
-	framed int64         // stored bytes (payload + frame headers)
-	blocks [][]byte      // memory tier: payload by frame; nil when spilled
-	hdrs   []frameHeader // memory tier: blocks[i] is stored under hdrs[i]
-	path   string        // disk tier; empty while in memory
+	length int64    // payload bytes
+	framed int64    // stored bytes (payload + frame headers)
+	blocks [][]byte // memory tier: the frames; nil when spilled
+	path   string   // disk tier; empty while in memory
 	el     *list.Element
 }
 
@@ -279,46 +274,49 @@ func coverFrom(spans []*span, from int64) int64 {
 	return at
 }
 
-// verifyComplete marks a fully covered entry advertisable when the
-// SHA-256 over its stored bytes matches the key, and drops it
-// wholesale otherwise. proven is that hash when the caller computed it
-// over the very bytes it stored (a fill that was the whole object);
-// nil has the spans re-read. Called with mu held.
-func (c *Cache) verifyComplete(key wire.ContentDigest, e *entry, proven *[wire.DigestLen]byte) {
-	if proven == nil {
-		sum, ok := hashEntry(e)
-		if !ok {
-			c.dropEntryLocked(key)
-			return
-		}
-		proven = &sum
-	}
-	if *proven != key.Sum {
+// verifyComplete marks a fully covered entry advertisable when sum, a
+// SHA-256 over its stored bytes, matches the key, and drops it
+// wholesale otherwise — as it does when those bytes could not be read
+// back intact (ok false). Called with mu held.
+func (c *Cache) verifyComplete(key wire.ContentDigest, e *entry, sum [wire.DigestLen]byte, ok bool) {
+	if !ok || sum != key.Sum {
 		c.dropEntryLocked(key)
 		return
 	}
 	e.complete = true
 }
 
-// hashEntry hashes an entry's spans in offset order, CRC-checking
+// snapshot captures where each span's bytes are stored, so that they
+// can be read with the cache unlocked: memory frames stay readable
+// whatever happens to the span meanwhile, a disk span that is evicted
+// fails the read. Called with mu held.
+func snapshot(spans []*span) []spanPart {
+	parts := make([]spanPart, len(spans))
+	for i, sp := range spans {
+		parts[i] = spanPart{sp: sp, blocks: sp.blocks, path: sp.path, take: sp.length}
+	}
+	return parts
+}
+
+// hashSpans hashes an entry's spans in offset order, CRC-checking
 // every frame on the way: memory frames are walked in place, disk
 // spans stream through the frame reader. It reports false when a span
 // fails its check or the spans are not one contiguous run from offset
-// 0. Called with mu held.
-func hashEntry(e *entry) (sum [wire.DigestLen]byte, ok bool) {
+// 0.
+func hashSpans(parts []spanPart) (sum [wire.DigestLen]byte, ok bool) {
 	h := sha256.New()
 	at := int64(0)
-	for _, sp := range e.spans {
+	for _, part := range parts {
 		// Overlap is impossible by construction; adjacency means the
 		// payload starts exactly at `at`.
-		if sp.off != at {
+		if part.sp.off != at {
 			return sum, false
 		}
-		n, err := hashSpan(h, sp)
-		if err != nil || n != sp.length {
+		n, err := hashSpan(h, part)
+		if err != nil || n != part.take {
 			return sum, false
 		}
-		at = sp.end()
+		at += n
 	}
 	h.Sum(sum[:0])
 	return sum, true
@@ -326,9 +324,9 @@ func hashEntry(e *entry) (sum [wire.DigestLen]byte, ok bool) {
 
 // hashSpan writes one span's CRC-verified payload to h and returns its
 // length.
-func hashSpan(h io.Writer, sp *span) (int64, error) {
-	if sp.blocks == nil {
-		f, err := os.Open(sp.path)
+func hashSpan(h io.Writer, part spanPart) (int64, error) {
+	if part.blocks == nil {
+		f, err := os.Open(part.path)
 		if err != nil {
 			return 0, err
 		}
@@ -336,12 +334,13 @@ func hashSpan(h io.Writer, sp *span) (int64, error) {
 		return io.Copy(h, wire.NewFrameReader(f))
 	}
 	var n int64
-	for i, block := range sp.blocks {
-		if wire.FrameHeader(block) != sp.hdrs[i] {
+	for i, block := range part.blocks {
+		payload := block[wire.FrameHeaderLen:]
+		if hdr := wire.FrameHeader(payload); !bytes.Equal(hdr[:], block[:wire.FrameHeaderLen]) {
 			return n, fmt.Errorf("%w: cached frame %d", wire.ErrChecksum, i)
 		}
-		h.Write(block)
-		n += int64(len(block))
+		h.Write(payload)
+		n += int64(len(payload))
 	}
 	return n, nil
 }
@@ -390,7 +389,7 @@ func (c *Cache) spill(sp *span) bool {
 	if err != nil {
 		return false
 	}
-	_, werr := io.Copy(tmp, &framesReader{blocks: sp.blocks, hdrs: sp.hdrs})
+	_, werr := frames(sp.blocks).WriteTo(tmp)
 	cerr := tmp.Close()
 	if werr != nil || cerr != nil {
 		os.Remove(tmp.Name())
@@ -402,7 +401,7 @@ func (c *Cache) spill(sp *span) bool {
 	}
 	c.memUsed -= sp.framed
 	c.diskUsed += sp.framed
-	sp.blocks, sp.hdrs = nil, nil
+	sp.blocks = nil
 	sp.path = path
 	return true
 }
@@ -436,7 +435,7 @@ func (c *Cache) removeSpan(sp *span) {
 	}
 	if sp.blocks != nil {
 		c.memUsed -= sp.framed
-		sp.blocks, sp.hdrs = nil, nil
+		sp.blocks = nil
 	} else if sp.path != "" {
 		c.diskUsed -= sp.framed
 		os.Remove(sp.path)

@@ -111,7 +111,8 @@ func (c *Cache) recover() error {
 	// advertises digests this process has proven.
 	for key, e := range c.entries {
 		if coversAll(e.spans, key.Size) {
-			c.verifyComplete(key, e, nil)
+			sum, ok := hashSpans(snapshot(e.spans))
+			c.verifyComplete(key, e, sum, ok)
 		}
 	}
 	// A shrunken budget takes effect immediately: recovery itself can

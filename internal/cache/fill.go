@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"hash"
+	"slices"
 
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -13,22 +14,23 @@ var errOverflow = errors.New("cache: payload exceeds the range being filled")
 
 // Fill is one population of a byte range in progress: Begin, Write the
 // payload as it arrives, Commit, Settle. Write copies payload straight
-// into the span's stored form — one block per frame, allocated when the
-// payload reaches it, its header stamped when it fills — so no payload
-// byte is copied, summed or hashed twice on its way into the cache, and
-// nothing is re-copied as the span grows. A fill belongs to one
-// goroutine and touches the cache only from Commit on; one that is
-// abandoned leaves no trace.
+// into the span's stored form — one [len|crc|payload] block per frame,
+// allocated when the payload reaches it, its header stamped when it
+// fills — so no payload byte is copied, summed or hashed twice on its
+// way into the cache, and nothing is re-copied as the span grows. A
+// fill belongs to one goroutine and touches the cache only from Commit
+// on; one that is abandoned leaves no trace.
 type Fill struct {
 	c      *Cache
 	key    wire.ContentDigest
-	off    int64 // object offset of the first payload byte
-	max    int64 // payload bytes the range has room for
-	n      int64 // payload bytes written
-	blocks [][]byte
-	hdrs   []frameHeader // of the blocks that are full; at most the last is not
-	room   int           // payload bytes the last block still has room for
-	sum    hash.Hash     // running SHA-256, kept while the fill can still be the whole object
+	off    int64     // object offset of the first payload byte
+	max    int64     // payload bytes the range has room for
+	n      int64     // payload bytes written
+	blocks [][]byte  // one stored frame each; only the last can be open (header unstamped)
+	room   int       // payload bytes the last block still has room for
+	sum    hash.Hash // running SHA-256, kept while the fill can still be the whole object
+
+	indexed bool // Commit stored something: there is something to settle
 }
 
 // Begin starts filling r of the object. It returns nil when there is
@@ -64,13 +66,13 @@ func (f *Fill) Write(p []byte) (int, error) {
 	for rest := p; len(rest) > 0; {
 		if f.room == 0 {
 			f.room = int(min(f.max-f.n, wire.MaxFramePayload))
-			f.blocks = append(f.blocks, make([]byte, 0, f.room))
+			f.blocks = append(f.blocks, make([]byte, wire.FrameHeaderLen, wire.FrameHeaderLen+f.room))
 		}
 		last := len(f.blocks) - 1
 		take := min(len(rest), f.room)
 		f.blocks[last] = append(f.blocks[last], rest[:take]...)
 		if f.room -= take; f.room == 0 {
-			f.hdrs = append(f.hdrs, wire.FrameHeader(f.blocks[last]))
+			stamp(f.blocks[last])
 		}
 		f.n += int64(take)
 		rest = rest[take:]
@@ -86,11 +88,11 @@ func (f *Fill) Truncate(n int64) {
 		return
 	}
 	full, tail := int(n/wire.MaxFramePayload), int(n%wire.MaxFramePayload)
-	f.hdrs, f.room = f.hdrs[:full], 0
+	f.room = 0
 	if tail != 0 {
 		// The cut block stays, open again.
-		f.blocks[full] = f.blocks[full][:tail]
-		f.room = cap(f.blocks[full]) - tail
+		f.blocks[full] = f.blocks[full][:wire.FrameHeaderLen+tail]
+		f.room = cap(f.blocks[full]) - len(f.blocks[full])
 		full++
 	}
 	f.blocks = f.blocks[:full]
@@ -109,8 +111,14 @@ func (f *Fill) seal() {
 	last := len(f.blocks) - 1
 	block := make([]byte, len(f.blocks[last]))
 	copy(block, f.blocks[last])
+	stamp(block)
 	f.blocks[last], f.room = block, 0
-	f.hdrs = append(f.hdrs, wire.FrameHeader(block))
+}
+
+// stamp writes a full block's [len|crc] header in front of its payload.
+func stamp(block []byte) {
+	hdr := wire.FrameHeader(block[wire.FrameHeaderLen:])
+	copy(block, hdr[:])
 }
 
 // framed is the stored size of the fill: payload plus frame headers.
@@ -125,14 +133,21 @@ func (f *Fill) slice(r wire.ByteRange) *Fill {
 	g := &Fill{off: r.Off, max: r.Len} // never committed: its blocks are taken
 	for at, end := r.Off-f.off, r.End()-f.off; at < end; {
 		i := at / wire.MaxFramePayload
+		payload := f.blocks[i][wire.FrameHeaderLen:]
 		lo := at - i*wire.MaxFramePayload
-		hi := min(end-i*wire.MaxFramePayload, int64(len(f.blocks[i])))
-		g.Write(f.blocks[i][lo:hi]) // cannot overflow: r lies inside f
+		hi := min(end-i*wire.MaxFramePayload, int64(len(payload)))
+		g.Write(payload[lo:hi]) // cannot overflow: r lies inside f
 		at += hi - lo
 	}
 	g.seal()
 	return g
 }
+
+// Partial tells the fill that its writer will stop short of the range
+// — a multipath session is promised the rest of the object and sends
+// one claimed piece of it — so it cannot turn out to be the whole
+// object and need not carry the object's hash.
+func (f *Fill) Partial() { f.sum = nil }
 
 // Commit indexes what was written as the bytes of the object at the
 // fill's offset: from its return the range is held — probed, served,
@@ -163,44 +178,84 @@ func (f *Fill) Commit() error {
 	whole := wire.ByteRange{Off: f.off, Len: f.n}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	// Re-framing copies, so the lock is let go for it: the parts are cut
+	// for the gaps as they stood, and cut again if they moved meanwhile.
+	var gaps []wire.ByteRange
+	var cut, parts []*Fill
+	for parts == nil {
+		var spans []*span
+		if e := c.entries[f.key]; e != nil {
+			spans = e.spans
+		}
+		now := uncovered(spans, whole.Off, whole.End())
+		switch {
+		case len(now) == 0:
+			return nil
+		case now[0] == whole:
+			parts = []*Fill{f}
+		case slices.Equal(now, gaps):
+			parts = cut
+		default:
+			c.mu.Unlock()
+			gaps, cut = now, make([]*Fill, len(now))
+			for i, gap := range gaps {
+				cut[i] = f.slice(gap)
+			}
+			c.mu.Lock()
+		}
+	}
 	e := c.entries[f.key]
 	if e == nil {
 		e = &entry{}
+		c.entries[f.key] = e
 	}
-	gaps := uncovered(e.spans, whole.Off, whole.End())
-	for _, gap := range gaps {
-		part := f
-		if gap != whole {
-			part = f.slice(gap)
-		}
-		sp := &span{key: f.key, off: part.off, length: part.n, framed: part.framed(), blocks: part.blocks, hdrs: part.hdrs}
+	for _, part := range parts {
+		sp := &span{key: f.key, off: part.off, length: part.n, framed: part.framed(), blocks: part.blocks}
 		sp.el = c.lru.PushFront(sp)
 		c.memUsed += sp.framed
 		e.spans = insertSpan(e.spans, sp)
-		c.entries[f.key] = e
 	}
 	c.setOccupancy()
-	if f.sum != nil && f.n == f.key.Size && len(gaps) == 1 && gaps[0] == whole {
+	f.indexed = true
+	if f.sum != nil && f.n == f.key.Size && len(e.spans) == 1 {
 		// The entry is this fill and nothing else.
 		var sum [wire.DigestLen]byte
 		f.sum.Sum(sum[:0])
-		c.verifyComplete(f.key, e, &sum)
+		c.verifyComplete(f.key, e, sum, true)
 	}
 	return nil
 }
 
-// Settle finishes what Commit left: it restores the tier budgets
-// (memory overflow spills the coldest spans to disk, disk overflow
-// evicts) and, when the object is now fully covered but not yet
-// proven, re-reads and hashes it. Both can take milliseconds and
-// neither is anything a sink should wait for.
+// Settle finishes what a Commit that indexed something left: it
+// restores the tier budgets (memory overflow spills the coldest spans
+// to disk, disk overflow evicts) and, when the object is now fully
+// covered but not yet proven, re-reads and hashes it. Both can take
+// milliseconds and neither is anything a sink should wait for — this
+// session's or, for the hash, another's: the spans are hashed as they
+// stand, with the cache unlocked, and the result counts only if they
+// still stand so afterwards. (A spill is written under the lock; it
+// happens only once the memory budget has overflowed.)
 func (f *Fill) Settle() {
+	if !f.indexed {
+		return
+	}
 	c := f.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.rebalance()
 	c.setOccupancy()
-	if e := c.entries[f.key]; e != nil && !e.complete && coversAll(e.spans, f.key.Size) {
-		c.verifyComplete(f.key, e, nil)
+	e := c.entries[f.key]
+	if e == nil || e.complete || !coversAll(e.spans, f.key.Size) {
+		return
 	}
+	spans := slices.Clone(e.spans)
+	stored := snapshot(spans)
+	c.mu.Unlock()
+	sum, ok := hashSpans(stored)
+	c.mu.Lock()
+	if c.entries[f.key] == e && slices.Equal(e.spans, spans) {
+		c.verifyComplete(f.key, e, sum, ok)
+	}
+	// Otherwise a span went meanwhile: the object is no longer covered,
+	// and whoever covers it again settles it.
 }

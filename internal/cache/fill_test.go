@@ -26,7 +26,7 @@ func fillIn(t *testing.T, f *Fill, data []byte, piece int) {
 
 // stored returns a memory span's stored bytes: what spilling it writes.
 func stored(sp *span) []byte {
-	raw, _ := io.ReadAll(&framesReader{blocks: sp.blocks, hdrs: sp.hdrs})
+	raw, _ := io.ReadAll(frames(sp.blocks))
 	return raw
 }
 
@@ -221,7 +221,8 @@ func TestAbandonedFillLeavesNoTrace(t *testing.T) {
 	if c.Stats() != before {
 		t.Fatalf("an uncommitted fill shows in the stats: %+v", c.Stats())
 	}
-	if c.Ranges(key) != nil || len(c.Keys()) != 0 {
+	f.Settle() // nothing was committed: nothing to settle
+	if c.Stats() != before || c.Ranges(key) != nil || len(c.Keys()) != 0 {
 		t.Fatal("an uncommitted fill is visible")
 	}
 }

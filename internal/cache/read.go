@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"io"
+	"net"
 	"os"
 
 	"github.com/netlogistics/lsl/internal/wire"
@@ -40,7 +41,6 @@ func (c *Cache) Open(key wire.ContentDigest, r wire.ByteRange) (io.ReadCloser, e
 		parts = append(parts, spanPart{
 			sp:     sp,
 			blocks: sp.blocks,
-			hdrs:   sp.hdrs,
 			path:   sp.path,
 			skip:   skip,
 			take:   take - (sp.off + skip),
@@ -60,7 +60,6 @@ func (c *Cache) Open(key wire.ContentDigest, r wire.ByteRange) (io.ReadCloser, e
 type spanPart struct {
 	sp     *span
 	blocks [][]byte
-	hdrs   []frameHeader
 	path   string
 	skip   int64 // payload bytes to discard at the front
 	take   int64 // payload bytes to yield
@@ -129,7 +128,7 @@ func (rr *rangeReader) start(part spanPart) error {
 	var src io.Reader
 	switch {
 	case part.blocks != nil:
-		src = &framesReader{blocks: part.blocks, hdrs: part.hdrs}
+		src = frames(part.blocks)
 	case part.path != "":
 		f, err := os.Open(part.path)
 		if err != nil {
@@ -150,29 +149,12 @@ func (rr *rangeReader) start(part spanPart) error {
 	return nil
 }
 
-// framesReader reads a memory span as the file of a spilled one reads:
-// each frame's header, then its payload, back to back. It holds its own
-// position; the blocks are shared with the span and its other readers.
-type framesReader struct {
-	blocks [][]byte
-	hdrs   []frameHeader
-	pos    int // read so far of the first frame left, header included
-}
-
-func (r *framesReader) Read(p []byte) (int, error) {
-	for len(r.blocks) > 0 {
-		var n int
-		if r.pos < wire.FrameHeaderLen {
-			n = copy(p, r.hdrs[0][r.pos:])
-		} else {
-			n = copy(p, r.blocks[0][r.pos-wire.FrameHeaderLen:])
-		}
-		if r.pos += n; n > 0 || len(p) == 0 {
-			return n, nil
-		}
-		r.blocks, r.hdrs, r.pos = r.blocks[1:], r.hdrs[1:], 0
-	}
-	return 0, io.EOF
+// frames reads a memory span as the file of a spilled one reads: the
+// blocks back to back. The reader consumes a list of its own; the
+// blocks are shared with the span and its other readers.
+func frames(blocks [][]byte) *net.Buffers {
+	b := net.Buffers(append([][]byte(nil), blocks...))
+	return &b
 }
 
 // fail records a failed serve: the offending span (when known) is
@@ -216,13 +198,13 @@ func (c *Cache) Tamper(key wire.ContentDigest, off int64) bool {
 			continue
 		}
 		rel := off - sp.off
-		frame := rel / wire.MaxFramePayload
+		frame, pos := rel/wire.MaxFramePayload, wire.FrameHeaderLen+rel%wire.MaxFramePayload
 		if sp.blocks != nil {
-			sp.blocks[frame][rel%wire.MaxFramePayload] ^= 0xFF
+			sp.blocks[frame][pos] ^= 0xFF
 			c.tampered++
 			return true
 		}
-		pos := frame*(wire.FrameHeaderLen+wire.MaxFramePayload) + wire.FrameHeaderLen + rel%wire.MaxFramePayload
+		pos += frame * (wire.FrameHeaderLen + wire.MaxFramePayload)
 		data, err := os.ReadFile(sp.path)
 		if err != nil || pos >= int64(len(data)) {
 			return false

@@ -250,6 +250,9 @@ func (s *Server) cacheTap(h *wire.Header) *cacheTap {
 	if fill == nil {
 		return nil
 	}
+	if h.PathCount() > 1 {
+		fill.Partial()
+	}
 	return &cacheTap{fill: fill, framed: h.Checksummed()}
 }
 

@@ -244,6 +244,47 @@ func TestCacheTapSkipsHeldRange(t *testing.T) {
 	}
 }
 
+// TestCacheTapMultipathRangeSession: a multipath session is promised
+// the rest of the object and delivers one claimed piece of it, so its
+// tap carries no whole-object hash — the piece is held, not advertised.
+// Should a piece be the whole object after all, it is the settle's
+// re-read that proves it, not the commit.
+func TestCacheTapMultipathRangeSession(t *testing.T) {
+	payload := randomPayload(9, 300_000)
+	d := digestOf(payload)
+	tap := func(c *cache.Cache) *cacheTap {
+		h := &wire.Header{Version: wire.Version1, Type: wire.TypeData}
+		h.AddOption(wire.ContentDigestOption(d))
+		h.AddOption(wire.PathSetIDOption(wire.SessionID{1}))
+		h.AddOption(wire.PathIndexOption(0, 2))
+		return (&Server{cfg: Config{Cache: c}}).cacheTap(h)
+	}
+
+	c := testCache(t, 1<<20)
+	piece := tap(c)
+	feed(piece, payload[:100_000], 32<<10)
+	piece.commit(true)
+	piece.settle()
+	if rs := c.Ranges(d); len(rs) != 1 || rs[0] != (wire.ByteRange{Off: 0, Len: 100_000}) || len(c.Keys()) != 0 {
+		t.Fatalf("Ranges = %v, Keys = %v after one piece", rs, c.Keys())
+	}
+	if got := readCached(t, c, d, wire.ByteRange{Off: 0, Len: 100_000}); !bytes.Equal(got, payload[:100_000]) {
+		t.Fatal("the piece reads back wrong")
+	}
+
+	c = testCache(t, 1<<20)
+	whole := tap(c)
+	feed(whole, payload, 32<<10)
+	whole.commit(true)
+	if len(c.Keys()) != 0 {
+		t.Fatal("a multipath session's commit advertised the object without a hash of it")
+	}
+	whole.settle()
+	if len(c.Keys()) != 1 {
+		t.Fatal("a piece that was the whole object was not proven at settle")
+	}
+}
+
 // TestCacheDropAfterDeliveryIsFinal: by the time a sink has seen a
 // session end, the forwarding depot has committed it — so dropping the
 // object then really drops it, and the next session carrying the digest

@@ -222,13 +222,16 @@ var _ net.Conn = (*conn)(nil)
 // ErrClosed is returned by writes on a closed pipe.
 var ErrClosed = errors.New("emu: connection closed")
 
-// segment is a chunk of bytes in flight with its delivery time. The
-// bytes sit in a pooled buffer, which goes back to the pool when the
-// reader has drained it; a pipe closed with segments still in flight
-// leaves theirs to the GC. (Why pooled: DESIGN.md §10.)
+// segment is a chunk of bytes in flight with its delivery time. A
+// segment of more than half a pooled buffer sits in one, which goes
+// back to the pool when the reader has drained it; a smaller one — a
+// header, an ack, the tail of a write — gets a slice of its own size,
+// so the buffers a pipe holds stay within twice its window. A pipe
+// closed with segments still in flight leaves theirs to the GC. (Why
+// pooled: DESIGN.md §10.)
 type segment struct {
-	buf     *[]byte // from bufpool
-	data    []byte  // the unread part of *buf
+	buf     *[]byte // from bufpool; nil for a small segment
+	data    []byte  // the unread bytes
 	readyAt time.Time
 }
 
@@ -255,7 +258,7 @@ func newShapedPipe(props LinkProps) *shapedPipe {
 	return p
 }
 
-// maxSegment bounds chunking so pacing is smooth; one segment fills
+// maxSegment bounds chunking so pacing is smooth; a full segment fills
 // one pooled buffer.
 const maxSegment = bufpool.ChunkSize
 
@@ -301,12 +304,14 @@ func (p *shapedPipe) writeSegment(chunk []byte) (int, error) {
 		tx = time.Duration(float64(len(chunk)) / p.props.Rate * float64(time.Second))
 	}
 	p.nextFree = start.Add(tx)
-	buf := bufpool.Get()
-	p.segs = append(p.segs, segment{
-		buf:     buf,
-		data:    (*buf)[:copy(*buf, chunk)],
-		readyAt: start.Add(tx + p.props.Latency),
-	})
+	seg := segment{readyAt: start.Add(tx + p.props.Latency)}
+	if len(chunk) > maxSegment/2 {
+		seg.buf = bufpool.Get()
+		seg.data = (*seg.buf)[:copy(*seg.buf, chunk)]
+	} else {
+		seg.data = append([]byte(nil), chunk...)
+	}
+	p.segs = append(p.segs, seg)
 	p.inFlight += len(chunk)
 	p.cond.Broadcast()
 	return len(chunk), nil
@@ -331,7 +336,9 @@ func (p *shapedPipe) Read(buf []byte) (int, error) {
 				p.inFlight -= n
 				if len(head.data) == 0 {
 					// Drained, and no longer referenced from the queue.
-					bufpool.Put(head.buf)
+					if head.buf != nil {
+						bufpool.Put(head.buf)
+					}
 					*head = segment{}
 					p.segs = p.segs[1:]
 				}

@@ -441,6 +441,29 @@ func TestPooledSegmentsDoNotAlias(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSegmentBuffersStayWithinTwiceTheWindow: the window bounds the
+// bytes in flight, not the segments, so a pipe full of small writes —
+// frame headers, acks — must not pin a pooled 32 KiB buffer for each.
+func TestSegmentBuffersStayWithinTwiceTheWindow(t *testing.T) {
+	p := newShapedPipe(LinkProps{Window: 64 << 10})
+	for _, size := range []int{1, 8, maxSegment/2 + 1, 8, maxSegment, 100, 8} {
+		if _, err := p.Write(make([]byte, size)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	held := 0
+	for _, seg := range p.segs {
+		if seg.buf != nil {
+			held += cap(*seg.buf)
+		} else {
+			held += cap(seg.data)
+		}
+	}
+	if held > 2*p.inFlight {
+		t.Fatalf("%d bytes in flight hold %d bytes of buffers", p.inFlight, held)
+	}
+}
+
 // BenchmarkEmuConn moves 8 MiB over an unpaced pipe: what the emulator
 // itself costs per byte — a copy in, a copy out, and the segment queue.
 func BenchmarkEmuConn(b *testing.B) {

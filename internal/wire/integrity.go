@@ -159,9 +159,9 @@ func (fw *FrameWriter) Write(p []byte) (int, error) {
 
 // FrameHeader returns the header a frame carrying payload travels and
 // is stored under. Storage that keeps payload where it landed (the
-// depot cache) stamps and re-checks its frames with this — the headers
-// kept beside the payload — instead of copying every byte through a
-// FrameWriter and back through a FrameReader.
+// depot cache) stamps and re-checks its frames with this instead of
+// copying every byte through a FrameWriter and back through a
+// FrameReader.
 func FrameHeader(payload []byte) (hdr [FrameHeaderLen]byte) {
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
