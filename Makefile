@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet fmt fmt-check lint vulncheck fuzz-smoke race cover verify bench bench-guarded experiments docs-check clean
+.PHONY: build test vet fmt fmt-check lint vulncheck fuzz-smoke race cover verify bench bench-guarded bench-gate experiments docs-check clean
 
 build:
 	$(GO) build ./...
@@ -48,6 +48,9 @@ vulncheck:
 # Short fuzzing bursts over the wire-format parsers and the pattern
 # kernel: enough to catch a freshly introduced panic, round-trip break
 # or departure from the byte-loop reference without burning minutes.
+# FuzzChunkFrames is the differential fuzz of the in-place frame
+# scanner — the one place a checksummed frame is parsed and verified —
+# against its byte-at-a-time reference.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseOptions -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzReadHeader -fuzztime 10s ./internal/wire/
@@ -58,9 +61,14 @@ fuzz-smoke:
 
 # The data path is lock-free by design; prove it under the race
 # detector where the concurrency lives — the buffer pool and the
-# emulated pipes that recycle its buffers included.
+# emulated pipes that recycle its buffers, the frame scanner every
+# checksummed pump reads through and the fair-share gate every
+# scheduled pump writes through included. The framed-session pump tests
+# (TestPumpQueueFramedSessionBound, TestPumpReturnsItsBuffers,
+# TestTappedSession*, TestFairShareWholeFrames) run here with the rest
+# of ./internal/depot/.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/... ./internal/emu/... ./internal/bufpool/...
+	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/... ./internal/emu/... ./internal/bufpool/... ./internal/wire/... ./internal/fairshare/...
 
 # Statement-coverage floors for the packages whose untested branches
 # hurt the most (see coverage-floors.txt for which and why). The
@@ -77,26 +85,26 @@ verify: fmt-check build vet test race
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' .
 
-# The guarded benchmark set behind CI's perf-regression gate: repeated
-# runs of the hot-path benchmarks, appended to $(BENCH_OUT) for
-# benchstat and cmd/benchgate to compare across commits. Fixed
-# -benchtime iteration counts keep base and head doing identical work.
-# BenchmarkRelayTCP* cross real loopback sockets through one depot: the
-# plain and small rungs take the kernel relay, the armed one the pump.
-# BenchmarkPattern, BenchmarkCachePopulate and BenchmarkEmuConn hold the
-# in-process engine's content path: generate, check, cache, emulate.
+# The guarded benchmark set behind CI's perf-regression gate
+# (bench/guarded.txt says which benchmarks and why): repeated runs of
+# the hot-path benchmarks of this checkout, appended to $(BENCH_OUT)
+# for benchstat to read.
 BENCH_COUNT ?= 6
 BENCH_OUT ?= bench.txt
 bench-guarded:
 	: > $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkPump$$|BenchmarkPumpChecksum$$|BenchmarkFairShare$$' -benchtime 100x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkRelayTCP$$' -benchtime 100x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkRelayTCPSmall$$' -benchtime 2000x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkPattern$$' -benchtime 1000x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkCachePopulate$$' -benchtime 100x -count $(BENCH_COUNT) ./internal/depot/ | tee -a $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkEmuConn$$' -benchtime 500x -count $(BENCH_COUNT) ./internal/emu/ | tee -a $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkEmit$$' -count $(BENCH_COUNT) ./internal/obs/ | tee -a $(BENCH_OUT)
-	$(GO) test -run '^$$' -bench 'BenchmarkStriping$$|BenchmarkMultipath$$' -benchtime 1x -count $(BENCH_COUNT) . | tee -a $(BENCH_OUT)
+	sed 's/#.*//' bench/guarded.txt | while read -r pkg re bt; do \
+		[ -n "$$pkg" ] || continue; \
+		$(GO) test -run '^$$' -bench "$$re" $${bt:+-benchtime $$bt} -count $(BENCH_COUNT) $$pkg | tee -a $(BENCH_OUT); \
+	done
+
+# The gate itself: the same set sampled at this checkout and at the
+# checkout in BASE, base and head runs interleaved so that the
+# machine's drift falls on both, then compared (cmd/benchgate). Leaves
+# base.txt, head.txt and $(BENCH_JSON).
+BENCH_JSON ?= bench.json
+bench-gate:
+	$(GO) run ./cmd/benchgate -base-dir $(BASE) -count $(BENCH_COUNT) -threshold 0.10 -json $(BENCH_JSON)
 
 # Regenerate the canonical experiment log that EXPERIMENTS.md quotes
 # (seed 1, paper iteration counts). Rerun after changing anything under

@@ -1,13 +1,22 @@
-// Command benchgate compares two `go test -bench` output files — the
-// PR base and head runs of the guarded benchmark set — and fails when
-// head shows a statistically significant throughput regression beyond
-// a threshold. It is the decision half of the CI perf gate; benchstat
-// renders the human-readable comparison alongside it.
+// Command benchgate samples the guarded benchmark set at the PR base
+// and head and fails when head shows a statistically significant
+// throughput regression beyond a threshold. It is the CI perf gate;
+// benchstat renders the human-readable comparison alongside it.
 //
 // Usage:
 //
-//	benchgate -base base.txt -head head.txt \
+//	benchgate -base-dir ../base [-head-dir .] [-count 6] \
+//	          [-base base.txt] [-head head.txt] \
 //	          [-threshold 0.10] [-alpha 0.05] [-json head.json]
+//
+// With -base-dir, benchgate takes the samples itself: for every line
+// of bench/guarded.txt (-set) it builds the package's test binary in
+// both checkouts and runs the two alternately, -count rounds, writing
+// the `go test -bench` output of each side to -base and -head. Base
+// and head samples are taken seconds apart, so the minutes-long speed
+// drift of a shared machine cannot pass for a regression. Without
+// -base-dir it only compares: -base and -head name files sampled
+// earlier (make bench-guarded writes one).
 //
 // Both files hold repeated runs of the same benchmarks (go test
 // -count=N). For each benchmark present in both, benchgate takes the
@@ -38,8 +47,12 @@ import (
 )
 
 var (
-	basePath  = flag.String("base", "", "bench output of the PR base (required)")
-	headPath  = flag.String("head", "", "bench output of the PR head (required)")
+	baseDir   = flag.String("base-dir", "", "checkout of the PR base: sample both checkouts, interleaved, before comparing")
+	headDir   = flag.String("head-dir", ".", "checkout of the PR head")
+	setPath   = flag.String("set", "bench/guarded.txt", "the guarded benchmark set, a path inside the head checkout")
+	count     = flag.Int("count", 6, "rounds of sampling: samples per benchmark and side")
+	basePath  = flag.String("base", "base.txt", "bench output of the PR base")
+	headPath  = flag.String("head", "head.txt", "bench output of the PR head")
 	threshold = flag.Float64("threshold", 0.10, "maximum tolerated median slowdown (0.10 = 10%)")
 	alpha     = flag.Float64("alpha", 0.05, "two-sided significance level for the Mann-Whitney test")
 	jsonOut   = flag.String("json", "", "write the head samples and verdicts to this JSON file")
@@ -47,10 +60,11 @@ var (
 
 func main() {
 	flag.Parse()
-	if *basePath == "" || *headPath == "" {
-		fmt.Fprintln(os.Stderr, "benchgate: -base and -head are required")
-		flag.Usage()
-		os.Exit(2)
+	if *baseDir != "" {
+		if err := sampleInto(*basePath, *headPath); err != nil {
+			fmt.Fprintln(os.Stderr, "benchgate:", err)
+			os.Exit(2)
+		}
 	}
 	base, err := parseFile(*basePath)
 	if err != nil {
@@ -75,6 +89,22 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// sampleInto fills the two bench output files with interleaved samples
+// of both checkouts.
+func sampleInto(basePath, headPath string) error {
+	baseOut, err := os.Create(basePath)
+	if err != nil {
+		return err
+	}
+	defer baseOut.Close()
+	headOut, err := os.Create(headPath)
+	if err != nil {
+		return err
+	}
+	defer headOut.Close()
+	return sample(*baseDir, *headDir, *setPath, *count, baseOut, headOut)
 }
 
 // parseFile reads one `go test -bench` output file into per-benchmark

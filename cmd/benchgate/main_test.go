@@ -3,6 +3,8 @@ package main
 import (
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -145,5 +147,102 @@ func TestRender(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("render missing %q:\n%s", want, out)
 		}
+	}
+}
+
+func TestReadSet(t *testing.T) {
+	set, err := readSet(strings.NewReader("# guarded\n\n./a/ BenchmarkX$|BenchmarkY$ 100x\n. BenchmarkZ$ # default benchtime\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []guarded{{"./a/", "BenchmarkX$|BenchmarkY$", "100x"}, {".", "BenchmarkZ$", ""}}
+	if len(set) != 2 || set[0] != want[0] || set[1] != want[1] {
+		t.Fatalf("set = %+v, want %+v", set, want)
+	}
+	if _, err := readSet(strings.NewReader("./a/\n")); err == nil {
+		t.Fatal("a line with no benchmark regexp was accepted")
+	}
+}
+
+// TestSampleInterleavesBaseAndHead samples a one-benchmark module
+// against itself: both sides get -count samples, a benchmark only the
+// head has is sampled head-only, and the runs alternate — each round
+// both sides, the side that goes first changing from round to round.
+func TestSampleInterleavesBaseAndHead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds test binaries")
+	}
+	module := func(extra string) string {
+		dir := t.TempDir()
+		write := func(name, body string) {
+			if err := os.MkdirAll(filepath.Dir(filepath.Join(dir, name)), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		write("go.mod", "module sampled\n\ngo 1.22\n")
+		write("bench/guarded.txt", "./p/ BenchmarkSpin$|BenchmarkNew$ 10x\n")
+		write("p/p_test.go", `package p
+
+import (
+	"fmt"
+	"os"
+	"testing"
+	"time"
+)
+
+func mark(b *testing.B) {
+	dir, _ := os.Getwd()
+	f, _ := os.OpenFile(os.Getenv("SAMPLE_LOG"), os.O_APPEND|os.O_WRONLY|os.O_CREATE, 0o644)
+	fmt.Fprintln(f, os.Getpid(), dir)
+	f.Close()
+	for i := 0; i < b.N; i++ {
+		time.Sleep(time.Microsecond)
+	}
+}
+
+func BenchmarkSpin(b *testing.B) { mark(b) }
+`+extra)
+		return dir
+	}
+	base, head := module(""), module("func BenchmarkNew(b *testing.B) { mark(b) }\n")
+	log := filepath.Join(t.TempDir(), "order")
+	t.Setenv("SAMPLE_LOG", log)
+	var baseOut, headOut strings.Builder
+	if err := sample(base, head, "bench/guarded.txt", 3, &baseOut, &headOut); err != nil {
+		t.Fatal(err)
+	}
+	b, h := samples(t, baseOut.String()), samples(t, headOut.String())
+	if len(b["BenchmarkSpin"]) != 3 || len(h["BenchmarkSpin"]) != 3 || len(h["BenchmarkNew"]) != 3 || len(b["BenchmarkNew"]) != 0 {
+		t.Fatalf("base samples %v, head samples %v; want 3 of Spin each and 3 of New at the head", b, h)
+	}
+	for _, r := range compare(b, h, 0.10, 0.05) {
+		if r.Name == "BenchmarkNew" && r.Status != "head-only" {
+			t.Fatalf("BenchmarkNew: %+v", r)
+		}
+	}
+	// Every run logged its process and the checkout it ran in.
+	order, err := os.ReadFile(log)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var turns []string
+	seen := map[string]bool{}
+	for _, line := range strings.Split(strings.TrimSpace(string(order)), "\n") {
+		pid, dir, _ := strings.Cut(line, " ")
+		if seen[pid] {
+			continue
+		}
+		seen[pid] = true
+		if strings.HasPrefix(dir, base) {
+			turns = append(turns, "base")
+		} else {
+			turns = append(turns, "head")
+		}
+	}
+	if got, want := strings.Join(turns, " "), "base head head base base head"; got != want {
+		t.Fatalf("runs went %q, want %q", got, want)
 	}
 }

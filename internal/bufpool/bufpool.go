@@ -16,32 +16,75 @@
 //	bp := bufpool.Get()
 //	defer bufpool.Put(bp)
 //	buf := *bp // len(buf) == bufpool.ChunkSize
+//
+// A second size class, FrameSize, holds one whole checksummed frame:
+// the depot pump's unit on a checksummed session, where a frame is
+// read, verified and written downstream in the buffer it landed in.
+// Put takes either class. Outstanding counts the buffers handed out and
+// not yet returned — zero whenever nothing is in flight, so a leak on
+// an error path shows.
 package bufpool
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
 
-// ChunkSize is the length of every pooled buffer: the depot pipeline's
-// chunk unit (32 KiB, matching the paper's forwarding granularity).
-const ChunkSize = 32 << 10
+	"github.com/netlogistics/lsl/internal/wire"
+)
 
-var pool = sync.Pool{
-	New: func() any {
-		b := make([]byte, ChunkSize)
-		return &b
-	},
+const (
+	// ChunkSize is the length of a buffer from Get: the depot pipeline's
+	// chunk unit on a plain session (32 KiB, matching the paper's
+	// forwarding granularity).
+	ChunkSize = 32 << 10
+	// FrameSize is the length of a buffer from GetFrame: room for the
+	// largest checksummed frame, header included.
+	FrameSize = wire.MaxFrameLen
+)
+
+var (
+	chunks      = sync.Pool{New: func() any { return alloc(ChunkSize) }}
+	frames      = sync.Pool{New: func() any { return alloc(FrameSize) }}
+	outstanding atomic.Int64
+)
+
+func alloc(n int) *[]byte {
+	b := make([]byte, n)
+	return &b
 }
 
 // Get returns a buffer of length ChunkSize. The contents are
 // arbitrary; callers must not assume zeroing.
-func Get() *[]byte { return pool.Get().(*[]byte) }
+func Get() *[]byte {
+	outstanding.Add(1)
+	return chunks.Get().(*[]byte)
+}
 
-// Put returns a buffer obtained from Get to the pool. The caller must
-// not touch the slice afterwards. Buffers whose length has been
-// changed (rather than re-sliced locally) are rejected, protecting the
-// pool's fixed-size invariant.
+// GetFrame returns a buffer of length FrameSize, contents arbitrary.
+func GetFrame() *[]byte {
+	outstanding.Add(1)
+	return frames.Get().(*[]byte)
+}
+
+// Put returns a buffer obtained from Get or GetFrame to its pool. The
+// caller must not touch the slice afterwards. Buffers whose length has
+// been changed (rather than re-sliced locally) are rejected, protecting
+// the pools' fixed-size invariant.
 func Put(b *[]byte) {
-	if b == nil || len(*b) != ChunkSize {
+	if b == nil {
 		return
 	}
-	pool.Put(b)
+	switch len(*b) {
+	case ChunkSize:
+		chunks.Put(b)
+	case FrameSize:
+		frames.Put(b)
+	default:
+		return
+	}
+	outstanding.Add(-1)
 }
+
+// Outstanding returns how many pooled buffers, of either class, are
+// handed out and not yet returned.
+func Outstanding() int64 { return outstanding.Load() }

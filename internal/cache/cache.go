@@ -21,10 +21,11 @@
 // content-addressed files in the cache directory; when the disk budget
 // overflows the coldest disk span is evicted outright. Every span is
 // stored CRC-framed (the wire chunk framing), in memory and on disk
-// alike, and every read streams back through the verifying frame
-// reader — a flipped bit in cached state surfaces as wire.ErrChecksum
+// alike, and every read checks every block through the wire frame
+// scanner — a flipped bit in cached state surfaces as wire.ErrChecksum
 // at serve time, the span is dropped, and the transfer falls back to
-// the origin.
+// the origin. A stored block is a frame: a depot serving a checksummed
+// session forwards it as it lies.
 package cache
 
 import (

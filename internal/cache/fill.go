@@ -80,24 +80,21 @@ func (f *Fill) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Truncate forgets the payload written beyond the first n bytes — what
-// a session that failed mid-frame does with the bytes it cannot vouch
-// for.
-func (f *Fill) Truncate(n int64) {
-	if n < 0 || n >= f.n {
-		return
+// WriteFrame appends the payload of frame, one whole [len|crc|payload]
+// frame the caller has just verified. A frame that is the very block
+// the fill would build next is stored as it stands, under the CRC that
+// was just proven: copied once, not summed again.
+func (f *Fill) WriteFrame(frame []byte) (int, error) {
+	payload := frame[wire.FrameHeaderLen:]
+	if f.room != 0 || int64(len(payload)) != min(f.max-f.n, wire.MaxFramePayload) {
+		return f.Write(payload)
 	}
-	full, tail := int(n/wire.MaxFramePayload), int(n%wire.MaxFramePayload)
-	f.room = 0
-	if tail != 0 {
-		// The cut block stays, open again.
-		f.blocks[full] = f.blocks[full][:wire.FrameHeaderLen+tail]
-		f.room = cap(f.blocks[full]) - len(f.blocks[full])
-		full++
+	if f.sum != nil {
+		f.sum.Write(payload)
 	}
-	f.blocks = f.blocks[:full]
-	f.n = n
-	f.sum = nil // a shortened fill is never the whole object
+	f.blocks = append(f.blocks, append(make([]byte, 0, len(frame)), frame...))
+	f.n += int64(len(payload))
+	return len(payload), nil
 }
 
 // seal closes the last block of a fill that ended short of its range:

@@ -130,39 +130,6 @@ func TestFillShortOfItsRange(t *testing.T) {
 	checkAccounting(t, c)
 }
 
-// TestFillTruncate: payload past the cut is forgotten at any alignment
-// — inside a frame, on a frame boundary, to nothing — and the rest
-// still reads back through the CRC check.
-func TestFillTruncate(t *testing.T) {
-	data, key := object(t, 802, 3*wire.MaxFramePayload)
-	for _, keep := range []int64{0, 1, wire.MaxFramePayload - 1, wire.MaxFramePayload, wire.MaxFramePayload + 1, 2*wire.MaxFramePayload + 777} {
-		c, err := New(Config{MemoryBytes: 1 << 20})
-		if err != nil {
-			t.Fatal(err)
-		}
-		f := c.Begin(key, wire.ByteRange{Off: 0, Len: key.Size})
-		fillIn(t, f, data[:2*wire.MaxFramePayload+1000], 4096)
-		f.Truncate(keep)
-		if err := f.Commit(); err != nil {
-			t.Fatal(err)
-		}
-		f.Settle()
-		if keep == 0 {
-			if st := c.Stats(); st.Objects != 0 || st.MemBytes != 0 {
-				t.Fatalf("keep 0: stats = %+v", st)
-			}
-			continue
-		}
-		if got := readRange(t, c, key, wire.ByteRange{Off: 0, Len: keep}); !bytes.Equal(got, data[:keep]) {
-			t.Fatalf("keep %d: read back differs", keep)
-		}
-		if c.Holds(key, wire.ByteRange{Off: 0, Len: keep + 1}) {
-			t.Fatalf("keep %d: holds bytes past the cut", keep)
-		}
-		checkAccounting(t, c)
-	}
-}
-
 // TestFillOverflowStoresNothingOfIt: a write past the range fails whole.
 func TestFillOverflowStoresNothingOfIt(t *testing.T) {
 	data, key := object(t, 803, 1000)

@@ -6,17 +6,17 @@ import (
 	"net"
 	"os"
 
+	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
-// Open returns a reader over the payload bytes of r, counted as one
-// serve attempt: a hit if the range is contiguously held, otherwise
-// ErrMiss. The read is lazy and every byte streams back through the
-// CRC frame verifier, so corruption of cached state surfaces as
-// wire.ErrChecksum partway through the read; the damaged span is
-// dropped so subsequent probes see the truth, and the caller falls
-// back to the origin for the remainder.
-func (c *Cache) Open(key wire.ContentDigest, r wire.ByteRange) (io.ReadCloser, error) {
+// Open returns a reader over r, counted as one serve attempt: a hit if
+// the range is contiguously held, otherwise ErrMiss. The read is lazy
+// and every stored block is CRC-checked as it is read, so corruption of
+// cached state surfaces as wire.ErrChecksum partway through the read;
+// the damaged span is dropped so subsequent probes see the truth, and
+// the caller falls back to the origin for the remainder.
+func (c *Cache) Open(key wire.ContentDigest, r wire.ByteRange) (*Reader, error) {
 	c.mu.Lock()
 	e := c.entries[key]
 	if e == nil || r.Len <= 0 || coverFrom(e.spans, r.Off) < r.End() {
@@ -50,7 +50,7 @@ func (c *Cache) Open(key wire.ContentDigest, r wire.ByteRange) (io.ReadCloser, e
 	c.stats.Hits++
 	addCounter(c.hits, 1)
 	c.mu.Unlock()
-	return &rangeReader{c: c, key: key, parts: parts}, nil
+	return &Reader{c: c, parts: parts}, nil
 }
 
 // spanPart is one span's contribution to an open range read, with the
@@ -65,88 +65,99 @@ type spanPart struct {
 	take   int64 // payload bytes to yield
 }
 
-// rangeReader streams a cached range span by span through the CRC
-// frame verifier.
-type rangeReader struct {
-	c       *Cache
-	key     wire.ContentDigest
-	parts   []spanPart
-	cur     io.Reader
-	curC    io.Closer
-	curPart spanPart
-	rem     int64 // bytes left in the current part
+// Reader streams a held range out of the cache block by block, each a
+// [len|crc|payload] frame as the cache stores it. Next is what a depot
+// serves a checksummed session from: the block lands in the caller's
+// buffer verified and ready to send. Read serves the payload alone.
+type Reader struct {
+	c     *Cache
+	parts []spanPart // the current part first
+	scan  *wire.FrameScanner
+	file  *os.File // the current part's file; nil when it is in memory
+	skip  int64    // payload bytes of the next block the range leaves out
+	rem   int64    // payload bytes the current part still owes
+
+	frame  *[]byte // Read's own block buffer, pooled
+	pos, n int     // its unread window
 }
 
-// Read implements io.Reader.
-func (rr *rangeReader) Read(p []byte) (int, error) {
+// Next reads the next block of the range into buf (wire.MaxFrameLen
+// bytes), checks its CRC there, and returns the length of the frame buf
+// now starts with: the stored block itself, or — for a block the range
+// begins or ends inside — the part in range under a header of its own.
+func (rr *Reader) Next(buf []byte) (int, error) {
 	for rr.rem == 0 {
-		if rr.curC != nil {
-			rr.curC.Close()
-			rr.curC = nil
+		if rr.scan != nil { // done with the current part
+			rr.file.Close()
+			rr.file, rr.scan, rr.parts = nil, nil, rr.parts[1:]
 		}
 		if len(rr.parts) == 0 {
 			return 0, io.EOF
 		}
-		part := rr.parts[0]
-		rr.parts = rr.parts[1:]
-		if err := rr.start(part); err != nil {
-			rr.fail(part)
-			return 0, err
+		if err := rr.start(rr.parts[0]); err != nil {
+			return 0, rr.fail(err)
 		}
-		rr.curPart = part
-		rr.rem = part.take
 	}
-	if int64(len(p)) > rr.rem {
-		p = p[:rr.rem]
-	}
-	n, err := rr.cur.Read(p)
-	rr.rem -= int64(n)
-	if n > 0 {
-		rr.c.mu.Lock()
-		rr.c.stats.BytesServed += int64(n)
-		rr.c.mu.Unlock()
-		addCounter(rr.c.bytesServed, int64(n))
+	n, err := rr.scan.ReadFrame(buf)
+	if err == io.EOF || err == nil && int64(n-wire.FrameHeaderLen) <= rr.skip {
+		err = fmt.Errorf("%w: cached span shorter than indexed", wire.ErrChecksum)
 	}
 	if err != nil {
-		if err == io.EOF && rr.rem == 0 {
-			// Clean span boundary; the next Read advances to the next part.
-			return n, nil
-		}
 		// A short or corrupt span: drop it so the cache stops advertising
 		// bytes it cannot prove.
-		rr.fail(rr.curPart)
-		if err == io.EOF {
-			err = fmt.Errorf("%w: cached span shorter than indexed", wire.ErrChecksum)
-		}
-		return n, err
+		return 0, rr.fail(err)
 	}
+	payload := buf[wire.FrameHeaderLen:n]
+	if part := payload[rr.skip:min(int64(len(payload)), rr.skip+rr.rem)]; len(part) < len(payload) {
+		n = wire.FrameHeaderLen + copy(payload, part)
+		hdr := wire.FrameHeader(buf[wire.FrameHeaderLen:n])
+		copy(buf, hdr[:])
+	}
+	served := int64(n - wire.FrameHeaderLen)
+	rr.skip, rr.rem = 0, rr.rem-served
+	rr.c.mu.Lock()
+	rr.c.stats.BytesServed += served
+	rr.c.mu.Unlock()
+	addCounter(rr.c.bytesServed, served)
 	return n, nil
 }
 
-// start positions a frame reader at the part's first payload byte.
-func (rr *rangeReader) start(part spanPart) error {
-	var src io.Reader
-	switch {
-	case part.blocks != nil:
-		src = frames(part.blocks)
-	case part.path != "":
+// start positions the scanner at the stored block holding the part's
+// first payload byte: blocks are MaxFramePayload apart from the span's
+// first byte, in a file as in memory.
+func (rr *Reader) start(part spanPart) error {
+	first := part.skip / wire.MaxFramePayload
+	if part.blocks != nil {
+		rr.scan = wire.NewFrameScanner(frames(part.blocks[first:]))
+	} else {
 		f, err := os.Open(part.path)
+		if err == nil {
+			_, err = f.Seek(first*wire.MaxFrameLen, io.SeekStart)
+		}
 		if err != nil {
 			return fmt.Errorf("%w: %v", ErrMiss, err)
 		}
-		rr.curC = f
-		src = f
-	default:
-		return ErrMiss
+		rr.file, rr.scan = f, wire.NewFrameScanner(f)
 	}
-	fr := wire.NewFrameReader(src)
-	if part.skip > 0 {
-		if _, err := io.CopyN(io.Discard, fr, part.skip); err != nil {
-			return err
-		}
-	}
-	rr.cur = fr
+	rr.skip, rr.rem = part.skip%wire.MaxFramePayload, part.take
 	return nil
+}
+
+// Read implements io.Reader over the range's payload.
+func (rr *Reader) Read(p []byte) (int, error) {
+	for rr.pos >= rr.n {
+		if rr.frame == nil {
+			rr.frame = bufpool.GetFrame()
+		}
+		n, err := rr.Next(*rr.frame)
+		if err != nil {
+			return 0, err
+		}
+		rr.pos, rr.n = wire.FrameHeaderLen, n
+	}
+	n := copy(p, (*rr.frame)[rr.pos:rr.n])
+	rr.pos += n
+	return n, nil
 }
 
 // frames reads a memory span as the file of a spilled one reads: the
@@ -157,28 +168,27 @@ func frames(blocks [][]byte) *net.Buffers {
 	return &b
 }
 
-// fail records a failed serve: the offending span (when known) is
-// dropped and the attempt is re-counted as a miss, so hit/miss totals
-// reflect what was actually served.
-func (rr *rangeReader) fail(part spanPart) {
+// fail ends the read on a failed serve and passes its cause on: the span
+// being read is dropped and the attempt re-counted as a miss.
+func (rr *Reader) fail(err error) error {
 	rr.c.mu.Lock()
-	if part.sp != nil && part.sp.el != nil {
-		rr.c.evict(part.sp)
+	if sp := rr.parts[0].sp; sp.el != nil {
+		rr.c.evict(sp)
 		rr.c.setOccupancy()
 	}
 	rr.c.stats.Misses++
 	rr.c.mu.Unlock()
 	addCounter(rr.c.misses, 1)
+	rr.Close()
+	return err
 }
 
-// Close releases any open disk handle.
-func (rr *rangeReader) Close() error {
-	if rr.curC != nil {
-		rr.curC.Close()
-		rr.curC = nil
-	}
-	rr.parts = nil
-	rr.rem = 0
+// Close releases what the reader holds — an open disk handle, Read's
+// block buffer — and leaves it at the end of its range.
+func (rr *Reader) Close() error {
+	rr.file.Close() // nil while the part is in memory: refuses politely
+	bufpool.Put(rr.frame)
+	*rr = Reader{}
 	return nil
 }
 

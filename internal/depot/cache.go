@@ -1,11 +1,12 @@
 package depot
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"sync"
 
+	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/cache"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
@@ -118,9 +119,23 @@ func (s *Server) handleCacheServe(sess *lsl.Session, f *flow) error {
 		dst = out
 	}
 
-	_, perr := s.pump(framedWriter(dst, h), rc, f)
+	_, perr := s.pump(dst, cacheSource(rc, h.Checksummed()), f)
 	s.st.forwarded.Add(1)
 	return s.flagCorrupt(sess, f, perr)
+}
+
+// cacheSource is the pump source of a serve from the cache: a chunk is
+// one stored block, CRC-checked in the buffer it leaves in. The block is
+// a frame already: a checksummed session forwards it whole, under the
+// header this hop just proved, a plain one the payload behind it.
+func cacheSource(rc *cache.Reader, framed bool) source {
+	return source{get: bufpool.GetFrame, next: func(buf []byte) ([]byte, error) {
+		n, err := rc.Next(buf)
+		if err != nil || framed {
+			return buf[:n], err
+		}
+		return buf[wire.FrameHeaderLen:n], nil
+	}}
 }
 
 // serveHeader turns a cache-serve header into the TypeData header the
@@ -183,13 +198,10 @@ func (s *Server) cacheShortCircuit(sess *lsl.Session, f *flow, next wire.Endpoin
 	if !ok {
 		return false, nil
 	}
-	if !s.cfg.Cache.Holds(d, r) {
-		// Counted as a cache miss: this depot had to let the session go
-		// to the origin path.
-		return false, nil
-	}
 	rc, err := s.cfg.Cache.Open(d, r)
 	if err != nil {
+		// Counted as a cache miss: this depot had to let the session go
+		// to the origin path.
 		return false, nil
 	}
 	defer rc.Close()
@@ -211,27 +223,27 @@ func (s *Server) cacheShortCircuit(sess *lsl.Session, f *flow, next wire.Endpoin
 	if err := wire.WriteHeader(out, fh); err != nil {
 		return true, err
 	}
-	_, perr := s.pump(framedWriter(out, h), rc, f)
+	_, perr := s.pump(out, cacheSource(rc, h.Checksummed()), f)
 	s.st.forwarded.Add(1)
 	return true, s.flagCorrupt(sess, f, perr)
 }
 
 // cacheTap writes the payload a forwarding pump moves into a cache
 // fill as it passes and commits the fill when the session ends —
-// on-forward population. For a checksummed session the tap rides after
-// the verifying reader, so it sees CRC-proven frames and unframes them
-// incrementally; whatever complete frames arrived before a failure are
-// still good bytes and are committed. An unchecked stream carries no
-// per-chunk proof, so it is committed only when the session completes
-// cleanly.
+// on-forward population. On a checksummed session the pump hands it
+// each frame whole and already verified, so whatever arrived before a
+// failure is complete, proven frames: good bytes, committed as the
+// partial range they are. An unchecked stream carries no per-chunk
+// proof, so it is committed only when the session completes cleanly.
+//
+// The pump's reader feeds the tap and the session's handler commits it;
+// a pump that ends on a dead downstream returns with its reader still
+// draining upstream, so mu orders the two.
 type cacheTap struct {
 	fill   *cache.Fill
+	write  func([]byte) (int, error) // fill.WriteFrame on a checksummed session, fill.Write on a plain one
 	framed bool
-	hdr    [wire.FrameHeaderLen]byte // the upstream frame header being assembled
-	nhdr   int                       // bytes of hdr received
-	left   int                       // payload bytes the current upstream frame still owes
-	seen   int64                     // payload bytes handed to the fill
-	whole  int64                     // seen, as of the last complete upstream frame
+	mu     sync.Mutex
 	broken bool
 }
 
@@ -253,70 +265,43 @@ func (s *Server) cacheTap(h *wire.Header) *cacheTap {
 	if h.PathCount() > 1 {
 		fill.Partial()
 	}
-	return &cacheTap{fill: fill, framed: h.Checksummed()}
+	if h.Checksummed() {
+		return &cacheTap{fill: fill, write: fill.WriteFrame, framed: true}
+	}
+	return &cacheTap{fill: fill, write: fill.Write}
 }
 
-// Write implements io.Writer for the tee off the pump source. It never
-// fails: population is best-effort and must not disturb forwarding.
-func (t *cacheTap) Write(p []byte) (int, error) {
-	n := len(p)
-	if !t.framed {
-		t.put(p)
-		return n, nil
-	}
-	for len(p) > 0 && !t.broken {
-		if t.left == 0 {
-			k := copy(t.hdr[t.nhdr:], p)
-			p = p[k:]
-			if t.nhdr += k; t.nhdr < len(t.hdr) {
-				break
-			}
-			t.nhdr = 0
-			length := binary.BigEndian.Uint32(t.hdr[0:4])
-			if length == 0 || length > wire.MaxFramePayload {
-				t.broken = true
-				break
-			}
-			t.left = int(length)
-			continue
-		}
-		k := min(len(p), t.left)
-		t.put(p[:k])
-		p = p[k:]
-		t.seen += int64(k)
-		if t.left -= k; t.left == 0 {
-			t.whole = t.seen
-		}
-	}
-	return n, nil
-}
-
-// put hands payload to the fill. More payload than the digest promised
-// is not trustworthy: the tap is poisoned and commits nothing.
-func (t *cacheTap) put(payload []byte) {
-	if t.broken {
+// put hands the fill what the pump is about to forward: a piece of a
+// plain session's payload, one verified frame of a checksummed one. It
+// never fails: population is best-effort and must not disturb
+// forwarding. More payload than the digest promised is not trustworthy:
+// the tap is poisoned and commits nothing.
+func (t *cacheTap) put(p []byte) {
+	if t == nil || len(p) == 0 {
 		return
 	}
-	if _, err := t.fill.Write(payload); err != nil {
-		t.broken = true
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.broken {
+		_, err := t.write(p)
+		t.broken = err != nil
 	}
 }
 
 // commit makes what the fill holds part of the cache: an index
 // operation, cheap enough to precede the downstream close. Verified
 // (framed) bytes are committed even after a mid-session failure — a
-// partial range is still a true range — but only up to the last
-// complete upstream frame; unverified bytes only on a clean end.
+// partial range is still a true range; unverified bytes only on a
+// clean end.
 func (t *cacheTap) commit(clean bool) {
-	if t == nil || t.broken {
+	if t == nil {
 		return
 	}
-	if t.framed {
-		t.fill.Truncate(t.whole)
-	} else if !clean {
-		return
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.broken && (t.framed || clean) {
+		_ = t.fill.Commit() // best-effort: a span the budgets reject is simply not cached
 	}
-	_ = t.fill.Commit() // best-effort: a span the budgets reject is simply not cached
 }
 
 // settle does the cache work a commit leaves for after the session:

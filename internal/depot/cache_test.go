@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"testing"
@@ -266,12 +267,12 @@ func TestCacheTapUncheckedPartialDiscarded(t *testing.T) {
 	if tap == nil {
 		t.Fatal("cacheable header got no tap")
 	}
-	tap.Write(payload[:4])
+	tap.put(payload[:4])
 	tap.commit(false) // session failed: unverified bytes must not land
 	if got := c.Ranges(d); got != nil {
 		t.Fatalf("unchecked partial committed: %v", got)
 	}
-	tap.Write(payload[4:])
+	tap.put(payload[4:])
 	tap.commit(true)
 	want := wire.ByteRange{Off: 0, Len: d.Size}
 	if got := c.Ranges(d); len(got) != 1 || got[0] != want {
@@ -293,8 +294,9 @@ func TestCacheTapFramedPartialKept(t *testing.T) {
 	var framed bytes.Buffer
 	wire.NewFrameWriter(&framed).Write(payload[:2000])
 	// One complete frame plus the torn start of the next.
-	tap.Write(framed.Bytes())
-	tap.Write([]byte{0, 0})
+	if err := feed(tap, append(framed.Bytes(), 0, 0), 1<<20); !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("torn session ended with %v", err)
+	}
 	tap.commit(false)
 	want := wire.ByteRange{Off: 0, Len: 2000}
 	if got := c.Ranges(d); len(got) != 1 || got[0] != want {

@@ -2,11 +2,13 @@ package depot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
 	"testing"
 
+	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/cache"
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -25,13 +27,47 @@ func tapFor(c *cache.Cache, d wire.ContentDigest, off int64, framed bool) *cache
 	return (&Server{cfg: Config{Cache: c}}).cacheTap(h)
 }
 
-// feed writes stream into the tap piece bytes at a time.
-func feed(t *cacheTap, stream []byte, piece int) {
+// pieceReader yields a stream at most piece bytes per Read: an upstream
+// transport that cuts it anywhere, through headers and through payload.
+type pieceReader struct {
+	stream []byte
+	piece  int
+}
+
+func (r *pieceReader) Read(p []byte) (int, error) {
+	if len(r.stream) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p[:min(len(p), r.piece)], r.stream)
+	r.stream = r.stream[n:]
+	return n, nil
+}
+
+// feed moves stream past the tap the way a pump's read side does, the
+// transport delivering piece bytes at a time, and returns the error
+// that ended the session (nil on a clean end).
+func feed(t *cacheTap, stream []byte, piece int) error {
+	src := checkedSource(&pieceReader{stream, piece}, t.framed, t)
+	bp := src.get()
+	defer bufpool.Put(bp)
+	for {
+		if _, err := src.next(*bp); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return err
+		}
+	}
+}
+
+// splitFrames cuts a well-formed framed stream into its frames.
+func splitFrames(stream []byte) [][]byte {
+	var out [][]byte
 	for len(stream) > 0 {
-		n := min(piece, len(stream))
-		t.Write(stream[:n])
+		n := wire.FrameHeaderLen + int(binary.BigEndian.Uint32(stream))
+		out = append(out, stream[:n])
 		stream = stream[n:]
 	}
+	return out
 }
 
 // upstreamFrames frames payload the way a sender that writes `write`
@@ -68,9 +104,10 @@ func readCached(t *testing.T, c *cache.Cache, d wire.ContentDigest, r wire.ByteR
 	return got
 }
 
-// TestCacheTapUnframesAcrossWriteBoundaries: however the pump's reads
-// cut the framed stream — through headers, through payload — the tap
-// stores the same bytes, and the object completes without a re-read.
+// TestCacheTapUnframesAcrossWriteBoundaries: however the transport's
+// reads cut the framed stream — through headers, through payload — the
+// tap is handed the same frames and stores the same bytes, and the
+// object completes without a re-read.
 func TestCacheTapUnframesAcrossWriteBoundaries(t *testing.T) {
 	payload := randomPayload(1, 300_000)
 	d := digestOf(payload)
@@ -167,18 +204,25 @@ func TestCacheTapOverlongStreamStoresNothing(t *testing.T) {
 	}
 }
 
-// TestCacheTapMalformedFrameHeaderStoresNothing: a length field the
-// wire format forbids cannot be unframed.
-func TestCacheTapMalformedFrameHeaderStoresNothing(t *testing.T) {
+// TestCacheTapMalformedFrameHeaderKeepsTheVerifiedPrefix: a length
+// field the wire format forbids ends the session as corruption before
+// the tap sees any of that frame; the frames proven before it stay.
+func TestCacheTapMalformedFrameHeaderKeepsTheVerifiedPrefix(t *testing.T) {
 	payload := randomPayload(4, 10_000)
 	d := digestOf(payload)
 	c := testCache(t, 1<<20)
 	tap := tapFor(c, d, 0, true)
-	feed(tap, upstreamFrames(payload[:5000], 5000), 100)
-	feed(tap, []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3}, 100)
+	stream := append(upstreamFrames(payload[:5000], 5000), 0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 1, 2, 3)
+	if err := feed(tap, stream, 100); !errors.Is(err, wire.ErrChecksum) {
+		t.Fatalf("session ended with %v, want ErrChecksum", err)
+	}
 	tap.commit(false)
-	if st := c.Stats(); st.Objects != 0 {
-		t.Fatalf("stats = %+v", st)
+	want := wire.ByteRange{Off: 0, Len: 5000}
+	if rs := c.Ranges(d); len(rs) != 1 || rs[0] != want {
+		t.Fatalf("ranges = %v, want [%v]", rs, want)
+	}
+	if got := readCached(t, c, d, want); !bytes.Equal(got, payload[:5000]) {
+		t.Fatal("cached prefix differs")
 	}
 }
 
@@ -310,18 +354,21 @@ func TestCacheDropAfterDeliveryIsFinal(t *testing.T) {
 }
 
 // BenchmarkCachePopulate is the cache tap's whole cost per forwarded
-// object: 8 MiB through cacheTap.Write in pump-sized pieces, commit and
-// settle. bytes/op is the memory the population itself takes — one
-// framed copy of the object.
+// object: 8 MiB handed to the tap as the pump's read side hands it over
+// — verified frames of a sender's 32 KiB writes, verified frames that
+// are already the cache's blocks (their CRC adopted, not recomputed),
+// plain 32 KiB chunks — then commit and settle. bytes/op is the memory
+// the population itself takes — one framed copy of the object.
 func BenchmarkCachePopulate(b *testing.B) {
 	payload := randomPayload(9, 8<<20)
 	d := digestOf(payload)
 	for _, bc := range []struct {
 		name   string
-		stream []byte
+		pieces [][]byte
 	}{
-		{"framed", upstreamFrames(payload, chunkSize)},
-		{"unframed", payload},
+		{"framed", splitFrames(upstreamFrames(payload, chunkSize))},
+		{"blocks", splitFrames(upstreamFrames(payload, wire.MaxFramePayload))},
+		{"unframed", splitFrames(upstreamFrames(payload, chunkSize))},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			c, err := cache.New(cache.Config{MemoryBytes: 64 << 20})
@@ -331,8 +378,13 @@ func BenchmarkCachePopulate(b *testing.B) {
 			b.SetBytes(d.Size)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				tap := tapFor(c, d, 0, bc.name == "framed")
-				feed(tap, bc.stream, chunkSize)
+				tap := tapFor(c, d, 0, bc.name != "unframed")
+				for _, frame := range bc.pieces {
+					if !tap.framed {
+						frame = frame[wire.FrameHeaderLen:]
+					}
+					tap.put(frame)
+				}
 				tap.commit(true)
 				tap.settle()
 				if len(c.Keys()) != 1 {

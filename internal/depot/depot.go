@@ -290,9 +290,14 @@ const (
 	// Against depot_sessions_accepted_total it gives the share of
 	// sessions that leave the fast path for the user-space pump.
 	MetricRelayKernelSessions = "depot_relay_kernel_sessions_total"
+	// MetricPooledBuffers gauges the pooled chunk and frame buffers out
+	// of bufpool, process-wide: what pumps have queued or in hand. Zero
+	// when idle; a floor that creeps up is a leak on some error path.
+	MetricPooledBuffers = "depot_pooled_buffers_outstanding"
 )
 
 func newMetrics(r *obs.Registry) metrics {
+	r.GaugeFunc(MetricPooledBuffers, bufpool.Outstanding)
 	return metrics{
 		accepted:     r.Counter(MetricSessionsAccepted),
 		refused:      r.Counter(MetricSessionsRefused),
@@ -849,7 +854,7 @@ func (s *Server) handleData(sess *lsl.Session, up net.Conn, f *flow) error {
 		s.met.kernelRelays.Inc()
 		_, err = s.relayKernel(kdn, kup, plan.idle, f)
 	} else {
-		_, err = s.pump(out, plan.source(sess), f)
+		_, err = s.pump(out, checkedSource(sess, plan.verify, plan.tap), f)
 	}
 	// The commit only indexes, so whoever sees this session end finds
 	// the cache holding it and the session counted. The downstream
@@ -880,8 +885,14 @@ func (s *Server) deliver(sess *lsl.Session, f *flow) error {
 		// error that flagCorrupt converts into a refusal.
 		err = s.cfg.Local(inner)
 	} else {
-		_, err = io.Copy(io.Discard, s.checkedSource(inner))
-		if err != nil && errors.Is(err, io.EOF) {
+		// Count and discard — verifying, on a checksummed session.
+		src := checkedSource(inner, sess.Header.Checksummed(), nil)
+		bp := src.get()
+		for err == nil {
+			_, err = src.next(*bp)
+		}
+		bufpool.Put(bp)
+		if errors.Is(err, io.EOF) {
 			err = nil
 		}
 	}
@@ -970,7 +981,11 @@ func (s *Server) handleGenerate(sess *lsl.Session, f *flow) error {
 
 	// A checksummed generate session frames the synthesized stream so
 	// every downstream hop verifies it like any other payload.
-	n, err := writePattern(framedWriter(dst, sess.Header), int64(size), sess.Header.Session)
+	var w io.Writer = dst
+	if sess.Header.Checksummed() {
+		w = wire.NewFrameWriter(dst)
+	}
+	n, err := writePattern(w, int64(size), sess.Header.Session)
 	s.st.generated.Add(1)
 	s.st.bytesForwarded.Add(n)
 	s.met.bytesFwd.Add(n)

@@ -193,12 +193,13 @@ func TestAdmissionQueueTimeout(t *testing.T) {
 	}
 }
 
-// TestFairShare is the acceptance test for the multi-tenant scheduler:
-// two concurrent sessions with weights 2 and 1 forwarded through one
-// depot whose downstream trunk the scheduler arbitrates must see
-// throughput near a 2:1 split, and a scheduler with no trunk rate must
-// not cost the pump measurable aggregate throughput.
-func TestFairShare(t *testing.T) {
+// weightedSplit runs two sessions of weights 2 and 1 from A through the
+// trunk-scheduled depot B to a sink at C for a measurement window and
+// returns the bytes C received from each, with C's per-session counter
+// for what the caller sends next. frame 0 sends plain sessions in
+// 32 KiB writes; otherwise the sessions are checksummed and framed at
+// frame bytes, so B's pump acquires credit a whole frame at a time.
+func weightedSplit(t *testing.T, h *harness, frame int) (heavy, light int64, received func(wire.SessionID) int64) {
 	const (
 		chunk = 32 << 10
 		// One DRR round is 3 chunks = ~3ms of trunk time at this rate,
@@ -206,11 +207,9 @@ func TestFairShare(t *testing.T) {
 		trunkRate = 32 << 20
 		warmup    = 100 * time.Millisecond
 		measure   = 400 * time.Millisecond
-		tolerance = 0.15
 	)
-	h := newHarness(t)
 	trunk := fairshare.New(fairshare.Config{Rate: trunkRate})
-	h.addDepot(epB, Config{FairShare: trunk, PipelineBytes: 4 * chunk})
+	h.addDepot(epB, Config{FairShare: trunk, PipelineBytes: 4 * wire.MaxFrameLen})
 
 	// The sink attributes delivered bytes per session.
 	var byID sync.Map // wire.SessionID -> *atomic.Int64
@@ -218,9 +217,13 @@ func TestFairShare(t *testing.T) {
 		Local: func(s *lsl.Session) error {
 			v, _ := byID.LoadOrStore(s.ID(), new(atomic.Int64))
 			ctr := v.(*atomic.Int64)
+			var r io.Reader = s
+			if frame > 0 {
+				r = wire.NewFrameReader(s)
+			}
 			buf := make([]byte, chunk)
 			for {
-				n, err := s.Read(buf)
+				n, err := r.Read(buf)
 				ctr.Add(int64(n))
 				if err != nil {
 					return nil
@@ -231,46 +234,83 @@ func TestFairShare(t *testing.T) {
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup
-	payload := make([]byte, chunk)
+	payload := make([]byte, max(chunk, frame))
 	ids := make([]wire.SessionID, 2)
 	for i, w := range []uint16{2, 1} {
-		s, err := lsl.Open(h.dialerFrom("10.0.0.1"), epA, epC,
-			[]wire.Endpoint{epB}, wire.SessionWeightOption(w))
+		opts := []wire.Option{wire.SessionWeightOption(w)}
+		if frame > 0 {
+			opts = append(opts, wire.ChunkChecksumOption())
+		}
+		s, err := lsl.Open(h.dialerFrom("10.0.0.1"), epA, epC, []wire.Endpoint{epB}, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
 		ids[i] = s.ID()
+		var out io.Writer = s
+		if frame > 0 {
+			out = wire.NewFrameWriter(s)
+		}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer s.Close()
 			for !stop.Load() {
-				if _, err := s.Write(payload); err != nil {
+				if _, err := out.Write(payload); err != nil {
 					return
 				}
 			}
 		}()
 	}
-	count := func(i int) int64 {
-		if v, ok := byID.Load(ids[i]); ok {
+	received = func(id wire.SessionID) int64 {
+		if v, ok := byID.Load(id); ok {
 			return v.(*atomic.Int64).Load()
 		}
 		return 0
 	}
 	time.Sleep(warmup)
-	w0, w1 := count(0), count(1)
+	w0, w1 := received(ids[0]), received(ids[1])
 	time.Sleep(measure)
-	d0, d1 := count(0)-w0, count(1)-w1
+	heavy, light = received(ids[0])-w0, received(ids[1])-w1
 	stop.Store(true)
 	wg.Wait()
+	return heavy, light, received
+}
 
-	if d1 <= 0 {
-		t.Fatalf("light session moved no bytes in the measurement window (heavy %d)", d0)
+// checkSplit holds a measured 2:1 split to the 15 % tolerance.
+func checkSplit(t *testing.T, heavy, light int64) {
+	t.Helper()
+	const tolerance = 0.15
+	if light <= 0 {
+		t.Fatalf("light session moved no bytes in the measurement window (heavy %d)", heavy)
 	}
-	ratio := float64(d0) / float64(d1)
+	ratio := float64(heavy) / float64(light)
 	if ratio < 2*(1-tolerance) || ratio > 2*(1+tolerance) {
-		t.Fatalf("2:1 weighted sessions measured %.2f:1 (bytes %d vs %d)", ratio, d0, d1)
+		t.Fatalf("2:1 weighted sessions measured %.2f:1 (bytes %d vs %d)", ratio, heavy, light)
 	}
+}
+
+// TestFairShareWholeFrames: the split holds when the pump acquires
+// credit a frame at a time — at the largest frame, which is what the
+// scheduler's quantum has to cover for weights to mean anything, and at
+// the 32 KiB + 8 of every core sender.
+func TestFairShareWholeFrames(t *testing.T) {
+	for _, frame := range []int{wire.MaxFramePayload, 32 << 10} {
+		heavy, light, _ := weightedSplit(t, newHarness(t), frame)
+		checkSplit(t, heavy, light)
+	}
+}
+
+// TestFairShare is the acceptance test for the multi-tenant scheduler:
+// two concurrent sessions with weights 2 and 1 forwarded through one
+// depot whose downstream trunk the scheduler arbitrates must see
+// throughput near a 2:1 split, and a scheduler with no trunk rate must
+// not cost the pump measurable aggregate throughput.
+func TestFairShare(t *testing.T) {
+	const chunk = 32 << 10
+	h := newHarness(t)
+	heavy, light, received := weightedSplit(t, h, 0)
+	checkSplit(t, heavy, light)
+	payload := make([]byte, chunk)
 
 	// Aggregate criterion: with the sublink itself as the bottleneck
 	// and no trunk rate, the scheduled pump must keep pace with the
@@ -295,10 +335,7 @@ func TestFairShare(t *testing.T) {
 			}
 		}
 		s.Close()
-		waitFor(t, func() bool {
-			v, ok := byID.Load(s.ID())
-			return ok && v.(*atomic.Int64).Load() >= total
-		})
+		waitFor(t, func() bool { return received(s.ID()) >= total })
 		return time.Since(start)
 	}
 	unscheduled := transfer(epD)

@@ -3,25 +3,12 @@ package depot
 import (
 	"crypto/sha256"
 	"errors"
-	"io"
 
 	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
 )
-
-// checkedSource returns the reader a pump should move payload from:
-// for a checksummed session the stream passes through a per-chunk
-// CRC-32C verifier that re-stamps each frame before it is forwarded,
-// so a corrupting hop is caught by its immediate successor. Unchecked
-// sessions read straight through.
-func (s *Server) checkedSource(sess *lsl.Session) io.Reader {
-	if sess.Header.Checksummed() {
-		return wire.NewVerifyingReader(sess)
-	}
-	return sess
-}
 
 // flagCorrupt inspects a session error for detected data corruption
 // (chunk-checksum or content-digest mismatch). When it finds one it
@@ -41,16 +28,6 @@ func (s *Server) flagCorrupt(sess *lsl.Session, f *flow, err error) error {
 	return err
 }
 
-// framedWriter wraps dst in a chunk-checksum framer when the session
-// announced framing — the depot-as-sender side (generated payloads)
-// of what checkedSource verifies.
-func framedWriter(dst io.Writer, h *wire.Header) io.Writer {
-	if h.Checksummed() {
-		return wire.NewFrameWriter(dst)
-	}
-	return dst
-}
-
 // PatternDigest computes the content digest of the deterministic
 // session pattern — what a sender stamps into OptContentDigest for a
 // pattern-filled transfer of the given size.
@@ -61,10 +38,7 @@ func PatternDigest(id wire.SessionID, size int64) wire.ContentDigest {
 	buf := *bp
 	var off int64
 	for off < size {
-		n := int64(len(buf))
-		if remaining := size - off; remaining < n {
-			n = remaining
-		}
+		n := min(int64(len(buf)), size-off)
 		FillPattern(buf[:n], id, off)
 		h.Write(buf[:n])
 		off += n

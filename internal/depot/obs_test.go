@@ -177,7 +177,7 @@ func TestPumpPartialBytesAccounted(t *testing.T) {
 	}
 	src := bytes.NewReader(make([]byte, 3*chunkSize))
 	w := &partialFailWriter{}
-	written, err := srv.pump(w, src, nil)
+	written, err := srv.pump(w, checkedSource(src, false, nil), nil)
 	if err == nil {
 		t.Fatal("pump succeeded through a failing writer")
 	}
@@ -223,7 +223,7 @@ func TestPumpWriteErrorDrainsGrownQueue(t *testing.T) {
 	occupancy := reg.Gauge(MetricPipelineOccupancy)
 	pumped := make(chan error, 1)
 	go func() {
-		_, err := srv.pump(w, bytes.NewReader(make([]byte, chunks*chunkSize)), nil)
+		_, err := srv.pump(w, checkedSource(bytes.NewReader(make([]byte, chunks*chunkSize)), false, nil), nil)
 		pumped <- err
 	}()
 	// The writer holds one chunk; the rest sit in the queue.

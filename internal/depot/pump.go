@@ -219,6 +219,33 @@ func (s *Server) lastByte(f *flow, start time.Time, written int64) {
 	}
 }
 
+// source is a pump's read side. Each call of next lands the next piece
+// of the stream in a pooled buffer from get and returns the part of it
+// to send downstream — one Write, nothing copied in between.
+type source struct {
+	get  func() *[]byte
+	next func(buf []byte) ([]byte, error)
+}
+
+// checkedSource returns the source a pump moves a session's payload
+// from. A plain session is a chunk per Read. On a checksummed session a
+// chunk is one frame, read into a buffer with room for the largest and
+// verified there: a corrupting hop is caught by its successor, and a
+// frame is forwarded only once its CRC held, under the header this hop
+// checked it against. The tap, if any, sees exactly what is forwarded,
+// before it is queued — on a checksummed session whole, proven frames.
+func checkedSource(r io.Reader, verify bool, tap *cacheTap) source {
+	read, get := r.Read, bufpool.Get
+	if verify {
+		read, get = wire.NewFrameScanner(r).ReadFrame, bufpool.GetFrame
+	}
+	return source{get: get, next: func(buf []byte) ([]byte, error) {
+		n, err := read(buf)
+		tap.put(buf[:n])
+		return buf[:n], err
+	}}
+}
+
 // pump moves the session payload from src to dst through a bounded
 // pipeline of PipelineBytes: a reader goroutine fills chunks into a
 // queue whose capacity grows with its occupancy up to the pipeline
@@ -230,8 +257,9 @@ func (s *Server) lastByte(f *flow, start time.Time, written int64) {
 // read until the downstream write completes (possibly queued for the
 // whole pipeline depth), and is then recycled, so a pump's allocation
 // cost is its steady-state pipeline working set rather than one buffer
-// per 32 KiB forwarded — which matters ×N when a striped session runs
-// N pumps through one depot.
+// per chunk forwarded — which matters ×N when a striped session runs
+// N pumps through one depot. The queue is sized by the buffers' capacity,
+// so PipelineBytes bounds a session's memory whatever its chunks carry.
 //
 // The pump is also where the logistical effect is observed: every chunk
 // moved is recorded as it moves (so partial transfers never lose bytes
@@ -241,8 +269,9 @@ func (s *Server) lastByte(f *flow, start time.Time, written int64) {
 // stall time. f may be nil (bare pumps in tests): accounting still
 // lands in the server's counters, only per-session reporting is
 // skipped.
-func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
-	q := newPumpQueue(s.cfg.PipelineBytes / chunkSize)
+func (s *Server) pump(dst io.Writer, src source, f *flow) (int64, error) {
+	bp := src.get()
+	q := newPumpQueue(s.cfg.PipelineBytes / cap(*bp))
 	enqueue := func(it chunk) {
 		n := int64(len(it.data))
 		s.met.occupancy.Add(n)
@@ -261,15 +290,13 @@ func (s *Server) pump(dst io.Writer, src io.Reader, f *flow) (int64, error) {
 	}
 	go func() {
 		for {
-			bp := bufpool.Get()
-			buf := *bp
-			n, err := src.Read(buf)
-			if n > 0 {
-				enqueue(chunk{data: buf[:n], buf: bp})
-			} else {
-				bufpool.Put(bp)
+			data, err := src.next(*bp)
+			if len(data) > 0 {
+				enqueue(chunk{data: data, buf: bp})
+				bp = src.get()
 			}
 			if err != nil {
+				bufpool.Put(bp)
 				if errors.Is(err, io.EOF) {
 					err = nil
 				}
@@ -412,7 +439,7 @@ func (s *Server) handleMulticast(sess *lsl.Session, f *flow) error {
 	default:
 		dst = io.MultiWriter(writers...)
 	}
-	_, err = s.pump(dst, s.checkedSource(sess), f)
+	_, err = s.pump(dst, checkedSource(sess, sess.Header.Checksummed(), nil), f)
 	s.st.forwarded.Add(1)
 	if localW != nil {
 		localW.Close()

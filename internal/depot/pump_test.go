@@ -118,7 +118,7 @@ func TestPumpMovesEverything(t *testing.T) {
 	srv := &Server{cfg: Config{PipelineBytes: 64 << 10}}
 	src := bytes.NewReader(bytes.Repeat([]byte{42}, 500<<10))
 	var dst bytes.Buffer
-	n, err := srv.pump(&dst, src, nil)
+	n, err := srv.pump(&dst, checkedSource(src, false, nil), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +130,7 @@ func TestPumpMovesEverything(t *testing.T) {
 func TestPumpPropagatesWriteError(t *testing.T) {
 	srv := &Server{cfg: Config{PipelineBytes: 64 << 10}}
 	src := bytes.NewReader(make([]byte, 1<<20))
-	n, err := srv.pump(failWriter{}, src, nil)
+	n, err := srv.pump(failWriter{}, checkedSource(src, false, nil), nil)
 	if err == nil {
 		t.Fatal("write error swallowed")
 	}
@@ -146,7 +146,7 @@ func (failWriter) Write(p []byte) (int, error) { return 0, io.ErrClosedPipe }
 func TestPumpPropagatesReadError(t *testing.T) {
 	srv := &Server{cfg: Config{PipelineBytes: 64 << 10}}
 	var dst bytes.Buffer
-	_, err := srv.pump(&dst, failReader{}, nil)
+	_, err := srv.pump(&dst, checkedSource(failReader{}, false, nil), nil)
 	if err == nil {
 		t.Fatal("read error swallowed")
 	}
@@ -160,7 +160,7 @@ func TestPumpTinyPipeline(t *testing.T) {
 	srv := &Server{cfg: Config{PipelineBytes: 1}} // depth clamps to 1
 	src := bytes.NewReader(make([]byte, 100<<10))
 	var dst bytes.Buffer
-	n, err := srv.pump(&dst, src, nil)
+	n, err := srv.pump(&dst, checkedSource(src, false, nil), nil)
 	if err != nil || n != 100<<10 {
 		t.Fatalf("n=%d err=%v", n, err)
 	}

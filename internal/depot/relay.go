@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/netlogistics/lsl/internal/fairshare"
-	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -32,7 +31,7 @@ type relayPlan struct {
 	up     net.Conn        // the accepted transport, nothing interposed
 	idle   time.Duration   // abort when upstream makes no progress for this long (Config.IdleTimeout)
 	faults *FaultInjector  // drop, stall or corrupt upstream reads (Config.Faults)
-	verify bool            // CRC-32C verify-and-re-stamp per frame (OptChunkChecksum)
+	verify bool            // CRC-32C verify per frame, a frame per chunk (OptChunkChecksum)
 	tap    *cacheTap       // populate the cache (OptContentDigest + Config.Cache)
 	gate   *fairshare.Flow // weighted credit per chunk written downstream (Config.FairShare)
 }
@@ -60,24 +59,6 @@ func (p *relayPlan) kernelPair(down net.Conn) (up, dn *net.TCPConn, ok bool) {
 	}
 	dn, ok = down.(*net.TCPConn)
 	return up, dn, ok
-}
-
-// source assembles the pump's read side from the armed stages. The
-// idle deadline and the fault injector already sit on sess.Conn:
-// Handle interposes them for every session type, because local
-// delivery and the store read through them too. The gate is the
-// pump's own, on its write side.
-func (p *relayPlan) source(sess *lsl.Session) io.Reader {
-	var src io.Reader = sess
-	if p.verify {
-		src = wire.NewVerifyingReader(src)
-	}
-	if p.tap != nil {
-		// The tap rides after the verifier, so only CRC-proven payload
-		// ever enters the cache.
-		src = io.TeeReader(src, p.tap)
-	}
-	return src
 }
 
 // relayDetail is the connect event's record of which relay a session

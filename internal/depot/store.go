@@ -242,7 +242,7 @@ func (s *Server) handleStore(sess *lsl.Session, f *flow) error {
 		if err := wire.WriteHeader(out, fh); err != nil {
 			return err
 		}
-		_, err = s.pump(out, s.checkedSource(sess), f)
+		_, err = s.pump(out, checkedSource(sess, sess.Header.Checksummed(), nil), f)
 		s.st.forwarded.Add(1)
 		return s.flagCorrupt(sess, f, err)
 	}

@@ -227,8 +227,8 @@ var ErrClosed = errors.New("emu: connection closed")
 // back to the pool when the reader has drained it; a smaller one — a
 // header, an ack, the tail of a write — gets a slice of its own size,
 // so the buffers a pipe holds stay within twice its window. A pipe
-// closed with segments still in flight leaves theirs to the GC. (Why
-// pooled: DESIGN.md §10.)
+// closed for reading returns what is still in flight. (Why pooled:
+// DESIGN.md §10.)
 type segment struct {
 	buf     *[]byte // from bufpool; nil for a small segment
 	data    []byte  // the unread bytes
@@ -390,11 +390,15 @@ func (p *shapedPipe) CloseWrite() {
 }
 
 // CloseRead shuts the consumer side; subsequent reads and pending
-// writes fail.
+// writes fail, so nothing in flight will be read: its buffers go back.
 func (p *shapedPipe) CloseRead() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.rclosed = true
+	for _, seg := range p.segs {
+		bufpool.Put(seg.buf)
+	}
+	p.segs = nil
 	p.cond.Broadcast()
 }
 

@@ -29,14 +29,18 @@ package fairshare
 import (
 	"sync"
 	"time"
+
+	"github.com/netlogistics/lsl/internal/wire"
 )
 
 // DefaultQuantum is the per-weight-unit byte credit of one round.
-// It matches the depot's pooled chunk size: DRR's fairness bound
-// requires the quantum to be at least the maximum "packet" (here,
-// chunk) size, and exactly one chunk per unit weight per round keeps
-// the schedule's granularity as fine as the data path allows.
-const DefaultQuantum = 32 << 10
+// It matches the largest chunk the depot forwards — one whole
+// checksummed frame: DRR's fairness bound requires the quantum to be
+// at least the maximum "packet" (here, chunk) size, because a round
+// tops an oversized request up in full whatever the flow's weight, and
+// exactly one chunk per unit weight per round keeps the schedule's
+// granularity as fine as the data path allows.
+const DefaultQuantum = wire.MaxFrameLen
 
 // Config parameterizes a Scheduler.
 type Config struct {
@@ -66,7 +70,8 @@ type Scheduler struct {
 // usable; obtain flows from Join. A nil *Flow is valid everywhere and
 // does nothing, so unscheduled data paths need no branches.
 type Flow struct {
-	s       *Scheduler
+	s       *Scheduler // set by Join, never changed
+	left    bool       // Leave has run; guarded, like what follows, by s.mu
 	weight  int64
 	deficit int64 // granted, unspent byte credit
 	need    int64 // bytes the flow's blocked Acquire is asking for
@@ -101,7 +106,7 @@ func (s *Scheduler) Join(weight int) *Flow {
 // a trunk rate, the trunk time already claimed for it — is discarded;
 // the waste is bounded by one round. Safe on a nil flow and idempotent.
 func (f *Flow) Leave() {
-	if f == nil || f.s == nil {
+	if f == nil {
 		return
 	}
 	s := f.s
@@ -112,7 +117,7 @@ func (f *Flow) Leave() {
 			break
 		}
 	}
-	f.s = nil
+	f.left = true
 	s.mu.Unlock()
 }
 
@@ -122,28 +127,24 @@ func (f *Flow) Leave() {
 // Acquire never sleeps. A nil flow returns immediately — the
 // unscheduled pump.
 func (f *Flow) Acquire(n int) {
-	if f == nil || f.s == nil || n <= 0 {
+	if f == nil || n <= 0 {
 		return
 	}
 	s := f.s
 	need := int64(n)
 	s.mu.Lock()
-	for f.deficit < need {
+	for !f.left && f.deficit < need {
 		f.waiting = true
 		f.need = need
 		if wait := s.gateWait(); wait > 0 {
 			// The trunk is still serving already-paid rounds: sleep
 			// until the horizon arrives. Another flow's round may pay
 			// this one meanwhile; the loop re-checks either way.
+			// Should the flow be removed meanwhile (Leave from another
+			// goroutine), the loop lets the caller proceed, not deadlock.
 			s.mu.Unlock()
 			time.Sleep(wait)
 			s.mu.Lock()
-			if f.s == nil {
-				// Removed while blocked (Leave from another
-				// goroutine): let the caller proceed, not deadlock.
-				s.mu.Unlock()
-				return
-			}
 			continue
 		}
 		s.round()

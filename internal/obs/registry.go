@@ -205,6 +205,7 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 type Registry struct {
 	counters sync.Map // string -> *Counter
 	gauges   sync.Map // string -> *Gauge
+	sampled  sync.Map // string -> func() int64
 	hists    sync.Map // string -> *Histogram
 }
 
@@ -235,6 +236,16 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	v, _ := r.gauges.LoadOrStore(name, new(Gauge))
 	return v.(*Gauge)
+}
+
+// GaugeFunc registers a gauge that is read from fn at every snapshot —
+// for state another package already counts, such as the buffer pool's
+// outstanding buffers. Registering a name again replaces its function;
+// a nil registry ignores the call.
+func (r *Registry) GaugeFunc(name string, fn func() int64) {
+	if r != nil {
+		r.sampled.Store(name, fn)
+	}
 }
 
 // Histogram returns the histogram with the given name, creating it with
@@ -289,6 +300,10 @@ func (r *Registry) Snapshot() Snapshot {
 	})
 	r.gauges.Range(func(k, v any) bool {
 		s.Gauges[k.(string)] = v.(*Gauge).Value()
+		return true
+	})
+	r.sampled.Range(func(k, v any) bool {
+		s.Gauges[k.(string)] = v.(func() int64)()
 		return true
 	})
 	r.hists.Range(func(k, v any) bool {

@@ -41,6 +41,20 @@ func TestGaugeAddSet(t *testing.T) {
 	}
 }
 
+// TestGaugeFuncIsSampledAtSnapshot: a registered function is read when
+// a snapshot is taken, not before, and shows among the gauges.
+func TestGaugeFuncIsSampledAtSnapshot(t *testing.T) {
+	r := NewRegistry()
+	var v int64 = 3
+	r.GaugeFunc("outstanding", func() int64 { return v })
+	v = 11
+	if got := r.Snapshot().Gauges["outstanding"]; got != 11 {
+		t.Fatalf("sampled gauge = %d, want 11", got)
+	}
+	var nilReg *Registry
+	nilReg.GaugeFunc("outstanding", func() int64 { return 1 }) // must not panic
+}
+
 func TestHistogramBucketBoundaries(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("lat", []float64{1, 10, 100})

@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"testing"
 )
@@ -118,29 +119,139 @@ func FuzzParseOptions(f *testing.F) {
 	})
 }
 
-// FuzzChunkFrames feeds arbitrary bytes to both frame scanners: they
-// must never panic, never yield more bytes than the stream carries,
-// and for well-formed input produced by FrameWriter the FrameReader
-// must return exactly the original payload.
+// refFrames is the byte-at-a-time reference the in-place scanner is
+// held to: it walks a frame stream one byte per step, keeps nothing
+// but the verified payload, and reports how a stream ends in the
+// scanner's own words — class, frame number and payload offset.
+func refFrames(data []byte) (payload []byte, frames int, err error) {
+	next := func() (byte, bool) {
+		if len(data) == 0 {
+			return 0, false
+		}
+		b := data[0]
+		data = data[1:]
+		return b, true
+	}
+	for {
+		var hdr [FrameHeaderLen]byte
+		for i := range hdr {
+			b, ok := next()
+			if !ok && i == 0 {
+				return payload, frames, nil
+			}
+			if !ok {
+				return payload, frames, fmt.Errorf("wire: torn frame header: %w", io.ErrUnexpectedEOF)
+			}
+			hdr[i] = b
+		}
+		length := uint32(hdr[0])<<24 | uint32(hdr[1])<<16 | uint32(hdr[2])<<8 | uint32(hdr[3])
+		if length == 0 || length > MaxFramePayload {
+			return payload, frames, fmt.Errorf("%w: frame %d at offset %d: length %d out of range",
+				ErrChecksum, frames, len(payload), length)
+		}
+		crc := ^uint32(0)
+		body := make([]byte, 0, length)
+		for i := uint32(0); i < length; i++ {
+			b, ok := next()
+			if !ok {
+				return payload, frames, fmt.Errorf("wire: torn frame payload: %w", io.ErrUnexpectedEOF)
+			}
+			crc = crcTable[byte(crc)^b] ^ crc>>8
+			body = append(body, b)
+		}
+		if want := uint32(hdr[4])<<24 | uint32(hdr[5])<<16 | uint32(hdr[6])<<8 | uint32(hdr[7]); ^crc != want {
+			return payload, frames, fmt.Errorf("%w: frame %d at offset %d", ErrChecksum, frames, len(payload))
+		}
+		payload = append(payload, body...)
+		frames++
+	}
+}
+
+// FuzzChunkFrames feeds arbitrary bytes to the in-place frame scanner,
+// cut into reads of a fuzzed size, as a differential against refFrames:
+// the same verified payload, the same frames — each returned exactly as
+// it lay in the input —, the same error class (ErrChecksum for a bad
+// length or CRC, io.ErrUnexpectedEOF for a tear) with the same frame and
+// offset in its message, never a panic, and never a byte written past
+// the frame's own FrameHeaderLen + length of the buffer. The two readers
+// built on the scanner must yield that payload and that encoded prefix,
+// and what FrameReader accepts must survive a FrameWriter round trip.
 func FuzzChunkFrames(f *testing.F) {
 	var framed bytes.Buffer
 	fw := NewFrameWriter(&framed)
 	if _, err := fw.Write([]byte("the quick brown fox")); err != nil {
 		f.Fatal(err)
 	}
-	f.Add(framed.Bytes())
-	f.Add([]byte{})
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
-	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4})
+	f.Add(framed.Bytes(), uint16(0))
+	f.Add([]byte{}, uint16(1))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0}, uint16(3))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 1, 2, 3, 4}, uint16(0))
+	f.Add(framed.Bytes()[:framed.Len()-4], uint16(5)) // torn payload
+	f.Add(append(framed.Bytes(), 0, 0, 0), uint16(2)) // torn header after a clean frame
 	// A valid frame with its payload flipped: CRC must catch it.
-	if framed.Len() > FrameHeaderLen {
-		bad := append([]byte(nil), framed.Bytes()...)
-		bad[FrameHeaderLen] ^= 0xFF
-		f.Add(bad)
-	}
+	bad := append([]byte(nil), framed.Bytes()...)
+	bad[FrameHeaderLen] ^= 0xFF
+	f.Add(append(framed.Bytes(), bad...), uint16(7))
 
-	f.Fuzz(func(t *testing.T, data []byte) {
+	f.Fuzz(func(t *testing.T, data []byte, piece uint16) {
+		wantPayload, wantFrames, wantErr := refFrames(data)
+
+		// The buffer is longer than any frame and painted, so a write past
+		// the frame shows.
+		const guard = 64
+		buf := make([]byte, MaxFrameLen+guard)
+		var r io.Reader = bytes.NewReader(data)
+		if piece > 0 {
+			r = &pieceReader{r: r, piece: int(piece)}
+		}
+		scan := NewFrameScanner(r)
+		var gotPayload []byte
+		var gotErr error
+		at := 0
+		for frames := 0; ; frames++ {
+			for i := range buf {
+				buf[i] = 0xA5
+			}
+			n, err := scan.ReadFrame(buf[:MaxFrameLen])
+			if err != nil {
+				if err != io.EOF {
+					gotErr = err
+				}
+				if n != 0 {
+					t.Fatalf("ReadFrame returned n=%d with %v", n, err)
+				}
+				if frames != wantFrames {
+					t.Fatalf("scanner verified %d frames, reference %d", frames, wantFrames)
+				}
+				break
+			}
+			if !bytes.Equal(buf[:n], data[at:at+n]) {
+				t.Fatalf("frame %d does not lie in the buffer as it lay in the stream", frames)
+			}
+			for i := n; i < len(buf); i++ {
+				if buf[i] != 0xA5 {
+					t.Fatalf("frame %d of %d encoded bytes: buffer written at %d", frames, n, i)
+				}
+			}
+			gotPayload = append(gotPayload, buf[FrameHeaderLen:n]...)
+			at += n
+		}
+		if !bytes.Equal(gotPayload, wantPayload) {
+			t.Fatalf("scanner payload %d bytes, reference %d", len(gotPayload), len(wantPayload))
+		}
+		switch {
+		case (gotErr == nil) != (wantErr == nil),
+			errors.Is(gotErr, ErrChecksum) != errors.Is(wantErr, ErrChecksum),
+			errors.Is(gotErr, io.ErrUnexpectedEOF) != errors.Is(wantErr, io.ErrUnexpectedEOF):
+			t.Fatalf("scanner ended with %v, reference with %v", gotErr, wantErr)
+		case gotErr != nil && gotErr.Error() != wantErr.Error():
+			t.Fatalf("scanner said %q, reference %q", gotErr, wantErr)
+		}
+
 		raw, err := readAll(NewFrameReader(bytes.NewReader(data)))
+		if !bytes.Equal(raw, wantPayload) || (err == nil) != (wantErr == nil) {
+			t.Fatalf("FrameReader: %d bytes, %v; reference %d bytes, %v", len(raw), err, len(wantPayload), wantErr)
+		}
 		if err == nil {
 			// Whatever the reader accepted must round-trip: re-framing
 			// the payload and stripping it again is the identity.
@@ -153,13 +264,23 @@ func FuzzChunkFrames(f *testing.F) {
 				t.Errorf("frame round-trip mismatch (%v)", rerr)
 			}
 		}
-		// The verifying (pass-through) scanner must yield a prefix it
-		// verified — at most the input itself.
-		passed, _ := readAll(NewVerifyingReader(bytes.NewReader(data)))
-		if len(passed) > len(data) {
-			t.Errorf("verifier yielded %d bytes from %d input", len(passed), len(data))
+		// The verifying (pass-through) reader yields the frames it
+		// verified, as they came.
+		if passed, _ := readAll(NewVerifyingReader(bytes.NewReader(data))); !bytes.Equal(passed, data[:at]) {
+			t.Errorf("verifier yielded %d bytes, the verified prefix is %d", len(passed), at)
 		}
 	})
+}
+
+// pieceReader yields at most piece bytes per Read: a transport that
+// cuts the stream anywhere.
+type pieceReader struct {
+	r     io.Reader
+	piece int
+}
+
+func (p *pieceReader) Read(b []byte) (int, error) {
+	return p.r.Read(b[:min(len(b), p.piece)])
 }
 
 // readAll drains r, returning what arrived before the first error and

@@ -141,10 +141,7 @@ func NewFrameWriter(w io.Writer) *FrameWriter {
 func (fw *FrameWriter) Write(p []byte) (int, error) {
 	var written int
 	for len(p) > 0 {
-		n := len(p)
-		if n > MaxFramePayload {
-			n = MaxFramePayload
-		}
+		n := min(len(p), MaxFramePayload)
 		binary.BigEndian.PutUint32(fw.buf[0:4], uint32(n))
 		binary.BigEndian.PutUint32(fw.buf[4:8], crc32.Checksum(p[:n], crcTable))
 		copy(fw.buf[FrameHeaderLen:], p[:n])
@@ -168,90 +165,101 @@ func FrameHeader(payload []byte) (hdr [FrameHeaderLen]byte) {
 	return hdr
 }
 
-// frameScanner reads a checksummed frame stream, verifying each frame's
-// CRC-32C. With strip=false (VerifyingReader) it yields the re-stamped
-// encoded frames, ready to forward to the next hop; with strip=true
-// (FrameReader) it yields the raw payload, for the sink.
-type frameScanner struct {
+// MaxFrameLen is the encoded size of the largest frame: the room a
+// buffer needs for FrameScanner.ReadFrame to land any frame in it.
+const MaxFrameLen = FrameHeaderLen + MaxFramePayload
+
+// FrameScanner reads a checksummed frame stream one frame at a time,
+// each straight into a buffer of the caller's and verified where it
+// landed: the one place a frame is parsed and its CRC-32C checked.
+type FrameScanner struct {
 	r      io.Reader
-	strip  bool
+	frame  int64 // frames verified so far
+	offset int64 // payload bytes verified so far
+}
+
+// NewFrameScanner returns a FrameScanner over r.
+func NewFrameScanner(r io.Reader) *FrameScanner { return &FrameScanner{r: r} }
+
+// ReadFrame reads the next frame into buf, which must hold MaxFrameLen
+// bytes, and returns its encoded length n: buf[:n] is [len|crc|payload],
+// the CRC checked against the payload as it lies there, and nothing past
+// buf[n] is written. A clean EOF at a frame boundary ends the stream; a
+// tear inside a frame is a transport event (io.ErrUnexpectedEOF —
+// transient); a bad length or CRC is ErrChecksum — detected corruption.
+func (s *FrameScanner) ReadFrame(buf []byte) (int, error) {
+	hdr := buf[:FrameHeaderLen]
+	if _, err := io.ReadFull(s.r, hdr); err != nil {
+		if errors.Is(err, io.EOF) {
+			return 0, io.EOF
+		}
+		return 0, fmt.Errorf("wire: torn frame header: %w", err)
+	}
+	length := binary.BigEndian.Uint32(hdr[0:4])
+	if length == 0 || length > MaxFramePayload {
+		return 0, fmt.Errorf("%w: frame %d at offset %d: length %d out of range",
+			ErrChecksum, s.frame, s.offset, length)
+	}
+	n := FrameHeaderLen + int(length)
+	payload := buf[FrameHeaderLen:n]
+	if _, err := io.ReadFull(s.r, payload); err != nil {
+		if errors.Is(err, io.EOF) {
+			err = io.ErrUnexpectedEOF
+		}
+		return 0, fmt.Errorf("wire: torn frame payload: %w", err)
+	}
+	if crc32.Checksum(payload, crcTable) != binary.BigEndian.Uint32(hdr[4:8]) {
+		return 0, fmt.Errorf("%w: frame %d at offset %d", ErrChecksum, s.frame, s.offset)
+	}
+	s.frame++
+	s.offset += int64(length)
+	return n, nil
+}
+
+// frameReader adapts a FrameScanner to io.Reader for the ends of a
+// session, which consume a byte stream: it scans each frame into a
+// buffer of its own and copies out of it, from skip on.
+type frameReader struct {
+	scan   FrameScanner
+	skip   int    // FrameHeaderLen to yield payload only, 0 the encoded frame
 	buf    []byte // one encoded frame
 	pos, n int    // unread window of buf
-	frame  int64  // frames verified so far
-	offset int64  // payload bytes verified so far
+}
+
+func newFrameReader(r io.Reader, skip int) frameReader {
+	return frameReader{scan: FrameScanner{r: r}, skip: skip, buf: make([]byte, MaxFrameLen)}
 }
 
 // VerifyingReader verifies a checksummed frame stream chunk by chunk
-// and yields the verified, re-stamped frames unchanged — the depot
-// forwarding path reads through one of these, so a corrupted chunk
-// surfaces as ErrChecksum at the first hop after the corruption.
-type VerifyingReader struct{ frameScanner }
+// and yields the verified frames unchanged, so a corrupted chunk
+// surfaces as ErrChecksum at the first reader after the corruption.
+type VerifyingReader struct{ frameReader }
 
 // NewVerifyingReader returns a VerifyingReader over r.
 func NewVerifyingReader(r io.Reader) *VerifyingReader {
-	return &VerifyingReader{frameScanner{r: r, buf: make([]byte, FrameHeaderLen+MaxFramePayload)}}
+	return &VerifyingReader{newFrameReader(r, 0)}
 }
 
 // FrameReader verifies a checksummed frame stream and yields the raw
 // payload with the framing stripped — the sink side of a checksummed
 // session.
-type FrameReader struct{ frameScanner }
+type FrameReader struct{ frameReader }
 
 // NewFrameReader returns a FrameReader over r.
 func NewFrameReader(r io.Reader) *FrameReader {
-	return &FrameReader{frameScanner{r: r, strip: true, buf: make([]byte, FrameHeaderLen+MaxFramePayload)}}
+	return &FrameReader{newFrameReader(r, FrameHeaderLen)}
 }
 
 // Read implements io.Reader over the verified stream.
-func (s *frameScanner) Read(p []byte) (int, error) {
+func (s *frameReader) Read(p []byte) (int, error) {
 	for s.pos >= s.n {
-		if err := s.fill(); err != nil {
+		n, err := s.scan.ReadFrame(s.buf)
+		if err != nil {
 			return 0, err
 		}
+		s.pos, s.n = s.skip, n
 	}
 	n := copy(p, s.buf[s.pos:s.n])
 	s.pos += n
 	return n, nil
-}
-
-// fill reads and verifies the next frame into buf. A clean EOF at a
-// frame boundary is the end of the stream; a tear inside a frame is a
-// transport event (io.ErrUnexpectedEOF — transient), while a bad
-// length or CRC is ErrChecksum — detected corruption.
-func (s *frameScanner) fill() error {
-	var hdr [FrameHeaderLen]byte
-	if _, err := io.ReadFull(s.r, hdr[:]); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
-		}
-		return fmt.Errorf("wire: torn frame header: %w", err)
-	}
-	length := binary.BigEndian.Uint32(hdr[0:4])
-	if length == 0 || length > MaxFramePayload {
-		return fmt.Errorf("%w: frame %d at offset %d: length %d out of range",
-			ErrChecksum, s.frame, s.offset, length)
-	}
-	payload := s.buf[FrameHeaderLen : FrameHeaderLen+int(length)]
-	if _, err := io.ReadFull(s.r, payload); err != nil {
-		if errors.Is(err, io.EOF) {
-			err = io.ErrUnexpectedEOF
-		}
-		return fmt.Errorf("wire: torn frame payload: %w", err)
-	}
-	sum := crc32.Checksum(payload, crcTable)
-	if sum != binary.BigEndian.Uint32(hdr[4:8]) {
-		return fmt.Errorf("%w: frame %d at offset %d", ErrChecksum, s.frame, s.offset)
-	}
-	if s.strip {
-		s.pos, s.n = FrameHeaderLen, FrameHeaderLen+int(length)
-	} else {
-		// Re-stamp: the forwarded frame header carries the CRC this hop
-		// computed over the bytes it verified, not the bytes it received.
-		binary.BigEndian.PutUint32(s.buf[0:4], length)
-		binary.BigEndian.PutUint32(s.buf[4:8], sum)
-		s.pos, s.n = 0, FrameHeaderLen+int(length)
-	}
-	s.frame++
-	s.offset += int64(length)
-	return nil
 }
