@@ -3,24 +3,21 @@
 // throughput regression beyond a threshold. It is the CI perf gate;
 // benchstat renders the human-readable comparison alongside it.
 //
-// Usage:
+// Usage, from the root of the head checkout:
 //
-//	benchgate -base-dir ../base [-head-dir .] [-count 6] \
-//	          [-base base.txt] [-head head.txt] \
+//	benchgate -base-dir ../base [-count 6] [-base base.txt] [-head head.txt] \
 //	          [-threshold 0.10] [-alpha 0.05] [-json head.json]
 //
-// With -base-dir, benchgate takes the samples itself: for every line
-// of bench/guarded.txt (-set) it builds the package's test binary in
-// both checkouts and runs the two alternately, -count rounds, writing
-// the `go test -bench` output of each side to -base and -head. Base
-// and head samples are taken seconds apart, so the minutes-long speed
-// drift of a shared machine cannot pass for a regression. Without
-// -base-dir it only compares: -base and -head name files sampled
-// earlier (make bench-guarded writes one).
+// For every line of bench/guarded.txt benchgate builds the package's
+// test binary in both checkouts and runs the two alternately, -count
+// rounds, writing the `go test -bench` output of each side to -base and
+// -head. Base and head samples are taken seconds apart, so the
+// minutes-long speed drift of a shared machine cannot pass for a
+// regression; there is no mode that compares files sampled one side
+// after the other.
 //
-// Both files hold repeated runs of the same benchmarks (go test
-// -count=N). For each benchmark present in both, benchgate takes the
-// ns/op samples, tests base vs head with a two-sided Mann-Whitney U
+// For each benchmark sampled on both sides, benchgate takes the ns/op
+// samples, tests base vs head with a two-sided Mann-Whitney U
 // test (exact null distribution — no normality assumption, which
 // -count=6 samples could not support), and declares a regression only
 // when the median slowdown exceeds -threshold AND the difference is
@@ -47,12 +44,10 @@ import (
 )
 
 var (
-	baseDir   = flag.String("base-dir", "", "checkout of the PR base: sample both checkouts, interleaved, before comparing")
-	headDir   = flag.String("head-dir", ".", "checkout of the PR head")
-	setPath   = flag.String("set", "bench/guarded.txt", "the guarded benchmark set, a path inside the head checkout")
+	baseDir   = flag.String("base-dir", "", "checkout of the PR base (required); the head is the working directory")
 	count     = flag.Int("count", 6, "rounds of sampling: samples per benchmark and side")
-	basePath  = flag.String("base", "base.txt", "bench output of the PR base")
-	headPath  = flag.String("head", "head.txt", "bench output of the PR head")
+	basePath  = flag.String("base", "base.txt", "where the bench output of the PR base goes")
+	headPath  = flag.String("head", "head.txt", "where the bench output of the PR head goes")
 	threshold = flag.Float64("threshold", 0.10, "maximum tolerated median slowdown (0.10 = 10%)")
 	alpha     = flag.Float64("alpha", 0.05, "two-sided significance level for the Mann-Whitney test")
 	jsonOut   = flag.String("json", "", "write the head samples and verdicts to this JSON file")
@@ -60,11 +55,13 @@ var (
 
 func main() {
 	flag.Parse()
-	if *baseDir != "" {
-		if err := sampleInto(*basePath, *headPath); err != nil {
-			fmt.Fprintln(os.Stderr, "benchgate:", err)
-			os.Exit(2)
-		}
+	if *baseDir == "" {
+		fmt.Fprintln(os.Stderr, "benchgate: -base-dir is required")
+		os.Exit(2)
+	}
+	if err := sampleInto(*basePath, *headPath); err != nil {
+		fmt.Fprintln(os.Stderr, "benchgate:", err)
+		os.Exit(2)
 	}
 	base, err := parseFile(*basePath)
 	if err != nil {
@@ -104,7 +101,7 @@ func sampleInto(basePath, headPath string) error {
 		return err
 	}
 	defer headOut.Close()
-	return sample(*baseDir, *headDir, *setPath, *count, baseOut, headOut)
+	return sample(*baseDir, ".", "bench/guarded.txt", *count, baseOut, headOut)
 }
 
 // parseFile reads one `go test -bench` output file into per-benchmark

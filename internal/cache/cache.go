@@ -487,21 +487,6 @@ func (c *Cache) Ranges(key wire.ContentDigest) []wire.ByteRange {
 	return out
 }
 
-// Holds reports whether the cache contiguously holds r. A false return
-// counts as a cache miss: callers ask on the serve path, deciding
-// between local serve and origin forward.
-func (c *Cache) Holds(key wire.ContentDigest, r wire.ByteRange) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e := c.entries[key]
-	if e != nil && r.Len > 0 && coverFrom(e.spans, r.Off) >= r.End() {
-		return true
-	}
-	c.stats.Misses++
-	addCounter(c.misses, 1)
-	return false
-}
-
 // Fits reports whether a range of n payload bytes could ever reside in
 // this cache: within the memory budget, or within the disk budget when
 // a spill directory is configured. Population paths ask before

@@ -23,6 +23,15 @@ func object(t *testing.T, seed int64, size int) ([]byte, wire.ContentDigest) {
 	return data, wire.ContentDigest{Size: int64(size), Sum: sha256.Sum256(data)}
 }
 
+// Holds reports whether the cache contiguously holds r, without
+// counting a serve attempt.
+func (c *Cache) Holds(key wire.ContentDigest, r wire.ByteRange) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	e := c.entries[key]
+	return e != nil && r.Len > 0 && coverFrom(e.spans, r.Off) >= r.End()
+}
+
 func readRange(t *testing.T, c *Cache, key wire.ContentDigest, r wire.ByteRange) []byte {
 	t.Helper()
 	rc, err := c.Open(key, r)
@@ -104,7 +113,7 @@ func TestMissesAndPartialCoverage(t *testing.T) {
 	if ks := c.Keys(); len(ks) != 0 {
 		t.Fatalf("partial object advertised in inventory: %+v", ks)
 	}
-	if st := c.Stats(); st.Misses != 2 || st.Hits != 0 {
+	if st := c.Stats(); st.Misses != 1 || st.Hits != 0 { // the one serve attempt
 		t.Fatalf("stats = %+v", st)
 	}
 }

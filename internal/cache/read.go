@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"os"
+	"sync"
 
 	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -30,20 +31,13 @@ func (c *Cache) Open(key wire.ContentDigest, r wire.ByteRange) (*Reader, error) 
 		if sp.end() <= r.Off || sp.off >= r.End() {
 			continue
 		}
-		skip := int64(0)
-		if r.Off > sp.off {
-			skip = r.Off - sp.off
-		}
-		take := sp.end()
-		if r.End() < take {
-			take = r.End()
-		}
+		skip := max(r.Off-sp.off, 0)
 		parts = append(parts, spanPart{
 			sp:     sp,
 			blocks: sp.blocks,
 			path:   sp.path,
 			skip:   skip,
-			take:   take - (sp.off + skip),
+			take:   min(sp.end(), r.End()) - (sp.off + skip),
 		})
 		c.lru.MoveToFront(sp.el)
 	}
@@ -69,7 +63,13 @@ type spanPart struct {
 // [len|crc|payload] frame as the cache stores it. Next is what a depot
 // serves a checksummed session from: the block lands in the caller's
 // buffer verified and ready to send. Read serves the payload alone.
+//
+// Close may come from another goroutine — a depot's handler closes the
+// reader its pump is still draining once the downstream has died — so mu
+// orders the two: Close waits for the block being read, and the read
+// after it finds the range at its end.
 type Reader struct {
+	mu    sync.Mutex
 	c     *Cache
 	parts []spanPart // the current part first
 	scan  *wire.FrameScanner
@@ -86,6 +86,12 @@ type Reader struct {
 // now starts with: the stored block itself, or — for a block the range
 // begins or ends inside — the part in range under a header of its own.
 func (rr *Reader) Next(buf []byte) (int, error) {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	return rr.next(buf)
+}
+
+func (rr *Reader) next(buf []byte) (int, error) {
 	for rr.rem == 0 {
 		if rr.scan != nil { // done with the current part
 			rr.file.Close()
@@ -145,11 +151,13 @@ func (rr *Reader) start(part spanPart) error {
 
 // Read implements io.Reader over the range's payload.
 func (rr *Reader) Read(p []byte) (int, error) {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
 	for rr.pos >= rr.n {
 		if rr.frame == nil {
 			rr.frame = bufpool.GetFrame()
 		}
-		n, err := rr.Next(*rr.frame)
+		n, err := rr.next(*rr.frame)
 		if err != nil {
 			return 0, err
 		}
@@ -179,17 +187,24 @@ func (rr *Reader) fail(err error) error {
 	rr.c.stats.Misses++
 	rr.c.mu.Unlock()
 	addCounter(rr.c.misses, 1)
-	rr.Close()
+	rr.release()
 	return err
 }
 
 // Close releases what the reader holds — an open disk handle, Read's
 // block buffer — and leaves it at the end of its range.
 func (rr *Reader) Close() error {
+	rr.mu.Lock()
+	defer rr.mu.Unlock()
+	rr.release()
+	return nil
+}
+
+func (rr *Reader) release() {
 	rr.file.Close() // nil while the part is in memory: refuses politely
 	bufpool.Put(rr.frame)
-	*rr = Reader{}
-	return nil
+	rr.parts, rr.scan, rr.file, rr.rem = nil, nil, nil, 0
+	rr.frame, rr.pos, rr.n = nil, 0, 0
 }
 
 // Tamper flips one payload byte of the cached frame covering off,

@@ -148,6 +148,47 @@ func TestReaderReturnsItsBuffer(t *testing.T) {
 	}
 }
 
+// TestReaderCloseUnderARead: Close from another goroutine waits for the
+// block being read and ends the range behind it — the reading side sees
+// whole blocks and then io.EOF, from memory and from a spilled file
+// (whose handle Close takes away), and the span is not blamed for it.
+func TestReaderCloseUnderARead(t *testing.T) {
+	data, key := object(t, 904, 4<<20)
+	for _, cfg := range []Config{{MemoryBytes: 8 << 20}, {MemoryBytes: 1, Dir: t.TempDir(), DiskBytes: 8 << 20}} {
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Put(key, 0, data)
+		rc, err := c.Open(key, wire.ByteRange{Off: 0, Len: key.Size})
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, ended := make(chan struct{}), make(chan error, 1)
+		go func() {
+			buf := make([]byte, wire.MaxFrameLen)
+			for i := 0; ; i++ {
+				_, err := rc.Next(buf)
+				if i == 0 {
+					close(first)
+				}
+				if err != nil {
+					ended <- err
+					return
+				}
+			}
+		}()
+		<-first
+		rc.Close()
+		if err := <-ended; err != io.EOF {
+			t.Fatalf("dir %q: the read under a Close ended with %v, want io.EOF", cfg.Dir, err)
+		}
+		if !c.Holds(key, wire.ByteRange{Off: 0, Len: key.Size}) {
+			t.Fatalf("dir %q: a closed reader cost the cache its span", cfg.Dir)
+		}
+	}
+}
+
 // TestFillWriteFrameAdoptsTheProvenCRC: verified frames that are the
 // fill's own blocks are stored as they arrive — the same bytes Write
 // would have made of the payload, under the header they came with —

@@ -66,7 +66,7 @@ func TestCachedColdThenWarm(t *testing.T) {
 		if c == nil {
 			t.Fatalf("DepotCache(%s) = nil", host)
 		}
-		if !c.Holds(digest, wire.ByteRange{Off: 0, Len: size}) {
+		if rs := c.Ranges(digest); len(rs) != 1 || rs[0] != (wire.ByteRange{Off: 0, Len: size}) {
 			t.Fatalf("%s cache does not hold the object after the cold run", host)
 		}
 	}

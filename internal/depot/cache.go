@@ -241,8 +241,7 @@ func (s *Server) cacheShortCircuit(sess *lsl.Session, f *flow, next wire.Endpoin
 // draining upstream, so mu orders the two.
 type cacheTap struct {
 	fill   *cache.Fill
-	write  func([]byte) (int, error) // fill.WriteFrame on a checksummed session, fill.Write on a plain one
-	framed bool
+	framed bool // a checksummed session: put is handed whole verified frames
 	mu     sync.Mutex
 	broken bool
 }
@@ -265,10 +264,7 @@ func (s *Server) cacheTap(h *wire.Header) *cacheTap {
 	if h.PathCount() > 1 {
 		fill.Partial()
 	}
-	if h.Checksummed() {
-		return &cacheTap{fill: fill, write: fill.WriteFrame, framed: true}
-	}
-	return &cacheTap{fill: fill, write: fill.Write}
+	return &cacheTap{fill: fill, framed: h.Checksummed()}
 }
 
 // put hands the fill what the pump is about to forward: a piece of a
@@ -283,7 +279,11 @@ func (t *cacheTap) put(p []byte) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if !t.broken {
-		_, err := t.write(p)
+		write := t.fill.Write
+		if t.framed {
+			write = t.fill.WriteFrame
+		}
+		_, err := write(p)
 		t.broken = err != nil
 	}
 }

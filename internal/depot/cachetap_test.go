@@ -343,7 +343,7 @@ func TestCacheDropAfterDeliveryIsFinal(t *testing.T) {
 	d := digestOf(payload)
 	for i := 0; i < 40; i++ {
 		id := sendDigested(t, h, epC, []wire.Endpoint{epB}, payload)
-		if !c.Holds(d, wire.ByteRange{Off: 0, Len: d.Size}) {
+		if rs := c.Ranges(d); len(rs) != 1 || rs[0] != (wire.ByteRange{Off: 0, Len: d.Size}) {
 			t.Fatalf("session %d (%s) delivered, cache does not hold it yet", i, id)
 		}
 		c.Drop(d)

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/netlogistics/lsl/internal/bufpool"
+	"github.com/netlogistics/lsl/internal/cache"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -214,6 +215,51 @@ func TestTappedSessionDownstreamDiesCommitsWhatWasProven(t *testing.T) {
 	}
 	if got := readCached(t, c, d, rs[0]); !bytes.Equal(got, payload[:rs[0].Len]) {
 		t.Fatal("cached prefix differs")
+	}
+}
+
+// TestCacheServeDownstreamDies: the same hang-up under a serve from the
+// cache, spilled or in memory. The pump returns on the failed write with
+// its reader still taking blocks from the cache reader the handler now
+// closes: the close must wait for the block being read and end the
+// stream behind it — no crash, no race, no serving on to nobody — and
+// every buffer comes back.
+func TestCacheServeDownstreamDies(t *testing.T) {
+	payload := randomPayload(14, 16<<20)
+	d := digestOf(payload)
+	for _, cfg := range []cache.Config{
+		{MemoryBytes: 32 << 20},
+		{MemoryBytes: 1 << 20, DiskBytes: 32 << 20, Dir: t.TempDir()},
+	} {
+		c, err := cache.New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Put(d, 0, payload); err != nil {
+			t.Fatal(err)
+		}
+		h := newHarness(t)
+		relay := h.addDepot(epB, Config{Cache: c, PipelineBytes: 256 << 10})
+		h.addDepot(epC, Config{Local: func(s *lsl.Session) error {
+			io.CopyN(io.Discard, s, 100<<10)
+			return nil // Handle closes the session under the relay's writes
+		}})
+		base := bufpool.Outstanding()
+		id, err := wire.NewSessionID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := lsl.OpenCacheServe(h.dialerFrom("10.0.0.1"), id, epA, epC,
+			[]wire.Endpoint{epB}, d, wire.ByteRange{Off: 0, Len: d.Size}, wire.ChunkChecksumOption())
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitFor(t, func() bool { return relay.Stats().Errors == 1 })
+		sess.Close()
+		buffersReturn(t, base)
+		if served := c.Stats().BytesServed; served >= d.Size {
+			t.Fatalf("dir %q: the cache served all %d bytes to a session that died in its first MB", cfg.Dir, served)
+		}
 	}
 }
 

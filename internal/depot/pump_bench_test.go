@@ -8,6 +8,7 @@ import (
 
 	"github.com/netlogistics/lsl/internal/fairshare"
 	"github.com/netlogistics/lsl/internal/lsl"
+	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -107,7 +108,11 @@ func BenchmarkWritePattern(b *testing.B) {
 // relays it in the kernel; armed carries CRC frames through a
 // fair-share depot, so it rides the pump with every stage the
 // benchmark's tcp-armed workload has. A fast path bought at the pump's
-// expense shows as armed slowing while plain gains.
+// expense shows as armed slowing while plain gains. armed-256K is armed
+// where a frame-sized chunk costs the most buffering: a 256 KiB
+// pipeline — three chunks — behind a sender that frames at 32 KiB, as
+// every core sender does, so each chunk is half empty; it reports the
+// time the depot's reader spent blocked on the full pipeline.
 func BenchmarkRelayTCP(b *testing.B) {
 	const size = 8 << 20
 	b.Run("plain", func(b *testing.B) {
@@ -121,21 +126,45 @@ func BenchmarkRelayTCP(b *testing.B) {
 			}
 		}
 	})
-	b.Run("armed", func(b *testing.B) {
-		rig := newTCPRig(b, Config{FairShare: fairshare.New(fairshare.Config{})})
-		rig.drain = func(s *lsl.Session) (int64, error) { return readCycle(wire.NewFrameReader(s)) }
-		b.SetBytes(size)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sess := rig.open(b, wire.ChunkChecksumOption(), wire.SessionWeightOption(2))
-			werr := writeCycle(wire.NewFrameWriter(sess), size)
-			sess.Close()
-			if got := <-rig.sunk; werr != nil || got.err != nil || got.bytes != size {
-				b.Fatalf("write err %v; sink read %d of %d bytes, err %v", werr, got.bytes, size, got.err)
+	armed := func(cfg Config, frame int) func(b *testing.B) {
+		return func(b *testing.B) {
+			reg := obs.NewRegistry()
+			cfg.FairShare, cfg.Metrics = fairshare.New(fairshare.Config{}), reg
+			rig := newTCPRig(b, cfg)
+			rig.drain = func(s *lsl.Session) (int64, error) { return readCycle(wire.NewFrameReader(s)) }
+			b.SetBytes(size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sess := rig.open(b, wire.ChunkChecksumOption(), wire.SessionWeightOption(2))
+				werr := writeCycle(pieceWriter{wire.NewFrameWriter(sess), frame}, size)
+				sess.Close()
+				if got := <-rig.sunk; werr != nil || got.err != nil || got.bytes != size {
+					b.Fatalf("write err %v; sink read %d of %d bytes, err %v", werr, got.bytes, size, got.err)
+				}
 			}
+			stall := float64(reg.Counter(MetricPumpStallNanos).Value()) / 1e6
+			b.ReportMetric(stall/(float64(b.N)*size/1e9), "stall-ms/GB")
 		}
-	})
+	}
+	b.Run("armed", armed(Config{}, wire.MaxFramePayload))
+	b.Run("armed-256K", armed(Config{PipelineBytes: 256 << 10}, 32<<10))
+}
+
+// pieceWriter hands w at most n bytes per Write: a sender that frames
+// at n.
+type pieceWriter struct {
+	w io.Writer
+	n int
+}
+
+func (p pieceWriter) Write(b []byte) (n int, err error) {
+	for len(b) > 0 && err == nil {
+		var m int
+		m, err = p.w.Write(b[:min(len(b), p.n)])
+		n, b = n+m, b[m:]
+	}
+	return n, err
 }
 
 // BenchmarkRelayTCPSmall opens, fills and closes one 4 KiB session per

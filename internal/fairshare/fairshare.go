@@ -30,17 +30,17 @@ import (
 	"sync"
 	"time"
 
-	"github.com/netlogistics/lsl/internal/wire"
+	"github.com/netlogistics/lsl/internal/bufpool"
 )
 
 // DefaultQuantum is the per-weight-unit byte credit of one round.
-// It matches the largest chunk the depot forwards — one whole
-// checksummed frame: DRR's fairness bound requires the quantum to be
+// It matches the largest chunk the depot forwards — the pool's larger
+// buffer, one whole checksummed frame: DRR's fairness bound requires the quantum to be
 // at least the maximum "packet" (here, chunk) size, because a round
 // tops an oversized request up in full whatever the flow's weight, and
 // exactly one chunk per unit weight per round keeps the schedule's
 // granularity as fine as the data path allows.
-const DefaultQuantum = wire.MaxFrameLen
+const DefaultQuantum = bufpool.FrameSize
 
 // Config parameterizes a Scheduler.
 type Config struct {
