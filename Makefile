@@ -106,12 +106,16 @@ BENCH_JSON ?= bench.json
 bench-gate:
 	$(GO) run ./cmd/benchgate -base-dir $(BASE) -count $(BENCH_COUNT) -threshold 0.10 -json $(BENCH_JSON)
 
-# Regenerate the canonical experiment log that EXPERIMENTS.md quotes
-# (seed 1, paper iteration counts). Rerun after changing anything under
-# internal/experiments, then re-check the numbers quoted per figure in
-# EXPERIMENTS.md against the fresh experiments_output.txt.
+# The exact-output check of the simulated-time experiments: every
+# internal/experiments registry entry that `lsl-exp all` runs and that
+# does not run over the emulated stack, at seed 1 and the default
+# parameters, compared byte for byte with
+# internal/experiments/testdata/experiments.golden (about a CPU-minute).
+# When a change is meant to move a number, regenerate the golden and
+# review its diff in the change:
+#   go test -tags golden ./internal/experiments -run TestGolden -update
 experiments:
-	$(GO) run ./cmd/lsl-exp -iterations 10 -measurements 20000 all > experiments_output.txt
+	$(GO) test -tags golden -count=1 -run '^TestGolden$$' ./internal/experiments
 
 # The documentation gates alone: godoc coverage of the protocol-facing
 # packages and markdown link resolution (also run by CI's docs job).

@@ -1,30 +1,15 @@
 // Command lsl-exp regenerates the paper's tables and figures and the
-// repository's ablation studies.
+// repository's ablation studies. Every name it accepts is an entry of
+// the internal/experiments registry; run it without arguments for the
+// list.
 //
 // Usage:
 //
 //	lsl-exp [flags] <experiment>
-//
-// Experiments:
-//
-//	rtts      Section 3 RTT table
-//	fig2      Figure 2: direct vs LSL bandwidth, UCSB→UIUC
-//	fig3      Figure 3: direct vs LSL bandwidth, UCSB→UF
-//	fig4      Figure 4: sequence traces via Houston
-//	fig5      Figure 5: sequence traces via Denver (32 MB knee)
-//	trees     Figures 6-8: MMP trees with and without ε
-//	fig9      Figures 9-10 + percentile table + 26% statistic
-//	fig11     Figure 11: core-depot box statistics
-//	striping  parallel-sublink throughput sweep (1..N stripes)
-//	multipath one transfer fanned across edge-disjoint depot routes
-//	fairness  weighted fair-sharing split through one scheduled depot
-//	loadgen   mesh load/soak harness: concurrent mixed-weight sessions
-//	integrity corruption inject-and-recover acceptance sweep
-//	ablate    all ablation sweeps (ε, buffer, loss, freshness, baseline)
-//	all       everything above
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,321 +21,81 @@ import (
 	"github.com/netlogistics/lsl/internal/workload"
 )
 
-var (
-	seed         = flag.Int64("seed", 1, "random seed for every experiment")
-	iterations   = flag.Int("iterations", 10, "runs per configuration for the Section 3 figures (paper: 10)")
-	measurements = flag.Int("measurements", 20000, "measurement budget for the aggregate evaluation (paper: 362,895)")
-	epsilon      = flag.Float64("epsilon", 0.1, "edge-equivalence for the tree comparison")
-	stripes      = flag.Int("stripes", 8, "largest stripe count for the striping sweep (doubling from 1)")
-	paths        = flag.Int("paths", 2, "largest route count for the multipath sweep (1..N)")
-	format       = flag.String("format", "table", "output format for figures: table or csv")
-	sessions     = flag.Int("sessions", 0, "session count for fairness/loadgen (0 = experiment default)")
-	arrival      = flag.String("arrival", "", "loadgen arrival process: poisson:<rate/s>, uniform:<gap>, burst:<n>:<gap>, or empty for all-at-once")
-	reliable     = flag.Bool("reliable", false, "loadgen soak mode: route transfers through retry + failover")
-	maxSessions  = flag.Int("max-sessions", 32, "loadgen per-depot concurrent session cap (0 = unlimited)")
-	queueDepth   = flag.Int("queue-depth", 64, "loadgen per-depot admission queue depth")
-)
-
 // parseArrival decodes the -arrival flag.
 func parseArrival(s string) (workload.ArrivalProcess, error) {
-	if s == "" {
+	kind, arg, _ := strings.Cut(s, ":")
+	switch kind {
+	case "":
 		return nil, nil
-	}
-	parts := strings.Split(s, ":")
-	switch parts[0] {
 	case "poisson":
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("arrival: want poisson:<rate/s>")
-		}
-		rate, err := strconv.ParseFloat(parts[1], 64)
-		if err != nil {
-			return nil, fmt.Errorf("arrival: %w", err)
-		}
-		return workload.PoissonArrivals{Rate: rate}, nil
+		rate, err := strconv.ParseFloat(arg, 64)
+		return workload.PoissonArrivals{Rate: rate}, err
 	case "uniform":
-		if len(parts) != 2 {
-			return nil, fmt.Errorf("arrival: want uniform:<gap>")
-		}
-		gap, err := time.ParseDuration(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("arrival: %w", err)
-		}
-		return workload.UniformArrivals{Every: gap}, nil
+		gap, err := time.ParseDuration(arg)
+		return workload.UniformArrivals{Every: gap}, err
 	case "burst":
-		if len(parts) != 3 {
-			return nil, fmt.Errorf("arrival: want burst:<n>:<gap>")
-		}
-		n, err := strconv.Atoi(parts[1])
-		if err != nil {
-			return nil, fmt.Errorf("arrival: %w", err)
-		}
-		gap, err := time.ParseDuration(parts[2])
-		if err != nil {
-			return nil, fmt.Errorf("arrival: %w", err)
-		}
-		return workload.BurstArrivals{Size: n, Gap: gap}, nil
+		n, gap, _ := strings.Cut(arg, ":")
+		size, err1 := strconv.Atoi(n)
+		every, err2 := time.ParseDuration(gap)
+		return workload.BurstArrivals{Size: size, Gap: every}, errors.Join(err1, err2)
 	}
-	return nil, fmt.Errorf("arrival: unknown process %q", parts[0])
-}
-
-// emit prints a figure result in the chosen format.
-func emit(table fmt.Stringer, csv func() string) {
-	if *format == "csv" {
-		fmt.Print(csv())
-		return
-	}
-	fmt.Println(table)
+	return nil, fmt.Errorf("unknown process %q (want poisson:<rate/s>, uniform:<gap> or burst:<n>:<gap>)", kind)
 }
 
 func main() {
+	p := experiments.DefaultParams()
+	flag.Int64Var(&p.Seed, "seed", p.Seed, "random seed for every experiment")
+	flag.IntVar(&p.Iterations, "iterations", p.Iterations, "runs per configuration for the Section 3 figures (paper: 10)")
+	flag.IntVar(&p.Measurements, "measurements", p.Measurements, "measurement budget for the aggregate evaluation (paper: 362,895)")
+	flag.Float64Var(&p.Epsilon, "epsilon", p.Epsilon, "edge-equivalence for the tree comparison")
+	flag.IntVar(&p.Stripes, "stripes", p.Stripes, "largest stripe count for the striping sweep (doubling from 1)")
+	flag.IntVar(&p.Paths, "paths", p.Paths, "largest route count for the multipath sweep (1..N)")
+	flag.IntVar(&p.Sessions, "sessions", p.Sessions, "session count for fairness/loadgen (0 = experiment default)")
+	flag.BoolVar(&p.Reliable, "reliable", p.Reliable, "loadgen soak mode: route transfers through retry + failover")
+	flag.IntVar(&p.MaxSessions, "max-sessions", p.MaxSessions, "loadgen per-depot concurrent session cap (0 = unlimited)")
+	flag.IntVar(&p.QueueDepth, "queue-depth", p.QueueDepth, "loadgen per-depot admission queue depth")
+	arrival := flag.String("arrival", "", "loadgen arrival process: poisson:<rate/s>, uniform:<gap>, burst:<n>:<gap>, or empty for all-at-once")
+	format := flag.String("format", "table", "output format: table or csv")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: lsl-exp [flags] <rtts|fig2|fig3|fig4|fig5|trees|fig9|fig11|striping|multipath|fairness|loadgen|integrity|matrix[-twopath|-planetlab|-abilene]|cacheoffload|ablate|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: lsl-exp [flags] <experiment>\n\n%s\nFlags:\n", experiments.Usage())
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-	if flag.NArg() != 1 {
+	if flag.NArg() != 1 || *format != "table" && *format != "csv" {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(flag.Arg(0)); err != nil {
+	arr, err := parseArrival(*arrival)
+	if err != nil {
+		fail(fmt.Errorf("-arrival %s: %w", *arrival, err))
+	}
+	p.Arrival = arr
+	entries, err := experiments.Lookup(flag.Arg(0))
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "lsl-exp:", err)
-		os.Exit(1)
+		flag.Usage()
+		os.Exit(2)
 	}
-}
-
-func run(name string) error {
-	switch name {
-	case "rtts":
-		return rtts()
-	case "fig2":
-		c, err := experiments.Fig2(*seed, *iterations)
+	csv := *format == "csv"
+	for i, e := range entries {
+		tables, err := e.Run(p)
 		if err != nil {
-			return err
+			fail(fmt.Errorf("%s: %w", e.Name, err))
 		}
-		emit(c, c.CSV)
-	case "fig3":
-		c, err := experiments.Fig3(*seed, *iterations)
-		if err != nil {
-			return err
-		}
-		emit(c, c.CSV)
-	case "fig4":
-		r, err := experiments.Fig4(*seed, *iterations)
-		if err != nil {
-			return err
-		}
-		emit(r, r.CSV)
-	case "fig5":
-		r, err := experiments.Fig5(*seed, *iterations)
-		if err != nil {
-			return err
-		}
-		emit(r, r.CSV)
-	case "trees":
-		fmt.Println(experiments.TreeComparison(*epsilon))
-	case "fig9", "fig10", "pct":
-		cfg := experiments.DefaultAggregate()
-		cfg.Seed = *seed
-		cfg.Measurements = *measurements
-		res, err := experiments.Aggregate(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res, res.CSV)
-	case "fig11":
-		cfg := experiments.DefaultCore()
-		cfg.Seed = *seed
-		res, err := experiments.Core(cfg)
-		if err != nil {
-			return err
-		}
-		emit(res, res.CSV)
-	case "matrix", "matrix-twopath", "matrix-planetlab", "matrix-abilene":
-		topoName := "twopath"
-		if idx := strings.IndexByte(name, '-'); idx >= 0 {
-			topoName = name[idx+1:]
-		}
-		out, err := experiments.DumpMeasurements(topoName, *seed, 5)
-		if err != nil {
-			return err
-		}
-		fmt.Print(out)
-	case "weather", "weather-twopath", "weather-planetlab", "weather-abilene":
-		topoName := "twopath"
-		if idx := strings.IndexByte(name, '-'); idx >= 0 {
-			topoName = name[idx+1:]
-		}
-		out, err := experiments.Weather(topoName, *seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(out)
-	case "nws":
-		out, err := experiments.NWSEvaluation(*seed)
-		if err != nil {
-			return err
-		}
-		fmt.Println(out)
-	case "striping":
-		cfg := experiments.DefaultStriping()
-		cfg.Seed = *seed
-		cfg.Stripes = nil
-		for n := 1; n <= *stripes; n *= 2 {
-			cfg.Stripes = append(cfg.Stripes, n)
-		}
-		rows, err := experiments.Striping(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatStriping(rows))
-		n, bw, err := experiments.SuggestedStripes(*stripes)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("scheduler suggests %d stripes (forecast %.2f Mbit/s)\n\n", n, bw)
-	case "multipath":
-		cfg := experiments.DefaultMultipath()
-		cfg.Seed = *seed
-		cfg.Paths = nil
-		for n := 1; n <= *paths; n++ {
-			cfg.Paths = append(cfg.Paths, n)
-		}
-		rows, err := experiments.Multipath(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatMultipath(rows))
-		n, bw, err := experiments.SuggestedPaths(*paths)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("scheduler suggests %d disjoint routes (aggregate forecast %.2f Mbit/s)\n\n", n, bw)
-	case "fairness":
-		cfg := experiments.DefaultFairness()
-		cfg.Seed = *seed
-		if *sessions > 0 {
-			cfg.Sessions = *sessions
-		}
-		r, err := experiments.Fairness(cfg)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatFairness(r))
-	case "loadgen":
-		arr, err := parseArrival(*arrival)
-		if err != nil {
-			return err
-		}
-		out, err := experiments.Loadgen(experiments.LoadgenConfig{
-			Seed:        *seed,
-			Sessions:    *sessions,
-			Arrival:     arr,
-			Reliable:    *reliable,
-			MaxSessions: *maxSessions,
-			QueueDepth:  *queueDepth,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Println(out)
-	case "robustness":
-		rows, err := experiments.Robustness(nil, *measurements/5)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatRobustness(rows))
-	case "integrity":
-		rows, err := experiments.Integrity(experiments.IntegrityConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatIntegrity(rows))
-	case "cacheoffload":
-		rows, err := experiments.CacheOffload(experiments.CacheOffloadConfig{Seed: *seed})
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatCacheOffload(rows))
-	case "ablate":
-		return ablate()
-	case "all":
-		for _, n := range []string{"rtts", "trees", "fig2", "fig3", "fig4", "fig5", "fig9", "fig11", "striping", "multipath", "fairness", "robustness", "cacheoffload", "ablate"} {
-			if err := run(n); err != nil {
-				return fmt.Errorf("%s: %w", n, err)
+		for j, t := range tables {
+			if !csv {
+				fmt.Println(t.Text())
+				continue
 			}
+			if i+j > 0 {
+				fmt.Println()
+			}
+			fmt.Print(t.CSV())
 		}
-	default:
-		return fmt.Errorf("unknown experiment %q", name)
 	}
-	return nil
 }
 
-func rtts() error {
-	rows, err := experiments.RTTs()
-	if err != nil {
-		return err
-	}
-	fmt.Println("Section 3 round-trip times:")
-	for _, r := range rows {
-		fmt.Println(" ", r)
-	}
-	fmt.Println()
-	return nil
-}
-
-func ablate() error {
-	eps, err := experiments.EpsilonSweep(*seed, nil, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.FormatEpsilonSweep(eps))
-
-	buf, err := experiments.BufferSweep(*seed, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.FormatBufferSweep(buf))
-
-	loss, err := experiments.LossSweep(*seed, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.FormatLossSweep(loss))
-
-	fresh, err := experiments.FreshnessSweep(*seed, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.FormatFreshnessSweep(fresh))
-
-	base, err := experiments.BaselineComparison(*seed, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.FormatBaselineComparison(base))
-
-	aware, err := experiments.HostAwareComparison(*seed, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.FormatHostAwareComparison(aware))
-
-	ps, err := experiments.PSocketsComparison(*seed, 0, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.FormatPSocketsComparison(ps))
-
-	cont, err := experiments.ContentionSweep(*seed, nil)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.FormatContentionSweep(cont))
-
-	d, s1, s2, err := experiments.CwndTraces(*seed, 0)
-	if err != nil {
-		return err
-	}
-	fmt.Println(experiments.FormatCwndTraces(d, s1, s2))
-	return nil
+func fail(err error) {
+	fmt.Fprintln(os.Stderr, "lsl-exp:", err)
+	os.Exit(1)
 }

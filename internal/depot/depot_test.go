@@ -424,44 +424,3 @@ func TestShutdownDrainsSessions(t *testing.T) {
 		t.Fatal("shutdown did not complete after session drained")
 	}
 }
-
-func TestOpenCheckedDetectsRefusal(t *testing.T) {
-	h := newHarness(t)
-	block := make(chan struct{})
-	defer close(block)
-	h.addDepot(epB, Config{
-		MaxSessions: 1,
-		Local: func(s *lsl.Session) error {
-			<-block
-			io.Copy(io.Discard, s)
-			return nil
-		},
-	})
-	// Occupy the slot.
-	s1, err := lsl.Open(h.dialerFrom("10.0.0.1"), epA, epB, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s1.Close()
-	waitFor(t, func() bool { return h.servers[epB].Stats().Accepted == 1 })
-
-	_, err = lsl.OpenChecked(h.dialerFrom("10.0.0.1"), epA, epB, nil, 2*time.Second)
-	if err != lsl.ErrRefused {
-		t.Fatalf("err = %v, want ErrRefused", err)
-	}
-}
-
-func TestOpenCheckedAcceptsQuietly(t *testing.T) {
-	h := newHarness(t)
-	h.addDepot(epB, Config{})
-	sess, err := lsl.OpenChecked(h.dialerFrom("10.0.0.1"), epA, epB, nil, 20*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	payload := []byte("after the grace period")
-	sess.Write(payload)
-	sess.Close()
-	if got := h.waitDelivery(sess.ID()); !bytes.Equal(got, payload) {
-		t.Fatalf("delivered %q", got)
-	}
-}

@@ -25,9 +25,11 @@ var ErrInjected = errors.New("depot: injected fault")
 //   - RefuseConnect: every new transport connection is closed before
 //     the session header is read, as a crashed depot process behind a
 //     live address would. Persistent until disarmed.
-//   - DropAfter(n): the session transport is torn down after n payload
-//     bytes have entered this depot. One-shot: the fault disarms after
-//     firing, modelling a depot that dies once mid-stream.
+//   - DropAfter(n): once more than n payload bytes have entered this
+//     depot, the next read of a session transport that has already
+//     carried payload is discarded and the transport torn down. One-shot:
+//     the fault disarms after firing, modelling a depot that dies once
+//     mid-stream.
 //   - StallAfter(n, d): after n payload bytes the depot stops reading
 //     for d, modelling a wedged process. One-shot.
 //   - CorruptAfter(n): the first chunk read past n payload bytes has a
@@ -66,8 +68,8 @@ func (f *FaultInjector) Clear() {
 func (f *FaultInjector) RefuseConnect(on bool) { f.refuse.Store(on) }
 
 // DropAfter arms a one-shot transport teardown after n payload bytes
-// (counted across sessions since the last Clear; n=0 drops the first
-// chunk).
+// (counted across sessions since the last Clear; n=0 drops a
+// transport's second chunk).
 func (f *FaultInjector) DropAfter(n int64) {
 	f.seen.Store(0)
 	f.dropAfter.Store(n)
@@ -116,20 +118,13 @@ func (f *FaultInjector) wrap(conn net.Conn, met *obs.Counter) net.Conn {
 // consumes the session from.
 type faultConn struct {
 	net.Conn
-	f   *FaultInjector
-	met *obs.Counter
+	f       *FaultInjector
+	met     *obs.Counter
+	carried int64 // payload bytes read so far; Read has one caller
 }
 
 func (c *faultConn) Read(p []byte) (int, error) {
 	f := c.f
-	if d := f.dropAfter.Load(); d >= 0 && f.seen.Load() >= d {
-		if f.dropAfter.CompareAndSwap(d, -1) {
-			f.injected.Add(1)
-			c.met.Inc()
-			c.Conn.Close()
-			return 0, fmt.Errorf("%w: drop after %d bytes", ErrInjected, d)
-		}
-	}
 	if st := f.stallAfter.Load(); st >= 0 && f.seen.Load() >= st {
 		if f.stallAfter.CompareAndSwap(st, -1) {
 			f.injected.Add(1)
@@ -145,6 +140,21 @@ func (c *faultConn) Read(p []byte) (int, error) {
 			p[0] ^= 0xFF
 		}
 	}
-	f.seen.Add(int64(n))
+	seen := f.seen.Add(int64(n))
+	carried := c.carried
+	c.carried += int64(n)
+	// The drop discards a read that carries bytes, on a transport that
+	// has carried some before, so the torn session is always mid-stream:
+	// it has delivered a prefix to resume from and loses the rest.
+	// Checking before the read instead would tear whichever transport
+	// read next, possibly one at its end reading only EOF.
+	if d := f.dropAfter.Load(); d >= 0 && n > 0 && carried > 0 && seen > d {
+		if f.dropAfter.CompareAndSwap(d, -1) {
+			f.injected.Add(1)
+			c.met.Inc()
+			c.Conn.Close()
+			return 0, fmt.Errorf("%w: drop after %d bytes", ErrInjected, d)
+		}
+	}
 	return n, err
 }

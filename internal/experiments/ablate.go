@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 
 	"github.com/netlogistics/lsl/internal/graph"
 	"github.com/netlogistics/lsl/internal/netsim"
@@ -35,15 +33,9 @@ func EpsilonSweep(seed int64, epsilons []float64, measurements int) ([]EpsilonRo
 	t := topo.PlanetLab(topo.DefaultPlanetLab(), seed)
 	rows := make([]EpsilonRow, 0, len(epsilons))
 	for _, eps := range epsilons {
-		planner, err := schedule.NewPlanner(t, eps)
-		if err != nil {
-			return nil, err
-		}
 		rng := rand.New(rand.NewSource(seed + 1))
-		if err := planner.Prime(rng, 20); err != nil {
-			return nil, err
-		}
-		if err := planner.Replan(); err != nil {
+		planner, err := primedPlanner(t, eps, rng, 20, false)
+		if err != nil {
 			return nil, err
 		}
 		frac, err := planner.RelayedFraction()
@@ -78,43 +70,30 @@ func EpsilonSweep(seed int64, epsilons []float64, measurements int) ([]EpsilonRo
 		if len(eligible) > 0 {
 			genRng := rand.New(rand.NewSource(seed + 2))
 			genRng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
-			if len(eligible) > 60 {
-				eligible = eligible[:60]
-			}
-			eng := netsim.New(seed + 3)
-			runner := workload.NewRunner(t, planner, eng, rng)
+			eligible = eligible[:min(len(eligible), 60)]
+			runner := workload.NewRunner(t, planner, netsim.New(seed+3), rng)
 			gen := workload.NewPoolGenerator(eligible, genRng)
 			gen.MaxExp = 5
 			if err := runner.Run(gen, measurements); err != nil {
 				return nil, err
 			}
-			var sum float64
-			var n int
-			for _, xs := range runner.Agg.Speedups() {
-				for _, x := range xs {
-					sum += x
-					n++
-				}
-			}
-			if n > 0 {
-				row.MeanSpeedup = sum / float64(n)
-			}
+			row.MeanSpeedup, _ = meanSpeedup(runner.Agg)
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
 }
 
-// FormatEpsilonSweep renders the sweep.
-func FormatEpsilonSweep(rows []EpsilonRow) string {
-	var b strings.Builder
-	b.WriteString("Ablation: edge-equivalence epsilon\n")
-	fmt.Fprintf(&b, "%8s %10s %11s %12s\n", "epsilon", "relayed%", "relays/path", "mean speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%8.2f %9.1f%% %11.2f %11.3fx\n",
-			r.Epsilon, 100*r.RelayedFraction, r.MeanRelays, r.MeanSpeedup)
-	}
-	return b.String()
+// epsilonTable renders the sweep.
+func epsilonTable(rows []EpsilonRow) Table {
+	return tableOf("Ablation: edge-equivalence epsilon", []Column{
+		{"epsilon", "%8.2f", "epsilon", "%g"},
+		{"relayed%", "%9.1f%%", "relayed_pct", "%.2f"},
+		{"relays/path", "%11.2f", "relays_per_path", "%.4f"},
+		{"mean speedup", "%11.3fx", "mean_speedup", "%.4f"},
+	}, rows, func(r EpsilonRow) []any {
+		return []any{r.Epsilon, 100 * r.RelayedFraction, r.MeanRelays, r.MeanSpeedup}
+	})
 }
 
 // BufferRow summarizes one depot-pipeline size.
@@ -155,16 +134,15 @@ func BufferSweep(seed int64, sizes []int64) ([]BufferRow, error) {
 	return rows, nil
 }
 
-// FormatBufferSweep renders the sweep.
-func FormatBufferSweep(rows []BufferRow) string {
-	var b strings.Builder
-	b.WriteString("Ablation: depot pipeline buffer (64MB UCSB->UIUC via Denver)\n")
-	fmt.Fprintf(&b, "%10s %14s %12s\n", "buffer", "BW Mbit/s", "max lead MB")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%9dM %14.2f %12.1f\n",
-			r.PipelineBytes>>20, mbit(r.Bandwidth), float64(r.MaxLeadBytes)/(1<<20))
-	}
-	return b.String()
+// bufferTable renders the sweep.
+func bufferTable(rows []BufferRow) Table {
+	return tableOf("Ablation: depot pipeline buffer (64MB UCSB->UIUC via Denver)", []Column{
+		{"buffer", "%9dM", "buffer_mb", "%d"},
+		{"BW Mbit/s", "%14.2f", "bw_mbit", "%.4f"},
+		{"max lead MB", "%12.1f", "max_lead_mb", "%.4f"},
+	}, rows, func(r BufferRow) []any {
+		return []any{r.PipelineBytes >> 20, mbit(r.Bandwidth), float64(r.MaxLeadBytes) / (1 << 20)}
+	})
 }
 
 // LossRow summarizes the logistical effect at one loss rate.
@@ -226,16 +204,16 @@ func LossSweep(seed int64, losses []float64) ([]LossRow, error) {
 	return rows, nil
 }
 
-// FormatLossSweep renders the sweep.
-func FormatLossSweep(rows []LossRow) string {
-	var b strings.Builder
-	b.WriteString("Ablation: per-packet loss (32MB, 80ms path split at 40ms)\n")
-	fmt.Fprintf(&b, "%10s %14s %14s %9s\n", "loss", "direct Mbit/s", "LSL Mbit/s", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%10.1e %14.2f %14.2f %8.2fx\n",
-			r.Loss, mbit(r.DirectBW), mbit(r.RelayedBW), r.Speedup)
-	}
-	return b.String()
+// lossTable renders the sweep.
+func lossTable(rows []LossRow) Table {
+	return tableOf("Ablation: per-packet loss (32MB, 80ms path split at 40ms)", []Column{
+		{"loss", "%10.1e", "loss", "%g"},
+		{"direct Mbit/s", "%14.2f", "direct_mbit", "%.4f"},
+		{"LSL Mbit/s", "%14.2f", "lsl_mbit", "%.4f"},
+		{"speedup", "%8.2fx", "speedup", "%.4f"},
+	}, rows, func(r LossRow) []any {
+		return []any{r.Loss, mbit(r.DirectBW), mbit(r.RelayedBW), r.Speedup}
+	})
 }
 
 // FreshnessRow compares scheduling freshness policies.
@@ -269,10 +247,7 @@ func FreshnessSweep(seed int64, measurements int) ([]FreshnessRow, error) {
 		cfg := AggregateConfig{
 			Seed:         seed,
 			Measurements: measurements,
-			Hosts:        142,
-			Epsilon:      schedule.DefaultEpsilon,
 			ReplanEvery:  pol.replanEvery,
-			PrimeSamples: 20,
 			LoadDrift:    0.04,
 		}
 		res, err := Aggregate(cfg)
@@ -294,15 +269,15 @@ func FreshnessSweep(seed int64, measurements int) ([]FreshnessRow, error) {
 	return rows, nil
 }
 
-// FormatFreshnessSweep renders the sweep.
-func FormatFreshnessSweep(rows []FreshnessRow) string {
-	var b strings.Builder
-	b.WriteString("Ablation: scheduling freshness\n")
-	fmt.Fprintf(&b, "%-20s %12s %8s\n", "policy", "mean speedup", "cases")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-20s %11.3fx %8d\n", r.Policy, r.MeanSpeedup, r.Cases)
-	}
-	return b.String()
+// freshnessTable renders the sweep.
+func freshnessTable(rows []FreshnessRow) Table {
+	return tableOf("Ablation: scheduling freshness", []Column{
+		{"policy", "%-20s", "policy", "%s"},
+		{"mean speedup", "%11.3fx", "mean_speedup", "%.4f"},
+		{"cases", "%8d", "cases", "%d"},
+	}, rows, func(r FreshnessRow) []any {
+		return []any{r.Policy, r.MeanSpeedup, r.Cases}
+	})
 }
 
 // BaselineRow compares path metrics.
@@ -322,43 +297,23 @@ func BaselineComparison(seed int64, measurements int) ([]BaselineRow, error) {
 		measurements = 4000
 	}
 	t := topo.PlanetLab(topo.DefaultPlanetLab(), seed)
-	planner, err := schedule.NewPlanner(t, schedule.DefaultEpsilon)
+	planner, err := primedPlanner(t, schedule.DefaultEpsilon, rand.New(rand.NewSource(seed+1)), 20, false)
 	if err != nil {
-		return nil, err
-	}
-	rng := rand.New(rand.NewSource(seed + 1))
-	if err := planner.Prime(rng, 20); err != nil {
-		return nil, err
-	}
-	if err := planner.Replan(); err != nil {
 		return nil, err
 	}
 	g := planner.Graph()
 
 	// Shared pool: pairs where minimax relays.
-	var eligible [][2]int
-	for s := 0; s < t.N(); s++ {
-		for d := 0; d < t.N(); d++ {
-			if s == d {
-				continue
-			}
-			if rel, err := planner.Relayed(s, d); err == nil && rel {
-				eligible = append(eligible, [2]int{s, d})
-			}
-		}
-	}
-	genRng := rand.New(rand.NewSource(seed + 2))
-	genRng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
-	if len(eligible) > 80 {
-		eligible = eligible[:80]
+	pool, err := pairPool(t.N(), rand.New(rand.NewSource(seed+2)), 80, func(s, d int) (bool, error) {
+		rel, err := planner.Relayed(s, d)
+		return err == nil && rel, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 
-	type metric struct {
-		name   string
-		pathTo func(s, d int) []int
-	}
 	spTrees := make(map[int]*graph.Tree)
-	spPath := func(s, d int) []int {
+	spPath := func(s, d int) ([]int, error) {
 		tree, ok := spTrees[s]
 		if !ok {
 			tree = graph.ShortestPathTree(g, graph.NodeID(s))
@@ -371,120 +326,169 @@ func BaselineComparison(seed int64, measurements int) ([]BaselineRow, error) {
 		for _, n := range nodes {
 			out = append(out, int(n))
 		}
-		for _, h := range out[1:maxInt(len(out)-1, 1)] {
+		for _, h := range out[1:max(len(out)-1, 1)] {
 			if !t.Hosts[h].Depot {
-				return []int{s, d}
+				return []int{s, d}, nil
 			}
 		}
-		return out
+		return out, nil
 	}
-	mmPath := func(s, d int) []int {
+	mmPath := func(s, d int) ([]int, error) {
 		p, err := planner.Path(s, d)
 		if err != nil || p == nil {
-			return []int{s, d}
+			return []int{s, d}, nil
 		}
-		return p
+		return p, nil
 	}
-	directPath := func(s, d int) []int { return []int{s, d} }
+	directPath := func(s, d int) ([]int, error) { return []int{s, d}, nil }
 
-	metrics := []metric{
+	// One test schedule shared by every metric (common random numbers),
+	// so the comparison reflects the path metric and not sampling noise.
+	tests := drawTests(rand.New(rand.NewSource(seed+4)), pool, measurements)
+	var rows []BaselineRow
+	for _, m := range []struct {
+		name  string
+		route func(s, d int) ([]int, error)
+	}{
 		{"minimax (paper)", mmPath},
 		{"shortest-path sum", spPath},
 		{"always direct", directPath},
-	}
-
-	// Pre-generate one test schedule shared by every policy (common
-	// random numbers), so the comparison reflects the path metric and
-	// not sampling noise.
-	type testCase struct {
-		pair      [2]int
-		size      int64
-		scheduled bool
-	}
-	gen := rand.New(rand.NewSource(seed + 4))
-	tests := make([]testCase, measurements)
-	for i := range tests {
-		tests[i] = testCase{
-			pair:      eligible[gen.Intn(len(eligible))],
-			size:      int64(1) << (20 + gen.Intn(7)),
-			scheduled: gen.Intn(2) == 0,
+	} {
+		speedup, relays, n, err := measureTests(t, tests, seed+3, seed+5, m.route)
+		if err != nil {
+			return nil, err
 		}
-	}
-
-	rows := make([]BaselineRow, 0, len(metrics))
-	for _, m := range metrics {
-		eng := netsim.New(seed + 3)
-		loadRng := rand.New(rand.NewSource(seed + 5))
-		agg := stats.NewSpeedupAggregator()
-		var hops, paths int
-		for _, tc := range tests {
-			pair, size := tc.pair, tc.size
-			key := stats.CaseKey{
-				Source: t.Hosts[pair[0]].Name,
-				Dest:   t.Hosts[pair[1]].Name,
-				Size:   size,
-			}
-			if !tc.scheduled {
-				res, err := pipesim.Run(eng, t.DirectChain(pair[0], pair[1], size, loadRng, false))
-				if err != nil {
-					return nil, err
-				}
-				agg.AddDirect(key, res.Bandwidth)
-			} else {
-				path := m.pathTo(pair[0], pair[1])
-				hops += len(path) - 2
-				paths++
-				var chain pipesim.Chain
-				var err error
-				if len(path) > 2 {
-					chain, err = t.RelayChain(path, size, loadRng, false)
-					if err != nil {
-						return nil, err
-					}
-				} else {
-					chain = t.DirectChain(pair[0], pair[1], size, loadRng, false)
-				}
-				res, err := pipesim.Run(eng, chain)
-				if err != nil {
-					return nil, err
-				}
-				agg.AddScheduled(key, res.Bandwidth)
-			}
-		}
-		var sum float64
-		var n int
-		for _, xs := range agg.Speedups() {
-			for _, x := range xs {
-				sum += x
-				n++
-			}
-		}
-		row := BaselineRow{Metric: m.name, Cases: n}
-		if n > 0 {
-			row.MeanSpeedup = sum / float64(n)
-		}
-		if paths > 0 {
-			row.MeanHops = float64(hops) / float64(paths)
-		}
-		rows = append(rows, row)
+		rows = append(rows, BaselineRow{Metric: m.name, MeanSpeedup: speedup, MeanHops: relays, Cases: n})
 	}
 	return rows, nil
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
+// primedPlanner builds a planner over t, primes every pair with
+// samples NWS observations drawn from rng, and plans once.
+func primedPlanner(t *topo.Topology, epsilon float64, rng *rand.Rand, samples int, hostTransit bool) (*schedule.Planner, error) {
+	p, err := schedule.NewPlanner(t, epsilon)
+	if err != nil {
+		return nil, err
 	}
-	return b
+	p.HostTransit = hostTransit
+	if err := p.Prime(rng, samples); err != nil {
+		return nil, err
+	}
+	return p, p.Replan()
 }
 
-// FormatBaselineComparison renders the comparison.
-func FormatBaselineComparison(rows []BaselineRow) string {
-	var b strings.Builder
-	b.WriteString("Ablation: path metric (same relayed-pair pool)\n")
-	fmt.Fprintf(&b, "%-20s %12s %12s %8s\n", "metric", "mean speedup", "relays/path", "cases")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-20s %11.3fx %12.2f %8d\n", r.Metric, r.MeanSpeedup, r.MeanHops, r.Cases)
+// pairPool lists the ordered host pairs keep accepts, shuffled by rng
+// and cut to at most limit.
+func pairPool(n int, rng *rand.Rand, limit int, keep func(s, d int) (bool, error)) ([][2]int, error) {
+	var pool [][2]int
+	for s := 0; s < n; s++ {
+		for d := 0; d < n; d++ {
+			if s == d {
+				continue
+			}
+			ok, err := keep(s, d)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				pool = append(pool, [2]int{s, d})
+			}
+		}
 	}
-	return b.String()
+	rng.Shuffle(len(pool), func(i, j int) { pool[i], pool[j] = pool[j], pool[i] })
+	return pool[:min(len(pool), limit)], nil
+}
+
+// testCase is one pre-drawn measurement of a common-random-numbers
+// comparison: every variant measures the same schedule.
+type testCase struct {
+	pair      [2]int
+	size      int64
+	scheduled bool
+}
+
+// drawTests draws n tests over the pool: a pair, a size of 1-64 MB,
+// and whether the test goes direct or over the scheduled route.
+func drawTests(rng *rand.Rand, pool [][2]int, n int) []testCase {
+	tests := make([]testCase, n)
+	for i := range tests {
+		tests[i] = testCase{
+			pair:      pool[rng.Intn(len(pool))],
+			size:      int64(1) << (20 + rng.Intn(7)),
+			scheduled: rng.Intn(2) == 0,
+		}
+	}
+	return tests
+}
+
+// measureTests runs the tests on t — scheduled ones over route(s, d),
+// the rest direct — and returns the mean per-case speedup, the mean
+// relays per scheduled test, and the number of cases.
+func measureTests(t *topo.Topology, tests []testCase, engSeed, loadSeed int64, route func(s, d int) ([]int, error)) (speedup, relays float64, cases int, err error) {
+	eng := netsim.New(engSeed)
+	loadRng := rand.New(rand.NewSource(loadSeed))
+	agg := stats.NewSpeedupAggregator()
+	var hops, scheduled int
+	for _, tc := range tests {
+		s, d := tc.pair[0], tc.pair[1]
+		path := []int{s, d}
+		if tc.scheduled {
+			if path, err = route(s, d); err != nil {
+				return 0, 0, 0, err
+			}
+			hops += len(path) - 2
+			scheduled++
+		}
+		var chain pipesim.Chain
+		if len(path) > 2 {
+			if chain, err = t.RelayChain(path, tc.size, loadRng, false); err != nil {
+				return 0, 0, 0, err
+			}
+		} else {
+			chain = t.DirectChain(s, d, tc.size, loadRng, false)
+		}
+		res, err := pipesim.Run(eng, chain)
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		key := stats.CaseKey{Source: t.Hosts[s].Name, Dest: t.Hosts[d].Name, Size: tc.size}
+		if tc.scheduled {
+			agg.AddScheduled(key, res.Bandwidth)
+		} else {
+			agg.AddDirect(key, res.Bandwidth)
+		}
+	}
+	speedup, cases = meanSpeedup(agg)
+	if scheduled > 0 {
+		relays = float64(hops) / float64(scheduled)
+	}
+	return speedup, relays, cases, nil
+}
+
+// meanSpeedup is the mean speedup over every case, and the case count.
+func meanSpeedup(agg *stats.SpeedupAggregator) (float64, int) {
+	var sum float64
+	var n int
+	for _, xs := range agg.Speedups() {
+		for _, x := range xs {
+			sum += x
+			n++
+		}
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	return sum / float64(n), n
+}
+
+// baselineTable renders the comparison.
+func baselineTable(rows []BaselineRow) Table {
+	return tableOf("Ablation: path metric (same relayed-pair pool)", []Column{
+		{"metric", "%-20s", "metric", "%s"},
+		{"mean speedup", "%11.3fx", "mean_speedup", "%.4f"},
+		{"relays/path", "%12.2f", "relays_per_path", "%.4f"},
+		{"cases", "%8d", "cases", "%d"},
+	}, rows, func(r BaselineRow) []any {
+		return []any{r.Metric, r.MeanSpeedup, r.MeanHops, r.Cases}
+	})
 }

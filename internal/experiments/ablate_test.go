@@ -25,7 +25,7 @@ func TestEpsilonSweepMonotoneRelays(t *testing.T) {
 	if rows[2].RelayedFraction > 0.4 {
 		t.Fatalf("ε=0.3 relayed %.2f", rows[2].RelayedFraction)
 	}
-	if !strings.Contains(FormatEpsilonSweep(rows), "epsilon") {
+	if !strings.Contains(epsilonTable(rows).Text(), "epsilon") {
 		t.Fatal("rendering incomplete")
 	}
 }
@@ -52,7 +52,7 @@ func TestBufferSweepKneeTracksBuffer(t *testing.T) {
 			t.Fatalf("throughput sensitive to buffer: %+v", rows)
 		}
 	}
-	if !strings.Contains(FormatBufferSweep(rows), "buffer") {
+	if !strings.Contains(bufferTable(rows).Text(), "buffer") {
 		t.Fatal("rendering incomplete")
 	}
 }
@@ -70,7 +70,7 @@ func TestLossSweepSpeedupGrows(t *testing.T) {
 			t.Fatalf("degenerate row: %+v", r)
 		}
 	}
-	if !strings.Contains(FormatLossSweep(rows), "loss") {
+	if !strings.Contains(lossTable(rows).Text(), "loss") {
 		t.Fatal("rendering incomplete")
 	}
 }
@@ -88,7 +88,7 @@ func TestFreshnessSweepRuns(t *testing.T) {
 			t.Fatalf("empty row: %+v", r)
 		}
 	}
-	if !strings.Contains(FormatFreshnessSweep(rows), "policy") {
+	if !strings.Contains(freshnessTable(rows).Text(), "policy") {
 		t.Fatal("rendering incomplete")
 	}
 }
@@ -118,7 +118,7 @@ func TestBaselineComparison(t *testing.T) {
 	if diff < -0.02 || diff > 0.02 {
 		t.Fatalf("non-relaying baselines diverged: %+v", rows)
 	}
-	if !strings.Contains(FormatBaselineComparison(rows), "minimax") {
+	if !strings.Contains(baselineTable(rows).Text(), "minimax") {
 		t.Fatal("rendering incomplete")
 	}
 }

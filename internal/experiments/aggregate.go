@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 	"strings"
 
 	"github.com/netlogistics/lsl/internal/netsim"
@@ -23,16 +24,18 @@ type AggregateResult struct {
 	Rows            []stats.SizeRow
 }
 
-// AggregateConfig tunes the Figure 9/10 experiment.
+// AggregateConfig tunes the Figure 9/10 experiment. The pool is always
+// the paper's 142 hosts, each pair primed with aggregatePrime samples
+// and planned at the paper's ε.
 type AggregateConfig struct {
 	Seed         int64
-	Measurements int // executed measurements (paper: 362,895)
-	Hosts        int // pool size (paper: 142)
-	Epsilon      float64
+	Measurements int     // executed measurements (paper: 362,895)
 	ReplanEvery  int     // measurements between replans (paper: 5-minute cadence)
-	PrimeSamples int     // NWS history per pair before the first plan
 	LoadDrift    float64 // per-measurement σ of the slow host-load walk (0 = static loads)
 }
+
+// aggregatePrime is the NWS history per pair before the first plan.
+const aggregatePrime = 20
 
 // DefaultAggregate returns a configuration that keeps the experiment's
 // statistical shape at a laptop-friendly measurement count.
@@ -40,10 +43,7 @@ func DefaultAggregate() AggregateConfig {
 	return AggregateConfig{
 		Seed:         1,
 		Measurements: 20000,
-		Hosts:        142,
-		Epsilon:      schedule.DefaultEpsilon,
 		ReplanEvery:  2000,
-		PrimeSamples: 20,
 	}
 }
 
@@ -52,26 +52,13 @@ func Aggregate(cfg AggregateConfig) (AggregateResult, error) {
 	if cfg.Measurements <= 0 {
 		cfg = DefaultAggregate()
 	}
-	plCfg := topo.DefaultPlanetLab()
-	if cfg.Hosts > 0 {
-		plCfg.Hosts = cfg.Hosts
-	}
-	t := topo.PlanetLab(plCfg, cfg.Seed)
+	t := topo.PlanetLab(topo.DefaultPlanetLab(), cfg.Seed)
 	if cfg.LoadDrift > 0 {
 		t.EnableLoadDrift(cfg.LoadDrift)
 	}
-	planner, err := schedule.NewPlanner(t, cfg.Epsilon)
-	if err != nil {
-		return AggregateResult{}, err
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 100))
-	if cfg.PrimeSamples <= 0 {
-		cfg.PrimeSamples = 3
-	}
-	if err := planner.Prime(rng, cfg.PrimeSamples); err != nil {
-		return AggregateResult{}, err
-	}
-	if err := planner.Replan(); err != nil {
+	planner, err := primedPlanner(t, schedule.DefaultEpsilon, rng, aggregatePrime, false)
+	if err != nil {
 		return AggregateResult{}, err
 	}
 	frac, err := planner.RelayedFraction()
@@ -84,31 +71,12 @@ func Aggregate(cfg AggregateConfig) (AggregateResult, error) {
 	// accumulates several direct and several scheduled observations —
 	// the paper's per-case averaging needs both.
 	genRng := rand.New(rand.NewSource(cfg.Seed + 300))
-	var eligible [][2]int
-	for s := 0; s < t.N(); s++ {
-		for d := 0; d < t.N(); d++ {
-			if s == d {
-				continue
-			}
-			relayed, err := planner.Relayed(s, d)
-			if err != nil {
-				return AggregateResult{}, err
-			}
-			if relayed {
-				eligible = append(eligible, [2]int{s, d})
-			}
-		}
+	eligible, err := pairPool(t.N(), genRng, max(cfg.Measurements/140, 20), planner.Relayed)
+	if err != nil {
+		return AggregateResult{}, err
 	}
 	if len(eligible) == 0 {
 		return AggregateResult{}, fmt.Errorf("experiments: scheduler found no depot routes")
-	}
-	poolSize := cfg.Measurements / 140
-	if poolSize < 20 {
-		poolSize = 20
-	}
-	genRng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
-	if poolSize < len(eligible) {
-		eligible = eligible[:poolSize]
 	}
 
 	eng := netsim.New(cfg.Seed + 200)
@@ -130,25 +98,49 @@ func Aggregate(cfg AggregateConfig) (AggregateResult, error) {
 	}, nil
 }
 
-// String renders the Figure 9/10 report: mean speedup, quartiles, and
-// the crossover-percentile table per size.
-func (r AggregateResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Aggregate scheduling evaluation: %d hosts, %d measurements (%d tests skipped: direct route chosen)\n",
-		r.Hosts, r.Measurements, r.SkippedTests)
-	fmt.Fprintf(&b, "scheduler identified depot routes for %.0f%% of paths\n", 100*r.RelayedFraction)
-	fmt.Fprintf(&b, "%6s %6s %9s %8s %8s %8s %8s %8s %7s\n",
-		"size", "cases", "mean", "min", "q1", "median", "q3", "max", "pct>1")
-	for _, row := range r.Rows {
-		pct := fmt.Sprintf("%d", row.PctOver)
-		if !row.PctOK {
-			pct = ">100"
-		}
-		fmt.Fprintf(&b, "%6s %6d %8.3fx %8.3f %8.3f %8.3f %8.3f %8.3f %7s\n",
-			stats.FormatSize(row.Size), row.Cases, row.Mean,
-			row.Box.Min, row.Box.Q1, row.Box.Median, row.Box.Q3, row.Box.Max, pct)
+// crossover is a crossover percentile; -1 (speedup never passes 1)
+// prints as ">100" in text and as -1 in CSV.
+type crossover int
+
+func (c crossover) String() string {
+	if c < 0 {
+		return ">100"
 	}
-	return b.String()
+	return strconv.Itoa(int(c))
+}
+
+// sizeColumns are the per-size box-statistics columns shared by the
+// Figure 9/10 and Figure 11 tables.
+var sizeColumns = []Column{
+	{"min", "%8.3f", "min", "%.4f"},
+	{"q1", "%8.3f", "q1", "%.4f"},
+	{"median", "%8.3f", "median", "%.4f"},
+	{"q3", "%8.3f", "q3", "%.4f"},
+	{"max", "%8.3f", "max", "%.4f"},
+}
+
+// aggregateTable renders the Figure 9/10 report: mean speedup,
+// quartiles, and the crossover-percentile table per size.
+func aggregateTable(r AggregateResult) Table {
+	t := Table{
+		Title: fmt.Sprintf("Aggregate scheduling evaluation: %d hosts, %d measurements (%d tests skipped: direct route chosen)\n"+
+			"scheduler identified depot routes for %.0f%% of paths",
+			r.Hosts, r.Measurements, r.SkippedTests, 100*r.RelayedFraction),
+		Columns: append(append([]Column{
+			{"size", "%5dM", "size_mb", "%d"},
+			{"cases", "%6d", "cases", "%d"},
+			{"mean", "%8.3fx", "mean", "%.4f"},
+		}, sizeColumns...), Column{"pct>1", "%7s", "pct_over_1", "%d"}),
+	}
+	for _, row := range r.Rows {
+		pct := crossover(row.PctOver)
+		if !row.PctOK {
+			pct = -1
+		}
+		t.Rows = append(t.Rows, []any{row.Size >> 20, row.Cases, row.Mean,
+			row.Box.Min, row.Box.Q1, row.Box.Median, row.Box.Q3, row.Box.Max, pct})
+	}
+	return t
 }
 
 // CoreConfig tunes the Figure 11 experiment.
@@ -156,12 +148,11 @@ type CoreConfig struct {
 	Seed    int64
 	Reps16  int // repetitions per pair at 16 MB (paper: 10)
 	Reps128 int // repetitions per pair at 128 MB (paper: 5)
-	Epsilon float64
 }
 
 // DefaultCore matches the paper's second experiment.
 func DefaultCore() CoreConfig {
-	return CoreConfig{Seed: 1, Reps16: 10, Reps128: 5, Epsilon: schedule.DefaultEpsilon}
+	return CoreConfig{Seed: 1, Reps16: 10, Reps128: 5}
 }
 
 // CoreResult is the Figure 11 outcome.
@@ -186,15 +177,9 @@ func Core(cfg CoreConfig) (CoreResult, error) {
 		cfg = DefaultCore()
 	}
 	t := topo.AbileneCore(topo.DefaultAbileneCore(), cfg.Seed)
-	planner, err := schedule.NewPlanner(t, cfg.Epsilon)
-	if err != nil {
-		return CoreResult{}, err
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed + 1))
-	if err := planner.Prime(rng, 3); err != nil {
-		return CoreResult{}, err
-	}
-	if err := planner.Replan(); err != nil {
+	planner, err := primedPlanner(t, schedule.DefaultEpsilon, rng, 3, false)
+	if err != nil {
 		return CoreResult{}, err
 	}
 
@@ -234,21 +219,24 @@ func Core(cfg CoreConfig) (CoreResult, error) {
 	return res, nil
 }
 
-// String renders the Figure 11 box summary per transfer size.
-func (r CoreResult) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Core-depot evaluation: %d universities, %d core depots, %d measurements\n",
-		r.Universities, r.Depots, r.Measurements)
-	fmt.Fprintf(&b, "scheduler chose depot routes for %d/%d pairs\n", r.RelayedPairs, r.TotalPairs)
+// coreTable renders the Figure 11 box summary per transfer size.
+func coreTable(r CoreResult) Table {
+	title := fmt.Sprintf("Core-depot evaluation: %d universities, %d core depots, %d measurements\n"+
+		"scheduler chose depot routes for %d/%d pairs",
+		r.Universities, r.Depots, r.Measurements, r.RelayedPairs, r.TotalPairs)
 	if r.SampleRelayPath != nil {
-		fmt.Fprintf(&b, "sample scheduled path: %s\n", strings.Join(r.SampleRelayPath, " -> "))
+		title += "\nsample scheduled path: " + strings.Join(r.SampleRelayPath, " -> ")
 	}
-	fmt.Fprintf(&b, "%6s %6s %8s %8s %8s %8s %8s\n",
-		"size", "pairs", "min", "q1", "median", "q3", "max")
+	t := Table{
+		Title: title,
+		Columns: append([]Column{
+			{"size", "%5dM", "size_mb", "%d"},
+			{"pairs", "%6d", "pairs", "%d"},
+		}, sizeColumns...),
+	}
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%6s %6d %8.3f %8.3f %8.3f %8.3f %8.3f\n",
-			stats.FormatSize(row.Size), row.Cases,
-			row.Box.Min, row.Box.Q1, row.Box.Median, row.Box.Q3, row.Box.Max)
+		t.Rows = append(t.Rows, []any{row.Size >> 20, row.Cases,
+			row.Box.Min, row.Box.Q1, row.Box.Median, row.Box.Q3, row.Box.Max})
 	}
-	return b.String()
+	return t
 }

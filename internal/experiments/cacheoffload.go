@@ -2,33 +2,28 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
-	"time"
 
 	"github.com/netlogistics/lsl/internal/cache"
 	"github.com/netlogistics/lsl/internal/core"
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/obs"
-	"github.com/netlogistics/lsl/internal/retry"
-	"github.com/netlogistics/lsl/internal/simtime"
 	"github.com/netlogistics/lsl/internal/topo"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
 // CacheOffloadConfig parameterises the content-addressed cache
-// acceptance sweep. Zero fields take DefaultCacheOffload values.
+// acceptance sweep.
 type CacheOffloadConfig struct {
-	Seed       int64
-	Size       int64   // bytes per object
-	TimeScale  float64 // emulation time compression
-	Attempts   int     // retry budget per transfer
-	CacheBytes int64   // per-depot cache capacity
+	Seed int64
 }
 
-// DefaultCacheOffload is the configuration the acceptance run uses.
-func DefaultCacheOffload() CacheOffloadConfig {
-	return CacheOffloadConfig{Seed: 1, Size: 4 << 20, TimeScale: 0.01, Attempts: 6, CacheBytes: 64 << 20}
-}
+// The cache sweep's object size, emulation time compression, and
+// per-depot cache capacity.
+const (
+	cacheOffloadSize       = 4 << 20
+	cacheOffloadTimeScale  = 0.01
+	cacheOffloadCacheBytes = 64 << 20
+)
 
 // CacheOffloadRow is one phase's outcome over the shared system: the
 // cold population run, the warm repeat, and the repeat after the relay
@@ -54,33 +49,22 @@ type CacheOffloadRow struct {
 // them locally" argument of network logistics. Direct shortcuts are
 // trickles so the planner always picks the chain.
 func cacheOffloadTopology() (*topo.Topology, error) {
-	const (
-		mbit = 1e6 / 8
-		buf  = int64(8 << 20)
-	)
-	hosts := []topo.Host{
+	const buf = int64(8 << 20)
+	return wan("cacheoffload", []topo.Host{
 		{Name: "src", Site: "src", SndBuf: buf, RcvBuf: buf},
 		{Name: "relay-a", Site: "a", SndBuf: buf, RcvBuf: buf,
 			Depot: true, ForwardRate: 60e6, PipelineBytes: 256 << 10},
 		{Name: "relay-b", Site: "b", SndBuf: buf, RcvBuf: buf,
 			Depot: true, ForwardRate: 60e6, PipelineBytes: 256 << 10},
 		{Name: "dst", Site: "dst", SndBuf: buf, RcvBuf: buf},
-	}
-	tp, err := topo.New("cacheoffload", hosts)
-	if err != nil {
-		return nil, err
-	}
-	ms := simtime.Milliseconds
-	set := func(a, b string, capMbit float64) {
-		tp.SetLink(tp.MustHost(a), tp.MustHost(b), topo.Link{RTT: ms(10), Capacity: capMbit * mbit})
-	}
-	set("src", "relay-a", 10)
-	set("relay-a", "relay-b", 40)
-	set("relay-b", "dst", 100)
-	set("src", "dst", 2)
-	set("src", "relay-b", 4)
-	set("relay-a", "dst", 4)
-	return tp, nil
+	}, []wanLink{
+		{"src", "relay-a", 10, 10},
+		{"relay-a", "relay-b", 10, 40},
+		{"relay-b", "dst", 10, 100},
+		{"src", "dst", 10, 2},
+		{"src", "relay-b", 10, 4},
+		{"relay-a", "dst", 10, 4},
+	})
 }
 
 // CacheOffload runs the cache acceptance sweep on ONE system, because
@@ -92,31 +76,17 @@ func cacheOffloadTopology() (*topo.Topology, error) {
 // read, fall back to the origin, and still deliver a digest-verified
 // object.
 func CacheOffload(cfg CacheOffloadConfig) ([]CacheOffloadRow, error) {
-	def := DefaultCacheOffload()
-	if cfg.Size <= 0 {
-		cfg.Size = def.Size
-	}
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = def.TimeScale
-	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = def.Attempts
-	}
-	if cfg.CacheBytes <= 0 {
-		cfg.CacheBytes = def.CacheBytes
-	}
-
 	tp, err := cacheOffloadTopology()
 	if err != nil {
 		return nil, err
 	}
 	reg := obs.NewRegistry()
 	sys, err := core.NewSystem(tp, core.Config{
-		TimeScale:  cfg.TimeScale,
+		TimeScale:  cacheOffloadTimeScale,
 		Seed:       cfg.Seed,
 		Metrics:    reg,
 		Integrity:  true,
-		CacheBytes: cfg.CacheBytes,
+		CacheBytes: cacheOffloadCacheBytes,
 	})
 	if err != nil {
 		return nil, err
@@ -127,22 +97,12 @@ func CacheOffload(cfg CacheOffloadConfig) ([]CacheOffloadRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	pol := core.RecoveryPolicy{
-		Retry: retry.Policy{
-			MaxAttempts: cfg.Attempts,
-			BaseDelay:   2 * time.Millisecond,
-			MaxDelay:    20 * time.Millisecond,
-			Multiplier:  2,
-		},
-		AttemptTimeout: 10 * time.Second,
-	}
-
 	var rows []CacheOffloadRow
 	run := func(phase string) error {
 		hits0 := reg.Counter(cache.MetricHits).Value()
 		falls0 := reg.Counter(core.MetricCacheFallbacks).Value()
 		digest0 := reg.Counter(core.MetricDigestMismatches).Value()
-		res, terr := sys.TransferCached("src", "dst", id, cfg.Size, pol)
+		res, terr := sys.TransferCached("src", "dst", id, cacheOffloadSize, acceptancePolicy)
 		rows = append(rows, CacheOffloadRow{
 			Phase:       phase,
 			Bytes:       res.Bytes,
@@ -153,7 +113,7 @@ func CacheOffload(cfg CacheOffloadConfig) ([]CacheOffloadRow, error) {
 			CacheHits:   reg.Counter(cache.MetricHits).Value() - hits0,
 			Fallbacks:   reg.Counter(core.MetricCacheFallbacks).Value() - falls0,
 			Digest:      reg.Counter(core.MetricDigestMismatches).Value() - digest0,
-			Delivered:   terr == nil && res.Bytes == cfg.Size,
+			Delivered:   terr == nil && res.Bytes == cacheOffloadSize,
 		})
 		if terr != nil {
 			return fmt.Errorf("experiments: cacheoffload %s: %w", phase, terr)
@@ -167,7 +127,7 @@ func CacheOffload(cfg CacheOffloadConfig) ([]CacheOffloadRow, error) {
 	if err := run("warm"); err != nil {
 		return rows, err
 	}
-	obj := depot.PatternDigest(id, cfg.Size)
+	obj := depot.PatternDigest(id, cacheOffloadSize)
 	for _, host := range []string{"relay-a", "relay-b"} {
 		if c := sys.DepotCache(host); c != nil {
 			c.Tamper(obj, 0)
@@ -179,20 +139,31 @@ func CacheOffload(cfg CacheOffloadConfig) ([]CacheOffloadRow, error) {
 	return rows, nil
 }
 
-// FormatCacheOffload renders the sweep table plus a pass/fail verdict.
-func FormatCacheOffload(rows []CacheOffloadRow) string {
-	var b strings.Builder
-	b.WriteString("CacheOffload: repeat transfers served from depot caches, tamper falls back to origin\n")
-	fmt.Fprintf(&b, "%-8s %10s %10s %10s %-10s %10s %6s %6s %6s %10s\n",
-		"phase", "bytes", "origin_B", "cached_B", "holder", "Mbps", "hits", "fallbk", "digest", "delivered")
+// cacheOffloadTable renders the sweep table plus a pass/fail verdict.
+func cacheOffloadTable(rows []CacheOffloadRow) Table {
+	t := Table{
+		Title: "CacheOffload: repeat transfers served from depot caches, tamper falls back to origin",
+		Columns: []Column{
+			{"phase", "%-8s", "phase", "%s"},
+			{"bytes", "%10d", "bytes", "%d"},
+			{"origin_B", "%10d", "origin_bytes", "%d"},
+			{"cached_B", "%10d", "cached_bytes", "%d"},
+			{"holder", "%-10s", "holder", "%s"},
+			{"Mbps", "%10.2f", "mbps", "%.4f"},
+			{"hits", "%6d", "cache_hits", "%d"},
+			{"fallbk", "%6d", "fallbacks", "%d"},
+			{"digest", "%6d", "digest_mismatches", "%d"},
+			{"delivered", "%10v", "delivered", "%t"},
+		},
+	}
 	byPhase := make(map[string]CacheOffloadRow, len(rows))
 	for _, r := range rows {
 		holder := r.Holder
 		if holder == "" {
 			holder = "-"
 		}
-		fmt.Fprintf(&b, "%-8s %10d %10d %10d %-10s %10.2f %6d %6d %6d %10v\n",
-			r.Phase, r.Bytes, r.OriginBytes, r.CachedBytes, holder, r.Mbps, r.CacheHits, r.Fallbacks, r.Digest, r.Delivered)
+		t.Rows = append(t.Rows, []any{r.Phase, r.Bytes, r.OriginBytes, r.CachedBytes, holder,
+			r.Mbps, r.CacheHits, r.Fallbacks, r.Digest, r.Delivered})
 		byPhase[r.Phase] = r
 	}
 	cold, warm, tamper := byPhase["cold"], byPhase["warm"], byPhase["tamper"]
@@ -213,12 +184,12 @@ func FormatCacheOffload(rows []CacheOffloadRow) string {
 		ok = false // the sink's end-to-end digest must never mismatch
 	}
 	if cold.Mbps > 0 {
-		fmt.Fprintf(&b, "warm speedup: %.2fx over cold\n", warm.Mbps/cold.Mbps)
+		t.Notes = append(t.Notes, fmt.Sprintf("warm speedup: %.2fx over cold", warm.Mbps/cold.Mbps))
 	}
 	if ok {
-		b.WriteString("verdict: PASS — warm ≥2x cold with zero origin bytes, tamper recovered from origin\n")
+		t.Notes = append(t.Notes, "verdict: PASS — warm ≥2x cold with zero origin bytes, tamper recovered from origin")
 	} else {
-		b.WriteString("verdict: FAIL — see rows above\n")
+		t.Notes = append(t.Notes, "verdict: FAIL — see rows above")
 	}
-	return b.String()
+	return t
 }

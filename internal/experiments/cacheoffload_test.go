@@ -40,7 +40,7 @@ func TestCacheOffloadAcceptance(t *testing.T) {
 	if tamper.OriginBytes == 0 || tamper.Fallbacks < 1 {
 		t.Fatalf("tamper run did not fall back to origin: %+v", tamper)
 	}
-	out := FormatCacheOffload(rows)
+	out := cacheOffloadTable(rows).Text()
 	if !strings.Contains(out, "verdict: PASS") {
 		t.Fatalf("formatted sweep did not pass:\n%s", out)
 	}

@@ -1,13 +1,11 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"github.com/netlogistics/lsl/internal/netsim"
 	"github.com/netlogistics/lsl/internal/pipesim"
 	"github.com/netlogistics/lsl/internal/simtime"
 	"github.com/netlogistics/lsl/internal/tcpsim"
+	"github.com/netlogistics/lsl/internal/topo"
 	"github.com/netlogistics/lsl/internal/trace"
 )
 
@@ -54,7 +52,6 @@ func ContentionSweep(seed int64, levels []int) ([]ContentionRow, error) {
 
 	rows := make([]ContentionRow, 0, len(levels))
 	for _, k := range levels {
-		eng := netsim.New(seed)
 		shared := tcpsim.NewSharedLink(forwardRate)
 		chains := make([]pipesim.Chain, k)
 		for i := range chains {
@@ -70,42 +67,37 @@ func ContentionSweep(seed int64, levels []int) ([]ContentionRow, error) {
 				Depots: []pipesim.Depot{{}},
 			}
 		}
-		results, err := pipesim.RunMany(eng, chains)
+		results, span, err := makespan(chains, seed)
 		if err != nil {
 			return nil, err
 		}
-		var end simtime.Time
 		var per float64
 		for _, r := range results {
-			if r.End > end {
-				end = r.End
-			}
 			per += r.Bandwidth
 		}
 		per /= float64(k)
-		row := ContentionRow{
+		rows = append(rows, ContentionRow{
 			Sessions:    k,
 			PerSession:  per,
-			Aggregate:   float64(k) * size / end.Sub(results[0].Start).Seconds(),
+			Aggregate:   float64(k) * size / span,
 			DirectEach:  direct,
 			MeanSpeedup: per / direct,
-		}
-		rows = append(rows, row)
+		})
 	}
 	return rows, nil
 }
 
-// FormatContentionSweep renders the sweep.
-func FormatContentionSweep(rows []ContentionRow) string {
-	var b strings.Builder
-	b.WriteString("Ablation: depot forwarding contention (8MB sessions, 6MB/s depot host)\n")
-	fmt.Fprintf(&b, "%9s %16s %16s %16s %9s\n",
-		"sessions", "per-sess Mbit/s", "aggregate Mbit/s", "direct Mbit/s", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%9d %16.2f %16.2f %16.2f %8.2fx\n",
-			r.Sessions, mbit(r.PerSession), mbit(r.Aggregate), mbit(r.DirectEach), r.MeanSpeedup)
-	}
-	return b.String()
+// contentionTable renders the sweep.
+func contentionTable(rows []ContentionRow) Table {
+	return tableOf("Ablation: depot forwarding contention (8MB sessions, 6MB/s depot host)", []Column{
+		{"sessions", "%9d", "sessions", "%d"},
+		{"per-sess Mbit/s", "%16.2f", "per_session_mbit", "%.4f"},
+		{"aggregate Mbit/s", "%16.2f", "aggregate_mbit", "%.4f"},
+		{"direct Mbit/s", "%16.2f", "direct_mbit", "%.4f"},
+		{"speedup", "%8.2fx", "speedup", "%.4f"},
+	}, rows, func(r ContentionRow) []any {
+		return []any{r.Sessions, mbit(r.PerSession), mbit(r.Aggregate), mbit(r.DirectEach), r.MeanSpeedup}
+	})
 }
 
 // CwndTraces captures congestion-window sawtooths for the direct path
@@ -117,7 +109,8 @@ func CwndTraces(seed int64, size int64) (direct, sub1, sub2 *trace.Series, err e
 	if size <= 0 {
 		size = 32 << 20
 	}
-	t := BuildTwoPathChains()
+	tp := topo.TwoPath()
+	ucsb, hou, uf := tp.MustHost(topo.UCSB), tp.MustHost(topo.Houston), tp.MustHost(topo.UF)
 	eng := netsim.New(seed)
 
 	capture := func(c *tcpsim.Conn, s *trace.Series) {
@@ -129,7 +122,7 @@ func CwndTraces(seed int64, size int64) (direct, sub1, sub2 *trace.Series, err e
 	direct = trace.NewSeries("direct-cwnd")
 	src := tcpsim.NewByteSource(size)
 	dst := tcpsim.NewCountSink()
-	dc := tcpsim.New(eng, "direct", t.Direct, src, dst)
+	dc := tcpsim.New(eng, "direct", tp.PathConfig(ucsb, uf), src, dst)
 	capture(dc, direct)
 	dc.Start(0)
 	if _, err = eng.RunAll(); err != nil {
@@ -141,40 +134,20 @@ func CwndTraces(seed int64, size int64) (direct, sub1, sub2 *trace.Series, err e
 	eng = netsim.New(seed)
 	sub1 = trace.NewSeries("sublink1-cwnd")
 	sub2 = trace.NewSeries("sublink2-cwnd")
-	buf := newCwndBuffer()
-	c1 := tcpsim.New(eng, "s1", t.Sub1, tcpsim.NewByteSource(size), buf)
-	c2 := tcpsim.New(eng, "s2", t.Sub2, buf, tcpsim.NewCountSink())
+	buf := &cwndBuffer{}
+	first := tp.PathConfig(ucsb, hou)
+	c1 := tcpsim.New(eng, "s1", first, tcpsim.NewByteSource(size), buf)
+	c2 := tcpsim.New(eng, "s2", tp.PathConfig(hou, uf), buf, tcpsim.NewCountSink())
 	buf.producer, buf.consumer = c1, c2
 	c1.OnDone = func(simtime.Time) { buf.closed = true; c2.Wake() }
 	capture(c1, sub1)
 	capture(c2, sub2)
 	c1.Start(0)
-	c2.Start(simtime.Time(1.5 * float64(t.Sub1.RTT)))
+	c2.Start(simtime.Time(1.5 * float64(first.RTT)))
 	if _, err = eng.RunAll(); err != nil {
 		return nil, nil, nil, err
 	}
 	return direct, sub1, sub2, nil
-}
-
-// TwoPathChains carries the Figure 3 TCP parameter sets.
-type TwoPathChains struct {
-	Direct, Sub1, Sub2 tcpsim.Config
-}
-
-// BuildTwoPathChains extracts the UCSB→UF parameters from the testbed.
-func BuildTwoPathChains() TwoPathChains {
-	t, err := BuildTopology("twopath", 1)
-	if err != nil {
-		panic(err)
-	}
-	ucsb := t.MustHost("ash.ucsb.edu")
-	hou := t.MustHost("depot.houston.pop")
-	uf := t.MustHost("gator.ufl.edu")
-	return TwoPathChains{
-		Direct: t.PathConfig(ucsb, uf),
-		Sub1:   t.PathConfig(ucsb, hou),
-		Sub2:   t.PathConfig(hou, uf),
-	}
 }
 
 // cwndBuffer is a minimal unbounded depot buffer for the hand-wired
@@ -184,8 +157,6 @@ type cwndBuffer struct {
 	closed             bool
 	producer, consumer *tcpsim.Conn
 }
-
-func newCwndBuffer() *cwndBuffer { return &cwndBuffer{} }
 
 func (b *cwndBuffer) Free() int64 { return 32<<20 - b.occ }
 func (b *cwndBuffer) Put(n int64) {
@@ -203,25 +174,30 @@ func (b *cwndBuffer) Take(n int64) {
 }
 func (b *cwndBuffer) Exhausted() bool { return b.closed && b.occ == 0 }
 
-// FormatCwndTraces renders the three sawtooths on a common grid, cwnd
-// in KB.
-func FormatCwndTraces(direct, sub1, sub2 *trace.Series) string {
-	var b strings.Builder
-	b.WriteString("Congestion-window traces (KB): the split control loops recover faster\n")
+// cwndTable renders the three sawtooths on a common grid, cwnd in KB.
+func cwndTable(direct, sub1, sub2 *trace.Series) Table {
+	t := Table{
+		Title: "Congestion-window traces (KB): the split control loops recover faster",
+		Columns: []Column{
+			{"time(s)", "%8.2f", "time_s", "%.4f"},
+			{"direct", "%14.1f", "direct_kb", "%.2f"},
+			{"sublink1", "%14.1f", "sublink1_kb", "%.2f"},
+			{"sublink2", "%14.1f", "sublink2_kb", "%.2f"},
+		},
+	}
 	var end simtime.Time
 	for _, s := range []*trace.Series{direct, sub1, sub2} {
 		if f := s.Final().At; f > end {
 			end = f
 		}
 	}
-	fmt.Fprintf(&b, "%8s %14s %14s %14s\n", "time(s)", "direct", "sublink1", "sublink2")
 	const n = 30
 	for i := 0; i <= n; i++ {
 		ts := simtime.Time(end.Seconds() * float64(i) / n)
-		fmt.Fprintf(&b, "%8.2f %14.1f %14.1f %14.1f\n", ts.Seconds(),
-			float64(direct.AckedAt(ts))/1024,
-			float64(sub1.AckedAt(ts))/1024,
-			float64(sub2.AckedAt(ts))/1024)
+		t.Rows = append(t.Rows, []any{ts.Seconds(),
+			float64(direct.AckedAt(ts)) / 1024,
+			float64(sub1.AckedAt(ts)) / 1024,
+			float64(sub2.AckedAt(ts)) / 1024})
 	}
-	return b.String()
+	return t
 }

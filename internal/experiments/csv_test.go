@@ -1,34 +1,40 @@
 package experiments
 
 import (
+	"encoding/csv"
 	"strconv"
 	"strings"
 	"testing"
 )
 
+// parseCSV reads a table's CSV and checks every record is wantCols wide.
 func parseCSV(t *testing.T, out string, wantCols int) [][]string {
 	t.Helper()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) < 2 {
+	rows, err := csv.NewReader(strings.NewReader(out)).ReadAll()
+	if err != nil {
+		t.Fatalf("csv does not parse: %v\n%s", err, out)
+	}
+	if len(rows) < 2 {
 		t.Fatalf("csv too short:\n%s", out)
 	}
-	var rows [][]string
-	for i, l := range lines {
-		fields := strings.Split(l, ",")
-		if len(fields) != wantCols {
-			t.Fatalf("line %d has %d columns, want %d: %q", i, len(fields), wantCols, l)
+	for i, r := range rows {
+		if len(r) != wantCols {
+			t.Fatalf("line %d has %d columns, want %d: %q", i, len(r), wantCols, r)
 		}
-		rows = append(rows, fields)
 	}
 	return rows
 }
+
+// The tests below run the real experiments (small) and check the CSV
+// their registry tables render; TestTableRendersTextAndCSV covers the
+// same renderers over constructed results.
 
 func TestBandwidthCurveCSV(t *testing.T) {
 	c, err := Fig2(1, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := parseCSV(t, c.CSV(), 4)
+	rows := parseCSV(t, curveTable(c).CSV(), 4)
 	if rows[0][0] != "size_mb" {
 		t.Fatalf("header = %v", rows[0])
 	}
@@ -49,7 +55,7 @@ func TestSeqTracesCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := parseCSV(t, r.CSV(), 4)
+	rows := parseCSV(t, tracesTable(r).CSV(), 4)
 	if rows[0][0] != "time_s" {
 		t.Fatalf("header = %v", rows[0])
 	}
@@ -85,7 +91,7 @@ func TestAggregateCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := parseCSV(t, res.CSV(), 9)
+	rows := parseCSV(t, aggregateTable(res).CSV(), 9)
 	if rows[0][0] != "size_mb" {
 		t.Fatalf("header = %v", rows[0])
 	}
@@ -99,7 +105,7 @@ func TestCoreCSV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows := parseCSV(t, res.CSV(), 7)
+	rows := parseCSV(t, coreTable(res).CSV(), 7)
 	if len(rows) != 3 { // header + 16M + 128M
 		t.Fatalf("rows = %d", len(rows))
 	}

@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"github.com/netlogistics/lsl/internal/graph"
 )
 
 // Iterations are reduced relative to the paper's 10 runs to keep the
@@ -34,7 +36,7 @@ func TestFig2Shape(t *testing.T) {
 	if sp := c.LSLMbit[6] / c.DirectMbit[6]; sp < 1.3 {
 		t.Fatalf("64MB speedup = %.2f", sp)
 	}
-	if !strings.Contains(c.String(), "UIUC") {
+	if !strings.Contains(curveTable(c).Text(), "UIUC") {
 		t.Fatal("rendering should name the path")
 	}
 }
@@ -81,7 +83,7 @@ func TestFig4Shape(t *testing.T) {
 	if r.Sub1.Final().Acked != 64<<20 {
 		t.Fatalf("sublink 1 moved %d bytes", r.Sub1.Final().Acked)
 	}
-	if !strings.Contains(r.String(), "steady slopes") {
+	if !strings.Contains(tracesTable(r).Text(), "steady slopes") {
 		t.Fatal("rendering incomplete")
 	}
 }
@@ -160,7 +162,7 @@ func TestAggregateSmall(t *testing.T) {
 			t.Fatalf("row %v quartiles broken: %+v", row.Size, row.Box)
 		}
 	}
-	if !strings.Contains(res.String(), "depot routes") {
+	if !strings.Contains(aggregateTable(res).Text(), "depot routes") {
 		t.Fatal("rendering incomplete")
 	}
 }
@@ -237,7 +239,7 @@ func TestCoreSmall(t *testing.T) {
 			t.Fatalf("max speedup %.2f too small at %v", row.Box.Max, row.Size)
 		}
 	}
-	if !strings.Contains(res.String(), "Core-depot") {
+	if !strings.Contains(coreTable(res).Text(), "Core-depot") {
 		t.Fatal("rendering incomplete")
 	}
 }
@@ -253,8 +255,8 @@ func TestExampleGraphProperties(t *testing.T) {
 			if i == j {
 				continue
 			}
-			a := g.Cost(nodeID(i), nodeID(j))
-			b := g.Cost(nodeID(j), nodeID(i))
+			a := g.Cost(graph.NodeID(i), graph.NodeID(j))
+			b := g.Cost(graph.NodeID(j), graph.NodeID(i))
 			if a != b {
 				t.Fatalf("asymmetric edge %d-%d", i, j)
 			}

@@ -24,7 +24,7 @@ func TestHostAwareComparison(t *testing.T) {
 		t.Fatalf("host-aware (%0.3f) worse than paper (%0.3f)",
 			aware.MeanSpeedup, paper.MeanSpeedup)
 	}
-	if !strings.Contains(FormatHostAwareComparison(rows), "host-transit") {
+	if !strings.Contains(hostAwareTable(rows).Text(), "host-transit") {
 		t.Fatal("rendering incomplete")
 	}
 }
@@ -56,7 +56,7 @@ func TestPSocketsComparison(t *testing.T) {
 	if sp := byName["LSL + parallel x2"].Speedup; sp < byName["LSL via 1 depot"].Speedup {
 		t.Fatalf("composition did not help: %.2f", sp)
 	}
-	if !strings.Contains(FormatPSocketsComparison(rows), "PSockets") {
+	if !strings.Contains(psocketsTable(rows).Text(), "PSockets") {
 		t.Fatal("rendering incomplete")
 	}
 }
@@ -90,7 +90,7 @@ func TestContentionSweep(t *testing.T) {
 			t.Fatalf("aggregate %.0f exceeds the shared engine's budget", mb)
 		}
 	}
-	if !strings.Contains(FormatContentionSweep(rows), "contention") {
+	if !strings.Contains(contentionTable(rows).Text(), "contention") {
 		t.Fatal("rendering incomplete")
 	}
 }
@@ -114,7 +114,7 @@ func TestCwndTraces(t *testing.T) {
 			t.Fatalf("direct cwnd %d exceeds window", p.Acked)
 		}
 	}
-	out := FormatCwndTraces(direct, sub1, sub2)
+	out := cwndTable(direct, sub1, sub2).Text()
 	if !strings.Contains(out, "sublink1") {
 		t.Fatal("rendering incomplete")
 	}
@@ -136,7 +136,7 @@ func TestRobustness(t *testing.T) {
 			t.Fatalf("seed %d mean speedup %.3f outside plausible band", r.Seed, r.MeanSpeedup)
 		}
 	}
-	if !strings.Contains(FormatRobustness(rows), "across seeds") {
+	if !strings.Contains(robustnessTable(rows).Text(), "across seeds") {
 		t.Fatal("rendering incomplete")
 	}
 }

@@ -28,24 +28,21 @@ type FairnessConfig struct {
 	Size int64
 	// Weights are the competing classes (default 4, 2, 1).
 	Weights []uint16
-	// TrunkRate is the shared depot's scheduled downstream capacity in
-	// wall-clock bytes per second (default 16 MiB/s).
-	TrunkRate float64
-	// TimeScale compresses the emulation (default 0.05, as in the
-	// striping sweep whose topology this experiment reuses).
-	TimeScale float64
 }
+
+// fairnessTrunkRate is the shared depot's scheduled downstream
+// capacity in wall-clock bytes per second. The emulation runs at the
+// striping sweep's time scale, whose topology this experiment reuses.
+const fairnessTrunkRate = 16 << 20
 
 // DefaultFairness returns the configuration behind EXPERIMENTS.md's
 // fairness table.
 func DefaultFairness() FairnessConfig {
 	return FairnessConfig{
-		Seed:      1,
-		Sessions:  9,
-		Size:      1 << 20,
-		Weights:   []uint16{4, 2, 1},
-		TrunkRate: 16 << 20,
-		TimeScale: 0.05,
+		Seed:     1,
+		Sessions: 9,
+		Size:     1 << 20,
+		Weights:  []uint16{4, 2, 1},
 	}
 }
 
@@ -76,21 +73,15 @@ func Fairness(cfg FairnessConfig) (*FairnessResult, error) {
 	if len(cfg.Weights) == 0 {
 		cfg.Weights = def.Weights
 	}
-	if cfg.TrunkRate <= 0 {
-		cfg.TrunkRate = def.TrunkRate
-	}
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = def.TimeScale
-	}
 	tp, err := stripingTopology()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fairness: %w", err)
 	}
 	sys, err := core.NewSystem(tp, core.Config{
-		TimeScale: cfg.TimeScale,
+		TimeScale: stripingTimeScale,
 		Seed:      cfg.Seed,
 		Metrics:   obs.NewRegistry(),
-		FairShare: &fairshare.Config{Rate: cfg.TrunkRate},
+		FairShare: &fairshare.Config{Rate: fairnessTrunkRate},
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: fairness: %w", err)
@@ -127,11 +118,24 @@ func Fairness(cfg FairnessConfig) (*FairnessResult, error) {
 	}, nil
 }
 
-// FormatFairness renders the per-weight table and fairness indices.
-func FormatFairness(r *FairnessResult) string {
-	var b strings.Builder
-	b.WriteString("Fairness: mixed-weight sessions through one scheduled depot trunk\n")
-	fmt.Fprintf(&b, "%8s %10s %16s %16s\n", "weight", "sessions", "mean MB/s", "per-unit MB/s")
+// fairnessTable renders the per-weight table and fairness indices.
+func fairnessTable(r *FairnessResult) Table {
+	t := Table{
+		Title: "Fairness: mixed-weight sessions through one scheduled depot trunk",
+		Columns: []Column{
+			{"weight", "%8d", "weight", "%d"},
+			{"sessions", "%10d", "sessions", "%d"},
+			{"mean MB/s", "%16.2f", "mean_MBps", "%.4f"},
+			{"per-unit MB/s", "%16.2f", "per_unit_MBps", "%.4f"},
+		},
+		Notes: []string{
+			fmt.Sprintf("Jain index: %.3f raw, %.3f weight-normalized (1.0 = exact proportional split)",
+				r.Report.Jain, r.NormalizedJain),
+			fmt.Sprintf("completion latency (emulated): p50 %v  p95 %v  p99 %v",
+				r.Report.P50.Round(time.Millisecond), r.Report.P95.Round(time.Millisecond),
+				r.Report.P99.Round(time.Millisecond)),
+		},
+	}
 	ws := make([]int, 0, len(r.PerWeight))
 	for w := range r.PerWeight {
 		ws = append(ws, int(w))
@@ -146,14 +150,9 @@ func FormatFairness(r *FairnessResult) string {
 			}
 		}
 		mean := r.PerWeight[w]
-		fmt.Fprintf(&b, "%8d %10d %16.2f %16.2f\n", w, n, mean/1e6, mean/float64(w)/1e6)
+		t.Rows = append(t.Rows, []any{w, n, mean / 1e6, mean / float64(w) / 1e6})
 	}
-	fmt.Fprintf(&b, "Jain index: %.3f raw, %.3f weight-normalized (1.0 = exact proportional split)\n",
-		r.Report.Jain, r.NormalizedJain)
-	fmt.Fprintf(&b, "completion latency (emulated): p50 %v  p95 %v  p99 %v\n",
-		r.Report.P50.Round(time.Millisecond), r.Report.P95.Round(time.Millisecond),
-		r.Report.P99.Round(time.Millisecond))
-	return b.String()
+	return t
 }
 
 // LoadgenConfig parameterizes the mesh load / soak harness run.
@@ -168,8 +167,10 @@ type LoadgenConfig struct {
 	// so an aggressive load exercises queueing (0 = unlimited).
 	MaxSessions int
 	QueueDepth  int
-	TimeScale   float64
 }
+
+// loadgenTimeScale compresses the mesh load's emulated time.
+const loadgenTimeScale = 0.0005
 
 // DefaultLoadgen drives 200 mixed-size, mixed-weight sessions over the
 // paper's two-path testbed with bounded depot admission. A 32-session
@@ -181,25 +182,21 @@ func DefaultLoadgen() LoadgenConfig {
 		Sessions:    200,
 		MaxSessions: 32,
 		QueueDepth:  64,
-		TimeScale:   0.0005,
 	}
 }
 
 // Loadgen runs the mesh load harness over the two-path testbed —
 // work-conserving fair sharing on every depot, bounded admission — and
-// renders the report plus the depots' admission counters.
-func Loadgen(cfg LoadgenConfig) (string, error) {
-	def := DefaultLoadgen()
+// renders the report plus the depots' admission counters; the CSV
+// carries one record per session.
+func Loadgen(cfg LoadgenConfig) (Table, error) {
 	if cfg.Sessions <= 0 {
-		cfg.Sessions = def.Sessions
-	}
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = def.TimeScale
+		cfg.Sessions = DefaultLoadgen().Sessions
 	}
 	tp := topo.TwoPath()
 	reg := obs.NewRegistry()
 	sys, err := core.NewSystem(tp, core.Config{
-		TimeScale:   cfg.TimeScale,
+		TimeScale:   loadgenTimeScale,
 		Seed:        cfg.Seed,
 		Metrics:     reg,
 		FairShare:   &fairshare.Config{},
@@ -207,7 +204,7 @@ func Loadgen(cfg LoadgenConfig) (string, error) {
 		QueueDepth:  cfg.QueueDepth,
 	})
 	if err != nil {
-		return "", fmt.Errorf("experiments: loadgen: %w", err)
+		return Table{}, fmt.Errorf("experiments: loadgen: %w", err)
 	}
 	defer sys.Close()
 
@@ -221,11 +218,24 @@ func Loadgen(cfg LoadgenConfig) (string, error) {
 		Reliable: cfg.Reliable,
 		Seed:     cfg.Seed,
 	})
-	var b strings.Builder
-	b.WriteString("Loadgen: mesh load over the two-path testbed\n")
-	b.WriteString(rep.String())
-	fmt.Fprintf(&b, "admission: %d sessions queued, %d queue timeouts\n",
-		reg.Counter(depot.MetricAdmissionQueued).Value(),
-		reg.Counter(depot.MetricAdmissionTimeouts).Value())
-	return b.String(), nil
+	t := Table{
+		Title: "Loadgen: mesh load over the two-path testbed\n" + strings.TrimSuffix(rep.String(), "\n"),
+		Columns: []Column{
+			{Name: "session", CSV: "%d"},
+			{Name: "src", CSV: "%s"},
+			{Name: "dst", CSV: "%s"},
+			{Name: "weight", CSV: "%d"},
+			{Name: "size", CSV: "%d"},
+			{Name: "elapsed_s", CSV: "%.6f"},
+			{Name: "bandwidth_Bps", CSV: "%.0f"},
+			{Name: "ok", CSV: "%t"},
+		},
+		Notes: []string{fmt.Sprintf("admission: %d sessions queued, %d queue timeouts",
+			reg.Counter(depot.MetricAdmissionQueued).Value(),
+			reg.Counter(depot.MetricAdmissionTimeouts).Value())},
+	}
+	for _, s := range rep.Sessions {
+		t.Rows = append(t.Rows, []any{s.Index, s.Src, s.Dst, s.Weight, s.Size, s.Elapsed.Seconds(), s.Bandwidth, s.Err == nil})
+	}
+	return t, nil
 }

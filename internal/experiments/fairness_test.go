@@ -21,13 +21,13 @@ func TestFairnessProportionalSplit(t *testing.T) {
 	}
 	if r.NormalizedJain < 0.85 {
 		t.Fatalf("weight-normalized Jain %.3f, want ≥0.85:\n%s",
-			r.NormalizedJain, FormatFairness(r))
+			r.NormalizedJain, fairnessTable(r).Text())
 	}
 	if r.PerWeight[2] <= r.PerWeight[1] {
 		t.Fatalf("weight 2 mean %.0f not above weight 1 mean %.0f",
 			r.PerWeight[2], r.PerWeight[1])
 	}
-	out := FormatFairness(r)
+	out := fairnessTable(r).Text()
 	if !strings.Contains(out, "Jain index") {
 		t.Fatalf("rendering missing Jain line:\n%s", out)
 	}
@@ -36,7 +36,7 @@ func TestFairnessProportionalSplit(t *testing.T) {
 // TestLoadgenExperiment: the mesh load harness runs a paced burst load
 // with bounded admission and renders its report.
 func TestLoadgenExperiment(t *testing.T) {
-	out, err := Loadgen(LoadgenConfig{
+	tb, err := Loadgen(LoadgenConfig{
 		Sessions:    24,
 		MaxSessions: 4,
 		QueueDepth:  8,
@@ -45,6 +45,7 @@ func TestLoadgenExperiment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := tb.Text()
 	for _, want := range []string{"sessions 24", "Jain index", "admission:"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("report missing %q:\n%s", want, out)

@@ -1,13 +1,14 @@
 // Package experiments regenerates every table and figure of the
-// paper's evaluation. Each experiment has one entry point returning a
-// printable result; cmd/lsl-exp and the repository benchmarks are thin
-// wrappers around these.
+// paper's evaluation. Each experiment has a typed runner, which the
+// tests and the repository benchmarks read, and renders its result as
+// a Table. The registry (registry.go) names every experiment once, with
+// the DESIGN.md §4 rows it regenerates; cmd/lsl-exp is a loop over it,
+// and the golden test checks the simulated entries' exact output.
 package experiments
 
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 
 	"github.com/netlogistics/lsl/internal/netsim"
 	"github.com/netlogistics/lsl/internal/pipesim"
@@ -81,20 +82,25 @@ func Fig3(seed int64, iterations int) (BandwidthCurve, error) {
 		topo.UCSB, topo.Houston, topo.UF, 7, iterations, seed)
 }
 
-// String renders the curve as an aligned table in the paper's units.
-func (c BandwidthCurve) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (avg of %d runs, depot at %s)\n", c.Title, c.Iterations, c.Via)
-	fmt.Fprintf(&b, "%10s %14s %14s %9s\n", "size", "direct Mbit/s", "LSL Mbit/s", "speedup")
+// curveTable renders the curve in the paper's units.
+func curveTable(c BandwidthCurve) Table {
+	t := Table{
+		Title: fmt.Sprintf("%s (avg of %d runs, depot at %s)", c.Title, c.Iterations, c.Via),
+		Columns: []Column{
+			{"size", "%9dM", "size_mb", "%d"},
+			{"direct Mbit/s", "%14.2f", "direct_mbit", "%.4f"},
+			{"LSL Mbit/s", "%14.2f", "lsl_mbit", "%.4f"},
+			{"speedup", "%8.2fx", "speedup", "%.4f"},
+		},
+	}
 	for i, s := range c.Sizes {
 		speed := 0.0
 		if c.DirectMbit[i] > 0 {
 			speed = c.LSLMbit[i] / c.DirectMbit[i]
 		}
-		fmt.Fprintf(&b, "%9dM %14.2f %14.2f %8.2fx\n",
-			s>>20, c.DirectMbit[i], c.LSLMbit[i], speed)
+		t.Rows = append(t.Rows, []any{s >> 20, c.DirectMbit[i], c.LSLMbit[i], speed})
 	}
-	return b.String()
+	return t
 }
 
 // SeqTraces is the Figure 4/5 result: averaged acknowledged-sequence
@@ -204,19 +210,74 @@ func Fig5(seed int64, iterations int) (SeqTraces, error) {
 		topo.UCSB, topo.Denver, topo.UIUC, 64<<20, iterations, seed)
 }
 
-// String renders the traces and diagnostics.
-func (r SeqTraces) String() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (sequence numbers in MB)\n", r.Title)
-	b.WriteString(trace.Table([]*trace.Series{r.Sub1, r.Sub2, r.Direct}, 24))
-	fmt.Fprintf(&b, "steady slopes: sublink1=%.2f MB/s sublink2=%.2f MB/s direct=%.2f MB/s\n",
-		r.Sub1Slope/(1<<20), r.Sub2Slope/(1<<20), r.DirectSlope/(1<<20))
-	fmt.Fprintf(&b, "max sublink-1 lead over sublink-2: %.1f MB (depot pipeline %d MB)\n",
-		float64(r.MaxLead)/(1<<20), r.DepotPipeline>>20)
-	return b.String()
+// tracesTable renders the traces on a common time grid, acknowledged
+// sequence numbers in MB: 24 steps as text, 100 as CSV.
+func tracesTable(r SeqTraces) Table {
+	series := []*trace.Series{r.Sub1, r.Sub2, r.Direct}
+	var end simtime.Time
+	for _, s := range series {
+		if f := s.Final().At; f > end {
+			end = f
+		}
+	}
+	row := func(t float64) []any {
+		out := []any{t}
+		for _, s := range series {
+			out = append(out, float64(s.AckedAt(simtime.Time(t)))/(1<<20))
+		}
+		return out
+	}
+	t := Table{
+		Title: r.Title + " (sequence numbers in MB)",
+		Columns: []Column{
+			{"time(s)", "%10.2f", "time_s", "%.4f"},
+			{r.Sub1.Name, "%16.2f", "sublink1_mb", "%.4f"},
+			{r.Sub2.Name, "%16.2f", "sublink2_mb", "%.4f"},
+			{r.Direct.Name, "%16.2f", "direct_mb", "%.4f"},
+		},
+		Notes: []string{
+			fmt.Sprintf("steady slopes: sublink1=%.2f MB/s sublink2=%.2f MB/s direct=%.2f MB/s",
+				r.Sub1Slope/(1<<20), r.Sub2Slope/(1<<20), r.DirectSlope/(1<<20)),
+			fmt.Sprintf("max sublink-1 lead over sublink-2: %.1f MB (depot pipeline %d MB)",
+				float64(r.MaxLead)/(1<<20), r.DepotPipeline>>20),
+		},
+	}
+	if end > 0 {
+		step := end.Seconds() / 24
+		for i := 0; i <= 24; i++ {
+			t.Rows = append(t.Rows, row(step*float64(i)))
+		}
+	}
+	for i := 0; i <= 100; i++ {
+		t.CSVRows = append(t.CSVRows, row(end.Seconds()*float64(i)/100))
+	}
+	return t
 }
 
 // RTTs reproduces the Section 3 round-trip-time table.
 func RTTs() ([]string, error) {
 	return topo.TwoPath().RTTTable(topo.PaperRTTPairs())
+}
+
+// rttTable renders the RTT table; its CSV carries the raw RTTs.
+func rttTable() (Table, error) {
+	lines, err := RTTs()
+	if err != nil {
+		return Table{}, err
+	}
+	t := Table{
+		Title: "Section 3 round-trip times:",
+		Columns: []Column{
+			{Text: "  %s"},
+			{Name: "from", CSV: "%s"},
+			{Name: "to", CSV: "%s"},
+			{Name: "rtt_ms", CSV: "%.0f"},
+		},
+	}
+	tp := topo.TwoPath()
+	for i, p := range topo.PaperRTTPairs() {
+		rtt := tp.Link(tp.MustHost(p[0]), tp.MustHost(p[1])).RTT.Seconds() * 1e3
+		t.Rows = append(t.Rows, []any{lines[i], p[0], p[1], rtt})
+	}
+	return t, nil
 }

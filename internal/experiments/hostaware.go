@@ -1,14 +1,9 @@
 package experiments
 
 import (
-	"fmt"
 	"math/rand"
-	"strings"
 
-	"github.com/netlogistics/lsl/internal/netsim"
-	"github.com/netlogistics/lsl/internal/pipesim"
 	"github.com/netlogistics/lsl/internal/schedule"
-	"github.com/netlogistics/lsl/internal/stats"
 	"github.com/netlogistics/lsl/internal/topo"
 )
 
@@ -33,73 +28,32 @@ func HostAwareComparison(seed int64, measurements int) ([]HostAwareRow, error) {
 		measurements = 4000
 	}
 	t := topo.PlanetLab(topo.DefaultPlanetLab(), seed)
-
-	build := func(hostAware bool) (*schedule.Planner, error) {
-		p, err := schedule.NewPlanner(t, schedule.DefaultEpsilon)
-		if err != nil {
-			return nil, err
-		}
-		p.HostTransit = hostAware
-		rng := rand.New(rand.NewSource(seed + 1))
-		if err := p.Prime(rng, 20); err != nil {
-			return nil, err
-		}
-		if err := p.Replan(); err != nil {
-			return nil, err
-		}
-		return p, nil
-	}
-	paper, err := build(false)
+	paper, err := primedPlanner(t, schedule.DefaultEpsilon, rand.New(rand.NewSource(seed+1)), 20, false)
 	if err != nil {
 		return nil, err
 	}
-	aware, err := build(true)
+	aware, err := primedPlanner(t, schedule.DefaultEpsilon, rand.New(rand.NewSource(seed+1)), 20, true)
 	if err != nil {
 		return nil, err
 	}
 
 	// The shared pair pool: pairs either scheduler relays, so both
 	// variants face the same workload.
-	var eligible [][2]int
-	for s := 0; s < t.N(); s++ {
-		for d := 0; d < t.N(); d++ {
-			if s == d {
-				continue
-			}
-			r1, err := paper.Relayed(s, d)
-			if err != nil {
-				return nil, err
-			}
-			r2, err := aware.Relayed(s, d)
-			if err != nil {
-				return nil, err
-			}
-			if r1 || r2 {
-				eligible = append(eligible, [2]int{s, d})
-			}
-		}
-	}
 	genRng := rand.New(rand.NewSource(seed + 2))
-	genRng.Shuffle(len(eligible), func(i, j int) { eligible[i], eligible[j] = eligible[j], eligible[i] })
-	if len(eligible) > 80 {
-		eligible = eligible[:80]
-	}
-
-	type testCase struct {
-		pair      [2]int
-		size      int64
-		scheduled bool
-	}
-	tests := make([]testCase, measurements)
-	for i := range tests {
-		tests[i] = testCase{
-			pair:      eligible[genRng.Intn(len(eligible))],
-			size:      int64(1) << (20 + genRng.Intn(7)),
-			scheduled: genRng.Intn(2) == 0,
+	pool, err := pairPool(t.N(), genRng, 80, func(s, d int) (bool, error) {
+		r1, err := paper.Relayed(s, d)
+		if err != nil {
+			return false, err
 		}
+		r2, err := aware.Relayed(s, d)
+		return r1 || r2, err
+	})
+	if err != nil {
+		return nil, err
 	}
+	tests := drawTests(genRng, pool, measurements)
 
-	rows := make([]HostAwareRow, 0, 2)
+	var rows []HostAwareRow
 	for _, variant := range []struct {
 		name    string
 		planner *schedule.Planner
@@ -111,67 +65,23 @@ func HostAwareComparison(seed int64, measurements int) ([]HostAwareRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng := netsim.New(seed + 3)
-		loadRng := rand.New(rand.NewSource(seed + 4))
-		agg := stats.NewSpeedupAggregator()
-		for _, tc := range tests {
-			key := stats.CaseKey{
-				Source: t.Hosts[tc.pair[0]].Name,
-				Dest:   t.Hosts[tc.pair[1]].Name,
-				Size:   tc.size,
-			}
-			var chain pipesim.Chain
-			if tc.scheduled {
-				path, err := variant.planner.Path(tc.pair[0], tc.pair[1])
-				if err != nil {
-					return nil, err
-				}
-				if len(path) > 2 {
-					chain, err = t.RelayChain(path, tc.size, loadRng, false)
-					if err != nil {
-						return nil, err
-					}
-				} else {
-					chain = t.DirectChain(tc.pair[0], tc.pair[1], tc.size, loadRng, false)
-				}
-			} else {
-				chain = t.DirectChain(tc.pair[0], tc.pair[1], tc.size, loadRng, false)
-			}
-			res, err := pipesim.Run(eng, chain)
-			if err != nil {
-				return nil, err
-			}
-			if tc.scheduled {
-				agg.AddScheduled(key, res.Bandwidth)
-			} else {
-				agg.AddDirect(key, res.Bandwidth)
-			}
+		speedup, _, n, err := measureTests(t, tests, seed+3, seed+4, variant.planner.Path)
+		if err != nil {
+			return nil, err
 		}
-		var sum float64
-		var n int
-		for _, xs := range agg.Speedups() {
-			for _, x := range xs {
-				sum += x
-				n++
-			}
-		}
-		row := HostAwareRow{Scheduler: variant.name, RelayedFraction: frac, Cases: n}
-		if n > 0 {
-			row.MeanSpeedup = sum / float64(n)
-		}
-		rows = append(rows, row)
+		rows = append(rows, HostAwareRow{Scheduler: variant.name, RelayedFraction: frac, MeanSpeedup: speedup, Cases: n})
 	}
 	return rows, nil
 }
 
-// FormatHostAwareComparison renders the comparison.
-func FormatHostAwareComparison(rows []HostAwareRow) string {
-	var b strings.Builder
-	b.WriteString("Extension: host-transit-aware scheduling (paper's future work)\n")
-	fmt.Fprintf(&b, "%-22s %10s %12s %8s\n", "scheduler", "relayed%", "mean speedup", "cases")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-22s %9.1f%% %11.3fx %8d\n",
-			r.Scheduler, 100*r.RelayedFraction, r.MeanSpeedup, r.Cases)
-	}
-	return b.String()
+// hostAwareTable renders the comparison.
+func hostAwareTable(rows []HostAwareRow) Table {
+	return tableOf("Extension: host-transit-aware scheduling (paper's future work)", []Column{
+		{"scheduler", "%-22s", "scheduler", "%s"},
+		{"relayed%", "%9.1f%%", "relayed_pct", "%.2f"},
+		{"mean speedup", "%11.3fx", "mean_speedup", "%.4f"},
+		{"cases", "%8d", "cases", "%d"},
+	}, rows, func(r HostAwareRow) []any {
+		return []any{r.Scheduler, 100 * r.RelayedFraction, r.MeanSpeedup, r.Cases}
+	})
 }

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"github.com/netlogistics/lsl/internal/core"
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/retry"
-	"github.com/netlogistics/lsl/internal/simtime"
 	"github.com/netlogistics/lsl/internal/topo"
 )
 
@@ -17,15 +15,29 @@ import (
 // sweep. Zero fields take DefaultIntegrity values.
 type IntegrityConfig struct {
 	Seed      int64
-	Size      int64   // bytes per transfer
-	CorruptAt int64   // payload bytes forwarded before the fault flips a byte
-	TimeScale float64 // emulation time compression
-	Attempts  int     // retry budget per transfer
+	Size      int64 // bytes per transfer
+	CorruptAt int64 // payload bytes forwarded before the fault flips a byte
 }
 
 // DefaultIntegrity is the configuration the acceptance run uses.
 func DefaultIntegrity() IntegrityConfig {
-	return IntegrityConfig{Seed: 1, Size: 128 << 10, CorruptAt: 32 << 10, TimeScale: 0.001, Attempts: 6}
+	return IntegrityConfig{Seed: 1, Size: 128 << 10, CorruptAt: 32 << 10}
+}
+
+// integrityTimeScale is the integrity sweep's emulation time
+// compression.
+const integrityTimeScale = 0.001
+
+// acceptancePolicy is the recovery policy of the integrity and cache
+// acceptance sweeps: six attempts with fast backoff.
+var acceptancePolicy = core.RecoveryPolicy{
+	Retry: retry.Policy{
+		MaxAttempts: 6,
+		BaseDelay:   2 * time.Millisecond,
+		MaxDelay:    20 * time.Millisecond,
+		Multiplier:  2,
+	},
+	AttemptTimeout: 10 * time.Second,
 }
 
 // IntegrityRow is one corruption site's outcome: where the fault was
@@ -46,11 +58,8 @@ type IntegrityRow struct {
 // chain the reliability suite uses, so a fault at either relay sits
 // strictly between sender and sink.
 func integrityTopology() (*topo.Topology, error) {
-	const (
-		mbit = 1e6 / 8
-		buf  = int64(8 << 20)
-	)
-	hosts := []topo.Host{
+	const buf = int64(8 << 20)
+	return wan("integrity", []topo.Host{
 		{Name: "src", Site: "src", SndBuf: buf, RcvBuf: buf},
 		{Name: "relay-a", Site: "a", SndBuf: buf, RcvBuf: buf,
 			Depot: true, ForwardRate: 60e6, PipelineBytes: 256 << 10},
@@ -59,26 +68,18 @@ func integrityTopology() (*topo.Topology, error) {
 		{Name: "spare", Site: "c", SndBuf: buf, RcvBuf: buf,
 			Depot: true, ForwardRate: 60e6, PipelineBytes: 256 << 10},
 		{Name: "dst", Site: "dst", SndBuf: buf, RcvBuf: buf},
-	}
-	tp, err := topo.New("integrity", hosts)
-	if err != nil {
-		return nil, err
-	}
-	ms := simtime.Milliseconds
-	set := func(a, b string, capMbit float64) {
-		tp.SetLink(tp.MustHost(a), tp.MustHost(b), topo.Link{RTT: ms(10), Capacity: capMbit * mbit})
-	}
-	set("src", "relay-a", 100)
-	set("relay-a", "relay-b", 100)
-	set("relay-b", "dst", 100)
-	set("src", "spare", 50)
-	set("spare", "dst", 50)
-	set("src", "dst", 2)
-	set("src", "relay-b", 4)
-	set("relay-a", "dst", 4)
-	set("relay-a", "spare", 4)
-	set("relay-b", "spare", 4)
-	return tp, nil
+	}, []wanLink{
+		{"src", "relay-a", 10, 100},
+		{"relay-a", "relay-b", 10, 100},
+		{"relay-b", "dst", 10, 100},
+		{"src", "spare", 10, 50},
+		{"spare", "dst", 10, 50},
+		{"src", "dst", 10, 2},
+		{"src", "relay-b", 10, 4},
+		{"relay-a", "dst", 10, 4},
+		{"relay-a", "spare", 10, 4},
+		{"relay-b", "spare", 10, 4},
+	})
 }
 
 // Integrity runs the detect-and-recover acceptance sweep: one clean
@@ -96,12 +97,6 @@ func Integrity(cfg IntegrityConfig) ([]IntegrityRow, error) {
 	}
 	if cfg.CorruptAt <= 0 {
 		cfg.CorruptAt = def.CorruptAt
-	}
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = def.TimeScale
-	}
-	if cfg.Attempts <= 0 {
-		cfg.Attempts = def.Attempts
 	}
 
 	sites := []string{"none", "relay-a", "relay-b"}
@@ -126,7 +121,7 @@ func integrityRun(cfg IntegrityConfig, site string) (IntegrityRow, error) {
 	}
 	reg := obs.NewRegistry()
 	sys, err := core.NewSystem(tp, core.Config{
-		TimeScale: cfg.TimeScale,
+		TimeScale: integrityTimeScale,
 		Seed:      cfg.Seed,
 		Metrics:   reg,
 		Integrity: true,
@@ -145,15 +140,7 @@ func integrityRun(cfg IntegrityConfig, site string) (IntegrityRow, error) {
 		inj.CorruptAfter(cfg.CorruptAt)
 	}
 
-	res, terr := sys.TransferReliable("src", "dst", cfg.Size, core.RecoveryPolicy{
-		Retry: retry.Policy{
-			MaxAttempts: cfg.Attempts,
-			BaseDelay:   2 * time.Millisecond,
-			MaxDelay:    20 * time.Millisecond,
-			Multiplier:  2,
-		},
-		AttemptTimeout: 10 * time.Second,
-	})
+	res, terr := sys.TransferReliable("src", "dst", cfg.Size, acceptancePolicy)
 
 	row := IntegrityRow{
 		Hop:            site,
@@ -170,16 +157,22 @@ func integrityRun(cfg IntegrityConfig, site string) (IntegrityRow, error) {
 	return row, nil
 }
 
-// FormatIntegrity renders the sweep table plus a pass/fail verdict.
-func FormatIntegrity(rows []IntegrityRow) string {
-	var b strings.Builder
-	b.WriteString("Integrity: single-hop corruption detected and recovered end to end\n")
-	fmt.Fprintf(&b, "%-10s %8s %10s %8s %8s %10s %10s %10s\n",
-		"corrupt@", "injected", "crc_errors", "digest", "retries", "resumed_B", "bytes", "recovered")
+// integrityTable renders the sweep table plus a pass/fail verdict.
+func integrityTable(rows []IntegrityRow) Table {
+	t := tableOf("Integrity: single-hop corruption detected and recovered end to end", []Column{
+		{"corrupt@", "%-10s", "corrupt_at", "%s"},
+		{"injected", "%8d", "injected", "%d"},
+		{"crc_errors", "%10d", "crc_errors", "%d"},
+		{"digest", "%8d", "digest_mismatches", "%d"},
+		{"retries", "%8d", "retries", "%d"},
+		{"resumed_B", "%10d", "resumed_bytes", "%d"},
+		{"bytes", "%10d", "bytes", "%d"},
+		{"recovered", "%10v", "recovered", "%t"},
+	}, rows, func(r IntegrityRow) []any {
+		return []any{r.Hop, r.Injected, r.ChecksumErrors, r.DigestMismatch, r.Retries, r.ResumedBytes, r.Bytes, r.Recovered}
+	})
 	ok := true
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-10s %8d %10d %8d %8d %10d %10d %10v\n",
-			r.Hop, r.Injected, r.ChecksumErrors, r.DigestMismatch, r.Retries, r.ResumedBytes, r.Bytes, r.Recovered)
 		if !r.Recovered {
 			ok = false
 		}
@@ -188,9 +181,9 @@ func FormatIntegrity(rows []IntegrityRow) string {
 		}
 	}
 	if ok {
-		b.WriteString("verdict: PASS — every injected fault was caught at the corrupting hop and re-sent via resume\n")
+		t.Notes = []string{"verdict: PASS — every injected fault was caught at the corrupting hop and re-sent via resume"}
 	} else {
-		b.WriteString("verdict: FAIL — at least one run lost data or miscounted a clean transfer\n")
+		t.Notes = []string{"verdict: FAIL — at least one run lost data or miscounted a clean transfer"}
 	}
-	return b.String()
+	return t
 }

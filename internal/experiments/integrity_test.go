@@ -41,7 +41,7 @@ func TestIntegritySweepRecovers(t *testing.T) {
 			t.Fatalf("%s: retries = %d, want >= 1", r.Hop, r.Retries)
 		}
 	}
-	out := FormatIntegrity(rows)
+	out := integrityTable(rows).Text()
 	if !strings.Contains(out, "PASS") {
 		t.Fatalf("verdict not PASS:\n%s", out)
 	}

@@ -26,71 +26,88 @@ func BuildTopology(name string, seed int64) (*topo.Topology, error) {
 }
 
 // DumpMeasurements renders NWS-style bandwidth measurements of a
-// testbed in the text format cmd/lsl-sched consumes:
+// testbed; its text is the format cmd/lsl-sched consumes:
 //
 //	<source-host> <dest-host> <bandwidth-bytes-per-sec>
 //
 // samples observations are emitted per ordered pair, so lsl-sched's
 // averaging mirrors the forecast smoothing of the in-process planner.
-func DumpMeasurements(topoName string, seed int64, samples int) (string, error) {
+func DumpMeasurements(topoName string, seed int64, samples int) (Table, error) {
 	t, err := BuildTopology(topoName, seed)
 	if err != nil {
-		return "", err
+		return Table{}, err
 	}
 	if samples < 1 {
 		samples = 1
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
-	var b strings.Builder
-	fmt.Fprintf(&b, "# %s testbed, seed %d, %d samples per ordered pair\n", topoName, seed, samples)
-	fmt.Fprintf(&b, "# <source-host> <dest-host> <bandwidth-bytes-per-sec>\n")
+	out := Table{
+		Title: fmt.Sprintf("# %s testbed, seed %d, %d samples per ordered pair\n", topoName, seed, samples) +
+			"# <source-host> <dest-host> <bandwidth-bytes-per-sec>",
+		Columns: []Column{
+			{Text: "%s", Name: "source", CSV: "%s"},
+			{Text: "%s", Name: "dest", CSV: "%s"},
+			{Text: "%.0f", Name: "bandwidth_Bps", CSV: "%.0f"},
+		},
+	}
 	for s := 0; s < t.N(); s++ {
 		for d := 0; d < t.N(); d++ {
 			if s == d {
 				continue
 			}
 			for k := 0; k < samples; k++ {
-				fmt.Fprintf(&b, "%s %s %.0f\n",
-					t.Hosts[s].Name, t.Hosts[d].Name, t.MeasuredBW(s, d, rng))
+				out.Rows = append(out.Rows, []any{t.Hosts[s].Name, t.Hosts[d].Name, t.MeasuredBW(s, d, rng)})
 			}
 		}
 	}
-	return b.String(), nil
+	return out, nil
 }
 
 // Weather renders the current NWS forecast matrix for a testbed — the
 // "performance topology" the scheduler consumes. Small testbeds print
 // the host-level matrix; the 142-host mesh is site-aggregated for
 // readability (and because that is what the planner actually uses).
-func Weather(topoName string, seed int64) (string, error) {
+// The CSV lists the same matrix one ordered pair per record.
+func Weather(topoName string, seed int64) (Table, error) {
 	t, err := BuildTopology(topoName, seed)
 	if err != nil {
-		return "", err
+		return Table{}, err
 	}
 	planner, err := schedule.NewPlanner(t, schedule.DefaultEpsilon)
 	if err != nil {
-		return "", err
+		return Table{}, err
 	}
 	rng := rand.New(rand.NewSource(seed + 1))
 	if err := planner.Prime(rng, 8); err != nil {
-		return "", err
+		return Table{}, err
 	}
 	mx := planner.Monitor.Snapshot()
-	var b strings.Builder
-	fmt.Fprintf(&b, "NWS forecast matrix for %s (MB/s, mean relative error %.1f%%)\n",
+	title := fmt.Sprintf("NWS forecast matrix for %s (MB/s, mean relative error %.1f%%)\n",
 		topoName, 100*planner.Monitor.MeanRelativeError())
 	if t.N() > 24 {
 		idx := make(map[string]int, t.N())
 		for i, h := range t.Hosts {
 			idx[h.Name] = i
 		}
-		site := mx.AggregateBySite(func(host string) string { return t.SiteOf(idx[host]) })
-		fmt.Fprintf(&b, "(aggregated to %d sites)\n", len(site.Hosts))
-		b.WriteString(site.String())
-	} else {
-		b.WriteString(mx.String())
+		mx = mx.AggregateBySite(func(host string) string { return t.SiteOf(idx[host]) })
+		title += fmt.Sprintf("(aggregated to %d sites)\n", len(mx.Hosts))
 	}
-	return b.String(), nil
+	out := Table{
+		Title: title + strings.TrimSuffix(mx.String(), "\n"),
+		Columns: []Column{
+			{Name: "source", CSV: "%s"},
+			{Name: "dest", CSV: "%s"},
+			{Name: "forecast_MBps", CSV: "%.4f"},
+		},
+	}
+	for i, src := range mx.Hosts {
+		for j, dst := range mx.Hosts {
+			if i != j {
+				out.Rows = append(out.Rows, []any{src, dst, mx.BW[i][j] / 1e6})
+			}
+		}
+	}
+	return out, nil
 }
 
 // NWSEvaluation exercises the forecaster bank the way Wolski's NWS
@@ -98,11 +115,10 @@ func Weather(topoName string, seed int64) (string, error) {
 // bandwidth regimes (stationary noise, drifting level, measurement
 // spikes) plus a real measured series from the two-path testbed, no
 // single expert wins everywhere but the selector stays competitive
-// with the best one in hindsight.
-func NWSEvaluation(seed int64) (string, error) {
+// with the best one in hindsight. It returns one table per regime,
+// best expert first.
+func NWSEvaluation(seed int64) ([]Table, error) {
 	rng := rand.New(rand.NewSource(seed))
-	var b strings.Builder
-
 	regimes := []struct {
 		name   string
 		series []float64
@@ -118,14 +134,26 @@ func NWSEvaluation(seed int64) (string, error) {
 		})},
 		{"measured (UCSB→UF)", measuredSeries(seed, 400)},
 	}
+	var out []Table
 	for _, r := range regimes {
 		experts, selector, err := nws.Evaluate(r.series)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		fmt.Fprintf(&b, "=== %s series ===\n%s\n", r.name, nws.FormatEvaluation(experts, selector))
+		t := Table{
+			Title: fmt.Sprintf("=== %s series ===", r.name),
+			Columns: []Column{
+				{Name: "series", CSV: "%s"},
+				{"predictor", "%-16s", "predictor", "%s"},
+				{"MAE", "%12.4g", "mae", "%g"},
+			},
+		}
+		for _, e := range append(experts, selector) {
+			t.Rows = append(t.Rows, []any{r.name, e.Name, e.MAE})
+		}
+		out = append(out, t)
 	}
-	return b.String(), nil
+	return out, nil
 }
 
 func synthSeries(n int, rng *rand.Rand, gen func(int) float64) []float64 {

@@ -29,7 +29,7 @@ func TestDumpMeasurements(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lines := strings.Split(strings.TrimSpace(out), "\n")
+	lines := strings.Split(strings.TrimSpace(out.Text()), "\n")
 	var data int
 	for _, l := range lines {
 		if strings.HasPrefix(l, "#") {
@@ -59,15 +59,19 @@ func TestDumpMeasurementsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a != b {
+	if a.Text() != b.Text() {
 		t.Fatal("same seed gave different dumps")
 	}
 }
 
 func TestNWSEvaluation(t *testing.T) {
-	out, err := NWSEvaluation(1)
+	tables, err := NWSEvaluation(1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var out string
+	for _, tb := range tables {
+		out += tb.Text()
 	}
 	for _, want := range []string{"stationary", "drifting", "spiky", "measured", "selector"} {
 		if !strings.Contains(out, want) {

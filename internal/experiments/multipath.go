@@ -2,23 +2,26 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/netlogistics/lsl/internal/core"
 	"github.com/netlogistics/lsl/internal/obs"
-	"github.com/netlogistics/lsl/internal/simtime"
 	"github.com/netlogistics/lsl/internal/stats"
 	"github.com/netlogistics/lsl/internal/topo"
 )
 
 // MultipathConfig parameterizes the disjoint-route aggregation sweep.
 type MultipathConfig struct {
-	Seed      int64
-	Size      int64   // bytes per transfer
-	Paths     []int   // route counts to measure, in order
-	Reps      int     // transfers averaged per route count
-	TimeScale float64 // emulation time compression
+	Seed  int64
+	Size  int64 // bytes per transfer
+	Paths []int // route counts to measure, in order
+	Reps  int   // transfers averaged per route count
 }
+
+// multipathTimeScale keeps the sweep capacity-limited: per-range
+// transmission time on a 20 Mbit/s segment must dominate the fixed
+// per-range setup and ack costs, or the aggregation signal drowns in
+// them.
+const multipathTimeScale = 0.1
 
 // DefaultMultipath measures 8 MB transfers over one and then both of
 // the testbed's edge-disjoint depot routes, three runs each.
@@ -28,10 +31,6 @@ func DefaultMultipath() MultipathConfig {
 		Size:  8 << 20,
 		Paths: []int{1, 2},
 		Reps:  3,
-		// Capacity-limited regime: per-range transmission time on a
-		// 20 Mbit/s segment must dominate the fixed per-range setup
-		// and ack costs, or the aggregation signal drowns in them.
-		TimeScale: 0.1,
 	}
 }
 
@@ -54,32 +53,21 @@ type MultipathRow struct {
 // Depot forwarding is deliberately not the bottleneck (ForwardRate
 // must stay positive — the planner prices transit as 1/ForwardRate).
 func multipathTopology() (*topo.Topology, error) {
-	const (
-		mbit = 1e6 / 8
-		buf  = int64(8 << 20)
-	)
-	hosts := []topo.Host{
+	const buf = int64(8 << 20)
+	return wan("multipath", []topo.Host{
 		{Name: "src", Site: "src", SndBuf: buf, RcvBuf: buf},
 		{Name: "depot-a", Site: "a", SndBuf: buf, RcvBuf: buf,
 			Depot: true, ForwardRate: 1e9, PipelineBytes: 1 << 20},
 		{Name: "depot-b", Site: "b", SndBuf: buf, RcvBuf: buf,
 			Depot: true, ForwardRate: 1e9, PipelineBytes: 1 << 20},
 		{Name: "dst", Site: "dst", SndBuf: buf, RcvBuf: buf},
-	}
-	tp, err := topo.New("multipath", hosts)
-	if err != nil {
-		return nil, err
-	}
-	ms := simtime.Milliseconds
-	set := func(a, b string, capMbit float64) {
-		tp.SetLink(tp.MustHost(a), tp.MustHost(b), topo.Link{RTT: ms(10), Capacity: capMbit * mbit})
-	}
-	set("src", "depot-a", 20)
-	set("depot-a", "dst", 20)
-	set("src", "depot-b", 20)
-	set("depot-b", "dst", 20)
-	set("src", "dst", 1)
-	return tp, nil
+	}, []wanLink{
+		{"src", "depot-a", 10, 20},
+		{"depot-a", "dst", 10, 20},
+		{"src", "depot-b", 10, 20},
+		{"depot-b", "dst", 10, 20},
+		{"src", "dst", 10, 1},
+	})
 }
 
 // Multipath measures delivered throughput of one object moved over a
@@ -100,16 +88,13 @@ func Multipath(cfg MultipathConfig) ([]MultipathRow, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = DefaultMultipath().Reps
 	}
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = DefaultMultipath().TimeScale
-	}
 	tp, err := multipathTopology()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: multipath: %w", err)
 	}
 	reg := obs.NewRegistry()
 	sys, err := core.NewSystem(tp, core.Config{
-		TimeScale: cfg.TimeScale,
+		TimeScale: multipathTimeScale,
 		Seed:      cfg.Seed,
 		Metrics:   reg,
 		Integrity: true,
@@ -167,20 +152,22 @@ func Multipath(cfg MultipathConfig) ([]MultipathRow, error) {
 	return rows, nil
 }
 
-// FormatMultipath renders the sweep plus the planner's route-count
-// suggestion for the same host pair.
-func FormatMultipath(rows []MultipathRow) string {
-	var b strings.Builder
-	b.WriteString("Multipath: one transfer fanned across edge-disjoint depot routes (8 MB object)\n")
-	fmt.Fprintf(&b, "%6s %12s %9s %15s %7s %9s\n", "paths", "Mbit/s", "speedup", "forecast Mbit/s", "stolen", "digest")
-	for _, r := range rows {
+// multipathTable renders the sweep.
+func multipathTable(rows []MultipathRow) Table {
+	return tableOf("Multipath: one transfer fanned across edge-disjoint depot routes (8 MB object)", []Column{
+		{"paths", "%6d", "paths", "%d"},
+		{"Mbit/s", "%12.2f", "mbit", "%.4f"},
+		{"speedup", "%8.2fx", "speedup", "%.4f"},
+		{"forecast Mbit/s", "%15.2f", "forecast_mbit", "%.4f"},
+		{"stolen", "%7d", "stolen", "%d"},
+		{"digest", "%9s", "digest", "%s"},
+	}, rows, func(r MultipathRow) []any {
 		digest := "FAIL"
 		if r.Verified {
 			digest = "ok"
 		}
-		fmt.Fprintf(&b, "%6d %12.2f %8.2fx %15.2f %7d %9s\n", r.Paths, r.Mbit, r.Speedup, r.Predicted, r.Stolen, digest)
-	}
-	return b.String()
+		return []any{r.Paths, r.Mbit, r.Speedup, r.Predicted, r.Stolen, digest}
+	})
 }
 
 // SuggestedPaths reruns the sweep's planning step alone and reports the
@@ -191,7 +178,7 @@ func SuggestedPaths(max int) (int, float64, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("experiments: multipath: %w", err)
 	}
-	sys, err := core.NewSystem(tp, core.Config{TimeScale: 0.1, Seed: 1, Metrics: obs.NewRegistry(), Epsilon: -1})
+	sys, err := core.NewSystem(tp, core.Config{TimeScale: multipathTimeScale, Seed: 1, Metrics: obs.NewRegistry(), Epsilon: -1})
 	if err != nil {
 		return 0, 0, fmt.Errorf("experiments: multipath: %w", err)
 	}

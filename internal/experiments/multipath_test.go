@@ -37,7 +37,7 @@ func TestMultipathAggregatesDisjointRoutes(t *testing.T) {
 			both.Predicted, single.Predicted)
 	}
 
-	out := FormatMultipath(rows)
+	out := multipathTable(rows).Text()
 	if out == "" {
 		t.Fatal("empty formatted output")
 	}

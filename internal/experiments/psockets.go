@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/netlogistics/lsl/internal/netsim"
 	"github.com/netlogistics/lsl/internal/pipesim"
@@ -64,7 +63,6 @@ func PSocketsComparison(seed int64, size int64, streams []int) ([]PSocketsRow, e
 	// PSockets-style striping: k connections share the bottleneck
 	// fairly and each carries size/k.
 	for _, k := range streams {
-		eng := netsim.New(seed)
 		perConn := full
 		perConn.Capacity = capacity / float64(k)
 		chains := make([]pipesim.Chain, k)
@@ -76,17 +74,11 @@ func PSocketsComparison(seed int64, size int64, streams []int) ([]PSocketsRow, e
 			}
 			chains[i] = pipesim.Direct(s, fmt.Sprintf("stripe-%d", i), perConn)
 		}
-		results, err := pipesim.RunMany(eng, chains)
+		_, span, err := makespan(chains, seed)
 		if err != nil {
 			return nil, err
 		}
-		var end simtime.Time
-		for _, r := range results {
-			if r.End > end {
-				end = r.End
-			}
-		}
-		bw := float64(size) / end.Sub(results[0].Start).Seconds()
+		bw := float64(size) / span
 		rows = append(rows, PSocketsRow{
 			Strategy:  fmt.Sprintf("parallel x%d", k),
 			Bandwidth: bw,
@@ -110,7 +102,6 @@ func PSocketsComparison(seed int64, size int64, streams []int) ([]PSocketsRow, e
 	})
 
 	// And both together: the approaches compose.
-	eng = netsim.New(seed)
 	k := 2
 	perConn := half
 	perConn.Capacity = capacity / float64(k)
@@ -120,17 +111,11 @@ func PSocketsComparison(seed int64, size int64, streams []int) ([]PSocketsRow, e
 			[]pipesim.Hop{{TCP: perConn}, {TCP: perConn}},
 			[]pipesim.Depot{{}})
 	}
-	results, err := pipesim.RunMany(eng, chains)
+	_, span, err := makespan(chains, seed)
 	if err != nil {
 		return nil, err
 	}
-	var end simtime.Time
-	for _, r := range results {
-		if r.End > end {
-			end = r.End
-		}
-	}
-	bw := float64(size) / end.Sub(results[0].Start).Seconds()
+	bw := float64(size) / span
 	rows = append(rows, PSocketsRow{
 		Strategy:  "LSL + parallel x2",
 		Bandwidth: bw,
@@ -139,14 +124,29 @@ func PSocketsComparison(seed int64, size int64, streams []int) ([]PSocketsRow, e
 	return rows, nil
 }
 
-// FormatPSocketsComparison renders the comparison.
-func FormatPSocketsComparison(rows []PSocketsRow) string {
-	var b strings.Builder
-	b.WriteString("Related work: parallel sockets (PSockets) vs serial sockets (LSL)\n")
-	b.WriteString("(32MB over a window-limited 80ms, 100Mbit path)\n")
-	fmt.Fprintf(&b, "%-20s %14s %9s\n", "strategy", "BW Mbit/s", "speedup")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%-20s %14.2f %8.2fx\n", r.Strategy, mbit(r.Bandwidth), r.Speedup)
+// makespan runs the chains side by side on a fresh engine and returns
+// their results and the seconds from the first start to the last
+// finish.
+func makespan(chains []pipesim.Chain, seed int64) ([]pipesim.Result, float64, error) {
+	results, err := pipesim.RunMany(netsim.New(seed), chains)
+	if err != nil {
+		return nil, 0, err
 	}
-	return b.String()
+	var end simtime.Time
+	for _, r := range results {
+		end = max(end, r.End)
+	}
+	return results, end.Sub(results[0].Start).Seconds(), nil
+}
+
+// psocketsTable renders the comparison.
+func psocketsTable(rows []PSocketsRow) Table {
+	return tableOf("Related work: parallel sockets (PSockets) vs serial sockets (LSL)\n"+
+		"(32MB over a window-limited 80ms, 100Mbit path)", []Column{
+		{"strategy", "%-20s", "strategy", "%s"},
+		{"BW Mbit/s", "%14.2f", "bw_mbit", "%.4f"},
+		{"speedup", "%8.2fx", "speedup", "%.4f"},
+	}, rows, func(r PSocketsRow) []any {
+		return []any{r.Strategy, mbit(r.Bandwidth), r.Speedup}
+	})
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/netlogistics/lsl/internal/stats"
 )
@@ -54,22 +53,26 @@ func Robustness(seeds []int64, measurements int) ([]RobustnessRow, error) {
 	return rows, nil
 }
 
-// FormatRobustness renders the per-seed table plus a summary band.
-func FormatRobustness(rows []RobustnessRow) string {
-	var b strings.Builder
-	b.WriteString("Robustness: Figure 9 headlines across independent seeds\n")
-	fmt.Fprintf(&b, "%6s %10s %13s %13s %8s\n", "seed", "relayed%", "mean speedup", "median", "pct>1")
+// robustnessTable renders the per-seed table plus a summary band.
+func robustnessTable(rows []RobustnessRow) Table {
+	t := tableOf("Robustness: Figure 9 headlines across independent seeds", []Column{
+		{"seed", "%6d", "seed", "%d"},
+		{"relayed%", "%9.1f%%", "relayed_pct", "%.2f"},
+		{"mean speedup", "%12.3fx", "mean_speedup", "%.4f"},
+		{"median", "%12.3fx", "median_speedup", "%.4f"},
+		{"pct>1", "%8.1f", "pct_over_1", "%.2f"},
+	}, rows, func(r RobustnessRow) []any {
+		return []any{r.Seed, r.RelayedPct, r.MeanSpeedup, r.MedianSpeed, r.PctOver}
+	})
 	var relayed, mean []float64
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%6d %9.1f%% %12.3fx %12.3fx %8.1f\n",
-			r.Seed, r.RelayedPct, r.MeanSpeedup, r.MedianSpeed, r.PctOver)
 		relayed = append(relayed, r.RelayedPct)
 		mean = append(mean, r.MeanSpeedup)
 	}
 	if len(rows) > 1 {
-		fmt.Fprintf(&b, "across seeds: relayed %.1f%%±%.1f, mean speedup %.3f±%.3f (paper: 26%%, 1.0575-1.09)\n",
+		t.Notes = append(t.Notes, fmt.Sprintf("across seeds: relayed %.1f%%±%.1f, mean speedup %.3f±%.3f (paper: 26%%, 1.0575-1.09)",
 			stats.Mean(relayed), stats.StdDev(relayed),
-			stats.Mean(mean), stats.StdDev(mean))
+			stats.Mean(mean), stats.StdDev(mean)))
 	}
-	return b.String()
+	return t
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/netlogistics/lsl/internal/core"
 	"github.com/netlogistics/lsl/internal/obs"
@@ -13,12 +12,17 @@ import (
 
 // StripingConfig parameterizes the striped-sublink throughput sweep.
 type StripingConfig struct {
-	Seed      int64
-	Size      int64   // bytes per transfer
-	Stripes   []int   // stripe counts to measure, in order
-	Reps      int     // transfers averaged per stripe count
-	TimeScale float64 // emulation time compression
+	Seed    int64
+	Size    int64 // bytes per transfer
+	Stripes []int // stripe counts to measure, in order
+	Reps    int   // transfers averaged per stripe count
 }
+
+// stripingTimeScale is the sweep's mild emulation time compression:
+// the scaled link latency must stay well above goroutine scheduling
+// granularity or the window-limited regime the sweep exists to show
+// disappears into wall-clock noise.
+const stripingTimeScale = 0.05
 
 // DefaultStriping measures 4 MB transfers at 1/2/4/8 stripes, three
 // runs each, over a window-limited relay path.
@@ -28,11 +32,6 @@ func DefaultStriping() StripingConfig {
 		Size:    4 << 20,
 		Stripes: []int{1, 2, 4, 8},
 		Reps:    3,
-		// Mild time compression: the scaled link latency must stay well
-		// above goroutine scheduling granularity or the window-limited
-		// regime the sweep exists to show disappears into wall-clock
-		// noise.
-		TimeScale: 0.05,
 	}
 }
 
@@ -53,24 +52,35 @@ type StripingRow struct {
 // session across parallel sublinks multiplies the effective window
 // without touching the hosts' buffer sizing.
 func stripingTopology() (*topo.Topology, error) {
-	const (
-		mbit   = 1e6 / 8
-		window = int64(64 << 10)
-	)
-	hosts := []topo.Host{
+	const window = int64(64 << 10)
+	return wan("striping", []topo.Host{
 		{Name: "src", Site: "src", SndBuf: window, RcvBuf: window},
 		{Name: "relay", Site: "relay", SndBuf: window, RcvBuf: window,
 			Depot: true, PipelineBytes: 1 << 20},
 		{Name: "dst", Site: "dst", SndBuf: window, RcvBuf: window},
-	}
-	tp, err := topo.New("striping", hosts)
+	}, []wanLink{
+		{"src", "relay", 40, 622},
+		{"relay", "dst", 40, 622},
+		{"src", "dst", 80, 2},
+	})
+}
+
+// wanLink is one symmetric link of a testbed: its end hosts, its
+// round-trip time in ms and its capacity in Mbit/s.
+type wanLink struct {
+	a, b      string
+	rtt, mbit float64
+}
+
+// wan builds a testbed from its hosts and links.
+func wan(name string, hosts []topo.Host, links []wanLink) (*topo.Topology, error) {
+	tp, err := topo.New(name, hosts)
 	if err != nil {
 		return nil, err
 	}
-	ms := simtime.Milliseconds
-	tp.SetLink(tp.MustHost("src"), tp.MustHost("relay"), topo.Link{RTT: ms(40), Capacity: 622 * mbit})
-	tp.SetLink(tp.MustHost("relay"), tp.MustHost("dst"), topo.Link{RTT: ms(40), Capacity: 622 * mbit})
-	tp.SetLink(tp.MustHost("src"), tp.MustHost("dst"), topo.Link{RTT: ms(80), Capacity: 2 * mbit})
+	for _, l := range links {
+		tp.SetLink(tp.MustHost(l.a), tp.MustHost(l.b), topo.Link{RTT: simtime.Milliseconds(l.rtt), Capacity: l.mbit * (1e6 / 8)})
+	}
 	return tp, nil
 }
 
@@ -90,15 +100,12 @@ func Striping(cfg StripingConfig) ([]StripingRow, error) {
 	if cfg.Reps <= 0 {
 		cfg.Reps = DefaultStriping().Reps
 	}
-	if cfg.TimeScale <= 0 {
-		cfg.TimeScale = DefaultStriping().TimeScale
-	}
 	tp, err := stripingTopology()
 	if err != nil {
 		return nil, fmt.Errorf("experiments: striping: %w", err)
 	}
 	sys, err := core.NewSystem(tp, core.Config{
-		TimeScale: cfg.TimeScale,
+		TimeScale: stripingTimeScale,
 		Seed:      cfg.Seed,
 		Metrics:   obs.NewRegistry(),
 	})
@@ -140,16 +147,16 @@ func Striping(cfg StripingConfig) ([]StripingRow, error) {
 	return rows, nil
 }
 
-// FormatStriping renders the sweep plus the scheduler's stripe-count
-// suggestion for the same path.
-func FormatStriping(rows []StripingRow) string {
-	var b strings.Builder
-	b.WriteString("Striping: parallel sublinks over a window-limited depot path (4 MB object)\n")
-	fmt.Fprintf(&b, "%8s %12s %9s %15s\n", "stripes", "Mbit/s", "speedup", "forecast Mbit/s")
-	for _, r := range rows {
-		fmt.Fprintf(&b, "%8d %12.2f %8.2fx %15.2f\n", r.Stripes, r.Mbit, r.Speedup, r.Predicted)
-	}
-	return b.String()
+// stripingTable renders the sweep.
+func stripingTable(rows []StripingRow) Table {
+	return tableOf("Striping: parallel sublinks over a window-limited depot path (4 MB object)", []Column{
+		{"stripes", "%8d", "stripes", "%d"},
+		{"Mbit/s", "%12.2f", "mbit", "%.4f"},
+		{"speedup", "%8.2fx", "speedup", "%.4f"},
+		{"forecast Mbit/s", "%15.2f", "forecast_mbit", "%.4f"},
+	}, rows, func(r StripingRow) []any {
+		return []any{r.Stripes, r.Mbit, r.Speedup, r.Predicted}
+	})
 }
 
 // SuggestedStripes reruns the sweep's planning step alone and reports
@@ -160,7 +167,7 @@ func SuggestedStripes(max int) (int, float64, error) {
 	if err != nil {
 		return 0, 0, fmt.Errorf("experiments: striping: %w", err)
 	}
-	sys, err := core.NewSystem(tp, core.Config{TimeScale: 0.05, Seed: 1, Metrics: obs.NewRegistry()})
+	sys, err := core.NewSystem(tp, core.Config{TimeScale: stripingTimeScale, Seed: 1, Metrics: obs.NewRegistry()})
 	if err != nil {
 		return 0, 0, fmt.Errorf("experiments: striping: %w", err)
 	}

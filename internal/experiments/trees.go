@@ -55,17 +55,41 @@ func ExampleGraph() *graph.Graph {
 // ash.ucsb.edu with ε=0 (over-complex, using marginally better edges)
 // and with the given ε (damped).
 func TreeComparison(epsilon float64) string {
+	return treesTable(epsilon).Text()
+}
+
+// treesTable draws both trees as text; its CSV lists every tree edge.
+func treesTable(epsilon float64) Table {
 	g := ExampleGraph()
 	root, _ := g.Lookup("ash.ucsb.edu")
 	exact := graph.MinimaxTree(g, root, 0)
 	damped := graph.MinimaxTree(g, root, epsilon)
-	var b strings.Builder
-	fmt.Fprintf(&b, "MMP tree from ash.ucsb.edu, epsilon=0 (Figure 7):\n%s\n", exact)
-	fmt.Fprintf(&b, "MMP tree from ash.ucsb.edu, epsilon=%.2f (Figure 8):\n%s\n", epsilon, damped)
 	bell, _ := g.Lookup("bell.uiuc.edu")
-	fmt.Fprintf(&b, "path to bell.uiuc.edu, epsilon=0:    %s\n", pathString(g, exact.PathTo(bell)))
-	fmt.Fprintf(&b, "path to bell.uiuc.edu, epsilon=%.2f: %s\n", epsilon, pathString(g, damped.PathTo(bell)))
-	return b.String()
+	t := Table{
+		Title: fmt.Sprintf("MMP tree from ash.ucsb.edu, epsilon=0 (Figure 7):\n%s\n", exact) +
+			fmt.Sprintf("MMP tree from ash.ucsb.edu, epsilon=%.2f (Figure 8):\n%s\n", epsilon, damped) +
+			fmt.Sprintf("path to bell.uiuc.edu, epsilon=0:    %s\n", pathString(g, exact.PathTo(bell))) +
+			fmt.Sprintf("path to bell.uiuc.edu, epsilon=%.2f: %s", epsilon, pathString(g, damped.PathTo(bell))),
+		Columns: []Column{
+			{Name: "epsilon", CSV: "%g"},
+			{Name: "node", CSV: "%s"},
+			{Name: "parent", CSV: "%s"},
+			{Name: "cost", CSV: "%g"},
+		},
+	}
+	for _, tr := range []struct {
+		eps  float64
+		tree *graph.Tree
+	}{{0, exact}, {epsilon, damped}} {
+		for v := 0; v < g.N(); v++ {
+			id := graph.NodeID(v)
+			if id == tr.tree.Root || tr.tree.Parent[id] == graph.None {
+				continue
+			}
+			t.Rows = append(t.Rows, []any{tr.eps, g.Name(id), g.Name(tr.tree.Parent[id]), tr.tree.Cost[id]})
+		}
+	}
+	return t
 }
 
 func pathString(g *graph.Graph, path []graph.NodeID) string {
@@ -78,6 +102,3 @@ func pathString(g *graph.Graph, path []graph.NodeID) string {
 	}
 	return strings.Join(names, " -> ")
 }
-
-// nodeID converts an int for test convenience.
-func nodeID(i int) graph.NodeID { return graph.NodeID(i) }

@@ -231,35 +231,6 @@ func OpenGenerate(d Dialer, src, dst wire.Endpoint, route []wire.Endpoint, size 
 	return open(d, src, dst, route, wire.TypeGenerate, cloneOpts([]wire.Option{gen}, extra))
 }
 
-// OpenChecked is Open followed by a short listen for a refusal: the
-// depot's load-based session negotiation is optimistic (no news is good
-// news), so after writing the header the initiator waits up to the
-// given grace period for a TypeRefuse response before streaming.
-// ErrRefused is returned when the depot declined; a quiet wire means
-// the session is accepted.
-func OpenChecked(d Dialer, src, dst wire.Endpoint, route []wire.Endpoint, grace time.Duration, extra ...wire.Option) (*Session, error) {
-	sess, err := Open(d, src, dst, route, extra...)
-	if err != nil {
-		return nil, err
-	}
-	if grace <= 0 {
-		return sess, nil
-	}
-	if err := sess.SetReadDeadline(time.Now().Add(grace)); err != nil {
-		// Transport without deadlines: skip the check.
-		return sess, nil //nolint:nilerr // optimistic acceptance
-	}
-	resp, rerr := wire.ReadHeader(sess)
-	_ = sess.SetReadDeadline(time.Time{})
-	if rerr == nil && resp.Type == wire.TypeRefuse {
-		sess.Close()
-		metrics().Counter(MetricRefusalsSeen).Inc()
-		return nil, ErrRefused
-	}
-	// Timeout (or any read failure) means nobody refused us.
-	return sess, nil
-}
-
 // OpenStore establishes an asynchronous session: the payload travels
 // the route but the final depot (dst) holds it instead of delivering,
 // keyed by the returned session's id. A receiver that learns the id
