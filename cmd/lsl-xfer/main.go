@@ -110,6 +110,7 @@ import (
 	"hash"
 	"io"
 	"log"
+	"math"
 	"net"
 	"os"
 	"strconv"
@@ -375,25 +376,6 @@ func parseSize(s string) (int64, error) {
 	return n * mult, nil
 }
 
-// sendPattern streams the session's deterministic pattern through w.
-func sendPattern(w io.Writer, id wire.SessionID, size int64) (int64, error) {
-	buf := make([]byte, 64<<10)
-	var written int64
-	for written < size {
-		n := int64(len(buf))
-		if remaining := size - written; remaining < n {
-			n = remaining
-		}
-		depot.FillPattern(buf[:n], id, written)
-		m, werr := w.Write(buf[:n])
-		written += int64(m)
-		if werr != nil {
-			return written, werr
-		}
-	}
-	return written, nil
-}
-
 func runSend() error {
 	if *to == "" {
 		fmt.Fprintln(os.Stderr, "lsl-xfer: -to is required")
@@ -414,6 +396,11 @@ func runSend() error {
 	}
 	if modes := exclusiveModes(*cached, *tableMode, *store, *generate, *stripesN, *multipathN); len(modes) > 1 {
 		fmt.Fprintf(os.Stderr, "lsl-xfer: %s are mutually exclusive — pick one send mode\n", strings.Join(modes, " and "))
+		flag.Usage()
+		os.Exit(2)
+	}
+	if f := overWireLimit(*stripesN, *multipathN); f != "" {
+		fmt.Fprintf(os.Stderr, "lsl-xfer: %s above %d does not fit the 16-bit header field\n", f, math.MaxUint16)
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -478,7 +465,7 @@ func runSend() error {
 	start := time.Now()
 	var sess *lsl.Session
 	if *store {
-		sess, err = lsl.OpenStore(dial, srcEP, dst, route, sessionOpts()...)
+		sess, err = lsl.Start(dial, lsl.Spec{Type: wire.TypeStore, Src: srcEP, Dst: dst, Route: route, Options: sessionOpts()})
 		if err != nil {
 			return err
 		}
@@ -486,7 +473,7 @@ func runSend() error {
 		sampler := newSampler("store " + sess.ID().String())
 		w := sendWriter(sess, sampler)
 		emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
-		written, werr := sendPattern(w, sess.ID(), size)
+		written, werr := sendPatternRange(w, sess.ID(), 0, size)
 		if werr != nil {
 			return fmt.Errorf("store after %d bytes: %w", written, werr)
 		}
@@ -500,7 +487,8 @@ func runSend() error {
 		if len(route) == 0 {
 			return fmt.Errorf("-generate needs at least one -via depot to do the generating")
 		}
-		sess, err = lsl.OpenGenerate(dial, srcEP, dst, route, uint64(size), sessionOpts()...)
+		sess, err = lsl.Start(dial, lsl.Spec{Type: wire.TypeGenerate, Src: srcEP, Dst: dst, Route: route,
+			Options: append([]wire.Option{wire.GenerateOption(uint64(size))}, sessionOpts()...)})
 		if err != nil {
 			return err
 		}
@@ -528,11 +516,7 @@ func runSend() error {
 			if len(attemptRoute) > 0 {
 				hop = attemptRoute[0]
 			}
-			opts := sessionOpts()
-			var (
-				s2   *lsl.Session
-				oerr error
-			)
+			spec := lsl.Spec{Src: srcEP, Dst: dst, Route: attemptRoute, Options: sessionOpts()}
 			if *verifyInt {
 				// The whole-object digest is keyed by the session id
 				// (the payload is the id-seeded pattern), so integrity
@@ -543,11 +527,10 @@ func runSend() error {
 				if merr != nil {
 					return merr
 				}
-				opts = append(opts, wire.ContentDigestOption(depot.PatternDigest(sid, size)))
-				s2, oerr = lsl.OpenAtID(dial, sid, srcEP, dst, attemptRoute, 0, opts...)
-			} else {
-				s2, oerr = lsl.Open(dial, srcEP, dst, attemptRoute, opts...)
+				spec.ID = sid
+				spec.Options = append(spec.Options, wire.ContentDigestOption(depot.PatternDigest(sid, size)))
 			}
+			s2, oerr := lsl.Start(dial, spec)
 			if oerr != nil {
 				return oerr
 			}
@@ -556,7 +539,7 @@ func runSend() error {
 			sampler := newSampler("send " + sess.ID().String())
 			w := sendWriter(sess, sampler)
 			emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
-			written, werr := sendPattern(w, sess.ID(), size)
+			written, werr := sendPatternRange(w, sess.ID(), 0, size)
 			if werr != nil {
 				sess.Close()
 				return fmt.Errorf("send after %d bytes: %w", written, werr)
@@ -643,7 +626,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 
 	var originBytes, cachedBytes int64
 	if coldEnd > 0 {
-		sess, oerr := lsl.OpenAtID(dial, id, srcEP, dst, route, 0, opts...)
+		sess, oerr := lsl.Start(dial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: route, Options: opts})
 		if oerr != nil {
 			return oerr
 		}
@@ -657,7 +640,8 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 	}
 	if holder >= 0 && coldEnd < size {
 		r := wire.ByteRange{Off: coldEnd, Len: size - coldEnd}
-		sess, oerr := lsl.OpenCacheServe(dial, id, srcEP, dst, route[holder:], digest, r, opts...)
+		sess, oerr := lsl.Start(dial, lsl.Spec{Type: wire.TypeCacheServe, ID: id, Src: srcEP, Dst: dst, Route: route[holder:],
+			Options: append([]wire.Option{wire.CacheServeOption(digest, r)}, opts...)})
 		if oerr != nil {
 			log.Printf("serve directive to %s failed (%v), falling back to origin", route[holder], oerr)
 		} else {
@@ -676,7 +660,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 		}
 	}
 	if total := originBytes + cachedBytes; total < size {
-		sess, oerr := lsl.OpenAtID(dial, id, srcEP, dst, route, originBytes, opts...)
+		sess, oerr := lsl.Start(dial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: route, Offset: originBytes, Options: opts})
 		if oerr != nil {
 			return oerr
 		}
@@ -710,11 +694,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 // anywhere on the path surfaces here as a refusal.
 func runTableDrivenSend(dial lsl.Dialer, srcEP, dst, entry wire.Endpoint, size int64, tr obs.Sink) error {
 	start := time.Now()
-	conn, err := dial.Dial(entry.String())
-	if err != nil {
-		return err
-	}
-	sess, err := lsl.Wrap(conn, srcEP, dst, sessionOpts()...)
+	sess, err := lsl.Start(dial, lsl.Spec{Src: srcEP, Dst: dst, Entry: entry, Options: sessionOpts()})
 	if err != nil {
 		return err
 	}
@@ -722,7 +702,7 @@ func runTableDrivenSend(dial lsl.Dialer, srcEP, dst, entry wire.Endpoint, size i
 	sampler := newSampler("send " + sess.ID().String())
 	w := sendWriter(sess, sampler)
 	emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
-	written, werr := sendPattern(w, sess.ID(), size)
+	written, werr := sendPatternRange(w, sess.ID(), 0, size)
 	if werr != nil {
 		sess.Close()
 		return fmt.Errorf("table-driven send after %d bytes: %w", written, werr)
@@ -770,7 +750,8 @@ func runStripedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endp
 				if attempt > 0 {
 					log.Printf("stripe %d: retry %d of %d", k, attempt, *retries)
 				}
-				sess, oerr := lsl.OpenStripe(dial, srcEP, dst, route, id, k, n, from, sessionOpts()...)
+				sess, oerr := lsl.Start(dial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: route, Offset: from,
+					Options: append(sessionOpts(), wire.StripeCountOption(uint16(n)), wire.StripeIndexOption(uint16(k)))})
 				if oerr != nil {
 					return oerr
 				}
@@ -825,6 +806,18 @@ func exclusiveModes(cached, tableDriven, store, generate bool, stripes, multipat
 		modes = append(modes, "-multipath")
 	}
 	return modes
+}
+
+// overWireLimit names the -stripes or -multipath flag whose count the
+// 16-bit header field cannot carry, or returns "" when both fit.
+func overWireLimit(stripes, multipath int) string {
+	switch {
+	case stripes > math.MaxUint16:
+		return "-stripes"
+	case multipath > math.MaxUint16:
+		return "-multipath"
+	}
+	return ""
 }
 
 // parseMultipathRoutes splits a -multipath send's -via into its
@@ -939,7 +932,8 @@ func runMultipathSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, routes [][]wire
 					if attempt > 0 {
 						log.Printf("path %d: range %d retry %d of %d", w, i, attempt, *retries)
 					}
-					sess, oerr := lsl.OpenPath(dial, srcEP, dst, routes[w], id, set, w, k, r.from, sessionOpts()...)
+					sess, oerr := lsl.Start(dial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: routes[w], Offset: r.from,
+						Options: append(sessionOpts(), wire.PathSetIDOption(set), wire.PathIndexOption(uint16(w), uint16(k)))})
 					if oerr != nil {
 						return oerr
 					}

@@ -141,3 +141,24 @@ func TestExclusiveModesMessage(t *testing.T) {
 		}
 	}
 }
+
+// TestOverWireLimit pins the 16-bit count check that runs before any
+// stripe or path option is built: 65 535 fits, one more is named, and
+// the off values select nothing.
+func TestOverWireLimit(t *testing.T) {
+	cases := []struct {
+		stripes, multipath int
+		want               string
+	}{
+		{stripes: 1, want: ""},
+		{stripes: 65535, multipath: 65535, want: ""},
+		{stripes: 65536, want: "-stripes"},
+		{stripes: 70000, want: "-stripes"},
+		{stripes: 1, multipath: 70000, want: "-multipath"},
+	}
+	for _, c := range cases {
+		if got := overWireLimit(c.stripes, c.multipath); got != c.want {
+			t.Errorf("overWireLimit(%d, %d) = %q, want %q", c.stripes, c.multipath, got, c.want)
+		}
+	}
+}

@@ -14,9 +14,10 @@
 //   - internal/wire — the LSL header and TLV option wire format:
 //     source routes, hop indexes, resume offsets, stripe annotations
 //     (DESIGN.md §7 conventions, §9 resume, §10 striping)
-//   - internal/lsl — session establishment over any net.Conn: Open,
-//     OpenAt (resume), OpenStripe, OpenStore/Fetch, OpenGenerate
-//     (DESIGN.md §3 inventory)
+//   - internal/lsl — session establishment over any net.Conn: one
+//     Start(Spec) opens data, store, generate, multicast and
+//     cache-serve sessions; Open, Fetch and the cache probes sit on it
+//     (DESIGN.md §3 inventory, §9)
 //   - internal/depot — the forwarding depot server: per-flow pump
 //     with bounded occupancy, route tables, pattern generation and
 //     verification, fault injection (DESIGN.md §3, §9)

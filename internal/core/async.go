@@ -31,47 +31,50 @@ func (s *System) StoreAt(srcHost, depotHost string, size int64) (StoreResult, er
 	return s.StoreAtContext(ctx, srcHost, depotHost, size)
 }
 
-// StoreAtContext is StoreAt under the caller's context: cancellation or
-// deadline expiry aborts the wait for the depot's store confirmation.
+// StoreAtContext is StoreAt under the caller's context: a context
+// already done stores nothing, and cancellation or deadline expiry
+// aborts the payload write and the wait for the depot's store
+// confirmation.
 func (s *System) StoreAtContext(ctx context.Context, srcHost, depotHost string, size int64) (StoreResult, error) {
 	if size <= 0 {
 		return StoreResult{}, fmt.Errorf("core: store size %d must be positive", size)
 	}
-	si, err := s.resolve(srcHost)
+	path, err := s.plannedRoute(srcHost, depotHost)
 	if err != nil {
 		return StoreResult{}, err
 	}
-	di, err := s.resolve(depotHost)
-	if err != nil {
-		return StoreResult{}, err
-	}
+	si, di := path[0], path[len(path)-1]
 	if !s.Topo.Hosts[di].Depot {
 		return StoreResult{}, fmt.Errorf("core: host %s runs no depot", depotHost)
 	}
-	path, err := s.Planner.Path(si, di)
-	if err != nil {
-		return StoreResult{}, err
-	}
-	if path == nil {
-		return StoreResult{}, fmt.Errorf("core: no route %s → %s", srcHost, depotHost)
-	}
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
+	if err := ctx.Err(); err != nil {
+		return StoreResult{}, fmt.Errorf("core: store at %s: %w", depotHost, err)
 	}
 
 	start := time.Now()
 	// Stores are traced like transfers: the depot-side events of the
 	// staging leg share one correlation key.
-	sess, err := lsl.OpenStore(s.dialerFor(si), s.endpoints[si], s.endpoints[di], route, traceOpt(mintTrace())...)
+	sess, err := lsl.Start(s.dialerFor(si), lsl.Spec{
+		Type:    wire.TypeStore,
+		Src:     s.endpoints[si],
+		Dst:     s.endpoints[di],
+		Route:   s.route(path),
+		Options: traceOpt(mintTrace()),
+	})
 	if err != nil {
 		return StoreResult{}, err
 	}
-	if err := writeSessionPattern(sess, size); err != nil {
-		sess.Close()
-		return StoreResult{}, fmt.Errorf("core: store send: %w", err)
+	// The context bounds the write: cancellation closes the session
+	// under it.
+	stop := context.AfterFunc(ctx, func() { sess.Close() })
+	werr := writeSessionPattern(sess, 0, size)
+	if !stop() {
+		return StoreResult{}, fmt.Errorf("core: store at %s: %w", depotHost, ctx.Err())
 	}
 	sess.Close()
+	if werr != nil {
+		return StoreResult{}, fmt.Errorf("core: store send: %w", werr)
+	}
 
 	// The store is confirmed when the depot holds the whole session.
 	// The depot exposes no completion signal, so poll on a ticker — but

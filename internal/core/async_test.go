@@ -77,8 +77,9 @@ func TestAsyncStoreValidation(t *testing.T) {
 func TestAsyncStoreHonorsContext(t *testing.T) {
 	sys := smallSystem(t)
 
-	// A canceled context must abort the store-confirmation wait with
-	// the context's error instead of spinning to the package timeout.
+	// A canceled context must store nothing: it fails with the
+	// context's error before dialing, instead of sending the payload
+	// and racing the depot's confirmation.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := sys.StoreAtContext(ctx, topo.UCSB, topo.Denver, 64<<10)
@@ -95,5 +96,35 @@ func TestAsyncStoreHonorsContext(t *testing.T) {
 	}
 	if stored.Bytes != 64<<10 {
 		t.Fatalf("stored %d bytes", stored.Bytes)
+	}
+	// The depot holds the second store and nothing of the first.
+	di, _ := sys.Topo.HostIndex(topo.Denver)
+	if _, ok := sys.depots[di].StoredSession(stored.Session); !ok {
+		t.Fatal("confirmed store missing at the depot")
+	}
+	if _, entries, _ := sys.depots[di].StoreUsage(); entries != 1 {
+		t.Fatalf("depot holds %d stored sessions, want only the confirmed one", entries)
+	}
+}
+
+// TestAsyncStoreContextBoundsWrite: a context that expires mid-payload
+// closes the session under the write, so the store fails with the
+// context's error at once instead of after the whole payload crawls
+// over a real-time-paced link.
+func TestAsyncStoreContextBoundsWrite(t *testing.T) {
+	sys, err := NewSystem(topo.TwoPath(), Config{TimeScale: 1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(sys.Close)
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = sys.StoreAtContext(ctx, topo.UCSB, topo.Denver, 64<<20)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("store returned after %v: the write ignored the context", took)
 	}
 }

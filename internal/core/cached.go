@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -9,7 +8,6 @@ import (
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
-	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -64,30 +62,23 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	if size <= 0 {
 		return CachedResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
 	}
-	si, err := s.resolve(srcHost)
-	if err != nil {
-		return CachedResult{}, err
-	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return CachedResult{}, err
-	}
 	pol = pol.withDefaults()
-	path, err := s.Planner.Path(si, di)
+	path, err := s.routeOrDirect(srcHost, dstHost)
 	if err != nil {
 		return CachedResult{}, err
 	}
-	if path == nil {
-		path = []int{si, di}
-	}
+	si := path[0]
 
 	digest := depot.PatternDigest(id, size)
 	// Cached transfers always travel with integrity stamps: the chunk
 	// framing is what lets depots trust (and cache) forwarded bytes, and
 	// the content digest is the cache key itself.
-	integrity := integrityOptions(digest)
-	defer s.digests.drop(id)
 	tid := mintTrace()
+	opts := append(traceOpt(tid), integrityOptions(digest)...)
+	defer s.digests.drop(id)
+	// The path stays fixed, without failover: the holder is an index
+	// into it.
+	pol.Failover = false
 	start := time.Now()
 
 	holder, coldEnd := s.bestHolder(si, path, digest)
@@ -101,7 +92,7 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	// sink digests bytes strictly in order, so the prefix must be acked
 	// before any cache serve begins.
 	if coldEnd > 0 {
-		got, aerr := s.sendRange(path, id, 0, coldEnd, pol, tid, integrity)
+		got, aerr := s.sendRange(path, id, 0, coldEnd, pol, tid, opts)
 		acked += got
 		out.OriginBytes += got
 		if aerr != nil && acked < coldEnd {
@@ -113,7 +104,7 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	// Phase B: direct the holder to serve the remainder from its cache.
 	if holder > 0 && acked < size {
 		r := wire.ByteRange{Off: acked, Len: size - acked}
-		got := s.serveFromCache(si, path, holder, id, digest, r, pol.AttemptTimeout, tid, integrity)
+		got := s.serveFromCache(si, path, holder, id, digest, r, pol.AttemptTimeout, tid, opts)
 		acked += got
 		out.CachedBytes += got
 		s.cfg.Metrics.Counter(MetricCacheServedBytes).Add(got)
@@ -131,7 +122,7 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	// but it is counted as origin traffic here because the origin paid
 	// to stream the bytes into the network again.
 	if acked < size {
-		got, aerr := s.sendRange(path, id, acked, size, pol, tid, integrity)
+		got, aerr := s.sendRange(path, id, acked, size, pol, tid, opts)
 		acked += got
 		out.OriginBytes += got
 		if aerr != nil && acked < size {
@@ -182,112 +173,35 @@ func suffixStart(ranges []wire.ByteRange, size int64) int64 {
 	return size
 }
 
-// sendRange streams the object's [from, to) range from the origin under
-// the retry schedule, returning the bytes the sink verified. The range
-// end is private to the sender — the wire header carries only the
-// resume offset — so partial sends and retries compose exactly as in
-// TransferReliable.
-func (s *System) sendRange(path []int, id wire.SessionID, from, to int64, pol RecoveryPolicy, tid wire.TraceID, extra []wire.Option) (int64, error) {
-	var (
-		acked   = from
-		lastErr error
-	)
-	for attempt := 0; attempt < pol.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			s.cfg.Metrics.Counter(MetricRetryAttempts).Inc()
-			if err := pol.Retry.Sleep(context.Background(), attempt-1); err != nil {
-				break
-			}
-		}
-		got, aerr := s.attemptRange(path, id, acked, to, pol.AttemptTimeout, tid, extra)
-		acked += got
-		if aerr == nil && acked >= to {
-			return acked - from, nil
-		}
-		if aerr == nil {
-			aerr = retry.AsTransient(fmt.Errorf("core: sink acked %d of %d bytes", acked, to))
-		}
-		if retry.IsFatal(aerr) {
-			return acked - from, fmt.Errorf("core: fatal: %w", aerr)
-		}
-		lastErr = aerr
-	}
-	if acked < to {
-		return acked - from, fmt.Errorf("core: %w: %w", retry.ErrExhausted, lastErr)
-	}
-	return acked - from, nil
-}
-
-// attemptRange is one origin session delivering [offset, to): the
-// cached-transfer analogue of attemptResumable with a private range
-// end.
-func (s *System) attemptRange(path []int, id wire.SessionID, offset, to int64, timeout time.Duration, tid wire.TraceID, extra []wire.Option) (int64, error) {
-	src, dst := path[0], path[len(path)-1]
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-	dial := lsl.TimeoutDialer(s.dialerFor(src), timeout)
-	opts := append(traceOpt(tid), extra...)
-	sess, err := lsl.OpenAtID(dial, id, s.endpoints[src], s.endpoints[dst], route, offset, opts...)
-	if err != nil {
-		return 0, err
-	}
-	first := dst
-	if len(path) > 2 {
-		first = path[1]
-	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String(), Bytes: offset})
-	ch := s.registerWaiter(sess.ID())
-	defer s.dropWaiter(sess.ID())
-	deadline := time.Now().Add(timeout)
-	_ = sess.SetWriteDeadline(deadline)
-	werr := writeSessionPatternFrom(sess, offset, to)
-	sess.Close()
-
-	settle := time.Until(deadline)
-	if werr != nil || settle < drainWindow {
-		settle = drainWindow
-	}
-	progress := func(res deliverResult) int64 {
-		if got := res.offset + res.bytes - offset; got > 0 {
-			return got
-		}
-		return 0
-	}
-	select {
-	case res := <-ch:
-		if res.err != nil {
-			return progress(res), fmt.Errorf("core: sink: %w", res.err)
-		}
-		if werr != nil && res.offset+res.bytes < to {
-			return progress(res), fmt.Errorf("core: send: %w", werr)
-		}
-		return progress(res), nil
-	case <-time.After(settle):
-		if werr != nil {
-			return 0, fmt.Errorf("core: send: %w", werr)
-		}
-		return 0, retry.AsTransient(fmt.Errorf("core: no sink report within %v", settle))
-	}
+// sendRange streams the object's [from, to) range from the origin
+// under the retry schedule, returning the bytes the sink verified. The
+// range end is private to the sender — the wire header carries only
+// the resume offset — so partial sends and retries compose exactly as
+// in TransferReliable.
+func (s *System) sendRange(path []int, id wire.SessionID, from, to int64, pol RecoveryPolicy, tid wire.TraceID, opts []wire.Option) (int64, error) {
+	l := leg{id: id, from: from, to: to, tid: tid, opts: opts}
+	acked, err := s.drive(l, &stripePath{path: path}, pol, MetricRetryAttempts, s.attempt)
+	return acked - from, err
 }
 
 // serveFromCache sends the serve directive to the holding depot and
 // waits for the sink's report, returning the bytes the cache actually
 // delivered. Failures are soft: a refusal, a partial serve, or silence
 // all just leave bytes for the origin fallback to send.
-func (s *System) serveFromCache(si int, path []int, holder int, id wire.SessionID, digest wire.ContentDigest, r wire.ByteRange, timeout time.Duration, tid wire.TraceID, extra []wire.Option) int64 {
+func (s *System) serveFromCache(si int, path []int, holder int, id wire.SessionID, digest wire.ContentDigest, r wire.ByteRange, timeout time.Duration, tid wire.TraceID, opts []wire.Option) int64 {
 	// The directive's route runs from the holder along the rest of the
 	// planned path; the holder pushes cached bytes down exactly the hops
 	// the origin stream would have taken from there.
-	route := make([]wire.Endpoint, 0, len(path)-holder-1)
-	for _, h := range path[holder : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-	dst := path[len(path)-1]
-	dial := lsl.TimeoutDialer(s.dialerFor(si), timeout)
-	opts := append(traceOpt(tid), extra...)
-	sess, err := lsl.OpenCacheServe(dial, id, s.endpoints[si], s.endpoints[dst], route, digest, r, opts...)
+	// That is the source route of the sub-path beginning one hop before
+	// the holder.
+	sess, err := lsl.Start(lsl.TimeoutDialer(s.dialerFor(si), timeout), lsl.Spec{
+		Type:    wire.TypeCacheServe,
+		ID:      id,
+		Src:     s.endpoints[si],
+		Dst:     s.endpoints[path[len(path)-1]],
+		Route:   s.route(path[holder-1:]),
+		Options: append([]wire.Option{wire.CacheServeOption(digest, r)}, opts...),
+	})
 	if err != nil {
 		return 0
 	}

@@ -9,7 +9,6 @@ import (
 
 	"github.com/netlogistics/lsl/internal/ctl"
 	"github.com/netlogistics/lsl/internal/lsl"
-	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -89,64 +88,11 @@ func (s *System) TransferTableDriven(srcHost, dstHost string, size int64) (Trans
 	if s.control == nil {
 		return TransferResult{}, fmt.Errorf("core: system has no control plane (Config.ControlPlane)")
 	}
-	if size <= 0 {
-		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
-	}
-	si, err := s.resolve(srcHost)
+	// The planned path is only the expectation the result reports:
+	// routing belongs to the depots' pushed tables.
+	path, err := s.routeOrDirect(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
 	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	path, err := s.Planner.Path(si, di)
-	if err != nil {
-		return TransferResult{}, err
-	}
-
-	start := time.Now()
-	conn, err := s.dialerFor(si).Dial(s.endpoints[si].String())
-	if err != nil {
-		return TransferResult{}, err
-	}
-	tid := mintTrace()
-	sess, err := lsl.Wrap(conn, s.endpoints[si], s.endpoints[di], traceOpt(tid)...)
-	if err != nil {
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
-	}
-	s.emitHop0(sess.ID(), tid, si, obs.KindConnect, obs.Event{Peer: s.endpoints[si].String()})
-	ch := s.registerWaiter(sess.ID())
-	defer s.dropWaiter(sess.ID())
-
-	s.emitHop0(sess.ID(), tid, si, obs.KindFirstByte, obs.Event{})
-	if err := writeSessionPattern(sess, size); err != nil {
-		sess.Close()
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, fmt.Errorf("core: table-driven send: %w", err)
-	}
-	sess.Close()
-	s.emitHop0(sess.ID(), tid, si, obs.KindLastByte, obs.Event{Bytes: size})
-
-	select {
-	case res := <-ch:
-		elapsed := time.Since(start)
-		if res.err != nil {
-			s.observeTransfer(TransferResult{}, res.err)
-			return TransferResult{}, fmt.Errorf("core: sink: %w", res.err)
-		}
-		if res.bytes != size {
-			err := fmt.Errorf("core: sink received %d of %d bytes", res.bytes, size)
-			s.observeTransfer(TransferResult{}, err)
-			return TransferResult{}, err
-		}
-		out := s.result(size, elapsed, path)
-		s.observeTransfer(out, nil)
-		return out, nil
-	case <-time.After(transferTimeout):
-		err := fmt.Errorf("core: table-driven transfer timed out after %v", transferTimeout)
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
-	}
+	return s.single(leg{path: path, entry: s.endpoints[path[0]], to: size})
 }

@@ -119,6 +119,13 @@ func TestTransferValidation(t *testing.T) {
 	if _, err := sys.Transfer(topo.UCSB, topo.UIUC, -1); err == nil {
 		t.Fatal("negative size accepted")
 	}
+	// A one-host path has no first hop to dial.
+	if _, err := sys.TransferHopByHop(topo.UCSB, topo.UCSB, 1); err == nil {
+		t.Fatal("hop-by-hop transfer to itself accepted")
+	}
+	if _, err := sys.TransferReliable(topo.UCSB, topo.UCSB, 1, DefaultRecovery()); err == nil {
+		t.Fatal("reliable transfer to itself accepted")
+	}
 }
 
 func TestMulticastDeliversToAllLeaves(t *testing.T) {

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/netlogistics/lsl/internal/depot"
-	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -195,28 +194,14 @@ func TestIntegrityDigestMismatchSurfacesAtSink(t *testing.T) {
 	want := depot.PatternDigest(id, size)
 	want.Sum[0] ^= 0xff // a digest no delivery can satisfy
 
-	sess, err := lsl.OpenAtID(sys.dialerFor(si), id, sys.Endpoint(si), sys.Endpoint(di), nil, 0,
-		wire.ChunkChecksumOption(), wire.ContentDigestOption(want))
-	if err != nil {
-		t.Fatal(err)
+	l := leg{path: []int{si, di}, id: id, to: size,
+		opts: []wire.Option{wire.ChunkChecksumOption(), wire.ContentDigestOption(want)}}
+	_, _, err = sys.attempt(l, 10*time.Second)
+	if !errors.Is(err, wire.ErrDigest) {
+		t.Fatalf("attempt err = %v, want wire.ErrDigest", err)
 	}
-	ch := sys.registerWaiter(sess.ID())
-	defer sys.dropWaiter(sess.ID())
-	if err := writeSessionPattern(sess, size); err != nil {
-		t.Fatal(err)
-	}
-	sess.Close()
-
-	select {
-	case res := <-ch:
-		if !errors.Is(res.err, wire.ErrDigest) {
-			t.Fatalf("sink err = %v, want wire.ErrDigest", res.err)
-		}
-		if retry.Classify(res.err) != retry.Transient {
-			t.Fatalf("digest mismatch classified %v, want Transient", retry.Classify(res.err))
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("no sink report")
+	if retry.Classify(err) != retry.Transient {
+		t.Fatalf("digest mismatch classified %v, want Transient", retry.Classify(err))
 	}
 	if v := reg.Counter(MetricDigestMismatches).Value(); v != 1 {
 		t.Fatalf("%s = %d, want 1", MetricDigestMismatches, v)

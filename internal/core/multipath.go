@@ -1,13 +1,11 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"sync"
 	"time"
 
 	"github.com/netlogistics/lsl/internal/depot"
-	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -338,10 +336,20 @@ func (s *System) TransferMultipath(srcHost, dstHost string, size int64, k int, p
 	var wg sync.WaitGroup
 	for w := range paths {
 		workers[w] = &stripePath{path: paths[w]}
+		// Unlike stripes, multipath ranges keep the whole-object digest:
+		// the sink's out-of-order tracker stitches the routes' contiguous
+		// ranges into one end-to-end SHA-256.
+		l := leg{
+			id:  id,
+			tid: tid,
+			opts: append(append(traceOpt(tid), integ...),
+				wire.PathSetIDOption(set), wire.PathIndexOption(uint16(w), uint16(count))),
+			tag: obs.Event{Path: obs.PathOf(w)},
+		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = s.mpWorker(q, workers[w], w, count, si, di, id, set, tid, integ, pol)
+			errs[w] = s.mpWorker(q, l, workers[w], w, pol)
 		}(w)
 	}
 	wg.Wait()
@@ -388,20 +396,23 @@ func firstErr(errs []error) error {
 }
 
 // mpWorker drives one pinned route: it claims chunk ranges off the
-// shared queue until the object is delivered, and dies alone — with
-// its claim released back to the queue — when a range exhausts its
-// attempts on this route.
-func (s *System) mpWorker(q *mpQueue, route *stripePath, w, count, si, di int, id, set wire.SessionID, tid wire.TraceID, integ []wire.Option, pol RecoveryPolicy) error {
+// shared queue and drives each as a leg until the object is delivered,
+// and dies alone — with its claim released back to the queue — when a
+// range exhausts its attempts on this route.
+func (s *System) mpWorker(q *mpQueue, l leg, route *stripePath, w int, pol RecoveryPolicy) error {
 	for {
 		r := q.claim()
 		if r == nil {
 			return nil
 		}
-		err := s.mpRangeWorker(q, r, route, w, count, si, di, id, set, tid, integ, pol)
+		l.from, l.to = r.rng.start, r.rng.end
+		_, err := s.drive(l, route, pol, MetricStripeRetries, func(l leg, timeout time.Duration) (int64, wire.SessionID, error) {
+			return s.mpAttempt(q, r, l, timeout)
+		})
 		q.release(r)
 		if err != nil {
 			s.cfg.Metrics.Counter(MetricMultipathPathFailures).Inc()
-			s.emitRecovery(id.String(), tid, si, obs.KindFailover, obs.Event{
+			s.emitHop0(l.id, l.tid, route.current()[0], obs.KindFailover, obs.Event{
 				Path:   obs.PathOf(w),
 				Detail: fmt.Sprintf("route %d abandoned: %v", w, err),
 			})
@@ -410,119 +421,34 @@ func (s *System) mpWorker(q *mpQueue, route *stripePath, w, count, si, di int, i
 	}
 }
 
-// mpRangeWorker drives one claimed range to completion on one route:
-// sessions resume at the range's deepest acked offset, retrying under
-// pol (and failing the route over around dead relays when starved),
-// and it returns nil once the sink has acked the whole range — whether
-// this route delivered the tail or a stealing sibling did.
-func (s *System) mpRangeWorker(q *mpQueue, r *mpRange, route *stripePath, w, count, si, di int, id, set wire.SessionID, tid wire.TraceID, integ []wire.Option, pol RecoveryPolicy) error {
-	reg := s.cfg.Metrics
-	var lastErr error
-	noProgress := 0
-	for attempt := 0; attempt < pol.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			reg.Counter(MetricStripeRetries).Inc()
-			s.emitRecovery(id.String(), tid, si, obs.KindRetry, obs.Event{
-				Path:   obs.PathOf(w),
-				Bytes:  q.ackedOf(r),
-				Detail: fmt.Sprintf("%s: %v", retry.Classify(lastErr), lastErr),
-			})
-			if err := pol.Retry.Sleep(context.Background(), attempt-1); err != nil {
-				break
-			}
-			if acked := q.ackedOf(r); acked > r.rng.start {
-				// Bytes the continuation session does not re-send.
-				reg.Counter(MetricResumedBytes).Add(acked - r.rng.start)
-			}
-		}
-		path, gen := route.get()
-		got, aerr := s.mpAttempt(q, r, path, w, count, id, set, tid, integ, pol.AttemptTimeout)
-		if aerr == nil {
-			return nil
-		}
-		if sinkErr := q.errOf(r); sinkErr != nil && retry.IsFatal(sinkErr) {
-			reg.Counter(MetricRecoveryFatal).Inc()
-			return fmt.Errorf("core: fatal: %w", sinkErr)
-		}
-		lastErr = aerr
-		if retry.IsFatal(aerr) {
-			reg.Counter(MetricRecoveryFatal).Inc()
-			return fmt.Errorf("core: fatal: %w", aerr)
-		}
-		if got > 0 {
-			noProgress = 0
-		} else {
-			noProgress++
-		}
-		if pol.Failover && noProgress >= pol.FailoverAfter && len(path) > 2 {
-			route.failover(gen, func(cur []int) []int {
-				return s.failoverPath(si, di, cur, id.String(), tid)
-			})
-			noProgress = 0
-		}
-	}
-	return fmt.Errorf("core: %w after %d attempts: %w", retry.ErrExhausted, pol.Retry.MaxAttempts, lastErr)
-}
-
-// mpAttempt runs one pinned-route session along path, streaming the
-// pattern for absolute offsets [acked, range end) and waiting for the
-// range to finish — by this session's own full ack or a stealing
-// sibling's (the range's done channel closes either way, first ack
-// wins). It returns how many new bytes the queue's ack frontier
-// advanced and nil exactly when the range is finished.
-func (s *System) mpAttempt(q *mpQueue, r *mpRange, path []int, w, count int, id, set wire.SessionID, tid wire.TraceID, integ []wire.Option, timeout time.Duration) (int64, error) {
-	before := q.ackedOf(r)
-	src, dst := path[0], path[len(path)-1]
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-	dial := lsl.TimeoutDialer(s.dialerFor(src), timeout)
-	// Unlike stripes, multipath ranges keep the whole-object digest:
-	// the sink's out-of-order tracker stitches the routes' contiguous
-	// ranges into one end-to-end SHA-256. The options are precomputed
-	// per transfer — the digest is the same for every range session.
-	opts := append(traceOpt(tid), integ...)
-	sess, err := lsl.OpenPath(dial, s.endpoints[src], s.endpoints[dst], route, id, set, w, count, before, opts...)
+// mpAttempt is multipath's attempt. It keeps its own wait because a
+// range has two possible finishers: it sends l from the range's
+// current ack frontier, then waits for the range to finish — by this
+// session's own ack or a stealing sibling's (the range's done channel
+// closes either way, first ack wins) — instead of for one report. It
+// returns the range's ack frontier, nil exactly when the range is
+// finished.
+func (s *System) mpAttempt(q *mpQueue, r *mpRange, l leg, timeout time.Duration) (int64, wire.SessionID, error) {
+	l.from = q.ackedOf(r)
+	sess, err := s.open(l, timeout)
 	if err != nil {
-		return 0, err
+		return l.from, l.id, err
 	}
-	first := dst
-	if len(path) > 2 {
-		first = path[1]
-	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String(), Bytes: before, Path: obs.PathOf(w)})
-
-	deadline := time.Now().Add(timeout)
-	_ = sess.SetWriteDeadline(deadline)
-	s.emitHop0(sess.ID(), tid, src, obs.KindFirstByte, obs.Event{Path: obs.PathOf(w)})
-	werr := writeSessionPatternFrom(sess, before, r.rng.end)
-	sess.Close()
-	if werr == nil {
-		s.emitHop0(sess.ID(), tid, src, obs.KindLastByte, obs.Event{Bytes: r.rng.end - before, Path: obs.PathOf(w)})
-	}
-
-	// Wait for the range to finish, mirroring stripeAttempt's settle:
-	// a clean write waits out the deadline, a torn one only a short
-	// drain window for in-flight bytes.
-	settle := time.Until(deadline)
-	if werr != nil || settle < drainWindow {
-		settle = drainWindow
-	}
+	settle, werr := s.send(sess, l, timeout)
 	select {
 	case <-r.done:
-		return q.ackedOf(r) - before, nil
+		return q.ackedOf(r), l.id, nil
 	case <-time.After(settle):
-		got := q.ackedOf(r) - before
+		acked := q.ackedOf(r)
 		if q.finished(r) {
-			return got, nil
+			return acked, l.id, nil
 		}
 		if sinkErr := q.errOf(r); sinkErr != nil {
-			return got, fmt.Errorf("core: sink: %w", sinkErr)
+			return acked, l.id, fmt.Errorf("core: sink: %w", sinkErr)
 		}
 		if werr != nil {
-			return got, fmt.Errorf("core: send: %w", werr)
+			return acked, l.id, fmt.Errorf("core: send: %w", werr)
 		}
-		return got, retry.AsTransient(fmt.Errorf("core: range %d not finished within %v", r.idx, settle))
+		return acked, l.id, retry.AsTransient(fmt.Errorf("core: range %d not finished within %v", r.idx, settle))
 	}
 }

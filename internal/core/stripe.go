@@ -1,14 +1,13 @@
 package core
 
 import (
-	"context"
+	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"time"
 
-	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
-	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -20,6 +19,10 @@ const (
 	// first, across all striped transfers.
 	MetricStripeRetries = "core_stripe_retries_total"
 )
+
+// ErrTooManyStripes rejects a stripe count the 16-bit stripe-count
+// header field cannot carry.
+var ErrTooManyStripes = errors.New("core: stripe count exceeds the 16-bit wire limit")
 
 // stripeRange is one stripe's contiguous byte range [start, end) of the
 // transferred object.
@@ -77,7 +80,8 @@ func stripeFor(ranges []stripeRange, offset int64) int {
 //
 // stripes <= 1 (or a size smaller than the stripe count) degrades
 // gracefully: the transfer runs with as many stripes as there are
-// bytes, and a single stripe is exactly TransferReliable.
+// bytes, and a single stripe is exactly TransferReliable. More than
+// 65 535 stripes cannot be numbered on the wire: ErrTooManyStripes.
 func (s *System) TransferStriped(srcHost, dstHost string, size int64, stripes int, pol RecoveryPolicy) (TransferResult, error) {
 	if size <= 0 {
 		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
@@ -85,27 +89,19 @@ func (s *System) TransferStriped(srcHost, dstHost string, size int64, stripes in
 	if stripes < 1 {
 		return TransferResult{}, fmt.Errorf("core: stripe count %d must be positive", stripes)
 	}
+	if stripes > math.MaxUint16 {
+		return TransferResult{}, fmt.Errorf("core: %d stripes: %w", stripes, ErrTooManyStripes)
+	}
 	if int64(stripes) > size {
 		stripes = int(size)
 	}
 	if stripes == 1 {
 		return s.TransferReliable(srcHost, dstHost, size, pol)
 	}
-	si, err := s.resolve(srcHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
 	pol = pol.withDefaults()
-	path, err := s.Planner.Path(si, di)
+	path, err := s.routeOrDirect(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
-	}
-	if path == nil {
-		path = []int{si, di}
 	}
 
 	id, err := wire.NewSessionID()
@@ -142,15 +138,31 @@ func (s *System) TransferStriped(srcHost, dstHost string, size int64, stripes in
 		}
 	}()
 
+	// Stripes carry per-chunk checksums but no content digest: the
+	// sibling ranges interleave at the sink, so only the per-hop
+	// verifiers guard them.
+	opts := traceOpt(tid)
+	if s.cfg.Integrity {
+		opts = append(opts, wire.ChunkChecksumOption())
+	}
 	start := time.Now()
 	sp := &stripePath{path: path}
 	errs := make([]error, stripes)
 	var wg sync.WaitGroup
-	for k := range ranges {
+	for k, rng := range ranges {
+		l := leg{
+			id:      id,
+			from:    rng.start,
+			to:      rng.end,
+			tid:     tid,
+			opts:    append(opts[:len(opts):len(opts)], wire.StripeCountOption(uint16(stripes)), wire.StripeIndexOption(uint16(k))),
+			tag:     obs.Event{Stripe: obs.StripeOf(k)},
+			reports: perStripe[k],
+		}
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			errs[k] = s.stripeWorker(sp, si, di, id, tid, k, stripes, ranges[k], pol, perStripe[k])
+			_, errs[k] = s.drive(l, sp, pol, MetricStripeRetries, s.attempt)
 		}(k)
 	}
 	wg.Wait()
@@ -167,162 +179,4 @@ func (s *System) TransferStriped(srcHost, dstHost string, size int64, stripes in
 	s.observeTransfer(out, nil)
 	s.cfg.Metrics.Counter(MetricStripedTransfers).Inc()
 	return out, nil
-}
-
-// stripePath is the depot path a striped transfer's workers share. A
-// failover reroute decided by one stripe advances the generation and
-// every sibling's next attempt follows the new path; the generation
-// guard in failover makes concurrent triggers from several starved
-// stripes cost a single probe-and-replan.
-type stripePath struct {
-	mu   sync.Mutex
-	path []int
-	gen  int
-}
-
-// get returns the current path and its generation.
-func (p *stripePath) get() ([]int, int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.path, p.gen
-}
-
-// current returns the path the transfer ended on.
-func (p *stripePath) current() []int {
-	path, _ := p.get()
-	return path
-}
-
-// failover reroutes via fn unless a sibling already rerouted past gen.
-func (p *stripePath) failover(gen int, fn func(cur []int) []int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if gen != p.gen {
-		return // a sibling already rerouted this generation
-	}
-	p.path = fn(p.path)
-	p.gen++
-}
-
-// stripeWorker drives one stripe to completion: it opens stripe
-// sessions resuming at the deepest acked offset, retrying under pol
-// (and triggering a shared-path failover when starved), and returns
-// nil once the sink has verified the stripe's whole range.
-func (s *System) stripeWorker(sp *stripePath, si, di int, id wire.SessionID, tid wire.TraceID, k, count int, rng stripeRange, pol RecoveryPolicy, results <-chan deliverResult) error {
-	r := s.cfg.Metrics
-	acked := rng.start // absolute offset the sink has verified up to
-	var lastErr error
-	noProgress := 0
-	for attempt := 0; attempt < pol.Retry.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			r.Counter(MetricStripeRetries).Inc()
-			s.emitRecovery(id.String(), tid, si, obs.KindRetry, obs.Event{
-				Stripe: obs.StripeOf(k),
-				Bytes:  acked,
-				Detail: fmt.Sprintf("%s: %v", retry.Classify(lastErr), lastErr),
-			})
-			if err := pol.Retry.Sleep(context.Background(), attempt-1); err != nil {
-				break
-			}
-			if acked > rng.start {
-				// Bytes the continuation session does not re-send.
-				r.Counter(MetricResumedBytes).Add(acked - rng.start)
-			}
-		}
-		path, gen := sp.get()
-		got, aerr := s.stripeAttempt(path, id, tid, k, count, acked, rng.end, pol.AttemptTimeout, results)
-		acked += got
-		if aerr == nil && acked == rng.end {
-			return nil
-		}
-		if aerr == nil {
-			aerr = retry.AsTransient(fmt.Errorf("core: sink acked %d of %d stripe bytes", acked-rng.start, rng.end-rng.start))
-		}
-		lastErr = aerr
-		if retry.IsFatal(aerr) {
-			r.Counter(MetricRecoveryFatal).Inc()
-			return fmt.Errorf("core: fatal: %w", aerr)
-		}
-		if got > 0 {
-			noProgress = 0
-		} else {
-			noProgress++
-		}
-		if pol.Failover && noProgress >= pol.FailoverAfter && len(path) > 2 {
-			sp.failover(gen, func(cur []int) []int {
-				return s.failoverPath(si, di, cur, id.String(), tid)
-			})
-			noProgress = 0
-		}
-	}
-	return fmt.Errorf("core: %w after %d attempts: %w", retry.ErrExhausted, pol.Retry.MaxAttempts, lastErr)
-}
-
-// stripeAttempt runs one stripe session along path, streaming the
-// pattern for absolute offsets [from, end) and returning how many new
-// bytes the sink acked past from. Reports are read from the stripe's
-// routed channel; a late report from an earlier torn attempt only ever
-// increases the acked prefix (its range starts no deeper than from), so
-// progress is the maximum of offset+bytes over the reports seen.
-func (s *System) stripeAttempt(path []int, id wire.SessionID, tid wire.TraceID, k, count int, from, end int64, timeout time.Duration, results <-chan deliverResult) (int64, error) {
-	src, dst := path[0], path[len(path)-1]
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-	dial := lsl.TimeoutDialer(s.dialerFor(src), timeout)
-	opts := traceOpt(tid)
-	if s.cfg.Integrity {
-		// Stripes carry per-chunk checksums but no content digest: the
-		// sibling ranges interleave at the sink, so only the per-hop
-		// verifiers guard them.
-		opts = append(opts, wire.ChunkChecksumOption())
-	}
-	sess, err := lsl.OpenStripe(dial, s.endpoints[src], s.endpoints[dst], route, id, k, count, from, opts...)
-	if err != nil {
-		return 0, err
-	}
-	first := dst
-	if len(path) > 2 {
-		first = path[1]
-	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String(), Bytes: from, Stripe: obs.StripeOf(k)})
-
-	deadline := time.Now().Add(timeout)
-	_ = sess.SetWriteDeadline(deadline)
-	s.emitHop0(sess.ID(), tid, src, obs.KindFirstByte, obs.Event{Stripe: obs.StripeOf(k)})
-	werr := writeSessionPatternFrom(sess, from, end)
-	sess.Close()
-	if werr == nil {
-		s.emitHop0(sess.ID(), tid, src, obs.KindLastByte, obs.Event{Bytes: end - from, Stripe: obs.StripeOf(k)})
-	}
-
-	// Wait for the sink's report, mirroring attemptResumable: a clean
-	// write waits out the deadline for the delivery report, a torn one
-	// only a short drain window for in-flight bytes.
-	settle := time.Until(deadline)
-	if werr != nil || settle < drainWindow {
-		settle = drainWindow
-	}
-	progress := func(res deliverResult) int64 {
-		if got := res.offset + res.bytes - from; got > 0 {
-			return got
-		}
-		return 0
-	}
-	select {
-	case res := <-results:
-		if res.err != nil {
-			return progress(res), fmt.Errorf("core: sink: %w", res.err)
-		}
-		if werr != nil && res.offset+res.bytes < end {
-			return progress(res), fmt.Errorf("core: send: %w", werr)
-		}
-		return progress(res), nil
-	case <-time.After(settle):
-		if werr != nil {
-			return 0, fmt.Errorf("core: send: %w", werr)
-		}
-		return 0, retry.AsTransient(fmt.Errorf("core: no sink report within %v", settle))
-	}
 }

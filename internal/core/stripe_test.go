@@ -205,6 +205,11 @@ func TestStripedDegradesGracefully(t *testing.T) {
 	if _, err := sys.TransferStriped("src", "dst", 1<<10, 0, DefaultRecovery()); err == nil {
 		t.Fatal("zero stripe count accepted")
 	}
+	// A count the 16-bit header field would wrap (70 000 → 4 464) is
+	// refused before any stripe option is built.
+	if _, err := sys.TransferStriped("src", "dst", 1<<20, 70000, DefaultRecovery()); !errors.Is(err, ErrTooManyStripes) {
+		t.Fatalf("70000 stripes: err = %v, want ErrTooManyStripes", err)
+	}
 }
 
 // TestStripedCorruptionIsFatal: silent corruption on one stripe must

@@ -5,7 +5,6 @@ import (
 	"net"
 	"time"
 
-	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/graph"
 	"github.com/netlogistics/lsl/internal/lsl"
@@ -40,11 +39,15 @@ func (s *System) observeTransfer(res TransferResult, err error) {
 }
 
 // emitHop0 reports an initiator-side (hop 0) trace event. tid is the
-// end-to-end trace identifier the logical transfer minted; a zero id
-// (tracing unavailable) leaves the event uncorrelated.
+// end-to-end trace identifier the logical transfer minted; a zero tid
+// (tracing unavailable) leaves the event uncorrelated. A zero session
+// id (a retry after a failed dial has no session yet) leaves the event
+// keyed by the trace id alone.
 func (s *System) emitHop0(id wire.SessionID, tid wire.TraceID, src int, kind string, e obs.Event) {
 	e.Kind = kind
-	e.Session = id.String()
+	if id != (wire.SessionID{}) {
+		e.Session = id.String()
+	}
 	if !tid.IsZero() {
 		e.Trace = tid.String()
 	}
@@ -64,9 +67,9 @@ func mintTrace() wire.TraceID {
 	return tid
 }
 
-// traceOpt renders tid as the extra header options an initiator passes
-// to the lsl Open family: empty for a zero id, so untraced transfers
-// put nothing on the wire.
+// traceOpt renders tid as the header options an initiator puts in its
+// lsl.Spec: empty for a zero id, so untraced transfers put nothing on
+// the wire.
 func traceOpt(tid wire.TraceID) []wire.Option {
 	if tid.IsZero() {
 		return nil
@@ -109,22 +112,11 @@ func (s *System) resolve(host string) (int, error) {
 // chosen path (which may be direct), waiting until the sink has
 // received and verified every byte.
 func (s *System) Transfer(srcHost, dstHost string, size int64) (TransferResult, error) {
-	si, err := s.resolve(srcHost)
+	path, err := s.plannedRoute(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
 	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	path, err := s.Planner.Path(si, di)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	if path == nil {
-		return TransferResult{}, fmt.Errorf("core: no route %s → %s", srcHost, dstHost)
-	}
-	return s.transferAlong(path, size)
+	return s.single(leg{path: path, to: size})
 }
 
 // TransferWeighted is Transfer with an explicit fair-share weight: the
@@ -132,22 +124,11 @@ func (s *System) Transfer(srcHost, dstHost string, size int64) (TransferResult, 
 // the path grants it weight× the per-round credit of a weight-1
 // session. On an unscheduled deployment the option rides along inert.
 func (s *System) TransferWeighted(srcHost, dstHost string, size int64, weight uint16) (TransferResult, error) {
-	si, err := s.resolve(srcHost)
+	path, err := s.plannedRoute(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
 	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	path, err := s.Planner.Path(si, di)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	if path == nil {
-		return TransferResult{}, fmt.Errorf("core: no route %s → %s", srcHost, dstHost)
-	}
-	return s.transferAlong(path, size, wire.SessionWeightOption(weight))
+	return s.single(leg{path: path, to: size, opts: []wire.Option{wire.SessionWeightOption(weight)}})
 }
 
 // DirectTransfer bypasses the scheduler and moves the bytes over the
@@ -161,20 +142,48 @@ func (s *System) DirectTransfer(srcHost, dstHost string, size int64) (TransferRe
 	if err != nil {
 		return TransferResult{}, err
 	}
-	return s.transferAlong([]int{si, di}, size)
+	return s.single(leg{path: []int{si, di}, to: size})
+}
+
+// plan resolves both hosts and returns their indexes and the
+// planner's path between them (nil when it forecasts none).
+func (s *System) plan(srcHost, dstHost string) (si, di int, path []int, err error) {
+	if si, err = s.resolve(srcHost); err != nil {
+		return
+	}
+	if di, err = s.resolve(dstHost); err != nil {
+		return
+	}
+	if si == di {
+		return si, di, nil, fmt.Errorf("core: %s is both source and destination", srcHost)
+	}
+	path, err = s.Planner.Path(si, di)
+	return
+}
+
+// plannedRoute is plan failing when the planner forecasts no path.
+func (s *System) plannedRoute(srcHost, dstHost string) ([]int, error) {
+	_, _, path, err := s.plan(srcHost, dstHost)
+	if err == nil && path == nil {
+		err = fmt.Errorf("core: no route %s → %s", srcHost, dstHost)
+	}
+	return path, err
+}
+
+// routeOrDirect is plan degrading to the direct path when the planner
+// forecasts none: a recovering transfer's job is delivery, not
+// refusal.
+func (s *System) routeOrDirect(srcHost, dstHost string) ([]int, error) {
+	si, di, path, err := s.plan(srcHost, dstHost)
+	if err == nil && path == nil {
+		path = []int{si, di}
+	}
+	return path, err
 }
 
 // PlannedPath reports the host names on the planner's current route.
 func (s *System) PlannedPath(srcHost, dstHost string) ([]string, error) {
-	si, err := s.resolve(srcHost)
-	if err != nil {
-		return nil, err
-	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return nil, err
-	}
-	path, err := s.Planner.Path(si, di)
+	_, _, path, err := s.plan(srcHost, dstHost)
 	if err != nil {
 		return nil, err
 	}
@@ -189,89 +198,42 @@ func (s *System) hostNames(path []int) []string {
 	return names
 }
 
-// transferAlong runs one transfer over an explicit host-index path.
-// extra options (trace ids are added here; weights arrive from the
-// caller) ride the session header end to end.
-func (s *System) transferAlong(path []int, size int64, extra ...wire.Option) (TransferResult, error) {
-	if size <= 0 {
-		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
+// single runs l — the whole object, [0, size) — as one attempt bounded
+// by transferTimeout: the unrecovered transfer every non-retrying mode
+// is. It adds the trace id to l's options and, under Integrity, a
+// minted session id and the content digest keyed by it.
+func (s *System) single(l leg) (TransferResult, error) {
+	if l.to <= 0 {
+		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", l.to)
 	}
-	if len(path) < 2 {
-		return TransferResult{}, fmt.Errorf("core: path needs at least 2 hosts")
-	}
-	src, dst := path[0], path[len(path)-1]
-	route := make([]wire.Endpoint, 0, len(path)-2)
-	for _, h := range path[1 : len(path)-1] {
-		route = append(route, s.endpoints[h])
-	}
-
 	start := time.Now()
-	tid := mintTrace()
-	opts := append(traceOpt(tid), extra...)
-	var (
-		sess *lsl.Session
-		err  error
-	)
+	l.tid = mintTrace()
+	l.opts = append(traceOpt(l.tid), l.opts...)
 	if s.cfg.Integrity {
-		// The content digest is keyed by the session id (the payload is
-		// the id-seeded pattern), so integrity transfers mint the id
-		// before opening instead of letting Open draw one.
-		id, ierr := wire.NewSessionID()
-		if ierr != nil {
-			s.observeTransfer(TransferResult{}, ierr)
-			return TransferResult{}, ierr
+		id, err := wire.NewSessionID()
+		if err != nil {
+			s.observeTransfer(TransferResult{}, err)
+			return TransferResult{}, err
 		}
 		defer s.digests.drop(id)
-		opts = append(opts, integrityOptions(depot.PatternDigest(id, size))...)
-		sess, err = lsl.OpenAtID(s.dialerFor(src), id, s.endpoints[src], s.endpoints[dst], route, 0, opts...)
-	} else {
-		sess, err = lsl.Open(s.dialerFor(src), s.endpoints[src], s.endpoints[dst], route, opts...)
+		l.id = id
+		l.opts = append(l.opts, integrityOptions(depot.PatternDigest(id, l.to))...)
+	}
+	acked, _, err := s.attempt(l, transferTimeout)
+	if err == nil && acked != l.to {
+		err = fmt.Errorf("core: sink received %d of %d bytes", acked, l.to)
 	}
 	if err != nil {
 		s.observeTransfer(TransferResult{}, err)
 		return TransferResult{}, err
 	}
-	first := dst
-	if len(path) > 2 {
-		first = path[1]
+	out := s.result(l.to, time.Since(start), l.path)
+	s.observeTransfer(out, nil)
+	if s.cfg.FeedObservations && len(l.path) == 2 && l.entry.IsZero() {
+		// A direct transfer doubles as an end-to-end measurement.
+		_ = s.Planner.Observe(s.Topo.Hosts[l.path[0]].Name, s.Topo.Hosts[l.path[1]].Name, out.Bandwidth)
 	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String()})
-	ch := s.registerWaiter(sess.ID())
-	defer s.dropWaiter(sess.ID())
-
-	s.emitHop0(sess.ID(), tid, src, obs.KindFirstByte, obs.Event{})
-	werr := writeSessionPattern(sess, size)
-	sess.Close()
-	if werr != nil {
-		s.observeTransfer(TransferResult{}, werr)
-		return TransferResult{}, fmt.Errorf("core: send: %w", werr)
-	}
-	s.emitHop0(sess.ID(), tid, src, obs.KindLastByte, obs.Event{Bytes: size})
-
-	select {
-	case res := <-ch:
-		elapsed := time.Since(start)
-		if res.err != nil {
-			s.observeTransfer(TransferResult{}, res.err)
-			return TransferResult{}, fmt.Errorf("core: sink: %w", res.err)
-		}
-		if res.bytes != size {
-			err := fmt.Errorf("core: sink received %d of %d bytes", res.bytes, size)
-			s.observeTransfer(TransferResult{}, err)
-			return TransferResult{}, err
-		}
-		out := s.result(size, elapsed, path)
-		s.observeTransfer(out, nil)
-		if s.cfg.FeedObservations && len(path) == 2 {
-			// A direct transfer doubles as an end-to-end measurement.
-			_ = s.Planner.Observe(s.Topo.Hosts[src].Name, s.Topo.Hosts[dst].Name, out.Bandwidth)
-		}
-		return out, nil
-	case <-time.After(transferTimeout):
-		err := fmt.Errorf("core: transfer timed out after %v", transferTimeout)
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
-	}
+	return out, nil
 }
 
 // Replan rebuilds the scheduling trees from the monitor's current
@@ -286,82 +248,11 @@ func (s *System) Replan() error { return s.Planner.Replan() }
 // The reported path is the initiator's planned path; the depots'
 // per-node trees may in principle route differently.
 func (s *System) TransferHopByHop(srcHost, dstHost string, size int64) (TransferResult, error) {
-	if size <= 0 {
-		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
-	}
-	si, err := s.resolve(srcHost)
+	path, err := s.plannedRoute(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
 	}
-	di, err := s.resolve(dstHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	path, err := s.Planner.Path(si, di)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	if path == nil {
-		return TransferResult{}, fmt.Errorf("core: no route %s → %s", srcHost, dstHost)
-	}
-	first := di
-	if len(path) > 2 {
-		first = path[1]
-	}
-
-	start := time.Now()
-	// Dial the first hop with the final destination in the header and
-	// NO source route: forwarding decisions belong to the depots.
-	conn, err := s.dialerFor(si).Dial(s.endpoints[first].String())
-	if err != nil {
-		return TransferResult{}, err
-	}
-	tid := mintTrace()
-	opts := traceOpt(tid)
-	if s.cfg.Integrity {
-		// Hop-by-hop sessions get per-hop chunk protection; the
-		// end-to-end digest needs the session id before dialing, which
-		// Wrap mints internally, so it stays off this path.
-		opts = append(opts, wire.ChunkChecksumOption())
-	}
-	sess, err := lsl.Wrap(conn, s.endpoints[si], s.endpoints[di], opts...)
-	if err != nil {
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
-	}
-	s.emitHop0(sess.ID(), tid, si, obs.KindConnect, obs.Event{Peer: s.endpoints[first].String()})
-	ch := s.registerWaiter(sess.ID())
-	defer s.dropWaiter(sess.ID())
-
-	s.emitHop0(sess.ID(), tid, si, obs.KindFirstByte, obs.Event{})
-	if err := writeSessionPattern(sess, size); err != nil {
-		sess.Close()
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, fmt.Errorf("core: hop-by-hop send: %w", err)
-	}
-	sess.Close()
-	s.emitHop0(sess.ID(), tid, si, obs.KindLastByte, obs.Event{Bytes: size})
-
-	select {
-	case res := <-ch:
-		elapsed := time.Since(start)
-		if res.err != nil {
-			s.observeTransfer(TransferResult{}, res.err)
-			return TransferResult{}, fmt.Errorf("core: sink: %w", res.err)
-		}
-		if res.bytes != size {
-			err := fmt.Errorf("core: sink received %d of %d bytes", res.bytes, size)
-			s.observeTransfer(TransferResult{}, err)
-			return TransferResult{}, err
-		}
-		out := s.result(size, elapsed, path)
-		s.observeTransfer(out, nil)
-		return out, nil
-	case <-time.After(transferTimeout):
-		err := fmt.Errorf("core: hop-by-hop transfer timed out after %v", transferTimeout)
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
-	}
+	return s.single(leg{path: path, entry: s.endpoints[path[1]], to: size})
 }
 
 // transferTimeout bounds a single emulated transfer in wall time.
@@ -379,30 +270,6 @@ func (s *System) result(size int64, elapsed time.Duration, path []int) TransferR
 		Bandwidth: bw,
 		Path:      s.hostNames(path),
 	}
-}
-
-// writeSessionPattern streams the session's deterministic pattern —
-// through the chunk framer when the session is checksummed. The copy
-// buffer is pooled with the depot pumps and sink loops.
-func writeSessionPattern(sess *lsl.Session, size int64) error {
-	w := sessionWriter(sess)
-	bp := bufpool.Get()
-	defer bufpool.Put(bp)
-	buf := *bp
-	var written int64
-	for written < size {
-		n := int64(len(buf))
-		if remaining := size - written; remaining < n {
-			n = remaining
-		}
-		depot.FillPattern(buf[:n], sess.ID(), written)
-		m, err := w.Write(buf[:n])
-		written += int64(m)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // MulticastResult reports a staging operation.
@@ -456,14 +323,24 @@ func (s *System) Multicast(srcHost string, dstHosts []string, size int64) (Multi
 
 	start := time.Now()
 	tid := mintTrace()
-	mopts := traceOpt(tid)
+	treeOpt, err := wire.MulticastTreeOption(root)
+	if err != nil {
+		return MulticastResult{}, fmt.Errorf("core: %w", err)
+	}
+	mopts := append([]wire.Option{treeOpt}, traceOpt(tid)...)
 	if s.cfg.Integrity {
 		// Every duplication point of the staging tree verifies and
-		// re-stamps the chunk framing; like hop-by-hop, the digest stays
-		// off because OpenMulticast mints the session id itself.
+		// re-stamps the chunk framing. The digest stays off: every leaf
+		// sink would key its running digest by the one session id.
 		mopts = append(mopts, wire.ChunkChecksumOption())
 	}
-	sess, err := lsl.OpenMulticast(s.dialerFor(si), s.endpoints[si], s.endpoints[si], root, mopts...)
+	sess, err := lsl.Start(s.dialerFor(si), lsl.Spec{
+		Type:    wire.TypeMulticast,
+		Src:     s.endpoints[si],
+		Dst:     s.endpoints[si],
+		Entry:   root.Addr,
+		Options: mopts,
+	})
 	if err != nil {
 		s.observeTransfer(TransferResult{}, err)
 		return MulticastResult{}, err
@@ -472,8 +349,9 @@ func (s *System) Multicast(srcHost string, dstHosts []string, size int64) (Multi
 	ch := s.registerWaiter(sess.ID())
 	defer s.dropWaiter(sess.ID())
 
+	_ = sess.SetWriteDeadline(start.Add(transferTimeout))
 	s.emitHop0(sess.ID(), tid, si, obs.KindFirstByte, obs.Event{})
-	if err := writeSessionPattern(sess, size); err != nil {
+	if err := writeSessionPattern(sess, 0, size); err != nil {
 		sess.Close()
 		s.observeTransfer(TransferResult{}, err)
 		return MulticastResult{}, fmt.Errorf("core: multicast send: %w", err)

@@ -494,11 +494,11 @@ func (c *Controller) wireProbe(src, dst string) (float64, error) {
 	// Each probe is its own traced transfer: the depot-side events it
 	// provokes correlate under one id, distinguishable from data
 	// traffic when timelines are assembled.
-	var extra []wire.Option
+	opts := []wire.Option{wire.GenerateOption(c.cfg.ProbeBytes)}
 	if tid, terr := wire.NewTraceID(); terr == nil {
-		extra = append(extra, wire.TraceIDOption(tid))
+		opts = append(opts, wire.TraceIDOption(tid))
 	}
-	sess, err := lsl.OpenGenerate(c.cfg.Dial, c.cfg.Self, da, []wire.Endpoint{sa}, c.cfg.ProbeBytes, extra...)
+	sess, err := lsl.Start(c.cfg.Dial, lsl.Spec{Type: wire.TypeGenerate, Src: c.cfg.Self, Dst: da, Route: []wire.Endpoint{sa}, Options: opts})
 	if err != nil {
 		return 0, err
 	}

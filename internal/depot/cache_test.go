@@ -126,9 +126,9 @@ func TestCacheServeDirective(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := lsl.OpenCacheServe(h.dialerFrom("10.0.0.1"), id, epA, epC,
-		[]wire.Endpoint{epB}, d, wire.ByteRange{Off: 0, Len: d.Size},
-		wire.ChunkChecksumOption(), wire.ContentDigestOption(d))
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeCacheServe, ID: id, Src: epA, Dst: epC,
+		Route: []wire.Endpoint{epB}, Options: []wire.Option{wire.CacheServeOption(d, wire.ByteRange{Off: 0, Len: d.Size}),
+			wire.ChunkChecksumOption(), wire.ContentDigestOption(d)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,8 +168,8 @@ func TestCacheServeSuffixRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := wire.ByteRange{Off: d.Size / 2, Len: d.Size - d.Size/2}
-	sess, err := lsl.OpenCacheServe(h.dialerFrom("10.0.0.1"), id, epA, epC,
-		[]wire.Endpoint{epB}, d, r, wire.ChunkChecksumOption())
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeCacheServe, ID: id, Src: epA, Dst: epC,
+		Route: []wire.Endpoint{epB}, Options: []wire.Option{wire.CacheServeOption(d, r), wire.ChunkChecksumOption()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +194,8 @@ func TestCacheServeMissRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := lsl.OpenCacheServe(h.dialerFrom("10.0.0.1"), id, epA, epC,
-		[]wire.Endpoint{epB}, d, wire.ByteRange{Off: 0, Len: d.Size})
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeCacheServe, ID: id, Src: epA, Dst: epC,
+		Route: []wire.Endpoint{epB}, Options: []wire.Option{wire.CacheServeOption(d, wire.ByteRange{Off: 0, Len: d.Size})}})
 	if err != nil {
 		t.Fatal(err)
 	}

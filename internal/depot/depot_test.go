@@ -230,7 +230,7 @@ func TestGenerateSession(t *testing.T) {
 	h.addDepot(epB, Config{})
 	h.addDepot(epC, Config{})
 	const size = 100 << 10
-	sess, err := lsl.OpenGenerate(h.dialerFrom("10.0.0.1"), epA, epC, []wire.Endpoint{epB}, size)
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeGenerate, Src: epA, Dst: epC, Route: []wire.Endpoint{epB}, Options: []wire.Option{wire.GenerateOption(size)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestGenerateSession(t *testing.T) {
 func TestGenerateToSelf(t *testing.T) {
 	h := newHarness(t)
 	h.addDepot(epB, Config{})
-	sess, err := lsl.OpenGenerate(h.dialerFrom("10.0.0.1"), epA, epB, nil, 5000)
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeGenerate, Src: epA, Dst: epB, Options: []wire.Option{wire.GenerateOption(5000)}})
 	if err != nil {
 		t.Fatal(err)
 	}

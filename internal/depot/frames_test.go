@@ -249,8 +249,8 @@ func TestCacheServeDownstreamDies(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sess, err := lsl.OpenCacheServe(h.dialerFrom("10.0.0.1"), id, epA, epC,
-			[]wire.Endpoint{epB}, d, wire.ByteRange{Off: 0, Len: d.Size}, wire.ChunkChecksumOption())
+		sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeCacheServe, ID: id, Src: epA, Dst: epC,
+			Route: []wire.Endpoint{epB}, Options: []wire.Option{wire.CacheServeOption(d, wire.ByteRange{Off: 0, Len: d.Size}), wire.ChunkChecksumOption()}})
 		if err != nil {
 			t.Fatal(err)
 		}

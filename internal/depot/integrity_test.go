@@ -123,8 +123,8 @@ func TestStoreUnframesChecksummedPayload(t *testing.T) {
 	h := newHarness(t)
 	h.addDepot(epB, Config{})
 	payload := bytes.Repeat([]byte("stage me "), 4096)
-	sess, err := lsl.OpenStore(h.dialerFrom("10.0.0.1"), epA, epB, nil,
-		wire.ChunkChecksumOption())
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeStore, Src: epA, Dst: epB,
+		Options: []wire.Option{wire.ChunkChecksumOption()}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func TestMulticastFanOut(t *testing.T) {
 			{Addr: epD},
 		},
 	}
-	sess, err := lsl.OpenMulticast(h.dialerFrom("10.0.0.1"), epA, epA, tree)
+	sess, err := startMulticast(h.dialerFrom("10.0.0.1"), epA, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestMulticastThreeLevels(t *testing.T) {
 			{Addr: epC, Children: []*wire.TreeNode{{Addr: epD}}},
 		},
 	}
-	sess, err := lsl.OpenMulticast(h.dialerFrom("10.0.0.1"), epA, epA, tree)
+	sess, err := startMulticast(h.dialerFrom("10.0.0.1"), epA, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestMulticastSingleNodeTreeDeliversLocally(t *testing.T) {
 	h := newHarness(t)
 	h.addDepot(epB, Config{})
 	tree := &wire.TreeNode{Addr: epB}
-	sess, err := lsl.OpenMulticast(h.dialerFrom("10.0.0.1"), epA, epA, tree)
+	sess, err := startMulticast(h.dialerFrom("10.0.0.1"), epA, tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,4 +275,13 @@ func TestPipeConnInterface(t *testing.T) {
 		t.Fatalf("read via pipeConn: %q, %v", buf, err)
 	}
 	c.Close()
+}
+
+// startMulticast opens a staging session from src fanned out over tree.
+func startMulticast(d lsl.Dialer, src wire.Endpoint, tree *wire.TreeNode) (*lsl.Session, error) {
+	opt, err := wire.MulticastTreeOption(tree)
+	if err != nil {
+		return nil, err
+	}
+	return lsl.Start(d, lsl.Spec{Type: wire.TypeMulticast, Src: src, Dst: src, Entry: tree.Addr, Options: []wire.Option{opt}})
 }

@@ -141,11 +141,7 @@ func TestTableDrivenForwarding(t *testing.T) {
 	pushTable(t, h, "10.0.0.9", epB, 1, []wire.RouteEntry{{Dst: epC, Next: epC}})
 
 	// No source route: the relay must forward A→C purely by its table.
-	conn, err := h.net.Dial("10.0.0.1", epB.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := lsl.Wrap(conn, epA, epC)
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Src: epA, Dst: epC, Entry: epB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,16 +170,12 @@ func TestTableDrivenMissRefused(t *testing.T) {
 	h := newHarness(t)
 	relay := h.addDepot(epB, Config{AcceptControl: true, TableDriven: true})
 
-	conn, err := h.net.Dial("10.0.0.1", epB.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := lsl.Wrap(conn, epA, epC)
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Src: epA, Dst: epC, Entry: epB})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	sess.SetReadDeadline(time.Now().Add(5 * time.Second))
 	ack, err := wire.ReadHeader(sess)
 	if err != nil {
 		t.Fatalf("reading refusal: %v", err)
@@ -261,11 +253,7 @@ func TestLegacyDepotIgnoresTableMode(t *testing.T) {
 	h := newHarness(t)
 	relay := h.addDepot(epB, Config{})
 	h.addDepot(epC, Config{})
-	conn, err := h.net.Dial("10.0.0.1", epB.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := lsl.Wrap(conn, epA, epC)
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Src: epA, Dst: epC, Entry: epB})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -76,7 +76,7 @@ func TestAsyncStoreAndFetch(t *testing.T) {
 
 	// Producer stores through the relay.
 	payload := bytes.Repeat([]byte("async grid data "), 2048)
-	sess, err := lsl.OpenStore(h.dialerFrom("10.0.0.1"), epA, epC, []wire.Endpoint{epB})
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeStore, Src: epA, Dst: epC, Route: []wire.Endpoint{epB}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestFetchUnknownIDRefused(t *testing.T) {
 func TestStoreDirectAtDepot(t *testing.T) {
 	h := newHarness(t)
 	h.addDepot(epB, Config{StoreBytes: 1 << 20})
-	sess, err := lsl.OpenStore(h.dialerFrom("10.0.0.1"), epA, epB, nil)
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeStore, Src: epA, Dst: epB})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestStoredSessionLookup(t *testing.T) {
 	if _, ok := srv.StoredSession(wire.SessionID{1}); ok {
 		t.Fatal("empty store reported a session")
 	}
-	sess, err := lsl.OpenStore(h.dialerFrom("10.0.0.1"), epA, epB, nil)
+	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeStore, Src: epA, Dst: epB})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -159,7 +159,7 @@ func TestRealTCPGenerate(t *testing.T) {
 	go srv.Serve(ln)
 	defer srv.Close()
 
-	sess, err := lsl.OpenGenerate(dial, wire.MustEndpoint("127.0.0.1:1"), self, nil, 100<<10)
+	sess, err := lsl.Start(dial, lsl.Spec{Type: wire.TypeGenerate, Src: wire.MustEndpoint("127.0.0.1:1"), Dst: self, Options: []wire.Option{wire.GenerateOption(100 << 10)}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,15 @@
 // Package docs enforces the repository's documentation contract: every
 // exported identifier in the audited packages carries a doc comment,
 // and every relative link in the markdown documentation resolves to a
-// file that exists. The checks run as ordinary tests (and in CI's docs
-// job), so documentation rot fails the build like any other regression.
+// file that exists. It also holds the code-size ratchet: listed
+// directories may not grow past their non-test line ceilings. The
+// checks run as ordinary tests (and in CI's docs job), so documentation
+// rot and code growth fail the build like any other regression.
 package docs
 
 import (
+	"bufio"
+	"bytes"
 	"fmt"
 	"go/ast"
 	"go/parser"
@@ -13,6 +17,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 )
 
@@ -144,4 +149,64 @@ func BrokenLinks(mdPath string) ([]string, error) {
 		}
 	}
 	return broken, nil
+}
+
+// NonTestLines counts the lines of the non-test .go files directly in
+// dir, as `wc -l` over them would.
+func NonTestLines(dir string) (int, error) {
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return 0, err
+	}
+	n := 0
+	for _, f := range files {
+		if strings.HasSuffix(f, "_test.go") {
+			continue
+		}
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			return 0, err
+		}
+		n += bytes.Count(raw, []byte{'\n'})
+	}
+	return n, nil
+}
+
+// OverCeilings reads a ceilings file — "dir ceiling" lines, dir
+// relative to root, '#' starting a comment — and returns one
+// "dir: lines > ceiling" entry per directory whose non-test lines
+// exceed its ceiling.
+func OverCeilings(root, ceilingsPath string) ([]string, error) {
+	f, err := os.Open(ceilingsPath)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var over []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line, _, _ := strings.Cut(sc.Text(), "#")
+		fields := strings.Fields(line)
+		if len(fields) == 0 {
+			continue
+		}
+		if len(fields) != 2 {
+			return nil, fmt.Errorf("%s: want \"dir ceiling\", got %q", ceilingsPath, sc.Text())
+		}
+		ceiling, err := strconv.Atoi(fields[1])
+		if err != nil {
+			return nil, fmt.Errorf("%s: ceiling of %s: %w", ceilingsPath, fields[0], err)
+		}
+		n, err := NonTestLines(filepath.Join(root, fields[0]))
+		if err != nil {
+			return nil, err
+		}
+		if n == 0 {
+			return nil, fmt.Errorf("%s: %s holds no Go code", ceilingsPath, fields[0])
+		}
+		if n > ceiling {
+			over = append(over, fmt.Sprintf("%s: %d lines > ceiling %d", fields[0], n, ceiling))
+		}
+	}
+	return over, sc.Err()
 }

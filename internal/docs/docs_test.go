@@ -145,3 +145,45 @@ func TestCheckerCatchesBrokenLinks(t *testing.T) {
 		t.Fatalf("broken = %v, want exactly [index.md: missing.md]", broken)
 	}
 }
+
+// TestNonTestLOCWithinCeilings is the code-size ratchet: every
+// directory loc-ceilings.txt lists stays at or under its ceiling.
+func TestNonTestLOCWithinCeilings(t *testing.T) {
+	root := repoRoot(t)
+	over, err := OverCeilings(root, filepath.Join(root, "loc-ceilings.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, o := range over {
+		t.Errorf("%s (lower the code, or raise the ceiling in a reviewed change)", o)
+	}
+}
+
+// TestCeilingCheckCatchesOverage guards the ratchet itself: a package
+// one line over its ceiling is reported, one at its ceiling is not, and
+// test files do not count.
+func TestCeilingCheckCatchesOverage(t *testing.T) {
+	root := t.TempDir()
+	for _, pkg := range []string{"a", "b"} {
+		if err := os.Mkdir(filepath.Join(root, pkg), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, pkg, "x.go"), []byte("package x\n\nvar X = 1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(root, pkg, "x_test.go"), []byte("package x\n\n\n\n\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ceilings := filepath.Join(root, "ceilings.txt")
+	if err := os.WriteFile(ceilings, []byte("# seeded\na 3\nb 2 # one line over\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	over, err := OverCeilings(root, ceilings)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(over) != 1 || over[0] != "b: 3 lines > ceiling 2" {
+		t.Fatalf("over = %v, want exactly [b: 3 lines > ceiling 2]", over)
+	}
+}

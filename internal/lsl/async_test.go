@@ -14,7 +14,7 @@ func TestOpenStoreHeader(t *testing.T) {
 	dst := wire.MustEndpoint("10.0.0.2:7411")
 	src := wire.MustEndpoint("10.0.0.1:7411")
 	dial, sessions := testNet(t, dst.String())
-	sess, err := OpenStore(dial, src, dst, nil)
+	sess, err := Start(dial, Spec{Type: wire.TypeStore, Src: src, Dst: dst})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +139,8 @@ func TestFetchDialError(t *testing.T) {
 
 func TestOpenMulticastDialError(t *testing.T) {
 	dial := DialerFunc(func(string) (net.Conn, error) { return nil, errors.New("down") })
-	tree := &wire.TreeNode{Addr: wire.MustEndpoint("10.0.0.9:1")}
-	if _, err := OpenMulticast(dial, wire.MustEndpoint("10.0.0.1:1"), wire.MustEndpoint("10.0.0.1:1"), tree); err == nil {
+	src := wire.MustEndpoint("10.0.0.1:1")
+	if _, err := Start(dial, Spec{Type: wire.TypeMulticast, Src: src, Dst: src, Entry: wire.MustEndpoint("10.0.0.9:1")}); err == nil {
 		t.Fatal("dial failure not surfaced")
 	}
 }

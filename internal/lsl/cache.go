@@ -2,7 +2,6 @@ package lsl
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -37,17 +36,11 @@ func CacheInventory(d Dialer, self, depotAddr wire.Endpoint) ([]wire.ContentDige
 
 // cacheExchange runs one TypeCacheProbe request/response round trip.
 func cacheExchange(d Dialer, self, depotAddr wire.Endpoint, opts []wire.Option) (*wire.Header, error) {
-	t0 := time.Now()
-	conn, err := dialHop(d, depotAddr.String())
-	if err != nil {
-		return nil, fmt.Errorf("lsl: dial %s: %w", depotAddr, err)
-	}
-	defer conn.Close()
-	req, err := start(conn, self, depotAddr, wire.TypeCacheProbe, opts)
+	req, err := Start(d, Spec{Type: wire.TypeCacheProbe, Src: self, Dst: depotAddr, Options: opts})
 	if err != nil {
 		return nil, err
 	}
-	observeSetup(t0)
+	defer req.Close()
 	resp, err := wire.ReadHeader(req)
 	if err != nil {
 		return nil, fmt.Errorf("lsl: cache probe response: %w", err)
@@ -60,19 +53,4 @@ func cacheExchange(d Dialer, self, depotAddr wire.Endpoint, opts []wire.Option) 
 		return nil, fmt.Errorf("lsl: unexpected cache probe response type %d", resp.Type)
 	}
 	return resp, nil
-}
-
-// OpenCacheServe sends a serve-from-cache directive: the first hop of
-// route (the holding depot) is told to push the given range of the
-// digest-named object toward dst from its own cache, as an ordinary
-// data stream under the supplied session id. The caller holds the
-// returned session open until the sink reports, then closes it; no
-// payload crosses this connection. A holder that cannot satisfy the
-// directive refuses, surfacing as ErrRefused on the first read.
-func OpenCacheServe(d Dialer, id wire.SessionID, src, dst wire.Endpoint, route []wire.Endpoint, digest wire.ContentDigest, r wire.ByteRange, extra ...wire.Option) (*Session, error) {
-	if len(route) == 0 {
-		return nil, fmt.Errorf("lsl: cache serve needs a holding depot as its first hop")
-	}
-	opts := cloneOpts([]wire.Option{wire.CacheServeOption(digest, r)}, extra)
-	return openWithID(d, id, src, dst, route, wire.TypeCacheServe, opts)
 }

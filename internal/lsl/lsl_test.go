@@ -130,7 +130,7 @@ func TestOpenGenerate(t *testing.T) {
 	src := wire.MustEndpoint("10.0.0.1:7411")
 	dial, sessions := testNet(t, dst.String())
 
-	sess, err := OpenGenerate(dial, src, dst, nil, 12345)
+	sess, err := Start(dial, Spec{Type: wire.TypeGenerate, Src: src, Dst: dst, Options: []wire.Option{wire.GenerateOption(12345)}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,11 @@ func TestOpenMulticast(t *testing.T) {
 			{Addr: wire.MustEndpoint("10.0.0.5:7411")},
 		},
 	}
-	sess, err := OpenMulticast(dial, src, src, tree)
+	treeOpt, err := wire.MulticastTreeOption(tree)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := Start(dial, Spec{Type: wire.TypeMulticast, Src: src, Dst: src, Entry: tree.Addr, Options: []wire.Option{treeOpt}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +302,9 @@ func TestOpenStripe(t *testing.T) {
 		{index: 1, offset: 4096},
 	}
 	for _, tc := range cases {
-		sess, err := OpenStripe(dial, src, dst, nil, id, tc.index, 2, tc.offset)
+		sess, err := Start(dial, Spec{ID: id, Src: src, Dst: dst, Offset: tc.offset, Options: []wire.Option{
+			wire.StripeCountOption(2), wire.StripeIndexOption(uint16(tc.index)),
+		}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,29 +325,36 @@ func TestOpenStripe(t *testing.T) {
 	}
 }
 
-func TestOpenStripeValidation(t *testing.T) {
+// TestStartRejects covers every spec Start refuses before dialing: a
+// header no depot or sink could act on never reaches the wire.
+func TestStartRejects(t *testing.T) {
 	dst := wire.MustEndpoint("10.0.0.2:7411")
 	src := wire.MustEndpoint("10.0.0.1:7411")
-	dial, _ := testNet(t, dst.String())
-	id, err := wire.NewSessionID()
-	if err != nil {
-		t.Fatal(err)
+	dialed := false
+	dial := DialerFunc(func(string) (net.Conn, error) {
+		dialed = true
+		return nil, errors.New("rejected specs must not dial")
+	})
+	stripe := func(index, count uint16) []wire.Option {
+		return []wire.Option{wire.StripeCountOption(count), wire.StripeIndexOption(index)}
 	}
 	cases := []struct {
-		name         string
-		index, count int
-		offset       int64
+		name string
+		spec Spec
 	}{
-		{"zero-count", 0, 0, 0},
-		{"negative-index", -1, 2, 0},
-		{"index-beyond-count", 2, 2, 0},
-		{"negative-offset", 0, 2, -1},
-		{"count-overflows-wire", 0, 1 << 17, 0},
+		{"zero-destination", Spec{Src: src}},
+		{"negative-offset", Spec{Src: src, Dst: dst, Offset: -1}},
+		{"zero-count", Spec{Src: src, Dst: dst, Options: stripe(0, 0)}},
+		{"index-beyond-count", Spec{Src: src, Dst: dst, Options: stripe(2, 2)}},
+		{"index-without-count", Spec{Src: src, Dst: dst, Options: []wire.Option{wire.StripeIndexOption(1)}}},
+		{"path-index-beyond-count", Spec{Src: src, Dst: dst, Options: []wire.Option{wire.PathIndexOption(2, 2)}}},
+		{"path-count-zero", Spec{Src: src, Dst: dst, Options: []wire.Option{wire.PathIndexOption(0, 0)}}},
+		{"cache-serve-without-holder", Spec{Type: wire.TypeCacheServe, Src: src, Dst: dst}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := OpenStripe(dial, src, dst, nil, id, tc.index, tc.count, tc.offset); err == nil {
-				t.Fatalf("OpenStripe accepted index=%d count=%d offset=%d", tc.index, tc.count, tc.offset)
+			if _, err := Start(dial, tc.spec); err == nil || dialed {
+				t.Fatalf("Start accepted %+v (dialed %v)", tc.spec, dialed)
 			}
 		})
 	}

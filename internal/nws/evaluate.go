@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 )
 
 // ExpertScore is one predictor's hindsight accuracy on a series.
@@ -59,15 +58,4 @@ func Evaluate(series []float64) (experts []ExpertScore, selector ExpertScore, er
 	}
 	selector = ExpertScore{Name: "selector", MAE: selSum / float64(selCount)}
 	return experts, selector, nil
-}
-
-// FormatEvaluation renders the scores, best expert first.
-func FormatEvaluation(experts []ExpertScore, selector ExpertScore) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%-16s %12s\n", "predictor", "MAE")
-	for _, e := range experts {
-		fmt.Fprintf(&b, "%-16s %12.4g\n", e.Name, e.MAE)
-	}
-	fmt.Fprintf(&b, "%-16s %12.4g\n", selector.Name, selector.MAE)
-	return b.String()
 }

@@ -2,7 +2,6 @@ package nws
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 )
 
@@ -55,6 +54,12 @@ func TestSelectorCompetitiveAcrossRegimes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// Experts come back sorted by MAE, best first.
+		for i := 1; i < len(experts); i++ {
+			if experts[i].MAE < experts[i-1].MAE {
+				t.Fatalf("%s: experts not sorted by MAE", name)
+			}
+		}
 		best := experts[0]
 		bestByRegime[name] = best.Name
 		// The selector must stay within 35% of the best expert in
@@ -77,23 +82,5 @@ func TestSelectorCompetitiveAcrossRegimes(t *testing.T) {
 	}
 	if len(seen) < 2 {
 		t.Fatalf("one expert won every regime (%v); selection would be pointless", bestByRegime)
-	}
-}
-
-func TestFormatEvaluation(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	experts, selector, err := Evaluate(stationarySeries(100, rng))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := FormatEvaluation(experts, selector)
-	if !strings.Contains(out, "selector") || !strings.Contains(out, "MAE") {
-		t.Fatalf("rendering:\n%s", out)
-	}
-	// Sorted ascending.
-	for i := 1; i < len(experts); i++ {
-		if experts[i].MAE < experts[i-1].MAE {
-			t.Fatal("experts not sorted by MAE")
-		}
 	}
 }
