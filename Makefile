@@ -66,9 +66,11 @@ fuzz-smoke:
 # scheduled pump writes through included. The framed-session pump tests
 # (TestPumpQueueFramedSessionBound, TestPumpReturnsItsBuffers,
 # TestTappedSession*, TestFairShareWholeFrames) run here with the rest
-# of ./internal/depot/.
+# of ./internal/depot/. The planner builds its per-source trees on
+# parallel workers (TestParallelReplanMatchesSerial), so the control
+# plane's nws, graph, schedule and ctl run here too.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/... ./internal/emu/... ./internal/bufpool/... ./internal/wire/... ./internal/fairshare/...
+	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/... ./internal/nws/... ./internal/graph/... ./internal/emu/... ./internal/bufpool/... ./internal/wire/... ./internal/fairshare/...
 
 # Statement-coverage floors for the packages whose untested branches
 # hurt the most (see coverage-floors.txt for which and why). The

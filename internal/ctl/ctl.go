@@ -19,10 +19,12 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"time"
 
+	"github.com/netlogistics/lsl/internal/graph"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/schedule"
@@ -123,7 +125,9 @@ type metrics struct {
 // member is one registered participant of the controlled mesh.
 type member struct {
 	host string
+	idx  int // topology index of host
 	addr wire.Endpoint
+	key  string // addr.String(): wire tables are sorted by it
 	push bool
 	// last is the most recently acked table push, for diff suppression.
 	// nil means "never successfully pushed" and always triggers a push.
@@ -197,18 +201,19 @@ func (c *Controller) logf(format string, args ...any) {
 // are probed but not pushed (pure endpoints). Registering a host again
 // updates its address and push flag and forgets its push history.
 func (c *Controller) Register(host string, addr wire.Endpoint, push bool) error {
-	if _, ok := c.index[host]; !ok {
+	idx, ok := c.index[host]
+	if !ok {
 		return fmt.Errorf("ctl: host %q not in topology %q", host, c.cfg.Planner.Topo.Name)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for _, m := range c.members {
 		if m.host == host {
-			m.addr, m.push, m.last = addr, push, nil
+			m.addr, m.key, m.push, m.last = addr, addr.String(), push, nil
 			return nil
 		}
 	}
-	c.members = append(c.members, &member{host: host, addr: addr, push: push})
+	c.members = append(c.members, &member{host: host, idx: idx, addr: addr, key: addr.String(), push: push})
 	c.met.depots.Set(int64(len(c.members)))
 	return nil
 }
@@ -237,8 +242,8 @@ func (c *Controller) Epoch() uint64 {
 // RoundReport summarizes one control round.
 type RoundReport struct {
 	// Probes counts attempted link measurements; ProbeErrors the subset
-	// that failed (failed probes feed nothing into the forecasters, so
-	// the last forecast simply persists).
+	// that failed or read an invalid bandwidth (those feed nothing into
+	// the forecasters, so the last forecast simply persists).
 	Probes, ProbeErrors int
 	// Epoch is the controller's table epoch after the round.
 	Epoch uint64
@@ -268,7 +273,7 @@ func (c *Controller) Round(ctx context.Context) (RoundReport, error) {
 	// Probe the full ordered mesh of registered members.
 	probe := c.cfg.Probe
 	if probe == nil {
-		probe = c.wireProbe
+		probe = func(src, dst string) (float64, error) { return c.wireProbe(ctx, src, dst) }
 	}
 	for _, src := range c.members {
 		for _, dst := range c.members {
@@ -281,14 +286,13 @@ func (c *Controller) Round(ctx context.Context) (RoundReport, error) {
 			rep.Probes++
 			c.met.probes.Inc()
 			bw, err := probe(src.host, dst.host)
+			if err == nil {
+				err = c.cfg.Planner.Observe(src.host, dst.host, bw)
+			}
 			if err != nil {
 				rep.ProbeErrors++
 				c.met.probeErrors.Inc()
 				c.logf("ctl: probe %s -> %s: %v", src.host, dst.host, err)
-				continue
-			}
-			if err := c.cfg.Planner.Observe(src.host, dst.host, bw); err != nil {
-				return rep, fmt.Errorf("ctl: observe %s -> %s: %w", src.host, dst.host, err)
 			}
 		}
 	}
@@ -313,11 +317,12 @@ func (c *Controller) Round(ctx context.Context) (RoundReport, error) {
 		entries []wire.RouteEntry
 	}
 	var dirty []pending
+	dsts, addrOf := c.tableOrder()
 	for _, m := range c.members {
 		if !m.push {
 			continue
 		}
-		entries, err := c.wireTable(m.host)
+		entries, err := c.wireTable(m, dsts, addrOf)
 		if err != nil {
 			return rep, fmt.Errorf("ctl: route table for %s: %w", m.host, err)
 		}
@@ -381,38 +386,36 @@ func (c *Controller) Run(ctx context.Context) error {
 	}
 }
 
-// wireTable maps host's planner route table (topology indices) to wire
-// endpoints, skipping destinations or hops with no registered address.
-// Entries come back sorted by destination so equal tables are equal
-// slices.
-func (c *Controller) wireTable(host string) ([]wire.RouteEntry, error) {
-	idx, ok := c.index[host]
-	if !ok {
-		return nil, fmt.Errorf("unknown host %q", host)
+// tableOrder returns the members sorted by address string, the order
+// of every wire table, and their addresses by topology index.
+func (c *Controller) tableOrder() ([]*member, map[int]wire.Endpoint) {
+	dsts := slices.Clone(c.members)
+	slices.SortFunc(dsts, func(a, b *member) int { return strings.Compare(a.key, b.key) })
+	addrOf := make(map[int]wire.Endpoint, len(dsts))
+	for _, d := range dsts {
+		addrOf[d.idx] = d.addr
 	}
-	rt, err := c.cfg.Planner.RouteTable(idx)
+	return dsts, addrOf
+}
+
+// wireTable maps m's planner route table (topology indices) to wire
+// endpoints, skipping destinations or hops with no registered address.
+// It walks dsts, the members sorted by address string, and addrOf maps
+// their topology indices to addresses, so entries come back sorted by
+// Dst.String() and equal tables are equal slices.
+func (c *Controller) wireTable(m *member, dsts []*member, addrOf map[int]wire.Endpoint) ([]wire.RouteEntry, error) {
+	rt, err := c.cfg.Planner.RouteTable(m.idx)
 	if err != nil {
 		return nil, err
 	}
-	addrOf := make(map[int]wire.Endpoint, len(c.members))
-	for _, m := range c.members {
-		addrOf[c.index[m.host]] = m.addr
-	}
 	entries := make([]wire.RouteEntry, 0, len(rt))
-	for dst, next := range rt {
-		da, ok := addrOf[int(dst)]
-		if !ok {
-			continue
+	for _, d := range dsts {
+		if next, ok := rt[graph.NodeID(d.idx)]; ok {
+			if na, ok := addrOf[int(next)]; ok {
+				entries = append(entries, wire.RouteEntry{Dst: d.addr, Next: na})
+			}
 		}
-		na, ok := addrOf[int(next)]
-		if !ok {
-			continue
-		}
-		entries = append(entries, wire.RouteEntry{Dst: da, Next: na})
 	}
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].Dst.String() < entries[j].Dst.String()
-	})
 	return entries, nil
 }
 
@@ -445,11 +448,7 @@ func (c *Controller) push(ctx context.Context, m *member, epoch uint64, entries 
 		return fmt.Errorf("dial: %w", err)
 	}
 	defer conn.Close()
-	deadline := time.Now().Add(c.cfg.PushTimeout)
-	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
-		deadline = d
-	}
-	_ = conn.SetDeadline(deadline)
+	_ = conn.SetDeadline(c.deadline(ctx))
 	id, err := wire.NewSessionID()
 	if err != nil {
 		return err
@@ -478,6 +477,15 @@ func (c *Controller) push(ctx context.Context, m *member, epoch uint64, entries 
 	return nil
 }
 
+// deadline is PushTimeout from now, or the round's deadline if sooner.
+func (c *Controller) deadline(ctx context.Context) time.Time {
+	deadline := time.Now().Add(c.cfg.PushTimeout)
+	if d, ok := ctx.Deadline(); ok && d.Before(deadline) {
+		deadline = d
+	}
+	return deadline
+}
+
 // wireProbe measures src→dst with a generate session: it asks src's
 // depot to synthesize ProbeBytes and forward them directly to dst (the
 // remaining source route pins the direct hop, so table-driven depots
@@ -485,7 +493,7 @@ func (c *Controller) push(ctx context.Context, m *member, epoch uint64, entries 
 // completion close. Bandwidth is bytes over elapsed seconds — an
 // approximation biased by the probe's slow-start ramp, which the
 // forecasters smooth like any other noisy sensor reading.
-func (c *Controller) wireProbe(src, dst string) (float64, error) {
+func (c *Controller) wireProbe(ctx context.Context, src, dst string) (float64, error) {
 	sa, da, err := c.memberAddrs(src, dst)
 	if err != nil {
 		return 0, err
@@ -503,7 +511,7 @@ func (c *Controller) wireProbe(src, dst string) (float64, error) {
 		return 0, err
 	}
 	defer sess.Close()
-	_ = sess.SetReadDeadline(time.Now().Add(c.cfg.PushTimeout))
+	_ = sess.SetReadDeadline(c.deadline(ctx))
 	if _, err := io.Copy(io.Discard, sess); err != nil {
 		return 0, fmt.Errorf("probe read: %w", err)
 	}

@@ -2,7 +2,11 @@ package ctl
 
 import (
 	"context"
+	"io"
+	"math"
 	"net"
+	"slices"
+	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -295,5 +299,98 @@ func TestRegisterRejectsUnknownHost(t *testing.T) {
 	}
 	if rep.Probes != 2 {
 		t.Fatalf("probes = %d after deregister, want 2", rep.Probes)
+	}
+}
+
+// An invalid reading from the probe is a failed probe: the round goes
+// on to replan and push instead of aborting.
+func TestInvalidReadingsCountAsProbeErrors(t *testing.T) {
+	r := newRig(t)
+	reg := obs.NewRegistry()
+	bad := map[[2]string]float64{{"a", "b"}: math.NaN(), {"b", "c"}: math.Inf(1), {"c", "a"}: -1}
+	probe := func(src, dst string) (float64, error) {
+		if v, ok := bad[[2]string{src, dst}]; ok {
+			return v, nil
+		}
+		return r.probe(src, dst)
+	}
+	c := r.controller(Config{Probe: probe, Metrics: reg})
+	rep, err := c.Round(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Probes != 6 || rep.ProbeErrors != 3 {
+		t.Fatalf("report = %+v, want 6 probes and 3 probe errors", rep)
+	}
+	if rep.Pushed != 3 || rep.PushErrors != 0 {
+		t.Fatalf("report = %+v, want 3 pushes", rep)
+	}
+	if v := reg.Counter(MetricProbeErrors).Value(); v != 3 {
+		t.Fatalf("%s = %d, want 3", MetricProbeErrors, v)
+	}
+}
+
+// silentDialer's connections swallow everything written and never
+// answer.
+type silentDialer struct{}
+
+func (silentDialer) Dial(string) (net.Conn, error) {
+	near, far := net.Pipe()
+	go io.Copy(io.Discard, far)
+	return near, nil
+}
+
+// A wire probe to a silent depot must end when the round's context
+// does, not PushTimeout later.
+func TestWireProbeHonorsRoundDeadline(t *testing.T) {
+	r := newRig(t)
+	c := r.controller(Config{Dial: silentDialer{}})
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	if _, err := c.Round(ctx); err == nil {
+		t.Fatal("round against silent depots succeeded")
+	}
+	if el := time.Since(start); el > time.Second {
+		t.Fatalf("round bounded at 200ms took %v", el)
+	}
+}
+
+// Wire tables are sorted by Dst.String(), which the diff suppression
+// and the pushed bytes depend on, on a mesh whose addresses
+// (10.0.<i+1>.1) sort differently as strings and as numbers.
+func TestWireTableSortedByAddressString(t *testing.T) {
+	c, _, _ := planetLabController(t, 1, 0)
+	if _, err := c.Round(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	dsts, addrOf := c.tableOrder()
+	numeric := func(e wire.Endpoint) uint32 { return uint32(e.IP[1])<<16 | uint32(e.IP[2])<<8 }
+	misordered := 0
+	for _, m := range c.members {
+		got, err := c.wireTable(m, dsts, addrOf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rt, err := c.cfg.Planner.RouteTable(m.idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []wire.RouteEntry
+		for dst, next := range rt {
+			want = append(want, wire.RouteEntry{Dst: addrOf[int(dst)], Next: addrOf[int(next)]})
+		}
+		sort.Slice(want, func(i, j int) bool { return want[i].Dst.String() < want[j].Dst.String() })
+		if !slices.Equal(got, want) {
+			t.Fatalf("table of %s is not its routes sorted by Dst.String()", m.host)
+		}
+		for i := 1; i < len(got); i++ {
+			if numeric(got[i].Dst) < numeric(got[i-1].Dst) {
+				misordered++
+			}
+		}
+	}
+	if misordered == 0 {
+		t.Fatal("string and numeric address order agree: the mesh does not test the order")
 	}
 }

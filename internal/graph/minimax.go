@@ -63,50 +63,37 @@ func MinimaxTreeTransit(g *Graph, root NodeID, epsilon float64, transit []float6
 	t.Cost[root] = 0
 	t.Parent[root] = root
 
-	for added := 0; added < n; added++ {
-		// Select the cheapest labelled node not yet in the tree.
-		next := None
-		best := Inf
-		for v := 0; v < n; v++ {
-			if !inTree[v] && t.Cost[v] < best {
-				best = t.Cost[v]
-				next = NodeID(v)
-			}
-		}
-		if next == None {
-			break // remaining nodes are unreachable
-		}
-		inTree[next] = true
-		// Relaxing beyond `next` makes it an interior (forwarding)
-		// node, so its transit cost joins the minimax — unless it is
-		// the root, which sends but does not forward.
-		through := t.Cost[next]
-		if transit != nil && next != root {
-			if tr := transit[next]; tr > through {
+	// Each pass adds the cheapest labelled node u, relaxes the edges out
+	// of it and, in the same sweep, selects the next node to add.
+	for u := root; u != None; {
+		inTree[u] = true
+		// Relaxing beyond u makes it an interior (forwarding) node, so
+		// its transit cost joins the minimax — unless it is the root,
+		// which sends but does not forward. An infinite cost (a missing
+		// edge, a node that may not forward) never relaxes a label.
+		through := t.Cost[u]
+		if transit != nil && u != root {
+			if tr := transit[u]; tr > through {
 				through = tr
 			}
 		}
-		if math.IsInf(through, 1) {
-			continue // this node may terminate paths but never extend them
-		}
-		// Relax edges out of the newly added node.
-		for v := 0; v < n; v++ {
-			if inTree[v] || NodeID(v) == next {
+		next, best := None, Inf
+		for v, relax := range g.cost[int(u)*n : int(u)*n+n] {
+			if inTree[v] {
 				continue
 			}
-			edge := g.Cost(next, NodeID(v))
-			if math.IsInf(edge, 1) {
-				continue
-			}
-			relax := edge
 			if through > relax {
 				relax = through
 			}
 			if relax*(1+epsilon) < t.Cost[v] {
-				t.Parent[v] = next
+				t.Parent[v] = u
 				t.Cost[v] = relax
 			}
+			if t.Cost[v] < best {
+				next, best = NodeID(v), t.Cost[v]
+			}
 		}
+		u = next // None: the remaining nodes are unreachable
 	}
 	t.Parent[root] = None // canonical: the root has no parent
 	return t

@@ -144,3 +144,87 @@ func TestTransitCostNeverBelowPlain(t *testing.T) {
 		}
 	}
 }
+
+// refMinimaxTreeTransit is the tree builder before it folded the next
+// node's selection into the relaxation sweep: a selection scan, then a
+// relaxation over g.Cost per edge.
+func refMinimaxTreeTransit(g *Graph, root NodeID, epsilon float64, transit []float64) ([]NodeID, []float64) {
+	n := g.N()
+	parent, cost, inTree := make([]NodeID, n), make([]float64, n), make([]bool, n)
+	for i := range parent {
+		parent[i], cost[i] = None, Inf
+	}
+	cost[root], parent[root] = 0, root
+	for added := 0; added < n; added++ {
+		next, best := None, Inf
+		for v := 0; v < n; v++ {
+			if !inTree[v] && cost[v] < best {
+				best, next = cost[v], NodeID(v)
+			}
+		}
+		if next == None {
+			break
+		}
+		inTree[next] = true
+		through := cost[next]
+		if transit != nil && next != root && transit[next] > through {
+			through = transit[next]
+		}
+		if math.IsInf(through, 1) {
+			continue
+		}
+		for v := 0; v < n; v++ {
+			edge := g.Cost(next, NodeID(v))
+			if inTree[v] || math.IsInf(edge, 1) {
+				continue
+			}
+			relax := math.Max(edge, through)
+			if relax*(1+epsilon) < cost[v] {
+				parent[v], cost[v] = next, relax
+			}
+		}
+	}
+	parent[root] = None
+	return parent, cost
+}
+
+// The tree builder must pick the same parents, ties included, and the
+// same cost bits as the reference on graphs full of equal and missing
+// edges and of hosts that may not forward.
+func TestMinimaxTreeTransitMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for k := 0; k < 4000; k++ {
+		n := 2 + rng.Intn(12)
+		g := randomGraph(n, rng)
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				c := Inf
+				if rng.Intn(4) != 0 {
+					c = float64(1+rng.Intn(5)) / float64(1+rng.Intn(3))
+				}
+				g.SetCost(NodeID(i), NodeID(j), c)
+			}
+		}
+		var transit []float64
+		if k%2 == 1 {
+			transit = make([]float64, n)
+			for i := range transit {
+				switch rng.Intn(3) {
+				case 0:
+					transit[i] = Inf
+				case 1:
+					transit[i] = rng.Float64() * 3
+				}
+			}
+		}
+		eps := []float64{0, 0.1, 0.5}[k%3]
+		root := NodeID(rng.Intn(n))
+		tree := MinimaxTreeTransit(g, root, eps, transit)
+		parent, cost := refMinimaxTreeTransit(g, root, eps, transit)
+		for v := 0; v < n; v++ {
+			if tree.Parent[v] != parent[v] || math.Float64bits(tree.Cost[v]) != math.Float64bits(cost[v]) {
+				t.Fatalf("graph %d node %d: parent %d cost %v, reference %d %v", k, v, tree.Parent[v], tree.Cost[v], parent[v], cost[v])
+			}
+		}
+	}
+}

@@ -3,7 +3,6 @@ package nws
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // AdaptiveMedian is an error-driven sliding median in the style of
@@ -13,9 +12,8 @@ import (
 // bounds.
 type AdaptiveMedian struct {
 	minW, maxW int
-	w          int
-	buf        []float64 // most recent maxW measurements, oldest first
-	recentErr  []float64 // last few absolute prediction errors
+	win        window    // most recent maxW measurements, the last w sorted
+	recentErr  []float64 // last 8 absolute prediction errors, oldest first
 	scaleSum   float64   // running scale of the series for normalizing
 	n          int
 }
@@ -29,7 +27,7 @@ func NewAdaptiveMedian(minW, maxW int) *AdaptiveMedian {
 	if maxW < minW {
 		maxW = minW
 	}
-	return &AdaptiveMedian{minW: minW, maxW: maxW, w: (minW + maxW) / 2}
+	return &AdaptiveMedian{minW: minW, maxW: maxW, win: newWindow((minW+maxW)/2, maxW), recentErr: make([]float64, 0, 8)}
 }
 
 // Name implements Forecaster.
@@ -38,16 +36,13 @@ func (f *AdaptiveMedian) Name() string { return fmt.Sprintf("amedian%d..%d", f.m
 // Update implements Forecaster.
 func (f *AdaptiveMedian) Update(v float64) {
 	if p := f.Forecast(); !math.IsNaN(p) {
-		f.recentErr = append(f.recentErr, math.Abs(p-v))
-		if len(f.recentErr) > 8 {
-			f.recentErr = f.recentErr[1:]
+		if len(f.recentErr) == cap(f.recentErr) {
+			f.recentErr = append(f.recentErr[:0], f.recentErr[1:]...)
 		}
+		f.recentErr = append(f.recentErr, math.Abs(p-v))
 		f.adapt()
 	}
-	f.buf = append(f.buf, v)
-	if len(f.buf) > f.maxW {
-		f.buf = f.buf[1:]
-	}
+	f.win.push(v)
 	f.scaleSum += math.Abs(v)
 	f.n++
 }
@@ -68,33 +63,18 @@ func (f *AdaptiveMedian) adapt() {
 		return
 	}
 	switch rel := meanErr / scale; {
-	case rel > 0.15 && f.w > f.minW:
-		f.w--
-	case rel < 0.05 && f.w < f.maxW:
-		f.w++
+	case rel > 0.15 && f.win.width > f.minW:
+		f.win.width--
+	case rel < 0.05 && f.win.width < f.maxW:
+		f.win.width++
 	}
 }
 
 // Forecast implements Forecaster.
-func (f *AdaptiveMedian) Forecast() float64 {
-	n := len(f.buf)
-	if n == 0 {
-		return math.NaN()
-	}
-	w := f.w
-	if w > n {
-		w = n
-	}
-	window := append([]float64(nil), f.buf[n-w:]...)
-	sort.Float64s(window)
-	if w%2 == 1 {
-		return window[w/2]
-	}
-	return (window[w/2-1] + window[w/2]) / 2
-}
+func (f *AdaptiveMedian) Forecast() float64 { return f.win.median() }
 
 // Window reports the current adaptive window width.
-func (f *AdaptiveMedian) Window() int { return f.w }
+func (f *AdaptiveMedian) Window() int { return f.win.width }
 
 // TrimmedMean predicts the mean of the last W measurements after
 // discarding the smallest and largest trim fraction — NWS's defense
@@ -103,7 +83,7 @@ func (f *AdaptiveMedian) Window() int { return f.w }
 type TrimmedMean struct {
 	w    int
 	trim float64
-	buf  []float64
+	win  window
 }
 
 // NewTrimmedMean returns a trimmed-mean predictor of width w trimming
@@ -118,28 +98,21 @@ func NewTrimmedMean(w int, trim float64) *TrimmedMean {
 	if trim > 0.4 {
 		trim = 0.4
 	}
-	return &TrimmedMean{w: w, trim: trim}
+	return &TrimmedMean{w: w, trim: trim, win: newWindow(w, w)}
 }
 
 // Name implements Forecaster.
 func (f *TrimmedMean) Name() string { return fmt.Sprintf("tmean%d/%.0f%%", f.w, f.trim*100) }
 
 // Update implements Forecaster.
-func (f *TrimmedMean) Update(v float64) {
-	f.buf = append(f.buf, v)
-	if len(f.buf) > f.w {
-		f.buf = f.buf[1:]
-	}
-}
+func (f *TrimmedMean) Update(v float64) { f.win.push(v) }
 
 // Forecast implements Forecaster.
 func (f *TrimmedMean) Forecast() float64 {
-	n := len(f.buf)
+	sorted, n := f.win.sorted, len(f.win.sorted)
 	if n == 0 {
 		return math.NaN()
 	}
-	sorted := append([]float64(nil), f.buf...)
-	sort.Float64s(sorted)
 	cut := int(float64(n) * f.trim)
 	kept := sorted[cut : n-cut]
 	if len(kept) == 0 {

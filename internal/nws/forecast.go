@@ -9,7 +9,6 @@ package nws
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Forecaster is one predictor in the NWS bank: it consumes a measurement
@@ -107,9 +106,7 @@ func (f *SlidingMean) Forecast() float64 {
 // favours it for noisy series with outliers.
 type SlidingMedian struct {
 	w   int
-	buf []float64
-	pos int
-	n   int
+	win window
 }
 
 // NewSlidingMedian returns a window-median predictor of width w (min 1).
@@ -117,34 +114,17 @@ func NewSlidingMedian(w int) *SlidingMedian {
 	if w < 1 {
 		w = 1
 	}
-	return &SlidingMedian{w: w, buf: make([]float64, w)}
+	return &SlidingMedian{w: w, win: newWindow(w, w)}
 }
 
 // Name implements Forecaster.
 func (f *SlidingMedian) Name() string { return fmt.Sprintf("median%d", f.w) }
 
 // Update implements Forecaster.
-func (f *SlidingMedian) Update(v float64) {
-	f.buf[f.pos] = v
-	f.pos = (f.pos + 1) % f.w
-	if f.n < f.w {
-		f.n++
-	}
-}
+func (f *SlidingMedian) Update(v float64) { f.win.push(v) }
 
 // Forecast implements Forecaster.
-func (f *SlidingMedian) Forecast() float64 {
-	if f.n == 0 {
-		return math.NaN()
-	}
-	tmp := make([]float64, f.n)
-	copy(tmp, f.buf[:f.n])
-	sort.Float64s(tmp)
-	if f.n%2 == 1 {
-		return tmp[f.n/2]
-	}
-	return (tmp[f.n/2-1] + tmp[f.n/2]) / 2
-}
+func (f *SlidingMedian) Forecast() float64 { return f.win.median() }
 
 // ExpSmooth predicts with exponential smoothing at gain alpha.
 type ExpSmooth struct {

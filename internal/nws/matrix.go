@@ -63,7 +63,8 @@ func (m *Monitor) selector(src, dst int) *Selector {
 }
 
 // Observe records a bandwidth measurement (bytes/sec) for the ordered
-// pair src→dst.
+// pair src→dst. Negative and non-finite readings are rejected: one +Inf
+// would leave every expert that saw it at infinite error for good.
 func (m *Monitor) Observe(src, dst string, bw float64) error {
 	si, ok := m.index[src]
 	if !ok {
@@ -76,7 +77,7 @@ func (m *Monitor) Observe(src, dst string, bw float64) error {
 	if si == di {
 		return fmt.Errorf("nws: self-measurement for %q", src)
 	}
-	if bw < 0 || math.IsNaN(bw) {
+	if bw < 0 || math.IsNaN(bw) || math.IsInf(bw, 0) {
 		return fmt.Errorf("nws: invalid bandwidth %v for %s→%s", bw, src, dst)
 	}
 	m.selector(si, di).Update(bw)

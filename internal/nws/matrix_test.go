@@ -60,6 +60,14 @@ func TestObserveErrors(t *testing.T) {
 	if err := m.Observe("a", "b", math.NaN()); err == nil {
 		t.Fatal("NaN bandwidth accepted")
 	}
+	for _, bw := range []float64{math.Inf(1), math.Inf(-1)} {
+		if err := m.Observe("a", "b", bw); err == nil {
+			t.Fatalf("%v bandwidth accepted", bw)
+		}
+	}
+	if m.Updates() != 0 {
+		t.Fatalf("updates = %d after only invalid readings", m.Updates())
+	}
 }
 
 func TestSnapshot(t *testing.T) {

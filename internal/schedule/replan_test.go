@@ -1,9 +1,14 @@
 package schedule
 
 import (
+	"math"
+	"math/rand"
+	"runtime"
+	"slices"
 	"testing"
 
 	"github.com/netlogistics/lsl/internal/graph"
+	"github.com/netlogistics/lsl/internal/nws"
 	"github.com/netlogistics/lsl/internal/topo"
 )
 
@@ -140,6 +145,75 @@ func TestEpsilonSuppressesJitterReplans(t *testing.T) {
 					t.Fatalf("round %d: host %d route to %d moved %d -> %d under within-ε jitter",
 						round, s, dst, next, got[dst])
 				}
+			}
+		}
+	}
+}
+
+// refAggregateSites is the string-keyed aggregation aggregateSites
+// replaced; the means must come out bit for bit the same.
+func refAggregateSites(p *Planner, mx nws.Matrix) nws.Matrix {
+	n := len(mx.Hosts)
+	type pair struct{ a, b string }
+	sums, counts := map[pair]float64{}, map[pair]int{}
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			si, sj := p.Topo.SiteOf(i), p.Topo.SiteOf(j)
+			if v := mx.BW[i][j]; si != sj && !math.IsNaN(v) && !math.IsInf(v, 0) {
+				sums[pair{si, sj}] += v
+				counts[pair{si, sj}]++
+			}
+		}
+	}
+	out := nws.Matrix{Hosts: mx.Hosts, BW: make([][]float64, n)}
+	for i := 0; i < n; i++ {
+		out.BW[i] = append([]float64(nil), mx.BW[i]...)
+		for j := 0; j < n; j++ {
+			k := pair{p.Topo.SiteOf(i), p.Topo.SiteOf(j)}
+			if k.a != k.b && counts[k] > 0 {
+				out.BW[i][j] = sums[k] / float64(counts[k])
+			}
+		}
+	}
+	return out
+}
+
+// Replan builds its trees on several workers; the plan must be the one
+// a serial build over the same graph yields, and the site means those
+// of the string-keyed aggregation. Run under -race by `make race`.
+func TestParallelReplanMatchesSerial(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for seed := int64(1); seed <= 5; seed++ {
+		tp := topo.PlanetLab(topo.DefaultPlanetLab(), seed)
+		p, err := NewPlanner(tp, DefaultEpsilon)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.HostTransit = seed%2 == 0
+		if err := p.Prime(rand.New(rand.NewSource(seed)), 3); err != nil {
+			t.Fatal(err)
+		}
+		if err := p.Replan(); err != nil {
+			t.Fatal(err)
+		}
+		mx := p.Monitor.Snapshot()
+		got, want := p.aggregateSites(mx), refAggregateSites(p, mx)
+		for i := range got.BW {
+			for j := range got.BW[i] {
+				if math.Float64bits(got.BW[i][j]) != math.Float64bits(want.BW[i][j]) {
+					t.Fatalf("seed %d: site mean [%d][%d] = %v, reference %v", seed, i, j, got.BW[i][j], want.BW[i][j])
+				}
+			}
+		}
+		transit := p.transitCosts(nil)
+		for s := 0; s < tp.N(); s++ {
+			serial := graph.MinimaxTreeTransit(p.Graph(), graph.NodeID(s), p.Epsilon, transit)
+			tree, err := p.Tree(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(tree.Parent, serial.Parent) || !slices.Equal(tree.Cost, serial.Cost) {
+				t.Fatalf("seed %d: tree of source %d differs from the serial build", seed, s)
 			}
 		}
 	}

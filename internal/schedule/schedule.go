@@ -12,6 +12,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"github.com/netlogistics/lsl/internal/graph"
 	"github.com/netlogistics/lsl/internal/nws"
@@ -122,50 +124,57 @@ func (p *Planner) Replan() error {
 	// edge.
 	transit := p.transitCosts(nil)
 
+	// The trees are independent and each worker writes only its own
+	// sources' slots, so the plan does not depend on the worker count.
 	p.trees = make([]*graph.Tree, n)
-	for s := 0; s < n; s++ {
-		p.trees[s] = graph.MinimaxTreeTransit(g, graph.NodeID(s), p.Epsilon, transit)
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for s := w; s < n; s += workers {
+				p.trees[s] = graph.MinimaxTreeTransit(g, graph.NodeID(s), p.Epsilon, transit)
+			}
+		}(w)
 	}
+	wg.Wait()
 	p.replans++
 	return nil
 }
 
 // aggregateSites replaces every inter-site host-pair forecast with the
 // mean of the finite forecasts between the two sites; intra-site
-// forecasts are left alone.
+// forecasts are left alone. Sums run in host-pair order, as the means
+// always have.
 func (p *Planner) aggregateSites(mx nws.Matrix) nws.Matrix {
 	n := len(mx.Hosts)
-	site := make([]string, n)
+	site := make([]int, n) // host → site id
+	ids := make(map[string]int)
 	for i := range site {
-		site[i] = p.Topo.SiteOf(i)
+		name := p.Topo.SiteOf(i)
+		if _, ok := ids[name]; !ok {
+			ids[name] = len(ids)
+		}
+		site[i] = ids[name]
 	}
-	type pair struct{ a, b string }
-	sums := make(map[pair]float64)
-	counts := make(map[pair]int)
+	m := len(ids)
+	sums, counts := make([]float64, m*m), make([]int, m*m)
 	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j || site[i] == site[j] {
+		for j, v := range mx.BW[i] {
+			if site[i] == site[j] || math.IsNaN(v) || math.IsInf(v, 0) {
 				continue
 			}
-			v := mx.BW[i][j]
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				continue
-			}
-			k := pair{site[i], site[j]}
-			sums[k] += v
-			counts[k]++
+			sums[site[i]*m+site[j]] += v
+			counts[site[i]*m+site[j]]++
 		}
 	}
 	out := nws.Matrix{Hosts: mx.Hosts, BW: make([][]float64, n)}
 	for i := 0; i < n; i++ {
 		out.BW[i] = append([]float64(nil), mx.BW[i]...)
-		for j := 0; j < n; j++ {
-			if i == j || site[i] == site[j] {
-				continue
-			}
-			k := pair{site[i], site[j]}
-			if c := counts[k]; c > 0 {
-				out.BW[i][j] = sums[k] / float64(c)
+		for j := range out.BW[i] {
+			if k := site[i]*m + site[j]; site[i] != site[j] && counts[k] > 0 {
+				out.BW[i][j] = sums[k] / float64(counts[k])
 			}
 		}
 	}
