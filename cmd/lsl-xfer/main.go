@@ -602,7 +602,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 
 	holder, coldEnd := -1, size
 	for i, hop := range route {
-		ranges, perr := lsl.CacheProbe(dial, srcEP, hop, digest)
+		ranges, perr := lsl.CacheProbe(dial, srcEP, hop, digest, time.Now().Add(10*time.Second))
 		if perr != nil {
 			continue // no cache there, or unreachable: probe is best-effort
 		}

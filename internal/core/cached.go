@@ -81,7 +81,7 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	pol.Failover = false
 	start := time.Now()
 
-	holder, coldEnd := s.bestHolder(si, path, digest)
+	holder, coldEnd := s.bestHolder(si, path, digest, pol.AttemptTimeout)
 	out := CachedResult{}
 	if holder > 0 {
 		out.Holder = s.Topo.Hosts[path[holder]].Name
@@ -140,12 +140,12 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 // the path index of the depot whose cache covers the longest suffix of
 // the object, plus the first byte that suffix starts at (the cold
 // prefix boundary). A zero holder index means no usable holder; a
-// coldEnd of 0 means a full-object hit.
-func (s *System) bestHolder(si int, path []int, digest wire.ContentDigest) (holder int, coldEnd int64) {
+// coldEnd of 0 means a full-object hit. Each probe ends by timeout.
+func (s *System) bestHolder(si int, path []int, digest wire.ContentDigest, timeout time.Duration) (holder int, coldEnd int64) {
 	coldEnd = digest.Size
 	dial := s.dialerFor(si)
 	for i := 1; i < len(path)-1; i++ {
-		ranges, err := lsl.CacheProbe(dial, s.endpoints[si], s.endpoints[path[i]], digest)
+		ranges, err := lsl.CacheProbe(dial, s.endpoints[si], s.endpoints[path[i]], digest, time.Now().Add(timeout))
 		if err != nil {
 			continue // no cache there, or unreachable: not a holder
 		}

@@ -19,6 +19,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -74,7 +75,9 @@ type Config struct {
 	// DefaultProbeBytes).
 	ProbeBytes uint64
 	// Probe overrides the wire probe, e.g. with deterministic topology
-	// readings in tests.
+	// readings in tests. A round calls it serially, once per ordered
+	// member pair in row-major member order, so it may keep state (a
+	// seeded random source) without locking.
 	Probe ProbeFunc
 	// Inventory overrides the wire cache-inventory poll, e.g. with
 	// deterministic holder sets in tests. With neither an override nor a
@@ -270,33 +273,9 @@ func (c *Controller) Round(ctx context.Context) (RoundReport, error) {
 	c.rounds++
 	c.met.rounds.Inc()
 
-	// Probe the full ordered mesh of registered members.
-	probe := c.cfg.Probe
-	if probe == nil {
-		probe = func(src, dst string) (float64, error) { return c.wireProbe(ctx, src, dst) }
+	if err := c.probeMesh(ctx, &rep); err != nil {
+		return rep, err
 	}
-	for _, src := range c.members {
-		for _, dst := range c.members {
-			if src == dst {
-				continue
-			}
-			if err := ctx.Err(); err != nil {
-				return rep, err
-			}
-			rep.Probes++
-			c.met.probes.Inc()
-			bw, err := probe(src.host, dst.host)
-			if err == nil {
-				err = c.cfg.Planner.Observe(src.host, dst.host, bw)
-			}
-			if err != nil {
-				rep.ProbeErrors++
-				c.met.probeErrors.Inc()
-				c.logf("ctl: probe %s -> %s: %v", src.host, dst.host, err)
-			}
-		}
-	}
-
 	if err := c.cfg.Planner.Replan(); err != nil {
 		return rep, fmt.Errorf("ctl: replan: %w", err)
 	}
@@ -305,7 +284,7 @@ func (c *Controller) Round(ctx context.Context) (RoundReport, error) {
 	// Aggregate the mesh-wide cache inventory alongside the bandwidth
 	// measurements: one round yields both the cost picture and the
 	// content picture cache-aware planning needs.
-	c.refreshInventory(&rep)
+	c.refreshInventory(ctx, &rep)
 
 	// Compute each push member's wire table and diff it against the last
 	// acked push. The ε damping inside Replan is what makes this diff
@@ -347,8 +326,20 @@ func (c *Controller) Round(ctx context.Context) (RoundReport, error) {
 		c.met.epoch.Set(int64(c.epoch))
 	}
 	rep.Epoch = c.epoch
-	for _, p := range dirty {
-		if err := c.push(ctx, p.m, c.epoch, p.entries); err != nil {
+	// The pushes go out together, each bounded on its own; what they
+	// changed is recorded after all of them return, in member order.
+	errs := make([]error, len(dirty))
+	var wg sync.WaitGroup
+	for i, p := range dirty {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = c.push(ctx, p.m, c.epoch, p.entries)
+		}()
+	}
+	wg.Wait()
+	for i, p := range dirty {
+		if err := errs[i]; err != nil {
 			rep.PushErrors++
 			c.met.pushErrors.Inc()
 			c.logf("ctl: push to %s (%s): %v", p.m.host, p.m.addr, err)
@@ -362,6 +353,70 @@ func (c *Controller) Round(ctx context.Context) (RoundReport, error) {
 	c.logf("ctl: round %d: probes=%d probe-errors=%d epoch=%d changed=%d pushed=%d push-errors=%d",
 		c.rounds, rep.Probes, rep.ProbeErrors, rep.Epoch, len(rep.Changed), rep.Pushed, rep.PushErrors)
 	return rep, nil
+}
+
+// probeMesh probes every ordered pair of members, serially and in
+// member order, and hands each finished source row to GOMAXPROCS
+// workers that feed it to the forecasters while the next row is
+// probed: a row is one worker's, and the monitor takes distinct pairs
+// concurrently. Failed probes and rejected readings are counted and
+// logged once the workers join, in row-major order, so the round feeds
+// and reports exactly what a serial one would.
+func (c *Controller) probeMesh(ctx context.Context, rep *RoundReport) error {
+	probe := c.cfg.Probe
+	if probe == nil {
+		probe = func(src, dst string) (float64, error) { return c.wireProbe(ctx, src, dst) }
+	}
+	n := len(c.members)
+	bw, errs := make([]float64, n*n), make([]error, n*n)
+	// A source row and how many of its columns were probed; a slot per
+	// row, so the sweep never waits on the workers.
+	rows := make(chan [2]int, n)
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for r := range rows {
+				for j, dst := range c.members[:r[1]] {
+					if k := r[0]*n + j; j != r[0] && errs[k] == nil {
+						errs[k] = c.cfg.Planner.Observe(c.members[r[0]].host, dst.host, bw[k])
+					}
+				}
+			}
+		}()
+	}
+	// A deadline that has passed ends the sweep even before ctx's own
+	// timer fires: past it, every probe would fail at once.
+	dl, bounded := ctx.Deadline()
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		j := 0
+		for ; j < n; j++ {
+			if err = ctx.Err(); err == nil && bounded && !time.Now().Before(dl) {
+				err = context.DeadlineExceeded
+			}
+			if err != nil {
+				break
+			}
+			if i != j {
+				rep.Probes++
+				c.met.probes.Inc()
+				bw[i*n+j], errs[i*n+j] = probe(c.members[i].host, c.members[j].host)
+			}
+		}
+		rows <- [2]int{i, j}
+	}
+	close(rows)
+	wg.Wait()
+	for k, perr := range errs {
+		if perr != nil {
+			rep.ProbeErrors++
+			c.met.probeErrors.Inc()
+			c.logf("ctl: probe %s -> %s: %v", c.members[k/n].host, c.members[k%n].host, perr)
+		}
+	}
+	return err
 }
 
 // Run repeats Round at the configured interval until the context ends,
@@ -443,12 +498,13 @@ func (c *Controller) push(ctx context.Context, m *member, epoch uint64, entries 
 	if err != nil {
 		return err
 	}
-	conn, err := c.cfg.Dial.Dial(m.addr.String())
+	dl := c.deadline(ctx)
+	conn, err := c.dialer(dl).Dial(m.addr.String())
 	if err != nil {
 		return fmt.Errorf("dial: %w", err)
 	}
 	defer conn.Close()
-	_ = conn.SetDeadline(c.deadline(ctx))
+	_ = conn.SetDeadline(dl)
 	id, err := wire.NewSessionID()
 	if err != nil {
 		return err
@@ -486,6 +542,12 @@ func (c *Controller) deadline(ctx context.Context) time.Time {
 	return deadline
 }
 
+// dialer bounds each dial through Config.Dial by dl, one already past
+// included.
+func (c *Controller) dialer(dl time.Time) lsl.Dialer {
+	return lsl.TimeoutDialer(c.cfg.Dial, max(time.Until(dl), time.Nanosecond))
+}
+
 // wireProbe measures src→dst with a generate session: it asks src's
 // depot to synthesize ProbeBytes and forward them directly to dst (the
 // remaining source route pins the direct hop, so table-driven depots
@@ -498,7 +560,7 @@ func (c *Controller) wireProbe(ctx context.Context, src, dst string) (float64, e
 	if err != nil {
 		return 0, err
 	}
-	start := time.Now()
+	start, dl := time.Now(), c.deadline(ctx)
 	// Each probe is its own traced transfer: the depot-side events it
 	// provokes correlate under one id, distinguishable from data
 	// traffic when timelines are assembled.
@@ -506,12 +568,12 @@ func (c *Controller) wireProbe(ctx context.Context, src, dst string) (float64, e
 	if tid, terr := wire.NewTraceID(); terr == nil {
 		opts = append(opts, wire.TraceIDOption(tid))
 	}
-	sess, err := lsl.Start(c.cfg.Dial, lsl.Spec{Type: wire.TypeGenerate, Src: c.cfg.Self, Dst: da, Route: []wire.Endpoint{sa}, Options: opts})
+	sess, err := lsl.Start(c.dialer(dl), lsl.Spec{Type: wire.TypeGenerate, Src: c.cfg.Self, Dst: da, Route: []wire.Endpoint{sa}, Options: opts})
 	if err != nil {
 		return 0, err
 	}
 	defer sess.Close()
-	_ = sess.SetReadDeadline(c.deadline(ctx))
+	_ = sess.SetDeadline(dl)
 	if _, err := io.Copy(io.Discard, sess); err != nil {
 		return 0, fmt.Errorf("probe read: %w", err)
 	}

@@ -2,11 +2,14 @@ package ctl
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"io"
 	"math"
 	"net"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -302,31 +305,53 @@ func TestRegisterRejectsUnknownHost(t *testing.T) {
 	}
 }
 
-// An invalid reading from the probe is a failed probe: the round goes
-// on to replan and push instead of aborting.
+// An invalid reading from the probe is a failed probe, like an error
+// from it: the round goes on to replan and push instead of aborting,
+// and each failure is logged once, in row-major member order, although
+// the readings are fed to the forecasters on parallel workers.
 func TestInvalidReadingsCountAsProbeErrors(t *testing.T) {
 	r := newRig(t)
 	reg := obs.NewRegistry()
 	bad := map[[2]string]float64{{"a", "b"}: math.NaN(), {"b", "c"}: math.Inf(1), {"c", "a"}: -1}
 	probe := func(src, dst string) (float64, error) {
+		if src == "b" && dst == "a" {
+			return 0, errors.New("probe failed")
+		}
 		if v, ok := bad[[2]string{src, dst}]; ok {
 			return v, nil
 		}
 		return r.probe(src, dst)
 	}
-	c := r.controller(Config{Probe: probe, Metrics: reg})
+	var logged []string
+	logf := func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "ctl: probe ") {
+			logged = append(logged, strings.Join(strings.Fields(line)[2:5], " "))
+		}
+	}
+	c := r.controller(Config{Probe: probe, Metrics: reg, Logf: logf})
 	rep, err := c.Round(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.Probes != 6 || rep.ProbeErrors != 3 {
-		t.Fatalf("report = %+v, want 6 probes and 3 probe errors", rep)
+	if rep.Probes != 6 || rep.ProbeErrors != 4 {
+		t.Fatalf("report = %+v, want 6 probes and 4 probe errors", rep)
 	}
-	if rep.Pushed != 3 || rep.PushErrors != 0 {
-		t.Fatalf("report = %+v, want 3 pushes", rep)
+	if rep.Pushed != 3 || rep.PushErrors != 0 || r.planner.Replans() != 1 {
+		t.Fatalf("report = %+v after %d replans, want 3 pushes and a replan", rep, r.planner.Replans())
 	}
-	if v := reg.Counter(MetricProbeErrors).Value(); v != 3 {
-		t.Fatalf("%s = %d, want 3", MetricProbeErrors, v)
+	if v := reg.Counter(MetricProbeErrors).Value(); v != 4 {
+		t.Fatalf("%s = %d, want 4", MetricProbeErrors, v)
+	}
+	var want []string
+	for _, src := range c.members {
+		for _, dst := range c.members {
+			if _, ok := bad[[2]string{src.host, dst.host}]; ok || src.host == "b" && dst.host == "a" {
+				want = append(want, src.host+" -> "+dst.host+":")
+			}
+		}
+	}
+	if !slices.Equal(logged, want) {
+		t.Fatalf("probe failures logged as %v, want row-major %v", logged, want)
 	}
 }
 
@@ -360,7 +385,7 @@ func TestWireProbeHonorsRoundDeadline(t *testing.T) {
 // and the pushed bytes depend on, on a mesh whose addresses
 // (10.0.<i+1>.1) sort differently as strings and as numbers.
 func TestWireTableSortedByAddressString(t *testing.T) {
-	c, _, _ := planetLabController(t, 1, 0)
+	c, _, _, _ := planetLabController(t, 1, 0)
 	if _, err := c.Round(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package ctl
 
 import (
+	"context"
 	"errors"
 	"sort"
 
@@ -29,13 +30,13 @@ const (
 // (no cache) or fails to answer drops out of this round's map — stale
 // holder claims are worse than missing ones, since planners bend routes
 // toward them.
-func (c *Controller) refreshInventory(rep *RoundReport) {
+func (c *Controller) refreshInventory(ctx context.Context, rep *RoundReport) {
 	inv := c.cfg.Inventory
 	if inv == nil {
 		if c.cfg.Dial == nil {
 			return
 		}
-		inv = c.wireInventory
+		inv = func(host string) ([]wire.ContentDigest, error) { return c.wireInventory(ctx, host) }
 	}
 	next := make(map[wire.ContentDigest][]string)
 	for _, m := range c.members {
@@ -77,12 +78,12 @@ func (c *Controller) InventorySize() int {
 	return len(c.holders)
 }
 
-// wireInventory polls one member's cache inventory over the wire.
-// Callers hold c.mu.
-func (c *Controller) wireInventory(host string) ([]wire.ContentDigest, error) {
+// wireInventory polls one member's cache inventory over the wire, by
+// the round's deadline or PushTimeout from now. Callers hold c.mu.
+func (c *Controller) wireInventory(ctx context.Context, host string) ([]wire.ContentDigest, error) {
 	for _, m := range c.members {
 		if m.host == host {
-			return lsl.CacheInventory(c.cfg.Dial, c.cfg.Self, m.addr)
+			return lsl.CacheInventory(c.cfg.Dial, c.cfg.Self, m.addr, c.deadline(ctx))
 		}
 	}
 	return nil, lsl.ErrRefused

@@ -18,8 +18,9 @@ import (
 // topology with load drift, a primed planner and a seeded probe reading
 // MeasuredBW. Every host is a member at 10.0.<i+1>.1, so addresses sort
 // differently as strings and as numbers; the first pushers hosts are
-// real table-driven depots on an emulated network and receive pushes.
-func planetLabController(tb testing.TB, seed int64, pushers int) (*Controller, *topo.Topology, *rand.Rand) {
+// real table-driven depots on an emulated network and receive pushes;
+// their servers come back in member order.
+func planetLabController(tb testing.TB, seed int64, pushers int) (*Controller, *topo.Topology, *rand.Rand, []*depot.Server) {
 	tb.Helper()
 	tp := topo.PlanetLab(topo.DefaultPlanetLab(), seed)
 	tp.EnableLoadDrift(0.08)
@@ -48,6 +49,7 @@ func planetLabController(tb testing.TB, seed int64, pushers int) (*Controller, *
 	if err != nil {
 		tb.Fatal(err)
 	}
+	var depots []*depot.Server
 	for i, name := range tp.HostNames() {
 		addr := wire.Endpoint{IP: [4]byte{10, 0, byte(i + 1), 1}, Port: 7411}
 		if i < pushers {
@@ -61,19 +63,20 @@ func planetLabController(tb testing.TB, seed int64, pushers int) (*Controller, *
 			}
 			tb.Cleanup(func() { srv.Close(); ln.Close() })
 			go srv.Serve(ln)
+			depots = append(depots, srv)
 		}
 		if err := c.Register(name, addr, i < pushers); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	return c, tp, rng
+	return c, tp, rng, depots
 }
 
 // BenchmarkRound142 times one control round over 142 members, 16 of
 // them pushed depots: 20 022 observes, a replan and 16 table diffs,
 // with the load drifting between rounds (outside the timer).
 func BenchmarkRound142(b *testing.B) {
-	c, tp, rng := planetLabController(b, 1, 16)
+	c, tp, rng, _ := planetLabController(b, 1, 16)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -70,7 +70,7 @@ func sendDigested(t *testing.T, h *harness, dst wire.Endpoint, route []wire.Endp
 func TestCacheProbeRefusedWithoutCache(t *testing.T) {
 	h := newHarness(t)
 	h.addDepot(epB, Config{})
-	_, err := lsl.CacheProbe(h.dialerFrom("10.0.0.1"), epA, epB, digestOf([]byte("x")))
+	_, err := lsl.CacheProbe(h.dialerFrom("10.0.0.1"), epA, epB, digestOf([]byte("x")), time.Now().Add(5*time.Second))
 	if !errors.Is(err, lsl.ErrRefused) {
 		t.Fatalf("probe of cacheless depot: %v, want ErrRefused", err)
 	}
@@ -88,7 +88,7 @@ func TestCacheForwardPopulatesAndAdvertises(t *testing.T) {
 	sendDigested(t, h, epC, []wire.Endpoint{epB}, payload)
 
 	d := digestOf(payload)
-	ranges, err := lsl.CacheProbe(h.dialerFrom("10.0.0.1"), epA, epB, d)
+	ranges, err := lsl.CacheProbe(h.dialerFrom("10.0.0.1"), epA, epB, d, time.Now().Add(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestCacheForwardPopulatesAndAdvertises(t *testing.T) {
 	if len(ranges) != 1 || ranges[0] != want {
 		t.Fatalf("advertised ranges = %v, want [%v]", ranges, want)
 	}
-	inv, err := lsl.CacheInventory(h.dialerFrom("10.0.0.1"), epA, epB)
+	inv, err := lsl.CacheInventory(h.dialerFrom("10.0.0.1"), epA, epB, time.Now().Add(5*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestCacheForwardPopulatesAndAdvertises(t *testing.T) {
 	}
 	// A probe for an unknown digest advertises nothing — not an error.
 	other := digestOf([]byte("different"))
-	if ranges, err := lsl.CacheProbe(h.dialerFrom("10.0.0.1"), epA, epB, other); err != nil || len(ranges) != 0 {
+	if ranges, err := lsl.CacheProbe(h.dialerFrom("10.0.0.1"), epA, epB, other, time.Now().Add(5*time.Second)); err != nil || len(ranges) != 0 {
 		t.Fatalf("probe of absent digest = %v, %v", ranges, err)
 	}
 }

@@ -55,18 +55,21 @@ func MinimaxTreeTransit(g *Graph, root NodeID, epsilon float64, transit []float6
 		Parent: make([]NodeID, n),
 		Cost:   make([]float64, n),
 	}
-	inTree := make([]bool, n)
+	// open holds the nodes not yet in the tree in index order, so ties
+	// go to the lowest index, and label their tentative costs alongside.
+	open, label := make([]NodeID, n), make([]float64, n)
 	for i := range t.Parent {
 		t.Parent[i] = None
 		t.Cost[i] = Inf
+		open[i], label[i] = NodeID(i), Inf
 	}
 	t.Cost[root] = 0
 	t.Parent[root] = root
 
 	// Each pass adds the cheapest labelled node u, relaxes the edges out
-	// of it and, in the same sweep, selects the next node to add.
+	// of it to the open nodes and, in the same sweep, drops u from the
+	// open set and selects the next node to add.
 	for u := root; u != None; {
-		inTree[u] = true
 		// Relaxing beyond u makes it an interior (forwarding) node, so
 		// its transit cost joins the minimax — unless it is the root,
 		// which sends but does not forward. An infinite cost (a missing
@@ -77,23 +80,30 @@ func MinimaxTreeTransit(g *Graph, root NodeID, epsilon float64, transit []float6
 				through = tr
 			}
 		}
-		next, best := None, Inf
-		for v, relax := range g.cost[int(u)*n : int(u)*n+n] {
-			if inTree[v] {
+		row := g.cost[int(u)*n : int(u)*n+n]
+		next, best, k := None, Inf, 0
+		for i, v := range open {
+			if v == u {
 				continue
 			}
+			cost, relax := label[i], row[v]
 			if through > relax {
 				relax = through
 			}
-			if relax*(1+epsilon) < t.Cost[v] {
+			if relax*(1+epsilon) < cost {
 				t.Parent[v] = u
-				t.Cost[v] = relax
+				cost = relax
 			}
-			if t.Cost[v] < best {
-				next, best = NodeID(v), t.Cost[v]
+			open[k], label[k] = v, cost
+			k++
+			if cost < best {
+				next, best = v, cost
 			}
 		}
-		u = next // None: the remaining nodes are unreachable
+		open, label = open[:k], label[:k]
+		if u = next; u != None { // None: the remaining nodes are unreachable
+			t.Cost[u] = best
+		}
 	}
 	t.Parent[root] = None // canonical: the root has no parent
 	return t
@@ -194,32 +204,6 @@ func (t *Tree) NextHop(dst NodeID) NodeID {
 		return None
 	}
 	return p[1]
-}
-
-// MaxDepth returns the longest root→leaf path length in edges.
-func (t *Tree) MaxDepth() int {
-	max := 0
-	for v := 0; v < t.G.N(); v++ {
-		if p := t.PathTo(NodeID(v)); len(p)-1 > max {
-			max = len(p) - 1
-		}
-	}
-	return max
-}
-
-// RelayedCount returns how many reachable destinations are routed
-// through at least one relay.
-func (t *Tree) RelayedCount() int {
-	n := 0
-	for v := 0; v < t.G.N(); v++ {
-		if NodeID(v) == t.Root {
-			continue
-		}
-		if len(t.Relays(NodeID(v))) > 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // String renders the tree as indented ASCII, one node per line.

@@ -135,12 +135,24 @@ func TestEpsilonReducesRelays(t *testing.T) {
 	var relExact, relDamped int
 	for trial := 0; trial < 20; trial++ {
 		g := randomGraph(12, rng)
-		relExact += MinimaxTree(g, 0, 0).RelayedCount()
-		relDamped += MinimaxTree(g, 0, 0.2).RelayedCount()
+		relExact += relayedCount(MinimaxTree(g, 0, 0))
+		relDamped += relayedCount(MinimaxTree(g, 0, 0.2))
 	}
 	if relDamped > relExact {
 		t.Fatalf("ε=0.2 used more relays (%d) than ε=0 (%d)", relDamped, relExact)
 	}
+}
+
+// relayedCount counts the destinations t routes through at least one
+// relay.
+func relayedCount(t *Tree) int {
+	n := 0
+	for v := 0; v < t.G.N(); v++ {
+		if len(t.Relays(NodeID(v))) > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 func TestPaperEpsilonExample(t *testing.T) {
@@ -254,17 +266,6 @@ func TestShortestPathMatchesClassic(t *testing.T) {
 				t.Fatalf("direct edge %v cheaper than sp label %v", direct, sp.Cost[v])
 			}
 		}
-	}
-}
-
-func TestMaxDepth(t *testing.T) {
-	g := MustNew([]string{"a", "b", "c"})
-	g.SetCostSym(0, 1, 1)
-	g.SetCostSym(1, 2, 1)
-	g.SetCostSym(0, 2, 100)
-	tree := MinimaxTree(g, 0, 0)
-	if d := tree.MaxDepth(); d != 2 {
-		t.Fatalf("depth = %d, want 2", d)
 	}
 }
 

@@ -1,7 +1,6 @@
 package graph
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -55,40 +54,6 @@ func BuildRoutePlan(g *Graph, epsilon float64) *RoutePlan {
 		p.Tables[v] = t.Routes()
 	}
 	return p
-}
-
-// ErrRoutingLoop indicates hop-by-hop resolution revisited a node.
-var ErrRoutingLoop = errors.New("graph: hop-by-hop routing loop")
-
-// ErrNoRoute indicates a node had no table entry for the destination.
-var ErrNoRoute = errors.New("graph: no route to destination")
-
-// HopByHopPath resolves the path src→dst by following each successive
-// node's own route table, the way deployed depots forward. Because
-// every node routes by its own tree, the resulting path can differ from
-// the source tree's path; the paper relies on the ε-damped trees making
-// the tables consistent in practice.
-func (p *RoutePlan) HopByHopPath(src, dst NodeID) ([]NodeID, error) {
-	p.G.check(src)
-	p.G.check(dst)
-	path := []NodeID{src}
-	seen := map[NodeID]bool{src: true}
-	cur := src
-	for cur != dst {
-		hop, ok := p.Tables[cur][dst]
-		if !ok {
-			return nil, fmt.Errorf("%w: %s has no entry for %s",
-				ErrNoRoute, p.G.Name(cur), p.G.Name(dst))
-		}
-		if seen[hop] {
-			return nil, fmt.Errorf("%w: revisited %s resolving %s→%s",
-				ErrRoutingLoop, p.G.Name(hop), p.G.Name(src), p.G.Name(dst))
-		}
-		seen[hop] = true
-		path = append(path, hop)
-		cur = hop
-	}
-	return path, nil
 }
 
 // SourcePath returns the loose-source-route path chosen by src's own

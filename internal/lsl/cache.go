@@ -2,6 +2,7 @@ package lsl
 
 import (
 	"fmt"
+	"time"
 
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -10,10 +11,11 @@ import (
 // digest-named object its content-addressed cache holds. An empty
 // slice means "none of it"; ErrRefused means the depot runs no cache.
 // The probe is a single request/response exchange on its own
-// connection, deliberately cheap: initiators fan it across a path's
-// depots before deciding whether a transfer can be served from cache.
-func CacheProbe(d Dialer, self, depotAddr wire.Endpoint, digest wire.ContentDigest) ([]wire.ByteRange, error) {
-	resp, err := cacheExchange(d, self, depotAddr, []wire.Option{wire.CacheLookupOption(digest)})
+// connection, done by deadline, deliberately cheap: initiators fan it
+// across a path's depots before deciding whether a transfer can be
+// served from cache.
+func CacheProbe(d Dialer, self, depotAddr wire.Endpoint, digest wire.ContentDigest, deadline time.Time) ([]wire.ByteRange, error) {
+	resp, err := cacheExchange(d, self, depotAddr, []wire.Option{wire.CacheLookupOption(digest)}, deadline)
 	if err != nil {
 		return nil, err
 	}
@@ -25,22 +27,23 @@ func CacheProbe(d Dialer, self, depotAddr wire.Endpoint, digest wire.ContentDige
 // inventory: the content digests it holds complete. ErrRefused means
 // the depot runs no cache. Controllers poll this during probe rounds
 // to build the mesh-wide digest→holders map cache-aware planning
-// scores routes with.
-func CacheInventory(d Dialer, self, depotAddr wire.Endpoint) ([]wire.ContentDigest, error) {
-	resp, err := cacheExchange(d, self, depotAddr, nil)
+// scores routes with. The whole exchange ends by deadline.
+func CacheInventory(d Dialer, self, depotAddr wire.Endpoint, deadline time.Time) ([]wire.ContentDigest, error) {
+	resp, err := cacheExchange(d, self, depotAddr, nil, deadline)
 	if err != nil {
 		return nil, err
 	}
 	return resp.CacheLookups(), nil
 }
 
-// cacheExchange runs one TypeCacheProbe request/response round trip.
-func cacheExchange(d Dialer, self, depotAddr wire.Endpoint, opts []wire.Option) (*wire.Header, error) {
-	req, err := Start(d, Spec{Type: wire.TypeCacheProbe, Src: self, Dst: depotAddr, Options: opts})
+// cacheExchange runs one TypeCacheProbe round trip by deadline.
+func cacheExchange(d Dialer, self, depotAddr wire.Endpoint, opts []wire.Option, deadline time.Time) (*wire.Header, error) {
+	req, err := Start(TimeoutDialer(d, max(time.Until(deadline), time.Nanosecond)), Spec{Type: wire.TypeCacheProbe, Src: self, Dst: depotAddr, Options: opts})
 	if err != nil {
 		return nil, err
 	}
 	defer req.Close()
+	_ = req.SetDeadline(deadline)
 	resp, err := wire.ReadHeader(req)
 	if err != nil {
 		return nil, fmt.Errorf("lsl: cache probe response: %w", err)

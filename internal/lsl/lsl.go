@@ -169,8 +169,9 @@ func Start(d Dialer, sp Spec) (*Session, error) {
 		opts = append(opts, wire.SourceRouteOption(rest))
 	}
 	t0 := time.Now()
-	conn, err := dialHop(d, first.String())
+	conn, err := d.Dial(first.String())
 	if err != nil {
+		metrics().Counter(MetricDialErrors).Inc()
 		return nil, fmt.Errorf("lsl: dial %s: %w", first, err)
 	}
 	h := &wire.Header{
@@ -252,15 +253,6 @@ func Fetch(d Dialer, self, depotAddr wire.Endpoint, id wire.SessionID) (*Session
 		return nil, fmt.Errorf("lsl: unexpected fetch response type %d session %s", resp.Type, resp.Session)
 	}
 	return &Session{Conn: req.Conn, Header: resp}, nil
-}
-
-// dialHop dials through d, counting failures.
-func dialHop(d Dialer, addr string) (net.Conn, error) {
-	conn, err := d.Dial(addr)
-	if err != nil {
-		metrics().Counter(MetricDialErrors).Inc()
-	}
-	return conn, err
 }
 
 // observeSetup records one successful session establishment.

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"io"
 	"net"
+	"os"
 	"testing"
+	"time"
 
 	"github.com/netlogistics/lsl/internal/emu"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -357,5 +359,36 @@ func TestStartRejects(t *testing.T) {
 				t.Fatalf("Start accepted %+v (dialed %v)", tc.spec, dialed)
 			}
 		})
+	}
+}
+
+// A cache exchange with a member that accepts and never answers ends
+// at its deadline, dial included, instead of holding the caller: the
+// controller's inventory poll and the engine's holder probe both ride
+// on it.
+func TestCacheExchangeHonorsDeadline(t *testing.T) {
+	dial, _ := testNet(t, "10.0.0.2:9000")
+	self, silent := wire.MustEndpoint("10.0.0.1:1"), wire.MustEndpoint("10.0.0.2:9000")
+	exchanges := map[string]func(time.Time) error{
+		"probe": func(dl time.Time) error {
+			_, err := CacheProbe(dial, self, silent, wire.ContentDigest{Size: 1}, dl)
+			return err
+		},
+		"inventory": func(dl time.Time) error {
+			_, err := CacheInventory(dial, self, silent, dl)
+			return err
+		},
+	}
+	for name, exchange := range exchanges {
+		for _, budget := range []time.Duration{200 * time.Millisecond, -time.Second} {
+			start := time.Now()
+			err := exchange(start.Add(budget))
+			if !errors.Is(err, os.ErrDeadlineExceeded) {
+				t.Fatalf("%s with %v left: err = %v, want a deadline error", name, budget, err)
+			}
+			if el := time.Since(start); el > max(budget, 0)+time.Second {
+				t.Fatalf("%s with %v left returned after %v", name, budget, el)
+			}
+		}
 	}
 }

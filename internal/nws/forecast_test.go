@@ -178,9 +178,6 @@ func TestSelectorMAE(t *testing.T) {
 	if got := s.MAE(); got != 0 {
 		t.Fatalf("constant series MAE = %v, want 0", got)
 	}
-	if !math.IsNaN(NewSelector().LastError()) {
-		t.Fatal("LastError before data should be NaN")
-	}
 }
 
 func TestSelectorEmptyForecast(t *testing.T) {

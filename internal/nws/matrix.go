@@ -3,20 +3,27 @@ package nws
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // Monitor maintains one forecast series per ordered host pair and
 // produces the fully connected bandwidth matrix the scheduler consumes.
 // It is the reproduction of the paper's "performance matrix ...
 // generated from Network Weather Service forecasts".
+//
+// Each pair's series is its own state: distinct pairs may be observed
+// concurrently, the same pair may not, and no read (Forecast, Snapshot,
+// MeanRelativeError) may overlap an Observe.
 type Monitor struct {
 	hosts   []string
 	index   map[string]int
 	series  []*Selector // row-major n×n, diagonal unused
 	mkBank  func() []Forecaster
-	updates int
+	updates atomic.Int64
 }
 
 // NewMonitor returns a monitor over the given host names. mkBank, when
@@ -48,7 +55,7 @@ func NewMonitor(hosts []string, mkBank func() []Forecaster) (*Monitor, error) {
 func (m *Monitor) Hosts() []string { return append([]string(nil), m.hosts...) }
 
 // Updates reports the total number of observations recorded.
-func (m *Monitor) Updates() int { return m.updates }
+func (m *Monitor) Updates() int { return int(m.updates.Load()) }
 
 func (m *Monitor) selector(src, dst int) *Selector {
 	idx := src*len(m.hosts) + dst
@@ -81,7 +88,7 @@ func (m *Monitor) Observe(src, dst string, bw float64) error {
 		return fmt.Errorf("nws: invalid bandwidth %v for %s→%s", bw, src, dst)
 	}
 	m.selector(si, di).Update(bw)
-	m.updates++
+	m.updates.Add(1)
 	return nil
 }
 
@@ -100,22 +107,6 @@ func (m *Monitor) Forecast(src, dst string) float64 {
 	return s.Forecast()
 }
 
-// ForecastError returns the winning expert's mean absolute error for
-// the pair (NaN when unavailable). Divided by the forecast it yields a
-// relative error usable as an automatic ε.
-func (m *Monitor) ForecastError(src, dst string) float64 {
-	si, ok1 := m.index[src]
-	di, ok2 := m.index[dst]
-	if !ok1 || !ok2 || si == di {
-		return math.NaN()
-	}
-	s := m.series[si*len(m.hosts)+di]
-	if s == nil {
-		return math.NaN()
-	}
-	return s.MAE()
-}
-
 // Matrix is a snapshot of forecast bandwidths: BW[i][j] is the
 // predicted bytes/sec from host i to host j (NaN when unknown).
 type Matrix struct {
@@ -123,25 +114,33 @@ type Matrix struct {
 	BW    [][]float64
 }
 
-// Snapshot produces the forecast matrix for the scheduler.
+// Snapshot produces the forecast matrix for the scheduler. Its rows
+// are filled on GOMAXPROCS workers, each row by one of them.
 func (m *Monitor) Snapshot() Matrix {
 	n := len(m.hosts)
 	bw := make([][]float64, n)
-	for i := 0; i < n; i++ {
-		bw[i] = make([]float64, n)
-		for j := 0; j < n; j++ {
-			if i == j {
-				bw[i][j] = math.Inf(1)
-				continue
+	workers := min(runtime.GOMAXPROCS(0), n)
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for i := w; i < n; i += workers {
+				bw[i] = make([]float64, n)
+				for j, s := range m.series[i*n : i*n+n] {
+					switch {
+					case i == j:
+						bw[i][j] = math.Inf(1)
+					case s == nil:
+						bw[i][j] = math.NaN()
+					default:
+						bw[i][j] = s.Forecast()
+					}
+				}
 			}
-			s := m.series[i*n+j]
-			if s == nil {
-				bw[i][j] = math.NaN()
-				continue
-			}
-			bw[i][j] = s.Forecast()
-		}
+		}()
 	}
+	wg.Wait()
 	return Matrix{Hosts: append([]string(nil), m.hosts...), BW: bw}
 }
 

@@ -86,19 +86,6 @@ func TestSnapshot(t *testing.T) {
 	}
 }
 
-func TestForecastError(t *testing.T) {
-	m, _ := NewMonitor([]string{"a", "b"}, nil)
-	for i := 0; i < 10; i++ {
-		m.Observe("a", "b", 100)
-	}
-	if got := m.ForecastError("a", "b"); got != 0 {
-		t.Fatalf("constant-series error = %v", got)
-	}
-	if !math.IsNaN(m.ForecastError("b", "a")) {
-		t.Fatal("unmeasured error should be NaN")
-	}
-}
-
 func TestMeanRelativeError(t *testing.T) {
 	m, _ := NewMonitor([]string{"a", "b"}, nil)
 	if !math.IsNaN(m.MeanRelativeError()) {

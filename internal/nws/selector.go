@@ -13,7 +13,6 @@ type Selector struct {
 	experts []Forecaster
 	absErr  []float64
 	n       int
-	lastErr float64 // absolute error of the winning expert's last prediction
 }
 
 // DefaultBank returns the standard bank of experts used throughout the
@@ -50,16 +49,9 @@ func NewSelector(experts ...Forecaster) *Selector {
 // measurement, then feeds the measurement to all of them.
 func (s *Selector) Update(v float64) {
 	if s.n > 0 {
-		bestIdx := s.bestIndex()
 		for i, e := range s.experts {
-			p := e.Forecast()
-			if math.IsNaN(p) {
-				continue
-			}
-			err := math.Abs(p - v)
-			s.absErr[i] += err
-			if i == bestIdx {
-				s.lastErr = err
+			if p := e.Forecast(); !math.IsNaN(p) {
+				s.absErr[i] += math.Abs(p - v)
 			}
 		}
 	}
@@ -106,15 +98,6 @@ func (s *Selector) MAE() float64 {
 		return math.NaN()
 	}
 	return s.absErr[s.bestIndex()] / float64(s.n-1)
-}
-
-// LastError returns the winning expert's absolute error on the most
-// recent measurement (NaN before two updates).
-func (s *Selector) LastError() float64 {
-	if s.n < 2 {
-		return math.NaN()
-	}
-	return s.lastErr
 }
 
 // Samples reports how many measurements have been consumed.

@@ -260,3 +260,133 @@ func TestWarmObserveDoesNotAllocate(t *testing.T) {
 		t.Fatalf("warm Observe allocates %v times per call, want 0", allocs)
 	}
 }
+
+// refWindow is the window the ring replaced: arrival order in a slice
+// that shifts on every push, and a remove then an insert, each found by
+// binary search, per value that leaves. The ring and the one-copy
+// replacement must leave sorted exactly as it did, bit for bit,
+// including which of -0 and +0 sits where.
+type refWindow struct {
+	recent, sorted []float64
+	keep, width    int
+}
+
+func (w *refWindow) push(v float64) {
+	for len(w.sorted) >= w.width {
+		w.sorted = refRemove(w.sorted, w.recent[len(w.recent)-len(w.sorted)])
+	}
+	w.sorted = refInsert(w.sorted, v)
+	if len(w.recent) == w.keep {
+		w.recent = append(w.recent[:0], w.recent[1:]...)
+	}
+	w.recent = append(w.recent, v)
+}
+
+func refSearch(s []float64, v float64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s[m] < v || (math.IsNaN(s[m]) && !math.IsNaN(v)) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	return lo
+}
+
+func refInsert(s []float64, v float64) []float64 {
+	i := refSearch(s, v)
+	s = append(s, 0)
+	copy(s[i+1:], s[i:])
+	s[i] = v
+	return s
+}
+
+func refRemove(s []float64, v float64) []float64 {
+	i := refSearch(s, v)
+	return append(s[:i], s[i+1:]...)
+}
+
+// TestWindowMatchesRemoveInsertReference drives the window and its
+// reference through long runs (the ring wraps hundreds of times) whose
+// width wanders by one step as AdaptiveMedian's does, over values drawn
+// from tiny alphabets: duplicates everywhere, a leaving value often
+// equal to the new one, and -0 beside +0.
+func TestWindowMatchesRemoveInsertReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	negZero := math.Copysign(0, -1)
+	alphabets := [][]float64{
+		{0, negZero},
+		{negZero, 0, 1, 1, 2},
+		{3, 3, 3, 7},
+		{negZero, 0, 0.5, math.Inf(1), 1e9},
+		{math.NaN(), 0, negZero, 1},
+	}
+	for run := 0; run < 200; run++ {
+		alpha := alphabets[run%len(alphabets)]
+		keep := 1 + rng.Intn(30)
+		width := 1 + rng.Intn(keep)
+		got, want := newWindow(width, keep), &refWindow{keep: keep, width: width}
+		for i := 0; i < 20*keep+rng.Intn(500); i++ {
+			if rng.Intn(3) == 0 {
+				width = min(max(width+rng.Intn(3)-1, 1), keep)
+				got.width, want.width = width, width
+			}
+			v := alpha[rng.Intn(len(alpha))]
+			if rng.Intn(4) == 0 && len(want.recent) >= width {
+				v = want.recent[len(want.recent)-width] // the value that leaves
+			}
+			got.push(v)
+			want.push(v)
+			if len(got.sorted) != len(want.sorted) {
+				t.Fatalf("run %d push %d: %d sorted values, reference %d", run, i, len(got.sorted), len(want.sorted))
+			}
+			for k := range got.sorted {
+				if math.Float64bits(got.sorted[k]) != math.Float64bits(want.sorted[k]) {
+					t.Fatalf("run %d push %d (keep %d width %d): sorted %v, reference %v", run, i, keep, width, got.sorted, want.sorted)
+				}
+			}
+			for k := 0; k < len(want.sorted); k++ {
+				if g, w := got.back(k), want.recent[len(want.recent)-1-k]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("run %d push %d: back(%d) = %v, reference %v", run, i, k, g, w)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkObserveSweep142 observes every ordered pair of 142 hosts
+// round-robin, the order a control round feeds them: each Observe finds
+// its pair's windows cold in cache, which a hot-pair loop hides.
+func BenchmarkObserveSweep142(b *testing.B) {
+	hosts := make([]string, 142)
+	for i := range hosts {
+		hosts[i] = fmt.Sprint("h", i)
+	}
+	m, err := NewMonitor(hosts, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	sweep := func() {
+		for _, src := range hosts {
+			for _, dst := range hosts {
+				if src != dst {
+					if err := m.Observe(src, dst, 1e6*(0.5+rng.Float64())); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		}
+	}
+	for i := 0; i < 30; i++ { // every window full
+		sweep()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(hosts)*(len(hosts)-1)), "ns/observe")
+}
