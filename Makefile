@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test vet fmt fmt-check lint vulncheck fuzz-smoke race cover verify bench bench-guarded bench-gate experiments docs-check clean
+.PHONY: build test vet fmt fmt-check lint vulncheck fuzz-smoke race stress cover verify bench bench-guarded bench-gate experiments docs-check clean
 
 build:
 	$(GO) build ./...
@@ -71,6 +71,13 @@ fuzz-smoke:
 # plane's nws, graph, schedule and ctl run here too.
 race:
 	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/... ./internal/nws/... ./internal/graph/... ./internal/emu/... ./internal/bufpool/... ./internal/wire/... ./internal/fairshare/...
+
+# The late-byte class of bug under the race detector, many times over:
+# multipath transfers whose stolen ranges land after the transfer
+# returned, and the sink's record table, tombstones and budgets. A
+# record leaked by a late range fails here instead of flaking tier-1.
+stress:
+	$(GO) test -race -count=50 -run 'TestMultipath|TestSink' ./internal/core/ ./internal/depot/
 
 # Statement-coverage floors for the packages whose untested branches
 # hurt the most (see coverage-floors.txt for which and why). The

@@ -87,8 +87,11 @@
 // the origin. Delivery accounting is best-effort over real TCP — the
 // sink's log line is the ground truth for what landed.
 //
-// Sink mode accepts sessions, verifies the payload pattern, and prints
-// per-session throughput:
+// Sink mode accepts sessions and reads each through depot.Sink: it
+// verifies the payload pattern and the header's integrity options, and
+// stitches a resumed, cache-served or multipath range into the one
+// digest of its transfer, keyed by session and trace id. It prints
+// per-session throughput and the verdict:
 //
 //	lsl-xfer -sink -listen 0.0.0.0:7411 -self 198.51.100.9:7411
 //
@@ -103,11 +106,9 @@ package main
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/hex"
 	"flag"
 	"fmt"
-	"hash"
 	"io"
 	"log"
 	"math"
@@ -203,6 +204,11 @@ func openTrace() (obs.Sink, func(), error) {
 	}
 	return sinks, closeAll, nil
 }
+
+// tcpDial opens every connection lsl-xfer makes, each bounded to 10 s.
+var tcpDial = lsl.DialerFunc(func(addr string) (net.Conn, error) {
+	return net.DialTimeout("tcp", addr, 10*time.Second)
+})
 
 // xferTrace is the end-to-end trace id of this invocation's transfer,
 // minted once per send so every attempt, stripe, and depot hop shares
@@ -314,11 +320,8 @@ func runFetch() error {
 		return err
 	}
 	defer closeTrace()
-	dial := lsl.DialerFunc(func(addr string) (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, 10*time.Second)
-	})
 	start := time.Now()
-	sess, err := lsl.Fetch(dial, selfEP, depotEP, id)
+	sess, err := lsl.Fetch(tcpDial, selfEP, depotEP, id)
 	if err != nil {
 		return err
 	}
@@ -329,25 +332,13 @@ func runFetch() error {
 	if sampler != nil {
 		in = sampler.Reader(sess)
 	}
-	var total int64
-	buf := make([]byte, 64<<10)
-	for {
-		n, rerr := in.Read(buf)
-		if n > 0 {
-			if total == 0 {
-				emit0(tr, id, obs.KindFirstByte, obs.Event{})
-			}
-			if verr := depot.VerifyPattern(buf[:n], id, total); verr != nil {
-				return verr
-			}
-			total += int64(n)
+	total, err := depot.ReadVerified(in, id, 0, false, func(_ []byte, off int64) {
+		if off == 0 {
+			emit0(tr, id, obs.KindFirstByte, obs.Event{})
 		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return rerr
-		}
+	})
+	if err != nil {
+		return err
 	}
 	emit0(tr, id, obs.KindLastByte, obs.Event{Bytes: total})
 	finishSampler(sampler, tr, start, id.String(), *src)
@@ -424,9 +415,6 @@ func runSend() error {
 	// One trace id spans the whole send: every retry attempt, every
 	// stripe, and every depot hop the header reaches.
 	mintTrace()
-	dial := lsl.DialerFunc(func(addr string) (net.Conn, error) {
-		return net.DialTimeout("tcp", addr, 10*time.Second)
-	})
 	firstHop := dst
 	if len(route) > 0 {
 		firstHop = route[0]
@@ -441,45 +429,37 @@ func runSend() error {
 			return fmt.Errorf("-multipath %d wants %d ';'-separated -via routes (got %d)",
 				*multipathN, *multipathN, len(routes))
 		}
-		return runMultipathSend(dial, srcEP, dst, routes, size, tr)
+		return runMultipathSend(srcEP, dst, routes, size, tr)
 	}
 
 	if *cached {
 		if len(route) == 0 {
 			return fmt.Errorf("-cached needs at least one -via depot to probe")
 		}
-		return runCachedSend(dial, srcEP, dst, route, size, tr)
+		return runCachedSend(srcEP, dst, route, size, tr)
 	}
 
 	if *tableMode {
 		if len(route) != 1 {
 			return fmt.Errorf("-table-driven needs exactly one -via entry depot (got %d)", len(route))
 		}
-		return runTableDrivenSend(dial, srcEP, dst, route[0], size, tr)
+		return runTableDrivenSend(srcEP, dst, route[0], size, tr)
 	}
 
 	if *stripesN > 1 {
-		return runStripedSend(dial, srcEP, dst, route, firstHop, size, tr)
+		return runStripedSend(srcEP, dst, route, firstHop, size, tr)
 	}
 
 	start := time.Now()
 	var sess *lsl.Session
 	if *store {
-		sess, err = lsl.Start(dial, lsl.Spec{Type: wire.TypeStore, Src: srcEP, Dst: dst, Route: route, Options: sessionOpts()})
+		sess, err = lsl.Start(tcpDial, lsl.Spec{Type: wire.TypeStore, Src: srcEP, Dst: dst, Route: route, Options: sessionOpts()})
 		if err != nil {
 			return err
 		}
-		emit0(tr, sess.ID(), obs.KindConnect, obs.Event{Peer: firstHop.String()})
-		sampler := newSampler("store " + sess.ID().String())
-		w := sendWriter(sess, sampler)
-		emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
-		written, werr := sendPatternRange(w, sess.ID(), 0, size)
-		if werr != nil {
-			return fmt.Errorf("store after %d bytes: %w", written, werr)
+		if err := sendSampled(sess, "store", size, tr, start, obs.Event{Peer: firstHop.String()}); err != nil {
+			return err
 		}
-		sess.Close()
-		emit0(tr, sess.ID(), obs.KindLastByte, obs.Event{Bytes: written})
-		finishSampler(sampler, tr, start, sess.ID().String(), *src)
 		fmt.Printf("stored session %s at %s: %d bytes in %v (fetch with: lsl-xfer -to %s -fetch %s)\n",
 			sess.ID(), dst, size, time.Since(start).Round(time.Millisecond), dst, sess.ID())
 		return nil
@@ -487,7 +467,7 @@ func runSend() error {
 		if len(route) == 0 {
 			return fmt.Errorf("-generate needs at least one -via depot to do the generating")
 		}
-		sess, err = lsl.Start(dial, lsl.Spec{Type: wire.TypeGenerate, Src: srcEP, Dst: dst, Route: route,
+		sess, err = lsl.Start(tcpDial, lsl.Spec{Type: wire.TypeGenerate, Src: srcEP, Dst: dst, Route: route,
 			Options: append([]wire.Option{wire.GenerateOption(uint64(size))}, sessionOpts()...)})
 		if err != nil {
 			return err
@@ -530,24 +510,12 @@ func runSend() error {
 				spec.ID = sid
 				spec.Options = append(spec.Options, wire.ContentDigestOption(depot.PatternDigest(sid, size)))
 			}
-			s2, oerr := lsl.Start(dial, spec)
+			s2, oerr := lsl.Start(tcpDial, spec)
 			if oerr != nil {
 				return oerr
 			}
 			sess = s2
-			emit0(tr, sess.ID(), obs.KindConnect, obs.Event{Peer: hop.String(), Retries: attempt})
-			sampler := newSampler("send " + sess.ID().String())
-			w := sendWriter(sess, sampler)
-			emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
-			written, werr := sendPatternRange(w, sess.ID(), 0, size)
-			if werr != nil {
-				sess.Close()
-				return fmt.Errorf("send after %d bytes: %w", written, werr)
-			}
-			sess.Close()
-			emit0(tr, sess.ID(), obs.KindLastByte, obs.Event{Bytes: written})
-			finishSampler(sampler, tr, start, sess.ID().String(), *src)
-			return nil
+			return sendSampled(sess, "send", size, tr, start, obs.Event{Peer: hop.String(), Retries: attempt})
 		})
 		if err != nil {
 			return err
@@ -592,7 +560,7 @@ func cachedSuffixStart(ranges []wire.ByteRange, size int64) int64 {
 // direct the best holder (longest cached suffix; ties to the depot
 // nearest the sink) to serve the remainder out of its cache. A refused
 // directive falls back to an origin send of the remainder.
-func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpoint, size int64, tr obs.Sink) error {
+func runCachedSend(srcEP, dst wire.Endpoint, route []wire.Endpoint, size int64, tr obs.Sink) error {
 	id, err := cachedSessionID()
 	if err != nil {
 		return err
@@ -602,7 +570,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 
 	holder, coldEnd := -1, size
 	for i, hop := range route {
-		ranges, perr := lsl.CacheProbe(dial, srcEP, hop, digest, time.Now().Add(10*time.Second))
+		ranges, perr := lsl.CacheProbe(tcpDial, srcEP, hop, digest, time.Now().Add(10*time.Second))
 		if perr != nil {
 			continue // no cache there, or unreachable: probe is best-effort
 		}
@@ -626,7 +594,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 
 	var originBytes, cachedBytes int64
 	if coldEnd > 0 {
-		sess, oerr := lsl.Start(dial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: route, Options: opts})
+		sess, oerr := lsl.Start(tcpDial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: route, Options: opts})
 		if oerr != nil {
 			return oerr
 		}
@@ -640,7 +608,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 	}
 	if holder >= 0 && coldEnd < size {
 		r := wire.ByteRange{Off: coldEnd, Len: size - coldEnd}
-		sess, oerr := lsl.Start(dial, lsl.Spec{Type: wire.TypeCacheServe, ID: id, Src: srcEP, Dst: dst, Route: route[holder:],
+		sess, oerr := lsl.Start(tcpDial, lsl.Spec{Type: wire.TypeCacheServe, ID: id, Src: srcEP, Dst: dst, Route: route[holder:],
 			Options: append([]wire.Option{wire.CacheServeOption(digest, r)}, opts...)})
 		if oerr != nil {
 			log.Printf("serve directive to %s failed (%v), falling back to origin", route[holder], oerr)
@@ -660,7 +628,7 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 		}
 	}
 	if total := originBytes + cachedBytes; total < size {
-		sess, oerr := lsl.Start(dial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: route, Offset: originBytes, Options: opts})
+		sess, oerr := lsl.Start(tcpDial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: route, Offset: originBytes, Options: opts})
 		if oerr != nil {
 			return oerr
 		}
@@ -692,24 +660,15 @@ func runCachedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpo
 // source route: the header names only src and dst, and each depot picks
 // the next hop from its controller-pushed route table. A table miss
 // anywhere on the path surfaces here as a refusal.
-func runTableDrivenSend(dial lsl.Dialer, srcEP, dst, entry wire.Endpoint, size int64, tr obs.Sink) error {
+func runTableDrivenSend(srcEP, dst, entry wire.Endpoint, size int64, tr obs.Sink) error {
 	start := time.Now()
-	sess, err := lsl.Start(dial, lsl.Spec{Src: srcEP, Dst: dst, Entry: entry, Options: sessionOpts()})
+	sess, err := lsl.Start(tcpDial, lsl.Spec{Src: srcEP, Dst: dst, Entry: entry, Options: sessionOpts()})
 	if err != nil {
 		return err
 	}
-	emit0(tr, sess.ID(), obs.KindConnect, obs.Event{Peer: entry.String()})
-	sampler := newSampler("send " + sess.ID().String())
-	w := sendWriter(sess, sampler)
-	emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
-	written, werr := sendPatternRange(w, sess.ID(), 0, size)
-	if werr != nil {
-		sess.Close()
-		return fmt.Errorf("table-driven send after %d bytes: %w", written, werr)
+	if err := sendSampled(sess, "table-driven send", size, tr, start, obs.Event{Peer: entry.String()}); err != nil {
+		return err
 	}
-	sess.Close()
-	emit0(tr, sess.ID(), obs.KindLastByte, obs.Event{Bytes: written})
-	finishSampler(sampler, tr, start, sess.ID().String(), *src)
 	elapsed := time.Since(start)
 	fmt.Printf("session %s: %d bytes in %v = %.2f Mbit/s (send-side, table-driven)\n",
 		sess.ID(), size, elapsed.Round(time.Millisecond),
@@ -723,7 +682,7 @@ func runTableDrivenSend(dial lsl.Dialer, srcEP, dst, entry wire.Endpoint, size i
 // -sink reassembles by absolute offset with no striping-specific code.
 // -retries applies independently per stripe: a failed stripe restarts
 // from its own range start while its siblings stream on.
-func runStripedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endpoint, firstHop wire.Endpoint, size int64, tr obs.Sink) error {
+func runStripedSend(srcEP, dst wire.Endpoint, route []wire.Endpoint, firstHop wire.Endpoint, size int64, tr obs.Sink) error {
 	n := *stripesN
 	if int64(n) > size {
 		n = int(size)
@@ -750,7 +709,7 @@ func runStripedSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, route []wire.Endp
 				if attempt > 0 {
 					log.Printf("stripe %d: retry %d of %d", k, attempt, *retries)
 				}
-				sess, oerr := lsl.Start(dial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: route, Offset: from,
+				sess, oerr := lsl.Start(tcpDial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: route, Offset: from,
 					Options: append(sessionOpts(), wire.StripeCountOption(uint16(n)), wire.StripeIndexOption(uint16(k)))})
 				if oerr != nil {
 					return oerr
@@ -886,7 +845,7 @@ func multipathSendRanges(size int64, k int) []multipathRange {
 // back-pressure self-clocks the routes — a faster route carries more
 // ranges. -retries applies per range on its owning route; a range that
 // exhausts its attempts fails the whole send.
-func runMultipathSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, routes [][]wire.Endpoint, size int64, tr obs.Sink) error {
+func runMultipathSend(srcEP, dst wire.Endpoint, routes [][]wire.Endpoint, size int64, tr obs.Sink) error {
 	k := len(routes)
 	id, err := wire.NewSessionID()
 	if err != nil {
@@ -932,7 +891,7 @@ func runMultipathSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, routes [][]wire
 					if attempt > 0 {
 						log.Printf("path %d: range %d retry %d of %d", w, i, attempt, *retries)
 					}
-					sess, oerr := lsl.Start(dial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: routes[w], Offset: r.from,
+					sess, oerr := lsl.Start(tcpDial, lsl.Spec{ID: id, Src: srcEP, Dst: dst, Route: routes[w], Offset: r.from,
 						Options: append(sessionOpts(), wire.PathSetIDOption(set), wire.PathIndexOption(uint16(w), uint16(k)))})
 					if oerr != nil {
 						return oerr
@@ -970,24 +929,27 @@ func runMultipathSend(dial lsl.Dialer, srcEP, dst wire.Endpoint, routes [][]wire
 	return nil
 }
 
-// sendPatternRange streams the deterministic pattern for absolute
-// object offsets [from, end) — one stripe's share.
-func sendPatternRange(w io.Writer, id wire.SessionID, from, end int64) (int64, error) {
-	buf := make([]byte, 64<<10)
-	written := from
-	for written < end {
-		n := int64(len(buf))
-		if remaining := end - written; remaining < n {
-			n = remaining
-		}
-		depot.FillPattern(buf[:n], id, written)
-		m, werr := w.Write(buf[:n])
-		written += int64(m)
-		if werr != nil {
-			return written - from, werr
-		}
+// sendSampled streams the whole object into sess under the -sample
+// sampler, closes it, and traces its connect (the event given), first
+// and last byte; what names the send in the sampler and in errors.
+func sendSampled(sess *lsl.Session, what string, size int64, tr obs.Sink, start time.Time, connect obs.Event) error {
+	emit0(tr, sess.ID(), obs.KindConnect, connect)
+	sampler := newSampler(what + " " + sess.ID().String())
+	emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
+	written, err := sendPatternRange(sendWriter(sess, sampler), sess.ID(), 0, size)
+	sess.Close()
+	if err != nil {
+		return fmt.Errorf("%s after %d bytes: %w", what, written, err)
 	}
-	return written - from, nil
+	emit0(tr, sess.ID(), obs.KindLastByte, obs.Event{Bytes: written})
+	finishSampler(sampler, tr, start, sess.ID().String(), *src)
+	return nil
+}
+
+// sendPatternRange streams the deterministic pattern for absolute
+// object offsets [from, end) — one stripe's share — in 64 KiB writes.
+func sendPatternRange(w io.Writer, id wire.SessionID, from, end int64) (int64, error) {
+	return depot.WritePattern(w, make([]byte, 64<<10), id, from, end)
 }
 
 func runSink() error {
@@ -1005,76 +967,7 @@ func runSink() error {
 		return err
 	}
 	defer closeTrace()
-	srv, err := depot.New(depot.Config{
-		Self: self,
-		Dial: lsl.DialerFunc(func(addr string) (net.Conn, error) {
-			return net.DialTimeout("tcp", addr, 10*time.Second)
-		}),
-		Trace: tr,
-		Local: func(s *lsl.Session) error {
-			start := time.Now()
-			buf := make([]byte, 64<<10)
-			// A resumed session's pattern continues at its carried
-			// offset rather than restarting at zero.
-			base := s.Header.ResumeOffset()
-			// The sink honors whatever integrity options the header
-			// carries: checksummed sessions are unframed (a chunk
-			// damaged on the final hop fails here, not silently), and a
-			// whole-object digest is checked once the last byte lands.
-			// Striped or resumed sessions skip the digest — their
-			// ranges do not cover the object from byte zero.
-			var in io.Reader = s
-			if s.Header.Checksummed() {
-				in = wire.NewFrameReader(s)
-			}
-			want, haveDigest := s.Header.ContentDigest()
-			haveDigest = haveDigest && s.Header.StripeCount() <= 1 && base == 0
-			var dg hash.Hash
-			if haveDigest {
-				dg = sha256.New()
-			}
-			var total int64
-			var verr error
-			for {
-				n, rerr := in.Read(buf)
-				if n > 0 {
-					if verr == nil {
-						verr = depot.VerifyPattern(buf[:n], s.ID(), base+total)
-						if verr == nil && dg != nil {
-							dg.Write(buf[:n])
-						}
-					}
-					total += int64(n)
-				}
-				if rerr == io.EOF {
-					break
-				}
-				if rerr != nil {
-					verr = rerr
-					break
-				}
-			}
-			status := "OK"
-			if verr == nil && dg != nil && total == want.Size {
-				var sum [sha256.Size]byte
-				dg.Sum(sum[:0])
-				if sum != want.Sum {
-					verr = fmt.Errorf("%w: object sha256 differs from sender digest over %d bytes", wire.ErrDigest, want.Size)
-				} else {
-					status = "OK, sha256 verified"
-				}
-			}
-			elapsed := time.Since(start)
-			if verr != nil {
-				status = verr.Error()
-			}
-			log.Printf("session %s from %s: %d bytes in %v = %.2f Mbit/s [%s]",
-				s.ID(), s.Header.Src, total, elapsed.Round(time.Millisecond),
-				float64(total)*8/1e6/elapsed.Seconds(), status)
-			return verr
-		},
-		Logf: log.Printf,
-	})
+	srv, err := sinkServer(self, tr)
 	if err != nil {
 		return err
 	}
@@ -1084,4 +977,21 @@ func runSink() error {
 	}
 	log.Printf("sink %s listening on %s", self, *listen)
 	return srv.Serve(ln)
+}
+
+// sinkServer is the -sink depot: sessions addressed to self read
+// through one depot.Sink, which logs each session's status line.
+func sinkServer(self wire.Endpoint, tr obs.Sink) (*depot.Server, error) {
+	sink := depot.NewSink(func(r depot.Report) {
+		status := "OK"
+		if r.Err != nil {
+			status = r.Err.Error()
+		} else if r.Checked {
+			status = "OK, sha256 verified"
+		}
+		log.Printf("session %s from %s: %d bytes in %v = %.2f Mbit/s [%s]",
+			r.ID, r.Src, r.Bytes, r.Elapsed.Round(time.Millisecond),
+			float64(r.Bytes)*8/1e6/r.Elapsed.Seconds(), status)
+	}, nil)
+	return depot.New(depot.Config{Self: self, Dial: tcpDial, Trace: tr, Local: sink.Handle, Logf: log.Printf})
 }

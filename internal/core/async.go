@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"io"
 	"time"
 
 	"github.com/netlogistics/lsl/internal/depot"
@@ -119,22 +118,9 @@ func (s *System) FetchFrom(dstHost, depotHost string, id wire.SessionID) (Transf
 	}
 	defer sess.Close()
 
-	var total int64
-	buf := make([]byte, 32<<10)
-	for {
-		n, rerr := sess.Read(buf)
-		if n > 0 {
-			if verr := depot.VerifyPattern(buf[:n], id, total); verr != nil {
-				return TransferResult{}, fmt.Errorf("core: fetch verification: %w", verr)
-			}
-			total += int64(n)
-		}
-		if rerr == io.EOF {
-			break
-		}
-		if rerr != nil {
-			return TransferResult{}, fmt.Errorf("core: fetch read: %w", rerr)
-		}
+	total, err := depot.ReadVerified(sess, id, 0, false, nil)
+	if err != nil {
+		return TransferResult{}, fmt.Errorf("core: fetch: %w", err)
 	}
 	elapsed := time.Duration(float64(time.Since(start)) / s.cfg.TimeScale)
 	bw := 0.0

@@ -75,7 +75,7 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	// the content digest is the cache key itself.
 	tid := mintTrace()
 	opts := append(traceOpt(tid), integrityOptions(digest)...)
-	defer s.digests.drop(id)
+	defer s.sink.Retire(id, tid)
 	// The path stays fixed, without failover: the holder is an index
 	// into it.
 	pol.Failover = false
@@ -88,9 +88,9 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	}
 
 	var acked int64
-	// Phase A: origin-send the cold prefix the cache cannot supply. The
-	// sink digests bytes strictly in order, so the prefix must be acked
-	// before any cache serve begins.
+	// Phase A: origin-send the cold prefix the cache cannot supply,
+	// acked before any cache serve begins so that what the sink has
+	// acked stays one prefix of the object.
 	if coldEnd > 0 {
 		got, aerr := s.sendRange(path, id, 0, coldEnd, pol, tid, opts)
 		acked += got
@@ -222,8 +222,8 @@ func (s *System) serveFromCache(si int, path []int, holder int, id wire.SessionI
 		}
 	}()
 
-	progress := func(res deliverResult) int64 {
-		if got := res.offset + res.bytes - r.Off; got > 0 {
+	progress := func(res depot.Report) int64 {
+		if got := res.Offset + res.Bytes - r.Off; got > 0 {
 			return got
 		}
 		return 0

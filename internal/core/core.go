@@ -13,13 +13,11 @@ package core
 
 import (
 	"fmt"
-	"io"
 	"math/rand"
 	"net"
 	"sync"
 	"time"
 
-	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/cache"
 	"github.com/netlogistics/lsl/internal/ctl"
 	"github.com/netlogistics/lsl/internal/depot"
@@ -143,17 +141,13 @@ type System struct {
 	rng       *rand.Rand
 	control   *ctl.Controller
 
+	// sink is every host's Config.Local: it verifies what lands and
+	// reports each session to the waiter registered for its id.
+	sink    *depot.Sink
 	mu      sync.Mutex
-	waiters map[wire.SessionID]chan deliverResult
-	digests digestTracker
+	waiters map[wire.SessionID]chan depot.Report
 
 	closeOnce sync.Once
-}
-
-type deliverResult struct {
-	bytes  int64
-	offset int64 // absolute object offset the delivered range began at
-	err    error
 }
 
 // NewSystem builds the deployment: an emulated link per host pair, a
@@ -175,8 +169,9 @@ func NewSystem(t *topo.Topology, cfg Config) (*System, error) {
 		caches:    make([]*cache.Cache, t.N()),
 		faults:    make([]*depot.FaultInjector, t.N()),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		waiters:   make(map[wire.SessionID]chan deliverResult),
+		waiters:   make(map[wire.SessionID]chan depot.Report),
 	}
+	s.sink = depot.NewSink(s.complete, cfg.Metrics)
 
 	// Address plan: host i gets 10.(i/200).(i%200+1).1.
 	for i := 0; i < t.N(); i++ {
@@ -220,7 +215,7 @@ func NewSystem(t *topo.Topology, cfg Config) (*System, error) {
 				return s.Net.Dial(s.hostAddr(i), address)
 			}),
 			Routes:        s.routeLookup(i),
-			Local:         s.localHandler(),
+			Local:         s.sink.Handle,
 			PipelineBytes: int(pipelineOf(t.Hosts[i])),
 			MaxHops:       cfg.MaxHops,
 			Metrics:       cfg.Metrics,
@@ -346,108 +341,25 @@ func (s *System) routeLookup(host int) func(wire.Endpoint) (wire.Endpoint, bool)
 	}
 }
 
-// localHandler verifies delivered payloads against the session pattern
-// and completes any registered waiter. A resumed (or striped) session's
-// pattern is verified from its carried offset, so a continuation
-// appends to the interrupted transfer instead of restarting it — and a
-// stripe lands in its own byte range of the shared object. The read
-// buffer is pooled: sinks of striped transfers run one of these loops
-// per stripe.
-//
-// The sink is also the last verify point of an integrity-enabled
-// session: chunk framing is stripped here (a chunk damaged on the final
-// hop fails the delivery instead of landing silently), and when the
-// header carries the sender's content digest the verified bytes feed a
-// running SHA-256 that must match on completion. Striped sessions skip
-// the digest — their ranges interleave across sibling sessions — and
-// stay protected by the per-chunk checksums alone. Multipath sessions
-// keep it: their ranges also land out of order, but each range is
-// contiguous, so the tracker buffers ahead-of-frontier segments and
-// stitches the one end-to-end SHA-256 across every route.
-func (s *System) localHandler() depot.Handler {
-	return func(sess *lsl.Session) error {
-		var (
-			total int64
-			verr  error
-		)
-		base := sess.Header.ResumeOffset()
-		var src io.Reader = sess
-		if sess.Header.Checksummed() {
-			src = wire.NewFrameReader(sess)
-		}
-		want, haveDigest := sess.Header.ContentDigest()
-		multi := sess.Header.PathCount() > 1
-		haveDigest = haveDigest && sess.Header.StripeCount() <= 1
-		bp := bufpool.Get()
-		defer bufpool.Put(bp)
-		buf := *bp
-		for {
-			n, err := src.Read(buf)
-			if n > 0 {
-				if verr == nil {
-					verr = depot.VerifyPattern(buf[:n], sess.ID(), base+total)
-					if verr == nil && haveDigest {
-						if multi {
-							s.digests.absorbOutOfOrder(sess.ID(), base+total, buf[:n])
-						} else {
-							s.digests.absorb(sess.ID(), base+total, buf[:n])
-						}
-					}
-				}
-				total += int64(n)
-			}
-			if err == io.EOF {
-				break
-			}
-			if err != nil {
-				verr = err
-				break
-			}
-		}
-		if verr == nil && haveDigest {
-			done, derr := s.digests.finalize(sess.ID(), want)
-			if done && derr == nil && multi {
-				s.cfg.Metrics.Counter(MetricMultipathDigestVerified).Inc()
-			}
-			if done && derr != nil {
-				verr = derr
-				s.cfg.Metrics.Counter(MetricDigestMismatches).Inc()
-				e := obs.Event{
-					Kind:    obs.KindCorrupt,
-					Session: sess.ID().String(),
-					Node:    sess.Header.Dst.String(),
-					Bytes:   total,
-					Detail:  derr.Error(),
-				}
-				if tid, ok := sess.Header.TraceID(); ok {
-					e.Trace = tid.String()
-				}
-				obs.Emit(s.cfg.Trace, e)
-			}
-		}
-		s.complete(sess.ID(), deliverResult{bytes: total, offset: base, err: verr})
-		return verr
-	}
-}
-
-func (s *System) registerWaiter(id wire.SessionID) chan deliverResult {
+func (s *System) registerWaiter(id wire.SessionID) chan depot.Report {
 	return s.registerWaiterN(id, 8)
 }
 
 // registerWaiterN registers a waiter channel with room for n reports —
 // striped transfers receive one report per stripe attempt under a
 // single session id, so the channel must never block the sinks.
-func (s *System) registerWaiterN(id wire.SessionID, n int) chan deliverResult {
-	ch := make(chan deliverResult, n)
+func (s *System) registerWaiterN(id wire.SessionID, n int) chan depot.Report {
+	ch := make(chan depot.Report, n)
 	s.mu.Lock()
 	s.waiters[id] = ch
 	s.mu.Unlock()
 	return ch
 }
 
-func (s *System) complete(id wire.SessionID, r deliverResult) {
+// complete hands a sink report to the waiter registered for its id.
+func (s *System) complete(r depot.Report) {
 	s.mu.Lock()
-	ch := s.waiters[id]
+	ch := s.waiters[r.ID]
 	s.mu.Unlock()
 	if ch != nil {
 		ch <- r

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"crypto/sha256"
 	"errors"
 	"testing"
 	"time"
@@ -57,10 +55,7 @@ func TestIntegrityCleanTransferVerifies(t *testing.T) {
 			t.Fatalf("clean transfer emitted a corrupt event: %+v", e)
 		}
 	}
-	sys.digests.mu.Lock()
-	leaked := len(sys.digests.m)
-	sys.digests.mu.Unlock()
-	if leaked != 0 {
+	if leaked := sys.sink.Live(); leaked != 0 {
 		t.Fatalf("%d digest states leaked after completion", leaked)
 	}
 }
@@ -217,52 +212,86 @@ func TestIntegrityDigestMismatchSurfacesAtSink(t *testing.T) {
 	}
 }
 
-// TestDigestTrackerStitchesAttempts exercises the overlap and gap
+// sinkSession sends [from, to) of id's pattern straight from src to
+// dst as one checksummed session carrying the digest want, and returns
+// the sink's report of it.
+func sinkSession(t *testing.T, sys *System, id wire.SessionID, tid wire.TraceID, from, to int64, want wire.ContentDigest, extra ...wire.Option) depot.Report {
+	t.Helper()
+	si, _ := sys.Topo.HostIndex("src")
+	di, _ := sys.Topo.HostIndex("dst")
+	ch := sys.registerWaiter(id)
+	defer sys.dropWaiter(id)
+	l := leg{path: []int{si, di}, id: id, from: from, to: to, tid: tid,
+		opts: append(append(traceOpt(tid), integrityOptions(want)...), extra...)}
+	sess, err := sys.open(l, 10*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sys.send(sess, l, 10*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-ch:
+		return r
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no sink report for [%d, %d)", from, to)
+		return depot.Report{}
+	}
+}
+
+// checkReport holds a sink report to its verdict: whether the session
+// completed the digest, and whether the verdict is a mismatch.
+func checkReport(t *testing.T, r depot.Report, checked, mismatch bool) {
+	t.Helper()
+	if r.Checked != checked || errors.Is(r.Err, wire.ErrDigest) != mismatch || (r.Err != nil && !mismatch) {
+		t.Fatalf("report [%d, +%d) checked=%v err=%v, want checked=%v mismatch=%v",
+			r.Offset, r.Bytes, r.Checked, r.Err, checked, mismatch)
+	}
+}
+
+// TestDigestTrackerStitchesAttempts: the system's sink stitches the
+// attempts of one transfer, sent through the emulated network under one
+// session and trace id, into one digest, with the overlap and gap
 // semantics the resume path relies on.
 func TestDigestTrackerStitchesAttempts(t *testing.T) {
-	payload := bytes.Repeat([]byte("stitch me across attempts "), 100)
-	want := wire.ContentDigest{Size: int64(len(payload)), Sum: sha256.Sum256(payload)}
-	id := wire.SessionID{1}
+	sys, _ := integritySystem(t, nil)
+	const size = 2600
+	fresh := func(t *testing.T) (wire.SessionID, wire.TraceID, wire.ContentDigest) {
+		id, err := wire.NewSessionID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id, mintTrace(), depot.PatternDigest(id, size)
+	}
 
 	t.Run("overlap skipped", func(t *testing.T) {
-		var tr digestTracker
 		// Attempt 1 delivers a prefix; the continuation re-sends a
-		// chunk straddling the boundary.
-		tr.absorb(id, 0, payload[:1000])
-		tr.absorb(id, 600, payload[600:])
-		done, err := tr.finalize(id, want)
-		if !done || err != nil {
-			t.Fatalf("done=%v err=%v, want a clean match", done, err)
-		}
+		// range straddling the boundary.
+		id, tid, want := fresh(t)
+		checkReport(t, sinkSession(t, sys, id, tid, 0, 1000, want), false, false)
+		checkReport(t, sinkSession(t, sys, id, tid, 600, size, want), true, false)
 	})
 	t.Run("mismatch detected", func(t *testing.T) {
-		var tr digestTracker
-		mangled := append([]byte(nil), payload...)
-		mangled[42] ^= 1
-		tr.absorb(id, 0, mangled)
-		done, err := tr.finalize(id, want)
-		if !done || !errors.Is(err, wire.ErrDigest) {
-			t.Fatalf("done=%v err=%v, want wire.ErrDigest", done, err)
-		}
+		id, tid, want := fresh(t)
+		want.Sum[7] ^= 1
+		checkReport(t, sinkSession(t, sys, id, tid, 0, size, want), true, true)
 	})
 	t.Run("partial awaits continuation", func(t *testing.T) {
-		var tr digestTracker
-		tr.absorb(id, 0, payload[:100])
-		if done, err := tr.finalize(id, want); done || err != nil {
-			t.Fatalf("done=%v err=%v on a partial delivery", done, err)
+		id, tid, want := fresh(t)
+		checkReport(t, sinkSession(t, sys, id, tid, 0, 100, want), false, false)
+		// The record must survive for the continuation.
+		if n := sys.sink.Live(); n != 1 {
+			t.Fatalf("%d live records after a partial delivery, want 1", n)
 		}
-		// The state must survive for the continuation.
-		tr.absorb(id, 100, payload[100:])
-		if done, err := tr.finalize(id, want); !done || err != nil {
-			t.Fatalf("done=%v err=%v after the continuation", done, err)
-		}
+		checkReport(t, sinkSession(t, sys, id, tid, 100, size, want), true, false)
 	})
 	t.Run("gap degrades to unchecked", func(t *testing.T) {
-		var tr digestTracker
-		tr.absorb(id, 0, payload[:100])
-		tr.absorb(id, 200, payload[200:]) // hole at [100, 200)
-		if done, err := tr.finalize(id, want); done || err != nil {
-			t.Fatalf("done=%v err=%v, want a poisoned state to stay silent", done, err)
-		}
+		id, tid, want := fresh(t)
+		checkReport(t, sinkSession(t, sys, id, tid, 0, 100, want), false, false)
+		checkReport(t, sinkSession(t, sys, id, tid, 200, size, want), false, false) // hole at [100, 200)
+		sys.sink.Retire(id, tid)
 	})
+	if n := sys.sink.Live(); n != 0 {
+		t.Fatalf("%d live records after every transfer finished or retired", n)
+	}
 }

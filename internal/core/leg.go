@@ -40,7 +40,7 @@ type leg struct {
 	tag obs.Event
 	// reports delivers the sink's reports for this leg; nil makes each
 	// attempt wait on its own session id.
-	reports <-chan deliverResult
+	reports <-chan depot.Report
 }
 
 // drainWindow is how long a torn attempt waits for the sink's report of
@@ -123,9 +123,9 @@ func (s *System) attempt(l leg, timeout time.Duration) (int64, wire.SessionID, e
 	// past what the sink verified.
 	select {
 	case res := <-reports:
-		acked := max(l.from, res.offset+res.bytes)
-		if res.err != nil {
-			return acked, id, fmt.Errorf("core: sink: %w", res.err)
+		acked := max(l.from, res.Offset+res.Bytes)
+		if res.Err != nil {
+			return acked, id, fmt.Errorf("core: sink: %w", res.Err)
 		}
 		if werr != nil && acked < l.to {
 			return acked, id, fmt.Errorf("core: send: %w", werr)
@@ -258,18 +258,8 @@ func (s *System) route(path []int) []wire.Endpoint {
 // the session is checksummed. The copy buffer is pooled with the depot
 // pumps and sink loops.
 func writeSessionPattern(sess *lsl.Session, from, to int64) error {
-	w := sessionWriter(sess)
 	bp := bufpool.Get()
 	defer bufpool.Put(bp)
-	buf := *bp
-	for written := from; written < to; {
-		n := min(int64(len(buf)), to-written)
-		depot.FillPattern(buf[:n], sess.ID(), written)
-		m, err := w.Write(buf[:n])
-		written += int64(m)
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err := depot.WritePattern(sessionWriter(sess), *bp, sess.ID(), from, to)
+	return err
 }

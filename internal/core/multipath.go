@@ -28,7 +28,7 @@ const (
 	// MetricMultipathDigestVerified counts multipath transfers whose
 	// end-to-end SHA-256, stitched across every route at the sink,
 	// matched the sender's digest.
-	MetricMultipathDigestVerified = "core_multipath_digest_verified_total"
+	MetricMultipathDigestVerified = depot.MetricMultipathDigestVerified
 )
 
 // Multipath chunking: each route gets several ranges so the work queue
@@ -148,12 +148,12 @@ func (q *mpQueue) release(r *mpRange) {
 // range's ack frontier advances, and a clean report reaching the range
 // end completes it — exactly once; a later duplicate from a stolen
 // sibling session is counted and dropped.
-func (q *mpQueue) report(res deliverResult) {
+func (q *mpQueue) report(res depot.Report) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	var r *mpRange
 	for _, c := range q.ranges {
-		if res.offset >= c.rng.start && res.offset < c.rng.end {
+		if res.Offset >= c.rng.start && res.Offset < c.rng.end {
 			r = c
 			break
 		}
@@ -161,15 +161,15 @@ func (q *mpQueue) report(res deliverResult) {
 	if r == nil {
 		return
 	}
-	if end := res.offset + res.bytes; end > r.acked {
+	if end := res.Offset + res.Bytes; end > r.acked {
 		r.acked = end
 		if r.acked > r.rng.end {
 			r.acked = r.rng.end
 		}
 	}
-	if res.err != nil {
-		r.lastErr = res.err
-	} else if res.offset+res.bytes >= r.rng.end {
+	if res.Err != nil {
+		r.lastErr = res.Err
+	} else if res.Offset+res.Bytes >= r.rng.end {
 		if r.finished {
 			q.dups++
 		} else {
@@ -241,7 +241,7 @@ func multipathRanges(size int64, k int) []stripeRange {
 // Every session shares the transfer's session id (sinks reassemble by
 // absolute offset, as with stripes), trace id, and — under
 // Config.Integrity — the whole-object content digest, stitched across
-// routes by the out-of-order digest tracker. Each session additionally
+// routes by the sink's digest record. Each session additionally
 // carries the path-set id and its (index, count) route coordinate;
 // depots forward both untouched.
 //
@@ -305,7 +305,7 @@ func (s *System) TransferMultipath(srcHost, dstHost string, size int64, k int, p
 	ch := s.registerWaiterN(id, len(ranges)*pol.Retry.MaxAttempts*multipathMaxClaims)
 	defer s.dropWaiter(id)
 	if s.cfg.Integrity {
-		defer s.digests.drop(id)
+		defer s.sink.Retire(id, tid)
 	}
 	stop := make(chan struct{})
 	defer close(stop)
@@ -337,8 +337,8 @@ func (s *System) TransferMultipath(srcHost, dstHost string, size int64, k int, p
 	for w := range paths {
 		workers[w] = &stripePath{path: paths[w]}
 		// Unlike stripes, multipath ranges keep the whole-object digest:
-		// the sink's out-of-order tracker stitches the routes' contiguous
-		// ranges into one end-to-end SHA-256.
+		// the sink stitches the routes' contiguous ranges by offset into
+		// one end-to-end SHA-256.
 		l := leg{
 			id:  id,
 			tid: tid,

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"crypto/sha256"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -62,10 +61,10 @@ func TestMPQueueClaimOrderAndSteal(t *testing.T) {
 
 	// Advance two ranges unevenly, finish the other two: the next
 	// claim is a steal and must pick the range with most bytes left.
-	q.report(deliverResult{offset: a.rng.start, bytes: 80})                      // a: 20 left
-	q.report(deliverResult{offset: b.rng.start, bytes: 10})                      // b: 90 left
-	q.report(deliverResult{offset: c.rng.start, bytes: c.rng.end - c.rng.start}) // finished
-	q.report(deliverResult{offset: d.rng.start, bytes: d.rng.end - d.rng.start}) // finished
+	q.report(depot.Report{Offset: a.rng.start, Bytes: 80})                      // a: 20 left
+	q.report(depot.Report{Offset: b.rng.start, Bytes: 10})                      // b: 90 left
+	q.report(depot.Report{Offset: c.rng.start, Bytes: c.rng.end - c.rng.start}) // finished
+	q.report(depot.Report{Offset: d.rng.start, Bytes: d.rng.end - d.rng.start}) // finished
 	stolen := q.claim()
 	if stolen != b {
 		t.Fatalf("stole range %d, want %d (most bytes left)", stolen.idx, b.idx)
@@ -79,19 +78,19 @@ func TestMPQueueClaimOrderAndSteal(t *testing.T) {
 	}
 
 	// First full ack wins; the duplicate is counted, not double-closed.
-	q.report(deliverResult{offset: b.rng.start, bytes: b.rng.end - b.rng.start})
+	q.report(depot.Report{Offset: b.rng.start, Bytes: b.rng.end - b.rng.start})
 	select {
 	case <-b.done:
 	default:
 		t.Fatal("done channel not closed after full ack")
 	}
-	q.report(deliverResult{offset: b.rng.start, bytes: b.rng.end - b.rng.start})
+	q.report(depot.Report{Offset: b.rng.start, Bytes: b.rng.end - b.rng.start})
 	if q.dups != 1 {
 		t.Fatalf("duplicate acks = %d, want 1", q.dups)
 	}
 
 	// Finish the last range; claim must then report the queue drained.
-	q.report(deliverResult{offset: a.rng.start, bytes: a.rng.end - a.rng.start})
+	q.report(depot.Report{Offset: a.rng.start, Bytes: a.rng.end - a.rng.start})
 	if got := q.claim(); got != nil {
 		t.Fatalf("claim on drained queue = %+v, want nil", got)
 	}
@@ -107,7 +106,7 @@ func TestMPQueueReleaseRequeuesUnfinished(t *testing.T) {
 
 	// A sink error is recorded against the range but does not finish it.
 	sinkErr := errors.New("torn")
-	q.report(deliverResult{offset: a.rng.start, bytes: 30, err: sinkErr})
+	q.report(depot.Report{Offset: a.rng.start, Bytes: 30, Err: sinkErr})
 	if got := q.errOf(a); !errors.Is(got, sinkErr) {
 		t.Fatalf("errOf = %v, want %v", got, sinkErr)
 	}
@@ -118,7 +117,7 @@ func TestMPQueueReleaseRequeuesUnfinished(t *testing.T) {
 	// Releasing the only claim on an unfinished range re-queues it: the
 	// next claim is NOT a steal — it resumes the orphaned range.
 	q.release(a)
-	q.report(deliverResult{offset: b.rng.start, bytes: b.rng.end - b.rng.start})
+	q.report(depot.Report{Offset: b.rng.start, Bytes: b.rng.end - b.rng.start})
 	got := q.claim()
 	if got != a {
 		t.Fatalf("claim after release = %d, want re-queued %d", got.idx, a.idx)
@@ -128,60 +127,49 @@ func TestMPQueueReleaseRequeuesUnfinished(t *testing.T) {
 	}
 }
 
+// TestDigestAbsorbOutOfOrder: multipath ranges delivered out of object
+// order through the emulated network, with a stolen range delivered
+// twice, stitch into the one digest; the duplicate that lands after the
+// verdict is counted late, and an out-of-order mismatch is a true
+// mismatch, not a false pass.
 func TestDigestAbsorbOutOfOrder(t *testing.T) {
+	reg := obs.NewRegistry()
+	sys, _ := integritySystem(t, reg)
+	const size = 1000
+	set, err := wire.NewSessionID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	send := func(id wire.SessionID, tid wire.TraceID, from, to int64, want wire.ContentDigest) depot.Report {
+		return sinkSession(t, sys, id, tid, from, to, want, wire.PathSetIDOption(set), wire.PathIndexOption(0, 2))
+	}
+
 	id, err := wire.NewSessionID()
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := make([]byte, 1000)
-	for i := range payload {
-		payload[i] = byte(i * 7)
+	tid, want := mintTrace(), depot.PatternDigest(id, size)
+	checkReport(t, send(id, tid, 600, size, want), false, false)
+	checkReport(t, send(id, tid, 250, 600, want), false, false)
+	checkReport(t, send(id, tid, 0, 250, want), true, false)
+	checkReport(t, send(id, tid, 250, 600, want), false, false) // duplicate: late
+	if v := reg.Counter(MetricMultipathDigestVerified).Value(); v != 1 {
+		t.Fatalf("%s = %d, want 1", MetricMultipathDigestVerified, v)
 	}
-	var want wire.ContentDigest
-	want.Size = int64(len(payload))
-	sum := sha256.Sum256(payload)
-	want.Sum = sum
-
-	// Segments delivered out of object order, with an overlap (a stolen
-	// range delivered twice), must still stitch to the sender's digest.
-	tr := &digestTracker{}
-	tr.absorbOutOfOrder(id, 600, payload[600:])
-	tr.absorbOutOfOrder(id, 250, payload[250:600])
-	tr.absorbOutOfOrder(id, 0, payload[:250])
-	tr.absorbOutOfOrder(id, 250, payload[250:600]) // duplicate: skipped
-	done, derr := tr.finalize(id, want)
-	if !done || derr != nil {
-		t.Fatalf("finalize = (%v, %v), want (true, nil)", done, derr)
+	if v := reg.Counter(depot.MetricSinkLateBytes).Value(); v != 350 {
+		t.Fatalf("%s = %d, want the duplicate's 350", depot.MetricSinkLateBytes, v)
 	}
 
-	// An out-of-order mismatch is a true mismatch, not a false pass.
-	tr = &digestTracker{}
-	bad := append([]byte(nil), payload...)
-	bad[700] ^= 1
-	tr.absorbOutOfOrder(id, 500, bad[500:])
-	tr.absorbOutOfOrder(id, 0, bad[:500])
-	done, derr = tr.finalize(id, want)
-	if !done || !errors.Is(derr, wire.ErrDigest) {
-		t.Fatalf("finalize on corrupt bytes = (%v, %v), want mismatch", done, derr)
+	id, err = wire.NewSessionID()
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// Outrunning the pending cap degrades to unchecked (broken), never
-	// a false mismatch.
-	tr = &digestTracker{}
-	huge := make([]byte, 1<<20)
-	for off := int64(1); off <= maxDigestPending+1; off += int64(len(huge)) {
-		tr.absorbOutOfOrder(id, off, huge)
-	}
-	tr.mu.Lock()
-	broken := tr.m[id].broken
-	pending := tr.m[id].pending
-	tr.mu.Unlock()
-	if !broken || pending != nil {
-		t.Fatalf("cap breach: broken=%v pending=%d segments, want broken with buffer dropped", broken, len(pending))
-	}
-	done, derr = tr.finalize(id, want)
-	if done || derr != nil {
-		t.Fatalf("finalize on broken state = (%v, %v), want (false, nil)", done, derr)
+	tid, want = mintTrace(), depot.PatternDigest(id, size)
+	want.Sum[3] ^= 1
+	checkReport(t, send(id, tid, 500, size, want), false, false)
+	checkReport(t, send(id, tid, 0, 500, want), true, true)
+	if n := sys.sink.Live(); n != 0 {
+		t.Fatalf("%d live records after both verdicts", n)
 	}
 }
 
@@ -233,10 +221,7 @@ func TestMultipathTransferDelivers(t *testing.T) {
 	if v := reg.Counter(MetricDigestMismatches).Value(); v != 0 {
 		t.Fatalf("%s = %d, want 0", MetricDigestMismatches, v)
 	}
-	sys.digests.mu.Lock()
-	leaked := len(sys.digests.m)
-	sys.digests.mu.Unlock()
-	if leaked != 0 {
+	if leaked := sys.sink.Live(); leaked != 0 {
 		t.Fatalf("%d digest states leaked after completion", leaked)
 	}
 }

@@ -100,7 +100,7 @@ func (s *System) TransferReliable(srcHost, dstHost string, size int64, pol Recov
 		}
 		l.id = id
 		l.opts = append(l.opts, integrityOptions(depot.PatternDigest(id, size))...)
-		defer s.digests.drop(id)
+		defer s.sink.Retire(id, l.tid)
 	}
 	sp := &stripePath{path: path}
 	if _, err := s.drive(l, sp, pol, MetricRetryAttempts, s.attempt); err != nil {

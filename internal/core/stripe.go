@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -119,9 +120,9 @@ func (s *System) TransferStriped(srcHost, dstHost string, size int64, stripes in
 	// so sinks never block: at most one report per stripe attempt.
 	ch := s.registerWaiterN(id, stripes*pol.Retry.MaxAttempts)
 	defer s.dropWaiter(id)
-	perStripe := make([]chan deliverResult, stripes)
+	perStripe := make([]chan depot.Report, stripes)
 	for k := range perStripe {
-		perStripe[k] = make(chan deliverResult, pol.Retry.MaxAttempts)
+		perStripe[k] = make(chan depot.Report, pol.Retry.MaxAttempts)
 	}
 	stop := make(chan struct{})
 	defer close(stop)
@@ -129,7 +130,7 @@ func (s *System) TransferStriped(srcHost, dstHost string, size int64, stripes in
 		for {
 			select {
 			case r := <-ch:
-				if k := stripeFor(ranges, r.offset); k >= 0 {
+				if k := stripeFor(ranges, r.Offset); k >= 0 {
 					perStripe[k] <- r
 				}
 			case <-stop:

@@ -215,7 +215,7 @@ func (s *System) single(l leg) (TransferResult, error) {
 			s.observeTransfer(TransferResult{}, err)
 			return TransferResult{}, err
 		}
-		defer s.digests.drop(id)
+		defer s.sink.Retire(id, l.tid)
 		l.id = id
 		l.opts = append(l.opts, integrityOptions(depot.PatternDigest(id, l.to))...)
 	}
@@ -364,11 +364,11 @@ func (s *System) Multicast(srcHost string, dstHosts []string, size int64) (Multi
 	for range leaves {
 		select {
 		case res := <-ch:
-			if res.err != nil {
-				s.observeTransfer(TransferResult{}, res.err)
-				return MulticastResult{}, fmt.Errorf("core: multicast sink: %w", res.err)
+			if res.Err != nil {
+				s.observeTransfer(TransferResult{}, res.Err)
+				return MulticastResult{}, fmt.Errorf("core: multicast sink: %w", res.Err)
 			}
-			delivered += res.bytes
+			delivered += res.Bytes
 		case <-time.After(transferTimeout):
 			err := fmt.Errorf("core: multicast timed out after %v", transferTimeout)
 			s.observeTransfer(TransferResult{}, err)

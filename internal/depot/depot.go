@@ -985,7 +985,9 @@ func (s *Server) handleGenerate(sess *lsl.Session, f *flow) error {
 	if sess.Header.Checksummed() {
 		w = wire.NewFrameWriter(dst)
 	}
-	n, err := writePattern(w, int64(size), sess.Header.Session)
+	bp := bufpool.Get()
+	n, err := WritePattern(w, *bp, sess.Header.Session, 0, int64(size))
+	bufpool.Put(bp)
 	s.st.generated.Add(1)
 	s.st.bytesForwarded.Add(n)
 	s.met.bytesFwd.Add(n)
@@ -993,28 +995,6 @@ func (s *Server) handleGenerate(sess *lsl.Session, f *flow) error {
 		return fmt.Errorf("generate: %w", err)
 	}
 	return nil
-}
-
-// writePattern emits size bytes of a deterministic pattern derived from
-// the session id, so sinks can verify integrity end to end.
-func writePattern(w io.Writer, size int64, id wire.SessionID) (int64, error) {
-	bp := bufpool.Get()
-	defer bufpool.Put(bp)
-	buf := *bp
-	var written int64
-	for written < size {
-		n := int64(len(buf))
-		if remaining := size - written; remaining < n {
-			n = remaining
-		}
-		FillPattern(buf[:n], id, written)
-		m, err := w.Write(buf[:n])
-		written += int64(m)
-		if err != nil {
-			return written, err
-		}
-	}
-	return written, nil
 }
 
 // idleConn arms a fresh read deadline before every read, so a stalled

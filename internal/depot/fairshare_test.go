@@ -2,6 +2,7 @@ package depot
 
 import (
 	"io"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -338,9 +339,29 @@ func TestFairShare(t *testing.T) {
 		waitFor(t, func() bool { return received(s.ID()) >= total })
 		return time.Since(start)
 	}
-	unscheduled := transfer(epD)
-	scheduled := transfer(epE)
-	if limit := time.Duration(float64(unscheduled)*1.10) + 20*time.Millisecond; scheduled > limit {
-		t.Fatalf("scheduled pump took %v, unscheduled %v: more than 10%% overhead", scheduled, unscheduled)
+	// One sample of each leg compares host CPU noise, not arbitration:
+	// take the median of interleaved samples, alternating which leg
+	// goes first so drift falls on both.
+	const samples = 5
+	var unscheduled, scheduled []time.Duration
+	for i := 0; i < samples; i++ {
+		if i%2 == 0 {
+			unscheduled = append(unscheduled, transfer(epD))
+			scheduled = append(scheduled, transfer(epE))
+		} else {
+			scheduled = append(scheduled, transfer(epE))
+			unscheduled = append(unscheduled, transfer(epD))
+		}
 	}
+	u, s := medianDuration(unscheduled), medianDuration(scheduled)
+	if limit := time.Duration(float64(u)*1.10) + 20*time.Millisecond; s > limit {
+		t.Fatalf("scheduled pump took %v, unscheduled %v (medians of %d): more than 10%% overhead", s, u, samples)
+	}
+}
+
+// medianDuration returns the middle of an odd number of samples.
+func medianDuration(d []time.Duration) time.Duration {
+	sorted := append([]time.Duration(nil), d...)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
+	return sorted[len(sorted)/2]
 }

@@ -35,14 +35,7 @@ func PatternDigest(id wire.SessionID, size int64) wire.ContentDigest {
 	h := sha256.New()
 	bp := bufpool.Get()
 	defer bufpool.Put(bp)
-	buf := *bp
-	var off int64
-	for off < size {
-		n := min(int64(len(buf)), size-off)
-		FillPattern(buf[:n], id, off)
-		h.Write(buf[:n])
-		off += n
-	}
+	WritePattern(h, *bp, id, 0, size) //nolint:errcheck // a hash never fails a write
 	d := wire.ContentDigest{Size: size}
 	h.Sum(d.Sum[:0])
 	return d

@@ -3,6 +3,7 @@ package depot
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -51,6 +52,24 @@ func FillPattern(buf []byte, id wire.SessionID, offset int64) {
 	for ; i < len(buf); i++ {
 		buf[i] = patternByte(id, offset+int64(i))
 	}
+}
+
+// WritePattern writes the session pattern for absolute offsets
+// [from, to) to w, one buf-sized Write at a time: the one pattern
+// writer of every sender, generating depot and digest. It returns how
+// many bytes w took.
+func WritePattern(w io.Writer, buf []byte, id wire.SessionID, from, to int64) (int64, error) {
+	off := from
+	for off < to {
+		n := min(int64(len(buf)), to-off)
+		FillPattern(buf[:n], id, off)
+		m, err := w.Write(buf[:n])
+		off += int64(m)
+		if err != nil {
+			return off - from, err
+		}
+	}
+	return off - from, nil
 }
 
 // VerifyPattern checks that buf matches the session pattern at offset.

@@ -92,11 +92,12 @@ func BenchmarkPumpChecksum(b *testing.B) {
 // other per-transfer buffer consumer on the depot.
 func BenchmarkWritePattern(b *testing.B) {
 	var id wire.SessionID
+	buf := make([]byte, chunkSize)
 	b.SetBytes(8 << 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := writePattern(io.Discard, 8<<20, id); err != nil {
+		if _, err := WritePattern(io.Discard, buf, id, 0, 8<<20); err != nil {
 			b.Fatal(err)
 		}
 	}
