@@ -58,6 +58,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCacheOptions -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzPathOptions -fuzztime 10s ./internal/wire/
 	$(GO) test -run '^$$' -fuzz FuzzPatternKernel -fuzztime 10s ./internal/depot/
+	$(GO) test -run '^$$' -fuzz FuzzStatusRecord -fuzztime 10s ./internal/wire/
 
 # The data path is lock-free by design; prove it under the race
 # detector where the concurrency lives — the buffer pool and the
@@ -68,16 +69,19 @@ fuzz-smoke:
 # TestTappedSession*, TestFairShareWholeFrames) run here with the rest
 # of ./internal/depot/. The planner builds its per-source trees on
 # parallel workers (TestParallelReplanMatchesSerial), so the control
-# plane's nws, graph, schedule and ctl run here too.
+# plane's nws, graph, schedule and ctl run here too. lsl-xfer's loopback
+# tests run the one sender engine over real TCP and status queries.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/... ./internal/nws/... ./internal/graph/... ./internal/emu/... ./internal/bufpool/... ./internal/wire/... ./internal/fairshare/...
+	$(GO) test -race ./internal/obs/... ./internal/depot/... ./internal/cache/... ./internal/lsl/... ./internal/core/... ./internal/ctl/... ./internal/schedule/... ./internal/nws/... ./internal/graph/... ./internal/emu/... ./internal/bufpool/... ./internal/wire/... ./internal/fairshare/... ./cmd/lsl-xfer/
 
 # The late-byte class of bug under the race detector, many times over:
 # multipath transfers whose stolen ranges land after the transfer
-# returned, and the sink's record table, tombstones and budgets. A
-# record leaked by a late range fails here instead of flaking tier-1.
+# returned (TestMultipathDigestMismatchFails: a verdict the duplicate
+# of a stolen range raced), the sink's record table, tombstones and
+# budgets, and its status answers (TestStatusQuery). A record leaked by
+# a late range fails here instead of flaking tier-1.
 stress:
-	$(GO) test -race -count=50 -run 'TestMultipath|TestSink' ./internal/core/ ./internal/depot/
+	$(GO) test -race -count=50 -run 'TestMultipath|TestSink|TestStatusQuery' ./internal/core/ ./internal/depot/
 
 # Statement-coverage floors for the packages whose untested branches
 # hurt the most (see coverage-floors.txt for which and why). The

@@ -97,39 +97,6 @@ func TestParseMultipathRoutes(t *testing.T) {
 	}
 }
 
-// TestMultipathSendRanges checks the shared work list: contiguous
-// cover of the object, several ranges per route for rebalancing, and
-// the 64 KiB floor.
-func TestMultipathSendRanges(t *testing.T) {
-	cases := []struct {
-		size int64
-		k    int
-		want int
-	}{
-		{size: 8 << 20, k: 2, want: 8},
-		{size: 256 << 10, k: 2, want: 4},
-		{size: 100 << 10, k: 3, want: 3},
-		{size: 2, k: 3, want: 2},
-	}
-	for _, c := range cases {
-		ranges := multipathSendRanges(c.size, c.k)
-		if len(ranges) != c.want {
-			t.Errorf("multipathSendRanges(%d, %d): %d ranges, want %d", c.size, c.k, len(ranges), c.want)
-			continue
-		}
-		var off int64
-		for i, r := range ranges {
-			if r.from != off || r.end <= r.from {
-				t.Fatalf("range %d = %+v, want contiguous from %d", i, r, off)
-			}
-			off = r.end
-		}
-		if off != c.size {
-			t.Fatalf("ranges cover %d of %d bytes", off, c.size)
-		}
-	}
-}
-
 // TestExclusiveModesMessage pins the shape of the usage error body so
 // the rejection names every offending flag.
 func TestExclusiveModesMessage(t *testing.T) {

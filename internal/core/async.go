@@ -22,10 +22,10 @@ type StoreResult struct {
 // asynchronously: the payload travels the planner's route and is held
 // at the depot under the returned session id until a receiver fetches
 // it — the paper's asynchronous session mode, where sender and receiver
-// need not exist at the same time. It is StoreAtContext bounded by the
-// package transfer timeout.
+// need not exist at the same time. It is StoreAtContext under the
+// system's context, bounded by the package transfer timeout.
 func (s *System) StoreAt(srcHost, depotHost string, size int64) (StoreResult, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
+	ctx, cancel := context.WithTimeout(s.ctx, transferTimeout)
 	defer cancel()
 	return s.StoreAtContext(ctx, srcHost, depotHost, size)
 }
@@ -122,15 +122,5 @@ func (s *System) FetchFrom(dstHost, depotHost string, id wire.SessionID) (Transf
 	if err != nil {
 		return TransferResult{}, fmt.Errorf("core: fetch: %w", err)
 	}
-	elapsed := time.Duration(float64(time.Since(start)) / s.cfg.TimeScale)
-	bw := 0.0
-	if elapsed > 0 {
-		bw = float64(total) / elapsed.Seconds()
-	}
-	return TransferResult{
-		Bytes:     total,
-		Elapsed:   elapsed,
-		Bandwidth: bw,
-		Path:      []string{depotHost, dstHost},
-	}, nil
+	return s.result(total, time.Since(start), []int{pi, di}), nil
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"github.com/netlogistics/lsl/internal/cache"
@@ -62,29 +65,58 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	if size <= 0 {
 		return CachedResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
 	}
-	pol = pol.withDefaults()
 	path, err := s.routeOrDirect(srcHost, dstHost)
 	if err != nil {
 		return CachedResult{}, err
 	}
-	si := path[0]
-
+	si, di := path[0], path[len(path)-1]
 	digest := depot.PatternDigest(id, size)
-	// Cached transfers always travel with integrity stamps: the chunk
-	// framing is what lets depots trust (and cache) forwarded bytes, and
-	// the content digest is the cache key itself.
-	tid := mintTrace()
-	opts := append(traceOpt(tid), integrityOptions(digest)...)
-	defer s.sink.Retire(id, tid)
-	// The path stays fixed, without failover: the holder is an index
-	// into it.
-	pol.Failover = false
+	o := Object{ID: id, Trace: mintTrace(), Dst: s.endpoints[di], Size: size}
+	defer s.sink.Retire(id, o.Trace)
 	start := time.Now()
+	off, err := s.engine(si, di).Cached(s.ctx, o, digest, Route{Via: s.route(path)}, pol)
+	out := CachedResult{OriginBytes: off.Origin, CachedBytes: off.Cached}
+	if off.Holder >= 0 {
+		out.Holder = s.Topo.Hosts[path[off.Holder+1]].Name
+	}
+	out.TransferResult, err = s.observed(s.result(size, time.Since(start), path), err)
+	return out, err
+}
 
-	holder, coldEnd := s.bestHolder(si, path, digest, pol.AttemptTimeout)
-	out := CachedResult{}
-	if holder > 0 {
-		out.Holder = s.Topo.Hosts[path[holder]].Name
+// Offload is a cached transfer's split: the payload the origin sent and
+// the payload a depot cache served, and which of the route's Via depots
+// served it (-1 for none).
+type Offload struct {
+	Origin, Cached int64
+	Holder         int
+}
+
+// Cached moves the object over route, with as much of it as possible
+// served from the caches of route's depots (see System.TransferCached).
+// Every session carries the chunk framing and digest, the object's
+// content digest, which is also the cache key. The route stays fixed,
+// without failover: the holder is an index into it.
+func (e *Engine) Cached(ctx context.Context, o Object, digest wire.ContentDigest, route Route, pol RecoveryPolicy) (Offload, error) {
+	pol = pol.withDefaults()
+	pol.Failover = false
+	if !hasOption(o.Opts, wire.OptChunkChecksum) {
+		o.Opts = append(o.Opts, wire.ChunkChecksumOption())
+	}
+	o.Opts = append(o.Opts, wire.ContentDigestOption(digest))
+	r := e.start(ctx, o)
+
+	out := Offload{Holder: -1}
+	coldEnd := o.Size
+	for i, hop := range route.Via {
+		ranges, err := lsl.CacheProbe(e.Dial, e.Src, hop, digest, time.Now().Add(pol.AttemptTimeout))
+		if err != nil {
+			continue // no cache there, or unreachable: not a holder
+		}
+		// Prefer the longest suffix; on ties the later depot wins — it
+		// is nearer the destination, so more hops are offloaded.
+		if c := suffixStart(ranges, o.Size); c < o.Size && c <= coldEnd {
+			out.Holder, coldEnd = i, c
+		}
 	}
 
 	var acked int64
@@ -92,27 +124,28 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	// acked before any cache serve begins so that what the sink has
 	// acked stays one prefix of the object.
 	if coldEnd > 0 {
-		got, aerr := s.sendRange(path, id, 0, coldEnd, pol, tid, opts)
+		got, err := r.sendRange(route, 0, coldEnd, pol)
 		acked += got
-		out.OriginBytes += got
-		if aerr != nil && acked < coldEnd {
-			s.observeTransfer(TransferResult{}, aerr)
-			return out, aerr
+		out.Origin += got
+		if err != nil && acked < coldEnd {
+			return out, err
 		}
 	}
 
 	// Phase B: direct the holder to serve the remainder from its cache.
-	if holder > 0 && acked < size {
-		r := wire.ByteRange{Off: acked, Len: size - acked}
-		got := s.serveFromCache(si, path, holder, id, digest, r, pol.AttemptTimeout, tid, opts)
+	if out.Holder >= 0 && acked < o.Size {
+		got, err := r.serveFromCache(route.Via[out.Holder:], digest, wire.ByteRange{Off: acked, Len: o.Size - acked}, pol.AttemptTimeout)
+		if err != nil {
+			return out, err
+		}
 		acked += got
-		out.CachedBytes += got
-		s.cfg.Metrics.Counter(MetricCacheServedBytes).Add(got)
-		if acked < size {
+		out.Cached += got
+		e.Metrics.Counter(MetricCacheServedBytes).Add(got)
+		if acked < o.Size {
 			// The serve came up short (refused, or a cached span failed
 			// its CRC mid-read). Phase C re-sends the rest from the
 			// origin.
-			s.cfg.Metrics.Counter(MetricCacheFallbacks).Inc()
+			e.Metrics.Counter(MetricCacheFallbacks).Inc()
 		}
 	}
 
@@ -121,45 +154,20 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	// short-circuit this send from its own cache — that is offload too,
 	// but it is counted as origin traffic here because the origin paid
 	// to stream the bytes into the network again.
-	if acked < size {
-		got, aerr := s.sendRange(path, id, acked, size, pol, tid, opts)
+	if acked < o.Size {
+		got, err := r.sendRange(route, acked, o.Size, pol)
 		acked += got
-		out.OriginBytes += got
-		if aerr != nil && acked < size {
-			err := fmt.Errorf("core: cached transfer delivered %d of %d bytes: %w", acked, size, aerr)
-			s.observeTransfer(TransferResult{}, err)
-			return out, err
+		out.Origin += got
+		if err != nil && acked < o.Size {
+			return out, fmt.Errorf("core: cached transfer delivered %d of %d bytes: %w", acked, o.Size, err)
 		}
 	}
-	out.TransferResult = s.result(size, time.Since(start), path)
-	s.observeTransfer(out.TransferResult, nil)
-	return out, nil
+	return out, r.verdict(pol.AttemptTimeout)
 }
 
-// bestHolder probes the path's relay depots for the digest and returns
-// the path index of the depot whose cache covers the longest suffix of
-// the object, plus the first byte that suffix starts at (the cold
-// prefix boundary). A zero holder index means no usable holder; a
-// coldEnd of 0 means a full-object hit. Each probe ends by timeout.
-func (s *System) bestHolder(si int, path []int, digest wire.ContentDigest, timeout time.Duration) (holder int, coldEnd int64) {
-	coldEnd = digest.Size
-	dial := s.dialerFor(si)
-	for i := 1; i < len(path)-1; i++ {
-		ranges, err := lsl.CacheProbe(dial, s.endpoints[si], s.endpoints[path[i]], digest, time.Now().Add(timeout))
-		if err != nil {
-			continue // no cache there, or unreachable: not a holder
-		}
-		c := suffixStart(ranges, digest.Size)
-		// Prefer the longest suffix; on ties the later depot wins — it
-		// is nearer the destination, so more hops are offloaded.
-		if c < digest.Size && c <= coldEnd {
-			holder, coldEnd = i, c
-		}
-	}
-	if holder == 0 {
-		coldEnd = digest.Size
-	}
-	return holder, coldEnd
+// hasOption reports whether opts carries an option of kind.
+func hasOption(opts []wire.Option, kind uint16) bool {
+	return slices.ContainsFunc(opts, func(o wire.Option) bool { return o.Kind == kind })
 }
 
 // suffixStart returns the first byte of the contiguous cached suffix
@@ -178,64 +186,54 @@ func suffixStart(ranges []wire.ByteRange, size int64) int64 {
 // range end is private to the sender — the wire header carries only
 // the resume offset — so partial sends and retries compose exactly as
 // in TransferReliable.
-func (s *System) sendRange(path []int, id wire.SessionID, from, to int64, pol RecoveryPolicy, tid wire.TraceID, opts []wire.Option) (int64, error) {
-	l := leg{id: id, from: from, to: to, tid: tid, opts: opts}
-	acked, err := s.drive(l, &stripePath{path: path}, pol, MetricRetryAttempts, s.attempt)
+func (r *run) sendRange(route Route, from, to int64, pol RecoveryPolicy) (int64, error) {
+	acked, err := r.drive(r.leg(from, to), &sharedRoute{route: route}, pol, MetricRetryAttempts, r.attempt)
 	return acked - from, err
 }
 
-// serveFromCache sends the serve directive to the holding depot and
-// waits for the sink's report, returning the bytes the cache actually
-// delivered. Failures are soft: a refusal, a partial serve, or silence
-// all just leave bytes for the origin fallback to send.
-func (s *System) serveFromCache(si int, path []int, holder int, id wire.SessionID, digest wire.ContentDigest, r wire.ByteRange, timeout time.Duration, tid wire.TraceID, opts []wire.Option) int64 {
-	// The directive's route runs from the holder along the rest of the
-	// planned path; the holder pushes cached bytes down exactly the hops
+// serveFromCache sends the serve directive to the holding depot, the
+// first of via, and awaits the sink's report of the session it serves,
+// returning the bytes the cache delivered. Failures are soft — a
+// refusal, a partial serve, or silence just leave bytes for the origin
+// fallback to send — except a digest mismatch, which no re-send of
+// the rest can repair.
+func (r *run) serveFromCache(via []wire.Endpoint, digest wire.ContentDigest, rg wire.ByteRange, timeout time.Duration) (int64, error) {
+	// The directive's source route runs from the holder along the rest
+	// of the route: the holder pushes cached bytes down exactly the hops
 	// the origin stream would have taken from there.
-	// That is the source route of the sub-path beginning one hop before
-	// the holder.
-	sess, err := lsl.Start(lsl.TimeoutDialer(s.dialerFor(si), timeout), lsl.Spec{
+	sess, err := lsl.Start(lsl.TimeoutDialer(r.Dial, timeout), lsl.Spec{
 		Type:    wire.TypeCacheServe,
-		ID:      id,
-		Src:     s.endpoints[si],
-		Dst:     s.endpoints[path[len(path)-1]],
-		Route:   s.route(path[holder-1:]),
-		Options: append([]wire.Option{wire.CacheServeOption(digest, r)}, opts...),
+		ID:      r.obj.ID,
+		Src:     r.Src,
+		Dst:     r.obj.Dst,
+		Route:   via,
+		Options: append([]wire.Option{wire.CacheServeOption(digest, rg)}, r.opts...),
 	})
 	if err != nil {
-		return 0
+		return 0, nil
 	}
 	defer sess.Close()
-	ch := s.registerWaiter(id)
-	defer s.dropWaiter(id)
-	s.emitHop0(id, tid, si, obs.KindConnect, obs.Event{
-		Peer:   s.endpoints[path[holder]].String(),
-		Detail: fmt.Sprintf("cache serve [%d,%d)", r.Off, r.End()),
+	r.emit(r.obj.ID, obs.KindConnect, obs.Event{
+		Peer:   via[0].String(),
+		Detail: fmt.Sprintf("cache serve [%d,%d)", rg.Off, rg.End()),
 	})
-
+	ctx, cancel := context.WithTimeout(r.ctx, timeout)
+	defer cancel()
 	// A holder that cannot satisfy the directive answers with a refusal
 	// on this connection; a successful serve sends nothing back.
-	refused := make(chan struct{}, 1)
 	go func() {
 		if h, rerr := wire.ReadHeader(sess); rerr == nil && h.Type == wire.TypeRefuse {
-			refused <- struct{}{}
+			cancel()
 		}
 	}()
-
-	progress := func(res depot.Report) int64 {
-		if got := res.Offset + res.Bytes - r.Off; got > 0 {
-			return got
-		}
-		return 0
+	res, err := r.await(ctx, depot.Query{ID: r.obj.ID, Trace: r.obj.Trace, Offset: rg.Off})
+	switch {
+	case err != nil:
+		return 0, nil
+	case errors.Is(res.Err, wire.ErrDigest):
+		return 0, fmt.Errorf("core: sink: %w", res.Err)
 	}
-	select {
-	case res := <-ch:
-		return progress(res)
-	case <-refused:
-		return 0
-	case <-time.After(timeout):
-		return 0
-	}
+	return max(res.Offset+res.Bytes-rg.Off, 0), nil
 }
 
 // DepotCache returns the named host's depot cache, or nil when the

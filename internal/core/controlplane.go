@@ -57,7 +57,7 @@ func (s *System) startControl() error {
 		}
 	}
 	s.control = c
-	if _, err := c.Round(context.Background()); err != nil {
+	if _, err := c.Round(s.ctx); err != nil {
 		return fmt.Errorf("core: initial control round: %w", err)
 	}
 	return nil
@@ -73,7 +73,7 @@ func (s *System) ControlRound() (ctl.RoundReport, error) {
 	if s.control == nil {
 		return ctl.RoundReport{}, fmt.Errorf("core: system has no control plane (Config.ControlPlane)")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), transferTimeout)
+	ctx, cancel := context.WithTimeout(s.ctx, transferTimeout)
 	defer cancel()
 	return s.control.Round(ctx)
 }
@@ -94,5 +94,5 @@ func (s *System) TransferTableDriven(srcHost, dstHost string, size int64) (Trans
 	if err != nil {
 		return TransferResult{}, err
 	}
-	return s.single(leg{path: path, entry: s.endpoints[path[0]], to: size})
+	return s.single(path, Route{Entry: s.endpoints[path[0]]}, size)
 }

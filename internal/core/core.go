@@ -12,6 +12,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"net"
@@ -23,7 +24,6 @@ import (
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/emu"
 	"github.com/netlogistics/lsl/internal/fairshare"
-	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/schedule"
 	"github.com/netlogistics/lsl/internal/topo"
@@ -141,11 +141,13 @@ type System struct {
 	rng       *rand.Rand
 	control   *ctl.Controller
 
-	// sink is every host's Config.Local: it verifies what lands and
-	// reports each session to the waiter registered for its id.
-	sink    *depot.Sink
-	mu      sync.Mutex
-	waiters map[wire.SessionID]chan depot.Report
+	// sink is every host's Config.Local: it verifies what lands, and
+	// senders await its reports.
+	sink *depot.Sink
+	// ctx is the root of every transfer, store and control round; Close
+	// cancels it.
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	closeOnce sync.Once
 }
@@ -169,9 +171,9 @@ func NewSystem(t *topo.Topology, cfg Config) (*System, error) {
 		caches:    make([]*cache.Cache, t.N()),
 		faults:    make([]*depot.FaultInjector, t.N()),
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
-		waiters:   make(map[wire.SessionID]chan depot.Report),
+		sink:      depot.NewSink(nil, cfg.Metrics),
 	}
-	s.sink = depot.NewSink(s.complete, cfg.Metrics)
+	s.ctx, s.cancel = context.WithCancel(context.Background())
 
 	// Address plan: host i gets 10.(i/200).(i%200+1).1.
 	for i := 0; i < t.N(); i++ {
@@ -207,13 +209,10 @@ func NewSystem(t *topo.Topology, cfg Config) (*System, error) {
 	// can terminate sessions, but the planner never routes through
 	// them.
 	for i := 0; i < t.N(); i++ {
-		i := i
 		s.faults[i] = depot.NewFaultInjector()
 		dcfg := depot.Config{
-			Self: s.endpoints[i],
-			Dial: lsl.DialerFunc(func(address string) (net.Conn, error) {
-				return s.Net.Dial(s.hostAddr(i), address)
-			}),
+			Self:          s.endpoints[i],
+			Dial:          s.dialerFor(i),
 			Routes:        s.routeLookup(i),
 			Local:         s.sink.Handle,
 			PipelineBytes: int(pipelineOf(t.Hosts[i])),
@@ -341,40 +340,11 @@ func (s *System) routeLookup(host int) func(wire.Endpoint) (wire.Endpoint, bool)
 	}
 }
 
-func (s *System) registerWaiter(id wire.SessionID) chan depot.Report {
-	return s.registerWaiterN(id, 8)
-}
-
-// registerWaiterN registers a waiter channel with room for n reports —
-// striped transfers receive one report per stripe attempt under a
-// single session id, so the channel must never block the sinks.
-func (s *System) registerWaiterN(id wire.SessionID, n int) chan depot.Report {
-	ch := make(chan depot.Report, n)
-	s.mu.Lock()
-	s.waiters[id] = ch
-	s.mu.Unlock()
-	return ch
-}
-
-// complete hands a sink report to the waiter registered for its id.
-func (s *System) complete(r depot.Report) {
-	s.mu.Lock()
-	ch := s.waiters[r.ID]
-	s.mu.Unlock()
-	if ch != nil {
-		ch <- r
-	}
-}
-
-func (s *System) dropWaiter(id wire.SessionID) {
-	s.mu.Lock()
-	delete(s.waiters, id)
-	s.mu.Unlock()
-}
-
-// Close shuts down every listener.
+// Close cancels every operation in flight and shuts down every
+// listener.
 func (s *System) Close() {
 	s.closeOnce.Do(func() {
+		s.cancel()
 		for _, d := range s.depots {
 			if d != nil {
 				d.Close()

@@ -1,10 +1,7 @@
 package core
 
 import (
-	"io"
-
 	"github.com/netlogistics/lsl/internal/depot"
-	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -25,14 +22,4 @@ func integrityOptions(digest wire.ContentDigest) []wire.Option {
 		wire.ChunkChecksumOption(),
 		wire.ContentDigestOption(digest),
 	}
-}
-
-// sessionWriter returns the writer a sender streams payload through:
-// checksummed sessions wrap their writes in CRC-framed chunks so every
-// depot hop can verify them, unchecked sessions write raw bytes.
-func sessionWriter(sess *lsl.Session) io.Writer {
-	if sess.Header.Checksummed() {
-		return wire.NewFrameWriter(sess)
-	}
-	return sess
 }

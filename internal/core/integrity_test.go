@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"testing"
 	"time"
@@ -189,9 +190,8 @@ func TestIntegrityDigestMismatchSurfacesAtSink(t *testing.T) {
 	want := depot.PatternDigest(id, size)
 	want.Sum[0] ^= 0xff // a digest no delivery can satisfy
 
-	l := leg{path: []int{si, di}, id: id, to: size,
-		opts: []wire.Option{wire.ChunkChecksumOption(), wire.ContentDigestOption(want)}}
-	_, _, err = sys.attempt(l, 10*time.Second)
+	o := Object{ID: id, Dst: sys.endpoints[di], Size: size, Opts: integrityOptions(want)}
+	err = sys.engine(si, di).Once(sys.ctx, o, Route{}, 10*time.Second)
 	if !errors.Is(err, wire.ErrDigest) {
 		t.Fatalf("attempt err = %v, want wire.ErrDigest", err)
 	}
@@ -219,24 +219,23 @@ func sinkSession(t *testing.T, sys *System, id wire.SessionID, tid wire.TraceID,
 	t.Helper()
 	si, _ := sys.Topo.HostIndex("src")
 	di, _ := sys.Topo.HostIndex("dst")
-	ch := sys.registerWaiter(id)
-	defer sys.dropWaiter(id)
-	l := leg{path: []int{si, di}, id: id, from: from, to: to, tid: tid,
-		opts: append(append(traceOpt(tid), integrityOptions(want)...), extra...)}
-	sess, err := sys.open(l, 10*time.Second)
+	r := sys.engine(si, di).start(sys.ctx, Object{ID: id, Trace: tid, Dst: sys.endpoints[di], Size: want.Size,
+		Opts: append(integrityOptions(want), extra...)})
+	l := r.leg(from, to)
+	sess, err := r.open(l, 10*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sys.send(sess, l, 10*time.Second); err != nil {
+	if _, err := r.send(sess, l, 10*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case r := <-ch:
-		return r
-	case <-time.After(10 * time.Second):
-		t.Fatalf("no sink report for [%d, %d)", from, to)
-		return depot.Report{}
+	ctx, cancel := context.WithTimeout(sys.ctx, 10*time.Second)
+	defer cancel()
+	rep, err := sys.sink.Await(ctx, depot.Query{ID: id, Trace: tid, Offset: from})
+	if err != nil {
+		t.Fatalf("no sink report for [%d, %d): %v", from, to, err)
 	}
+	return rep
 }
 
 // checkReport holds a sink report to its verdict: whether the session

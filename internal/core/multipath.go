@@ -1,11 +1,14 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"github.com/netlogistics/lsl/internal/depot"
+	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -83,6 +86,7 @@ type mpQueue struct {
 	remaining int
 	stolen    int
 	dups      int
+	failed    bool // a digest mismatch: nothing is left worth claiming
 }
 
 func newMPQueue(ranges []stripeRange) *mpQueue {
@@ -104,7 +108,7 @@ func (q *mpQueue) claim() *mpRange {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for {
-		if q.remaining == 0 {
+		if q.remaining == 0 || q.failed {
 			return nil
 		}
 		if len(q.pending) > 0 {
@@ -144,62 +148,36 @@ func (q *mpQueue) release(r *mpRange) {
 	q.cond.Broadcast()
 }
 
-// report folds one sink delivery report into the queue: the covered
-// range's ack frontier advances, and a clean report reaching the range
-// end completes it — exactly once; a later duplicate from a stolen
-// sibling session is counted and dropped.
-func (q *mpQueue) report(res depot.Report) {
+// report folds a sink report of a session of r into the queue: r's
+// ack frontier advances, and a clean report reaching r's end finishes
+// it — exactly once; a later duplicate from a stolen sibling session
+// is counted and dropped. A digest mismatch fails the whole queue.
+func (q *mpQueue) report(r *mpRange, res depot.Report) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	var r *mpRange
-	for _, c := range q.ranges {
-		if res.Offset >= c.rng.start && res.Offset < c.rng.end {
-			r = c
-			break
-		}
-	}
-	if r == nil {
-		return
-	}
-	if end := res.Offset + res.Bytes; end > r.acked {
-		r.acked = end
-		if r.acked > r.rng.end {
-			r.acked = r.rng.end
-		}
-	}
-	if res.Err != nil {
+	end := res.Offset + res.Bytes
+	r.acked = max(r.acked, min(end, r.rng.end))
+	switch {
+	case res.Err != nil:
 		r.lastErr = res.Err
-	} else if res.Offset+res.Bytes >= r.rng.end {
-		if r.finished {
-			q.dups++
-		} else {
-			r.finished = true
-			q.remaining--
-			close(r.done)
-		}
+		q.failed = q.failed || errors.Is(res.Err, wire.ErrDigest)
+	case end < r.rng.end:
+	case r.finished:
+		q.dups++
+	default:
+		r.finished = true
+		q.remaining--
+		close(r.done)
 	}
 	q.cond.Broadcast()
 }
 
-// ackedOf returns r's current ack frontier.
-func (q *mpQueue) ackedOf(r *mpRange) int64 {
+// state returns r's ack frontier, whether it is finished, and the most
+// recent sink error reported against it.
+func (q *mpQueue) state(r *mpRange) (acked int64, finished bool, err error) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return r.acked
-}
-
-// errOf returns the most recent sink error reported against r.
-func (q *mpQueue) errOf(r *mpRange) error {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return r.lastErr
-}
-
-// finished reports whether r has been fully delivered.
-func (q *mpQueue) finished(r *mpRange) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return r.finished
+	return r.acked, r.finished, r.lastErr
 }
 
 // left reports how many ranges are not yet delivered.
@@ -236,14 +214,15 @@ func multipathRanges(size int64, k int) []stripeRange {
 // fast route simply pulls more ranges, and once the queue drains an
 // idle route steals the largest in-flight remainder so a slow or
 // killed route never holds the tail. Double completion from a stolen
-// range is resolved first-ack-wins at the sink dispatcher.
+// range is resolved first-ack-wins.
 //
 // Every session shares the transfer's session id (sinks reassemble by
 // absolute offset, as with stripes), trace id, and — under
 // Config.Integrity — the whole-object content digest, stitched across
-// routes by the sink's digest record. Each session additionally
-// carries the path-set id and its (index, count) route coordinate;
-// depots forward both untouched.
+// routes by the sink's digest record; a mismatch fails the transfer
+// with wire.ErrDigest, whichever session reached it. Each session also
+// carries its (index, count) route coordinate; depots forward it
+// untouched.
 //
 // Recovery composes per route: a torn range retries under pol with
 // resume-at-acked-offset, a starved route fails over around its dead
@@ -269,7 +248,6 @@ func (s *System) TransferMultipath(srcHost, dstHost string, size int64, k int, p
 	if err != nil {
 		return MultipathResult{}, err
 	}
-	pol = pol.withDefaults()
 	paths, err := s.Planner.DisjointPaths(si, di, k)
 	if err != nil {
 		return MultipathResult{}, err
@@ -289,100 +267,87 @@ func (s *System) TransferMultipath(srcHost, dstHost string, size int64, k int, p
 	if err != nil {
 		return MultipathResult{}, err
 	}
-	set, err := wire.NewSessionID()
+	o := Object{ID: id, Trace: mintTrace(), Dst: s.endpoints[di], Size: size}
+	if s.cfg.Integrity {
+		// Every range session carries the same whole-object digest: the
+		// sink stitches the routes back into one SHA-256.
+		o.Opts = integrityOptions(depot.PatternDigest(id, size))
+		defer s.sink.Retire(id, o.Trace)
+	}
+	routes := make([]Route, len(paths))
+	for w, p := range paths {
+		routes[w] = Route{Via: s.route(p)}
+	}
+	start := time.Now()
+	spread, err := s.engine(si, di).Multipath(s.ctx, o, routes, pol)
+	res, err := s.observed(s.result(size, time.Since(start), paths[0]), err)
 	if err != nil {
 		return MultipathResult{}, err
 	}
-	tid := mintTrace()
-	ranges := multipathRanges(size, len(paths))
+	out := MultipathResult{TransferResult: res, Routes: make([][]string, len(paths)), Stolen: spread.Stolen, DuplicateAcks: spread.DuplicateAcks}
+	for w, r := range spread.Routes {
+		out.Routes[w] = s.hostNames(s.pathOf(si, r, di))
+	}
+	out.Path = out.Routes[0]
+	s.cfg.Metrics.Counter(MetricMultipathTransfers).Inc()
+	return out, nil
+}
+
+// Spread is what a multipath transfer did beside delivering: the route
+// each worker ended on, by path index, the ranges stolen and the
+// duplicate completions.
+type Spread struct {
+	Routes        []Route
+	Stolen        int
+	DuplicateAcks int
+}
+
+// Multipath moves the object over every route at once: each route's
+// worker claims ranges off one shared queue and drives each as a leg,
+// stealing the largest in-flight remainder once the queue drains, and
+// a worker whose range exhausts its attempts dies alone. o.ID must be
+// set: every route shares it.
+func (e *Engine) Multipath(ctx context.Context, o Object, routes []Route, pol RecoveryPolicy) (Spread, error) {
+	pol = pol.withDefaults()
+	r := e.start(ctx, o)
+	ranges := multipathRanges(o.Size, len(routes))
 	q := newMPQueue(ranges)
-
-	// One waiter channel serves every route session (they share the
-	// id); the dispatcher folds each sink report into the queue by the
-	// absolute offset the delivered range began at. Buffers are sized
-	// so sinks never block: at most one report per claimed attempt,
-	// and a range has at most multipathMaxClaims claimants.
-	ch := s.registerWaiterN(id, len(ranges)*pol.Retry.MaxAttempts*multipathMaxClaims)
-	defer s.dropWaiter(id)
-	if s.cfg.Integrity {
-		defer s.sink.Retire(id, tid)
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case r := <-ch:
-				q.report(r)
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	// Every range session carries the same whole-object digest — the
-	// sink stitches the routes back into one SHA-256. Computing it
-	// means regenerating and hashing the full pattern, so do it once
-	// here instead of once per range session.
-	var integ []wire.Option
-	if s.cfg.Integrity {
-		integ = integrityOptions(depot.PatternDigest(id, size))
-	}
-
-	start := time.Now()
-	count := len(paths)
-	workers := make([]*stripePath, count)
+	count := len(routes)
+	workers := make([]*sharedRoute, count)
 	errs := make([]error, count)
 	var wg sync.WaitGroup
-	for w := range paths {
-		workers[w] = &stripePath{path: paths[w]}
-		// Unlike stripes, multipath ranges keep the whole-object digest:
-		// the sink stitches the routes' contiguous ranges by offset into
-		// one end-to-end SHA-256.
-		l := leg{
-			id:  id,
-			tid: tid,
-			opts: append(append(traceOpt(tid), integ...),
-				wire.PathSetIDOption(set), wire.PathIndexOption(uint16(w), uint16(count))),
-			tag: obs.Event{Path: obs.PathOf(w)},
-		}
+	for w := range routes {
+		workers[w] = &sharedRoute{route: routes[w]}
+		l := r.leg(0, 0, wire.PathIndexOption(uint16(w), uint16(count)))
+		l.tag = obs.Event{Path: obs.PathOf(w)}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = s.mpWorker(q, l, workers[w], w, pol)
+			errs[w] = r.mpWorker(q, l, workers[w], w, pol)
 		}(w)
 	}
 	wg.Wait()
 
-	out := MultipathResult{Routes: make([][]string, count)}
+	out := Spread{Routes: make([]Route, count)}
 	for w := range workers {
-		out.Routes[w] = s.hostNames(workers[w].current())
+		out.Routes[w] = workers[w].current()
 	}
-	r := s.cfg.Metrics
 	q.mu.Lock()
 	out.Stolen, out.DuplicateAcks = q.stolen, q.dups
 	q.mu.Unlock()
-	r.Counter(MetricMultipathRangesStolen).Add(int64(out.Stolen))
-	r.Counter(MetricMultipathDuplicateAcks).Add(int64(out.DuplicateAcks))
+	e.Metrics.Counter(MetricMultipathRangesStolen).Add(int64(out.Stolen))
+	e.Metrics.Counter(MetricMultipathDuplicateAcks).Add(int64(out.DuplicateAcks))
 
 	for w, werr := range errs {
 		if werr != nil && retry.IsFatal(werr) {
-			err := fmt.Errorf("core: path %d/%d: %w", w, count, werr)
-			s.observeTransfer(TransferResult{}, err)
-			return MultipathResult{}, err
+			return out, fmt.Errorf("core: path %d/%d: %w", w, count, werr)
 		}
 	}
 	if left := q.left(); left > 0 {
-		err := fmt.Errorf("core: %d of %d ranges undelivered after every route died: %w",
+		return out, fmt.Errorf("core: %d of %d ranges undelivered after every route died: %w",
 			left, len(ranges), firstErr(errs))
-		s.observeTransfer(TransferResult{}, err)
-		return MultipathResult{}, err
 	}
-	out.TransferResult = s.result(size, time.Since(start), paths[0])
-	out.Path = s.hostNames(workers[0].current())
-	s.observeTransfer(out.TransferResult, nil)
-	r.Counter(MetricMultipathTransfers).Inc()
-	return out, nil
+	return out, r.verdict(pol.AttemptTimeout)
 }
 
 // firstErr returns the first non-nil error, or nil.
@@ -399,56 +364,65 @@ func firstErr(errs []error) error {
 // shared queue and drives each as a leg until the object is delivered,
 // and dies alone — with its claim released back to the queue — when a
 // range exhausts its attempts on this route.
-func (s *System) mpWorker(q *mpQueue, l leg, route *stripePath, w int, pol RecoveryPolicy) error {
+func (r *run) mpWorker(q *mpQueue, l leg, route *sharedRoute, w int, pol RecoveryPolicy) error {
 	for {
-		r := q.claim()
-		if r == nil {
+		rg := q.claim()
+		if rg == nil {
 			return nil
 		}
-		l.from, l.to = r.rng.start, r.rng.end
-		_, err := s.drive(l, route, pol, MetricStripeRetries, func(l leg, timeout time.Duration) (int64, wire.SessionID, error) {
-			return s.mpAttempt(q, r, l, timeout)
+		l.from, l.to = rg.rng.start, rg.rng.end
+		_, err := r.drive(l, route, pol, MetricStripeRetries, func(l leg, timeout time.Duration) (int64, wire.SessionID, error) {
+			return r.mpAttempt(q, rg, l, timeout)
 		})
-		q.release(r)
+		q.release(rg)
 		if err != nil {
-			s.cfg.Metrics.Counter(MetricMultipathPathFailures).Inc()
-			s.emitHop0(l.id, l.tid, route.current()[0], obs.KindFailover, obs.Event{
-				Path:   obs.PathOf(w),
-				Detail: fmt.Sprintf("route %d abandoned: %v", w, err),
-			})
+			r.Metrics.Counter(MetricMultipathPathFailures).Inc()
+			r.emit(l.id, obs.KindFailover, obs.Event{Path: obs.PathOf(w), Detail: fmt.Sprintf("route %d abandoned: %v", w, err)})
 			return err
 		}
 	}
 }
 
-// mpAttempt is multipath's attempt. It keeps its own wait because a
-// range has two possible finishers: it sends l from the range's
-// current ack frontier, then waits for the range to finish — by this
-// session's own ack or a stealing sibling's (the range's done channel
-// closes either way, first ack wins) — instead of for one report. It
-// returns the range's ack frontier, nil exactly when the range is
-// finished.
-func (s *System) mpAttempt(q *mpQueue, r *mpRange, l leg, timeout time.Duration) (int64, wire.SessionID, error) {
-	l.from = q.ackedOf(r)
-	sess, err := s.open(l, timeout)
+// mpAttempt is multipath's attempt. A range has two possible
+// finishers, so it sends l from the range's current ack frontier, folds
+// its own session's report into the queue, and stops waiting for that
+// report once a stealing sibling finishes the range first. It returns
+// the range's ack frontier, nil exactly when the range is finished; a
+// digest mismatch is fatal to the whole transfer, whose other ranges
+// no re-send can repair.
+func (r *run) mpAttempt(q *mpQueue, rg *mpRange, l leg, timeout time.Duration) (int64, wire.SessionID, error) {
+	l.from, _, _ = q.state(rg)
+	sess, err := r.open(l, timeout)
 	if err != nil {
 		return l.from, l.id, err
 	}
-	settle, werr := s.send(sess, l, timeout)
-	select {
-	case <-r.done:
-		return q.ackedOf(r), l.id, nil
-	case <-time.After(settle):
-		acked := q.ackedOf(r)
-		if q.finished(r) {
-			return acked, l.id, nil
+	settle, werr := r.send(sess, l, timeout)
+	ctx, cancel := context.WithTimeout(r.ctx, settle)
+	defer cancel()
+	go func() {
+		select {
+		case <-rg.done:
+			cancel()
+		case <-ctx.Done():
 		}
-		if sinkErr := q.errOf(r); sinkErr != nil {
-			return acked, l.id, fmt.Errorf("core: sink: %w", sinkErr)
-		}
-		if werr != nil {
-			return acked, l.id, fmt.Errorf("core: send: %w", werr)
-		}
-		return acked, l.id, retry.AsTransient(fmt.Errorf("core: range %d not finished within %v", r.idx, settle))
+	}()
+	res, aerr := r.await(ctx, depot.Query{ID: sess.ID(), Trace: r.obj.Trace, Offset: l.from})
+	switch {
+	case aerr == nil:
+		q.report(rg, res)
+	case errors.Is(aerr, lsl.ErrRefused) && werr == nil:
+		q.report(rg, depot.Report{Offset: l.from, Bytes: l.to - l.from})
 	}
+	acked, finished, sinkErr := q.state(rg)
+	switch {
+	case errors.Is(res.Err, wire.ErrDigest):
+		return acked, l.id, retry.AsFatal(fmt.Errorf("core: sink: %w", res.Err))
+	case finished:
+		return acked, l.id, nil
+	case sinkErr != nil:
+		return acked, l.id, fmt.Errorf("core: sink: %w", sinkErr)
+	case werr != nil:
+		return acked, l.id, fmt.Errorf("core: send: %w", werr)
+	}
+	return acked, l.id, retry.AsTransient(fmt.Errorf("core: range %d not finished within %v", rg.idx, settle))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"sync/atomic"
@@ -61,10 +62,10 @@ func TestMPQueueClaimOrderAndSteal(t *testing.T) {
 
 	// Advance two ranges unevenly, finish the other two: the next
 	// claim is a steal and must pick the range with most bytes left.
-	q.report(depot.Report{Offset: a.rng.start, Bytes: 80})                      // a: 20 left
-	q.report(depot.Report{Offset: b.rng.start, Bytes: 10})                      // b: 90 left
-	q.report(depot.Report{Offset: c.rng.start, Bytes: c.rng.end - c.rng.start}) // finished
-	q.report(depot.Report{Offset: d.rng.start, Bytes: d.rng.end - d.rng.start}) // finished
+	q.report(a, depot.Report{Offset: a.rng.start, Bytes: 80})                      // a: 20 left
+	q.report(b, depot.Report{Offset: b.rng.start, Bytes: 10})                      // b: 90 left
+	q.report(c, depot.Report{Offset: c.rng.start, Bytes: c.rng.end - c.rng.start}) // finished
+	q.report(d, depot.Report{Offset: d.rng.start, Bytes: d.rng.end - d.rng.start}) // finished
 	stolen := q.claim()
 	if stolen != b {
 		t.Fatalf("stole range %d, want %d (most bytes left)", stolen.idx, b.idx)
@@ -78,19 +79,19 @@ func TestMPQueueClaimOrderAndSteal(t *testing.T) {
 	}
 
 	// First full ack wins; the duplicate is counted, not double-closed.
-	q.report(depot.Report{Offset: b.rng.start, Bytes: b.rng.end - b.rng.start})
+	q.report(b, depot.Report{Offset: b.rng.start, Bytes: b.rng.end - b.rng.start})
 	select {
 	case <-b.done:
 	default:
 		t.Fatal("done channel not closed after full ack")
 	}
-	q.report(depot.Report{Offset: b.rng.start, Bytes: b.rng.end - b.rng.start})
+	q.report(b, depot.Report{Offset: b.rng.start, Bytes: b.rng.end - b.rng.start})
 	if q.dups != 1 {
 		t.Fatalf("duplicate acks = %d, want 1", q.dups)
 	}
 
 	// Finish the last range; claim must then report the queue drained.
-	q.report(depot.Report{Offset: a.rng.start, Bytes: a.rng.end - a.rng.start})
+	q.report(a, depot.Report{Offset: a.rng.start, Bytes: a.rng.end - a.rng.start})
 	if got := q.claim(); got != nil {
 		t.Fatalf("claim on drained queue = %+v, want nil", got)
 	}
@@ -106,18 +107,19 @@ func TestMPQueueReleaseRequeuesUnfinished(t *testing.T) {
 
 	// A sink error is recorded against the range but does not finish it.
 	sinkErr := errors.New("torn")
-	q.report(depot.Report{Offset: a.rng.start, Bytes: 30, Err: sinkErr})
-	if got := q.errOf(a); !errors.Is(got, sinkErr) {
-		t.Fatalf("errOf = %v, want %v", got, sinkErr)
+	q.report(a, depot.Report{Offset: a.rng.start, Bytes: 30, Err: sinkErr})
+	acked, _, err := q.state(a)
+	if !errors.Is(err, sinkErr) {
+		t.Fatalf("sink error = %v, want %v", err, sinkErr)
 	}
-	if q.ackedOf(a) != a.rng.start+30 {
-		t.Fatalf("acked = %d, want %d", q.ackedOf(a), a.rng.start+30)
+	if acked != a.rng.start+30 {
+		t.Fatalf("acked = %d, want %d", acked, a.rng.start+30)
 	}
 
 	// Releasing the only claim on an unfinished range re-queues it: the
 	// next claim is NOT a steal — it resumes the orphaned range.
 	q.release(a)
-	q.report(depot.Report{Offset: b.rng.start, Bytes: b.rng.end - b.rng.start})
+	q.report(b, depot.Report{Offset: b.rng.start, Bytes: b.rng.end - b.rng.start})
 	got := q.claim()
 	if got != a {
 		t.Fatalf("claim after release = %d, want re-queued %d", got.idx, a.idx)
@@ -136,12 +138,8 @@ func TestDigestAbsorbOutOfOrder(t *testing.T) {
 	reg := obs.NewRegistry()
 	sys, _ := integritySystem(t, reg)
 	const size = 1000
-	set, err := wire.NewSessionID()
-	if err != nil {
-		t.Fatal(err)
-	}
 	send := func(id wire.SessionID, tid wire.TraceID, from, to int64, want wire.ContentDigest) depot.Report {
-		return sinkSession(t, sys, id, tid, from, to, want, wire.PathSetIDOption(set), wire.PathIndexOption(0, 2))
+		return sinkSession(t, sys, id, tid, from, to, want, wire.PathIndexOption(0, 2))
 	}
 
 	id, err := wire.NewSessionID()
@@ -223,6 +221,54 @@ func TestMultipathTransferDelivers(t *testing.T) {
 	}
 	if leaked := sys.sink.Live(); leaked != 0 {
 		t.Fatalf("%d digest states leaked after completion", leaked)
+	}
+}
+
+// TestMultipathDigestMismatchFails: a multipath transfer whose header
+// digest no delivery can match fails with wire.ErrDigest, whichever of
+// its range sessions reaches the sink's verdict. In "raced", every
+// session report reads clean, as when a stolen range's duplicate
+// finishes the range before the session holding the verdict reports:
+// only the sink's verdict query can tell the sender then.
+func TestMultipathDigestMismatchFails(t *testing.T) {
+	for _, raced := range []bool{false, true} {
+		t.Run(map[bool]string{false: "reported", true: "raced"}[raced], func(t *testing.T) {
+			reg := obs.NewRegistry()
+			sys, _ := integritySystem(t, reg)
+			si, _ := sys.Topo.HostIndex("src")
+			di, _ := sys.Topo.HostIndex("dst")
+			paths, err := sys.Planner.DisjointPaths(si, di, 2)
+			if err != nil || len(paths) != 2 {
+				t.Fatalf("disjoint paths = %v, %v", paths, err)
+			}
+			const size = 256 << 10
+			id, err := wire.NewSessionID()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := depot.PatternDigest(id, size)
+			want.Sum[5] ^= 1
+			o := Object{ID: id, Trace: mintTrace(), Dst: sys.endpoints[di], Size: size, Opts: integrityOptions(want)}
+			defer sys.sink.Retire(id, o.Trace)
+			eng := sys.engine(si, di)
+			if raced {
+				eng.Await = func(ctx context.Context, q depot.Query) (depot.Report, error) {
+					rep, err := sys.sink.Await(ctx, q)
+					if q.Offset != depot.VerdictOffset {
+						rep.Checked, rep.Err = false, nil
+					}
+					return rep, err
+				}
+			}
+			routes := []Route{{Via: sys.route(paths[0])}, {Via: sys.route(paths[1])}}
+			_, err = eng.Multipath(sys.ctx, o, routes, RecoveryPolicy{Retry: fastPolicy(3), AttemptTimeout: 5 * time.Second})
+			if !errors.Is(err, wire.ErrDigest) {
+				t.Fatalf("multipath err = %v, want wire.ErrDigest", err)
+			}
+			if v := reg.Counter(MetricDigestMismatches).Value(); v != 1 {
+				t.Fatalf("%s = %d, want 1", MetricDigestMismatches, v)
+			}
+		})
 	}
 }
 

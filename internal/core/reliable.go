@@ -77,17 +77,16 @@ func (s *System) TransferReliable(srcHost, dstHost string, size int64, pol Recov
 	if size <= 0 {
 		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
 	}
-	pol = pol.withDefaults()
 	path, err := s.routeOrDirect(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
 	}
 
 	start := time.Now()
+	si, di := path[0], path[len(path)-1]
 	// One trace id spans every attempt, resume continuation, and
 	// failover reroute of this logical transfer.
-	l := leg{path: path, to: size, tid: mintTrace()}
-	l.opts = traceOpt(l.tid)
+	o := Object{Trace: mintTrace(), Dst: s.endpoints[di], Size: size}
 	// Under Integrity one session id spans them too: the sink keys its
 	// cross-attempt state (the running end-to-end digest) by session
 	// identity, so every continuation must present the same id. Without
@@ -98,18 +97,12 @@ func (s *System) TransferReliable(srcHost, dstHost string, size int64, pol Recov
 		if err != nil {
 			return TransferResult{}, err
 		}
-		l.id = id
-		l.opts = append(l.opts, integrityOptions(depot.PatternDigest(id, size))...)
-		defer s.sink.Retire(id, l.tid)
+		o.ID = id
+		o.Opts = integrityOptions(depot.PatternDigest(id, size))
+		defer s.sink.Retire(id, o.Trace)
 	}
-	sp := &stripePath{path: path}
-	if _, err := s.drive(l, sp, pol, MetricRetryAttempts, s.attempt); err != nil {
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
-	}
-	out := s.result(size, time.Since(start), sp.current())
-	s.observeTransfer(out, nil)
-	return out, nil
+	route, err := s.engine(si, di).Send(s.ctx, o, Route{Via: s.route(path)}, pol)
+	return s.observed(s.result(size, time.Since(start), s.pathOf(si, route, di)), err)
 }
 
 // failoverPath consults the scheduler for a route around the current
@@ -148,7 +141,7 @@ func (s *System) failoverPath(cur []int, id wire.SessionID, tid wire.TraceID) []
 	if len(next) > 2 {
 		firstHop = next[1]
 	}
-	s.emitHop0(id, tid, si, obs.KindFailover, obs.Event{
+	emitHop0(s.cfg.Trace, s.endpoints[si], id, tid, obs.KindFailover, obs.Event{
 		Peer:   s.endpoints[firstHop].String(),
 		Detail: "avoiding " + strings.Join(names, ","),
 	})

@@ -1,13 +1,13 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"time"
 
-	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -50,17 +50,6 @@ func stripeRanges(size int64, n int) []stripeRange {
 	return out
 }
 
-// stripeFor locates the stripe whose range contains the absolute
-// offset, or -1 when none does.
-func stripeFor(ranges []stripeRange, offset int64) int {
-	for k, r := range ranges {
-		if offset >= r.start && offset < r.end {
-			return k
-		}
-	}
-	return -1
-}
-
 // TransferStriped moves size bytes from srcHost to dstHost over the
 // planner's chosen path using the given number of parallel sublink
 // chains ("stripes"). All stripes share one session identifier and one
@@ -99,85 +88,56 @@ func (s *System) TransferStriped(srcHost, dstHost string, size int64, stripes in
 	if stripes == 1 {
 		return s.TransferReliable(srcHost, dstHost, size, pol)
 	}
-	pol = pol.withDefaults()
 	path, err := s.routeOrDirect(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
 	}
-
 	id, err := wire.NewSessionID()
 	if err != nil {
 		return TransferResult{}, err
 	}
+	si, di := path[0], path[len(path)-1]
 	// One trace id spans every stripe, retry continuation, and failover
-	// reroute of this logical transfer.
-	tid := mintTrace()
-	ranges := stripeRanges(size, stripes)
-
-	// One waiter channel serves every stripe session (they share the
-	// id); a dispatcher routes each sink report to its stripe by the
-	// absolute offset the delivered range began at. Buffers are sized
-	// so sinks never block: at most one report per stripe attempt.
-	ch := s.registerWaiterN(id, stripes*pol.Retry.MaxAttempts)
-	defer s.dropWaiter(id)
-	perStripe := make([]chan depot.Report, stripes)
-	for k := range perStripe {
-		perStripe[k] = make(chan depot.Report, pol.Retry.MaxAttempts)
-	}
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case r := <-ch:
-				if k := stripeFor(ranges, r.Offset); k >= 0 {
-					perStripe[k] <- r
-				}
-			case <-stop:
-				return
-			}
-		}
-	}()
-
-	// Stripes carry per-chunk checksums but no content digest: the
-	// sibling ranges interleave at the sink, so only the per-hop
-	// verifiers guard them.
-	opts := traceOpt(tid)
+	// reroute of this logical transfer. Stripes carry per-chunk
+	// checksums but no content digest: the sibling ranges interleave at
+	// the sink, so only the per-hop verifiers guard them.
+	o := Object{ID: id, Trace: mintTrace(), Dst: s.endpoints[di], Size: size}
 	if s.cfg.Integrity {
-		opts = append(opts, wire.ChunkChecksumOption())
+		o.Opts = []wire.Option{wire.ChunkChecksumOption()}
 	}
 	start := time.Now()
-	sp := &stripePath{path: path}
-	errs := make([]error, stripes)
+	route, err := s.engine(si, di).Striped(s.ctx, o, Route{Via: s.route(path)}, stripes, pol)
+	if err == nil {
+		s.cfg.Metrics.Counter(MetricStripedTransfers).Inc()
+	}
+	return s.observed(s.result(size, time.Since(start), s.pathOf(si, route, di)), err)
+}
+
+// Striped moves the object over n parallel sublink chains of route,
+// each stripe a leg over its contiguous byte range that drive retries
+// from its own acked offset while its siblings stream on. A failover
+// one stripe decides moves them all. o.ID must be set: the stripes
+// share it.
+func (e *Engine) Striped(ctx context.Context, o Object, route Route, n int, pol RecoveryPolicy) (Route, error) {
+	pol = pol.withDefaults()
+	r := e.start(ctx, o)
+	sr := &sharedRoute{route: route}
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for k, rng := range ranges {
-		l := leg{
-			id:      id,
-			from:    rng.start,
-			to:      rng.end,
-			tid:     tid,
-			opts:    append(opts[:len(opts):len(opts)], wire.StripeCountOption(uint16(stripes)), wire.StripeIndexOption(uint16(k))),
-			tag:     obs.Event{Stripe: obs.StripeOf(k)},
-			reports: perStripe[k],
-		}
+	for k, rng := range stripeRanges(o.Size, n) {
+		l := r.leg(rng.start, rng.end, wire.StripeCountOption(uint16(n)), wire.StripeIndexOption(uint16(k)))
+		l.tag = obs.Event{Stripe: obs.StripeOf(k)}
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			_, errs[k] = s.drive(l, sp, pol, MetricStripeRetries, s.attempt)
+			_, errs[k] = r.drive(l, sr, pol, MetricStripeRetries, r.attempt)
 		}(k)
 	}
 	wg.Wait()
-	path = sp.current()
-
-	for k, werr := range errs {
-		if werr != nil {
-			err := fmt.Errorf("core: stripe %d/%d: %w", k, stripes, werr)
-			s.observeTransfer(TransferResult{}, err)
-			return TransferResult{}, err
+	for k, err := range errs {
+		if err != nil {
+			return sr.current(), fmt.Errorf("core: stripe %d/%d: %w", k, n, err)
 		}
 	}
-	out := s.result(size, time.Since(start), path)
-	s.observeTransfer(out, nil)
-	s.cfg.Metrics.Counter(MetricStripedTransfers).Inc()
-	return out, nil
+	return sr.current(), nil
 }

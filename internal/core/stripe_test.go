@@ -34,20 +34,11 @@ func TestStripeRangesPartition(t *testing.T) {
 			if r.end <= r.start {
 				t.Fatalf("stripe %d is empty: %+v", k, r)
 			}
-			if got := stripeFor(ranges, r.start); got != k {
-				t.Fatalf("stripeFor(%d) = %d, want %d", r.start, got, k)
-			}
-			if got := stripeFor(ranges, r.end-1); got != k {
-				t.Fatalf("stripeFor(%d) = %d, want %d", r.end-1, got, k)
-			}
 			off = r.end
 		}
 		if off != tc.size {
 			t.Fatalf("ranges cover %d of %d bytes", off, tc.size)
 		}
-	}
-	if got := stripeFor(stripeRanges(10, 2), 10); got != -1 {
-		t.Fatalf("stripeFor(out of range) = %d, want -1", got)
 	}
 }
 

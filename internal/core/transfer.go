@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"time"
@@ -21,14 +22,14 @@ const (
 	MetricTransferMbps    = "core_transfer_mbps"
 )
 
-// observeTransfer records a completed (or failed) transfer in the
-// system's registry. Durations and rates are in emulated time, like
-// TransferResult itself.
-func (s *System) observeTransfer(res TransferResult, err error) {
+// observed records a completed (or failed) transfer in the system's
+// registry and returns it, or the zero result with err. Durations and
+// rates are in emulated time, like TransferResult itself.
+func (s *System) observed(res TransferResult, err error) (TransferResult, error) {
 	r := s.cfg.Metrics
 	if err != nil {
 		r.Counter(MetricTransferErrors).Inc()
-		return
+		return TransferResult{}, err
 	}
 	r.Counter(MetricTransfers).Inc()
 	r.Counter(MetricTransferBytes).Add(res.Bytes)
@@ -36,24 +37,7 @@ func (s *System) observeTransfer(res TransferResult, err error) {
 	r.Histogram(MetricTransferSeconds, obs.ExpBuckets(1e-3, 2, 20)).Observe(res.Elapsed.Seconds())
 	// 1 .. ~16k Mbit/s end-to-end rates.
 	r.Histogram(MetricTransferMbps, obs.ExpBuckets(1, 2, 15)).Observe(res.Bandwidth * 8 / 1e6)
-}
-
-// emitHop0 reports an initiator-side (hop 0) trace event. tid is the
-// end-to-end trace identifier the logical transfer minted; a zero tid
-// (tracing unavailable) leaves the event uncorrelated. A zero session
-// id (a retry after a failed dial has no session yet) leaves the event
-// keyed by the trace id alone.
-func (s *System) emitHop0(id wire.SessionID, tid wire.TraceID, src int, kind string, e obs.Event) {
-	e.Kind = kind
-	if id != (wire.SessionID{}) {
-		e.Session = id.String()
-	}
-	if !tid.IsZero() {
-		e.Trace = tid.String()
-	}
-	e.Hop = 0
-	e.Node = s.endpoints[src].String()
-	obs.Emit(s.cfg.Trace, e)
+	return res, nil
 }
 
 // mintTrace draws the end-to-end trace identifier of one logical
@@ -116,7 +100,7 @@ func (s *System) Transfer(srcHost, dstHost string, size int64) (TransferResult, 
 	if err != nil {
 		return TransferResult{}, err
 	}
-	return s.single(leg{path: path, to: size})
+	return s.single(path, Route{Via: s.route(path)}, size)
 }
 
 // TransferWeighted is Transfer with an explicit fair-share weight: the
@@ -128,7 +112,7 @@ func (s *System) TransferWeighted(srcHost, dstHost string, size int64, weight ui
 	if err != nil {
 		return TransferResult{}, err
 	}
-	return s.single(leg{path: path, to: size, opts: []wire.Option{wire.SessionWeightOption(weight)}})
+	return s.single(path, Route{Via: s.route(path)}, size, wire.SessionWeightOption(weight))
 }
 
 // DirectTransfer bypasses the scheduler and moves the bytes over the
@@ -142,7 +126,7 @@ func (s *System) DirectTransfer(srcHost, dstHost string, size int64) (TransferRe
 	if err != nil {
 		return TransferResult{}, err
 	}
-	return s.single(leg{path: []int{si, di}, to: size})
+	return s.single([]int{si, di}, Route{}, size)
 }
 
 // plan resolves both hosts and returns their indexes and the
@@ -198,42 +182,69 @@ func (s *System) hostNames(path []int) []string {
 	return names
 }
 
-// single runs l — the whole object, [0, size) — as one attempt bounded
-// by transferTimeout: the unrecovered transfer every non-retrying mode
-// is. It adds the trace id to l's options and, under Integrity, a
-// minted session id and the content digest keyed by it.
-func (s *System) single(l leg) (TransferResult, error) {
-	if l.to <= 0 {
-		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", l.to)
+// single sends the whole object over route, path's planned shape, as
+// one attempt bounded by transferTimeout: the unrecovered transfer
+// every non-retrying mode is. Under Integrity it mints the session id
+// and carries the content digest keyed by it.
+func (s *System) single(path []int, route Route, size int64, opts ...wire.Option) (TransferResult, error) {
+	if size <= 0 {
+		return TransferResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
 	}
 	start := time.Now()
-	l.tid = mintTrace()
-	l.opts = append(traceOpt(l.tid), l.opts...)
+	si, di := path[0], path[len(path)-1]
+	o := Object{Trace: mintTrace(), Dst: s.endpoints[di], Size: size, Opts: opts}
 	if s.cfg.Integrity {
 		id, err := wire.NewSessionID()
 		if err != nil {
-			s.observeTransfer(TransferResult{}, err)
-			return TransferResult{}, err
+			return s.observed(TransferResult{}, err)
 		}
-		defer s.sink.Retire(id, l.tid)
-		l.id = id
-		l.opts = append(l.opts, integrityOptions(depot.PatternDigest(id, l.to))...)
+		defer s.sink.Retire(id, o.Trace)
+		o.ID = id
+		o.Opts = append(o.Opts, integrityOptions(depot.PatternDigest(id, size))...)
 	}
-	acked, _, err := s.attempt(l, transferTimeout)
-	if err == nil && acked != l.to {
-		err = fmt.Errorf("core: sink received %d of %d bytes", acked, l.to)
-	}
-	if err != nil {
-		s.observeTransfer(TransferResult{}, err)
-		return TransferResult{}, err
-	}
-	out := s.result(l.to, time.Since(start), l.path)
-	s.observeTransfer(out, nil)
-	if s.cfg.FeedObservations && len(l.path) == 2 && l.entry.IsZero() {
+	err := s.engine(si, di).Once(s.ctx, o, route, transferTimeout)
+	out, err := s.observed(s.result(size, time.Since(start), path), err)
+	if err == nil && s.cfg.FeedObservations && len(path) == 2 && route.Entry.IsZero() {
 		// A direct transfer doubles as an end-to-end measurement.
-		_ = s.Planner.Observe(s.Topo.Hosts[l.path[0]].Name, s.Topo.Hosts[l.path[1]].Name, out.Bandwidth)
+		_ = s.Planner.Observe(s.Topo.Hosts[si].Name, s.Topo.Hosts[di].Name, out.Bandwidth)
 	}
-	return out, nil
+	return out, err
+}
+
+// engine is the Engine of a transfer from host si to host di: it dials
+// from si over the emulated network, awaits the system's sink directly
+// (no emulated round trip), and fails over around dead relays by the
+// planner.
+func (s *System) engine(si, di int) *Engine {
+	return &Engine{
+		Dial:  s.dialerFor(si),
+		Src:   s.endpoints[si],
+		Await: s.sink.Await,
+		Failover: func(r Route, id wire.SessionID, tid wire.TraceID) Route {
+			return Route{Via: s.route(s.failoverPath(s.pathOf(si, r, di), id, tid))}
+		},
+		Metrics: s.cfg.Metrics,
+		Trace:   s.cfg.Trace,
+	}
+}
+
+// route is the loose source route of path: its interior hosts'
+// endpoints.
+func (s *System) route(path []int) []wire.Endpoint {
+	route := make([]wire.Endpoint, 0, len(path)-2)
+	for _, h := range path[1 : len(path)-1] {
+		route = append(route, s.endpoints[h])
+	}
+	return route
+}
+
+// pathOf is the host-index path of route from si to di.
+func (s *System) pathOf(si int, r Route, di int) []int {
+	path := []int{si}
+	for _, e := range r.Via {
+		path = append(path, s.byAddr[e])
+	}
+	return append(path, di)
 }
 
 // Replan rebuilds the scheduling trees from the monitor's current
@@ -252,7 +263,7 @@ func (s *System) TransferHopByHop(srcHost, dstHost string, size int64) (Transfer
 	if err != nil {
 		return TransferResult{}, err
 	}
-	return s.single(leg{path: path, entry: s.endpoints[path[1]], to: size})
+	return s.single(path, Route{Entry: s.endpoints[path[1]]}, size)
 }
 
 // transferTimeout bounds a single emulated transfer in wall time.
@@ -342,45 +353,41 @@ func (s *System) Multicast(srcHost string, dstHosts []string, size int64) (Multi
 		Options: mopts,
 	})
 	if err != nil {
-		s.observeTransfer(TransferResult{}, err)
+		s.observed(TransferResult{}, err) //nolint:errcheck // counted; the caller returns err
 		return MulticastResult{}, err
 	}
-	s.emitHop0(sess.ID(), tid, si, obs.KindConnect, obs.Event{Peer: root.Addr.String()})
-	ch := s.registerWaiter(sess.ID())
-	defer s.dropWaiter(sess.ID())
+	node := s.endpoints[si]
+	emitHop0(s.cfg.Trace, node, sess.ID(), tid, obs.KindConnect, obs.Event{Peer: root.Addr.String()})
+	ctx, cancel := context.WithTimeout(s.ctx, transferTimeout)
+	defer cancel()
 
 	_ = sess.SetWriteDeadline(start.Add(transferTimeout))
-	s.emitHop0(sess.ID(), tid, si, obs.KindFirstByte, obs.Event{})
+	emitHop0(s.cfg.Trace, node, sess.ID(), tid, obs.KindFirstByte, obs.Event{})
 	if err := writeSessionPattern(sess, 0, size); err != nil {
 		sess.Close()
-		s.observeTransfer(TransferResult{}, err)
+		s.observed(TransferResult{}, err) //nolint:errcheck // counted; the caller returns err
 		return MulticastResult{}, fmt.Errorf("core: multicast send: %w", err)
 	}
 	sess.Close()
-	s.emitHop0(sess.ID(), tid, si, obs.KindLastByte, obs.Event{Bytes: size})
+	emitHop0(s.cfg.Trace, node, sess.ID(), tid, obs.KindLastByte, obs.Event{Bytes: size})
 
+	// Every leaf's sink reports the one session at offset 0.
 	leaves := root.Leaves()
 	var delivered int64
 	for range leaves {
-		select {
-		case res := <-ch:
-			if res.Err != nil {
-				s.observeTransfer(TransferResult{}, res.Err)
-				return MulticastResult{}, fmt.Errorf("core: multicast sink: %w", res.Err)
-			}
-			delivered += res.Bytes
-		case <-time.After(transferTimeout):
-			err := fmt.Errorf("core: multicast timed out after %v", transferTimeout)
-			s.observeTransfer(TransferResult{}, err)
+		res, err := s.sink.Await(ctx, depot.Query{ID: sess.ID(), Trace: tid})
+		if err != nil {
+			err = fmt.Errorf("core: multicast timed out after %v", transferTimeout)
+		} else if res.Err != nil {
+			err = fmt.Errorf("core: multicast sink: %w", res.Err)
+		}
+		if err != nil {
+			s.observed(TransferResult{}, err) //nolint:errcheck // counted; the caller returns err
 			return MulticastResult{}, err
 		}
+		delivered += res.Bytes
 	}
-	elapsed := time.Duration(float64(time.Since(start)) / s.cfg.TimeScale)
-	bw := 0.0
-	if elapsed > 0 {
-		bw = float64(delivered) / elapsed.Seconds()
-	}
-	s.observeTransfer(TransferResult{Bytes: delivered, Elapsed: elapsed, Bandwidth: bw}, nil)
+	res, _ := s.observed(s.result(delivered, time.Since(start), nil), nil)
 	leafNames := make([]string, len(leaves))
 	for k, l := range leaves {
 		leafNames[k] = s.Topo.Hosts[s.byAddr[l]].Name
@@ -388,8 +395,8 @@ func (s *System) Multicast(srcHost string, dstHosts []string, size int64) (Multi
 	return MulticastResult{
 		Bytes:     delivered,
 		Leaves:    leafNames,
-		Elapsed:   elapsed,
-		Bandwidth: bw,
+		Elapsed:   res.Elapsed,
+		Bandwidth: res.Bandwidth,
 		Tree:      root,
 	}, nil
 }

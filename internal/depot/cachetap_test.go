@@ -299,7 +299,6 @@ func TestCacheTapMultipathRangeSession(t *testing.T) {
 	tap := func(c *cache.Cache) *cacheTap {
 		h := &wire.Header{Version: wire.Version1, Type: wire.TypeData}
 		h.AddOption(wire.ContentDigestOption(d))
-		h.AddOption(wire.PathSetIDOption(wire.SessionID{1}))
 		h.AddOption(wire.PathIndexOption(0, 2))
 		return (&Server{cfg: Config{Cache: c}}).cacheTap(h)
 	}

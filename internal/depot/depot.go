@@ -15,6 +15,7 @@
 package depot
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -22,8 +23,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"context"
 
 	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/cache"
@@ -78,8 +77,11 @@ type Config struct {
 	// table-driven forwarding (transiently inconsistent tables can
 	// loop) and for malicious or buggy source routes alike.
 	MaxHops int
-	// Local handles sessions addressed to Self. Nil means count and
-	// discard the payload.
+	// Local handles sessions addressed to Self, and status queries
+	// (wire.TypeStatus), which a Sink's Handle answers. Any other
+	// handler must answer or refuse a status query, or close it: its
+	// asker waits. Nil means count and discard the payload, and refuse
+	// status queries.
 	Local Handler
 	// PipelineBytes bounds per-session buffering (0 selects
 	// DefaultPipelineBytes).
@@ -350,6 +352,10 @@ type Server struct {
 	met metrics
 
 	closed atomic.Bool
+	// ctx is the server's root context: Close cancels it, ending the
+	// backoff of any onward dial still retrying.
+	ctx    context.Context
+	cancel context.CancelFunc
 }
 
 // New validates the configuration and builds a depot server.
@@ -383,6 +389,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.MaxSessions > 0 {
 		srv.admit = make(chan struct{}, cfg.MaxSessions)
 	}
+	srv.ctx, srv.cancel = context.WithCancel(context.Background())
 	return srv, nil
 }
 
@@ -509,9 +516,13 @@ func (s *Server) Serve(l net.Listener) error {
 }
 
 // Close marks the server closed; Serve returns after its listener is
-// closed by the caller. In-flight sessions are not interrupted — use
+// closed by the caller. In-flight sessions are not interrupted, though
+// an onward dial waiting out its retry backoff gives up — use
 // Shutdown to wait for them.
-func (s *Server) Close() { s.closed.Store(true) }
+func (s *Server) Close() {
+	s.closed.Store(true)
+	s.cancel()
+}
 
 // Shutdown closes the server and waits until every in-flight session
 // completes or the timeout elapses. It reports whether the drain
@@ -565,34 +576,8 @@ func (s *Server) Handle(conn net.Conn) {
 	if tid, ok := h.TraceID(); ok {
 		f.trace = tid.String()
 	}
-	if h.Type == wire.TypeControl {
-		// Control pushes bypass the load gate: a depot refusing data
-		// sessions under load must still be reachable by its controller,
-		// or the tables that could shed the load never arrive.
-		s.st.accepted.Add(1)
-		s.met.accepted.Inc()
-		f.emit(obs.KindAccept, obs.Event{Peer: h.Src.String()})
-		if cerr := s.handleControl(conn, h, f); cerr != nil {
-			s.st.errors.Add(1)
-			s.met.errors.Inc()
-			f.emit(obs.KindError, obs.Event{Detail: cerr.Error()})
-			s.logf("depot %s: control session %s: %v", s.cfg.Self, h.Session, cerr)
-		}
-		return
-	}
-	if h.Type == wire.TypeCacheProbe {
-		// Cache probes also bypass the load gate: they carry no payload,
-		// and a loaded depot advertising its cache is how load gets
-		// shed to begin with.
-		s.st.accepted.Add(1)
-		s.met.accepted.Inc()
-		f.emit(obs.KindAccept, obs.Event{Peer: h.Src.String()})
-		if perr := s.handleCacheProbe(conn, h, f); perr != nil {
-			s.st.errors.Add(1)
-			s.met.errors.Inc()
-			f.emit(obs.KindError, obs.Event{Detail: perr.Error()})
-			s.logf("depot %s: cache probe %s: %v", s.cfg.Self, h.Session, perr)
-		}
+	if ungatedTypes>>h.Type&1 != 0 {
+		s.handleUngated(conn, h, f)
 		return
 	}
 	release, refusal := s.admitSession(f, h)
@@ -664,6 +649,44 @@ func (s *Server) Handle(conn net.Conn) {
 	}
 }
 
+// ungatedTypes has bit t set for each session type t that bypasses the
+// load gate, so a data session pays one test to pass them all.
+const ungatedTypes uint64 = 1<<wire.TypeControl | 1<<wire.TypeCacheProbe | 1<<wire.TypeStatus
+
+// handleUngated serves the sessions no admission gate may hold: control
+// pushes (a loaded depot must still hear the controller whose tables
+// could shed the load), cache probes (how load gets shed to begin with)
+// and status queries (a loaded sink must still answer its senders, or
+// they time out and retry into it). None carries payload to relay. A
+// depot with no Local sink refuses status queries.
+func (s *Server) handleUngated(conn net.Conn, h *wire.Header, f *flow) {
+	if h.Type == wire.TypeStatus && s.cfg.Local == nil {
+		s.st.refused.Add(1)
+		s.met.refused.Inc()
+		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "no sink"})
+		_ = lsl.Refuse(conn, h)
+		return
+	}
+	s.st.accepted.Add(1)
+	s.met.accepted.Inc()
+	f.emit(obs.KindAccept, obs.Event{Peer: h.Src.String()})
+	var err error
+	switch h.Type {
+	case wire.TypeControl:
+		err = s.handleControl(conn, h, f)
+	case wire.TypeCacheProbe:
+		err = s.handleCacheProbe(conn, h, f)
+	default:
+		err = s.cfg.Local(&lsl.Session{Conn: conn, Header: h})
+	}
+	if err != nil {
+		s.st.errors.Add(1)
+		s.met.errors.Inc()
+		f.emit(obs.KindError, obs.Event{Detail: err.Error()})
+		s.logf("depot %s: session %s of type %d: %v", s.cfg.Self, h.Session, h.Type, err)
+	}
+}
+
 // admitSession reserves a MaxSessions slot for the session, waiting in
 // the bounded admission queue when one is configured. It returns a
 // release function and an empty refusal reason on success; a non-empty
@@ -712,7 +735,7 @@ func (s *Server) admitSession(f *flow, h *wire.Header) (release func(), refusal 
 // so chain-level recovery is visible hop by hop.
 func (s *Server) dialOnward(next wire.Endpoint, f *flow) (net.Conn, error) {
 	var out net.Conn
-	err := s.cfg.ForwardRetry.Do(context.Background(), func(attempt int) error {
+	err := s.cfg.ForwardRetry.Do(s.ctx, func(attempt int) error {
 		if attempt > 0 {
 			s.st.forwardRetries.Add(1)
 			s.met.fwdRetries.Inc()

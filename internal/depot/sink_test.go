@@ -1,6 +1,7 @@
 package depot
 
 import (
+	"context"
 	"crypto/sha256"
 	"errors"
 	"io"
@@ -182,7 +183,6 @@ func TestSink(t *testing.T) {
 					h.AddOption(wire.TraceIDOption(tid))
 				}
 				if tc.paths {
-					h.AddOption(wire.PathSetIDOption(wire.SessionID{9}))
 					h.AddOption(wire.PathIndexOption(uint16(i%2), 2))
 				}
 				if tc.framed {
@@ -275,7 +275,6 @@ func TestSinkConcurrentRanges(t *testing.T) {
 		h := &wire.Header{Version: wire.Version1, Type: wire.TypeData, Session: id}
 		h.AddOption(wire.ContentDigestOption(want))
 		h.AddOption(wire.TraceIDOption(tid))
-		h.AddOption(wire.PathSetIDOption(wire.SessionID{9}))
 		h.AddOption(wire.PathIndexOption(uint16(i%2), 2))
 		if from > 0 {
 			h.AddOption(wire.ResumeOffsetOption(uint64(from)))
@@ -311,5 +310,186 @@ func TestSinkConcurrentRanges(t *testing.T) {
 	}
 	if n, b := k.Live(), k.buffered.Load(); n != 0 || b != 0 {
 		t.Fatalf("%d live records, %d bytes buffered after the verdict", n, b)
+	}
+}
+
+// TestUnawaitedReportsBounded: the reports nobody awaits — a sender
+// that gave up, a stolen range's duplicate — stay within a constant
+// count budget, and the newest still answers Await.
+func TestUnawaitedReportsBounded(t *testing.T) {
+	reports := make(chan Report, 1)
+	k := NewSink(func(r Report) { reports <- r }, nil)
+	filed := func() (n int) {
+		k.mu.Lock()
+		defer k.mu.Unlock()
+		for _, gen := range []map[Query][]Report{k.reps, k.oldReps} {
+			for _, l := range gen {
+				n += len(l)
+			}
+		}
+		return n
+	}
+	payload := make([]byte, 16)
+	const sessions = 2*maxReports + 1
+	for i := 0; i < sessions; i++ {
+		id := sinkObject(i)
+		FillPattern(payload, id, 0)
+		sinkSession(t, k, reports, &wire.Header{Version: wire.Version1, Type: wire.TypeData, Session: id}, payload, 0, int64(len(payload)), false)
+		if i%512 == 0 {
+			if n := filed(); n > maxReports {
+				t.Fatalf("%d reports filed after %d sessions, budget %d", n, i+1, maxReports)
+			}
+		}
+	}
+	if n := filed(); n > maxReports {
+		t.Fatalf("%d reports filed after %d sessions, budget %d", n, sessions, maxReports)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+	defer cancel()
+	if r, err := k.Await(ctx, Query{ID: sinkObject(sessions - 1)}); err != nil || r.Bytes != int64(len(payload)) {
+		t.Fatalf("newest report = %+v, %v", r, err)
+	}
+	gone, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
+	defer cancel()
+	if r, err := k.Await(gone, Query{ID: sinkObject(0)}); err == nil {
+		t.Fatalf("the oldest report is still filed: %+v", r)
+	}
+}
+
+// TestStatusQuery asks a depot's sink for its reports over the status
+// session: a depot without a sink refuses, a filed report is answered
+// with its acked end and verdict, a query waits for a report still to
+// come, and a depot whose one admission slot is taken still answers.
+func TestStatusQuery(t *testing.T) {
+	bare, err := New(Config{Self: statusSelf, Dial: noDial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := query(pipeDialer(bare), sinkObject(1), sinkTrace(1), 0); !errors.Is(err, lsl.ErrRefused) {
+		t.Fatalf("status query to a depot without a sink: %v, want lsl.ErrRefused", err)
+	}
+
+	k := NewSink(nil, nil)
+	srv, err := New(Config{Self: statusSelf, Dial: noDial, Local: k.Handle, MaxSessions: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := pipeDialer(srv)
+	const size = 3000
+	send := func(id wire.SessionID, tid wire.TraceID, from, to int64, want wire.ContentDigest) *lsl.Session {
+		sess, err := lsl.Start(d, lsl.Spec{ID: id, Dst: statusSelf, Offset: from,
+			Options: []wire.Option{wire.TraceIDOption(tid), wire.ContentDigestOption(want)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WritePattern(sess, make([]byte, 1000), id, from, to); err != nil {
+			t.Fatal(err)
+		}
+		return sess
+	}
+
+	// A query for a report still to come waits for it; the resumed
+	// session completes the digest and the verdict query hears it.
+	id, tid := sinkObject(2), sinkTrace(2)
+	send(id, tid, 0, 1000, PatternDigest(id, size)).Close()
+	answer := make(chan wire.Status, 1)
+	go func() {
+		st, err := query(d, id, tid, 1000)
+		if err != nil {
+			t.Error(err)
+		}
+		answer <- st
+	}()
+	time.Sleep(20 * time.Millisecond)
+	send(id, tid, 1000, size, PatternDigest(id, size)).Close()
+	if st := <-answer; st != (wire.Status{End: size, Verdict: wire.VerdictOK, Checked: true}) {
+		t.Fatalf("status of the resumed session = %+v", st)
+	}
+	if st, err := query(d, id, tid, VerdictOffset); err != nil || !st.Checked || st.Err() != nil {
+		t.Fatalf("verdict = %+v, %v", st, err)
+	}
+
+	// A mismatch reaches the sender as wire.ErrDigest, while an open
+	// session holds the depot's one admission slot.
+	id, tid = sinkObject(3), sinkTrace(3)
+	bad := PatternDigest(id, size)
+	bad.Sum[0] ^= 1
+	send(id, tid, 0, size, bad).Close()
+	hold, err := lsl.Start(d, lsl.Spec{Dst: statusSelf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer hold.Close()
+	for deadline := time.Now().Add(5 * time.Second); srv.active.Load() < 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the holding session was never admitted")
+		}
+	}
+	st, err := query(d, id, tid, 0)
+	if err != nil || !errors.Is(st.Err(), wire.ErrDigest) || st.End != size {
+		t.Fatalf("status of a mismatch under load = %+v (%v), %v", st, st.Err(), err)
+	}
+}
+
+// statusSelf is the endpoint of the depots the status tests query.
+var statusSelf = wire.MustEndpoint("10.9.0.1:7411")
+
+var noDial = lsl.DialerFunc(func(string) (net.Conn, error) { return nil, errors.New("no onward hops") })
+
+// pipeDialer connects each dial to srv over an in-memory pipe.
+func pipeDialer(srv *Server) lsl.Dialer {
+	return lsl.DialerFunc(func(string) (net.Conn, error) {
+		c, s := net.Pipe()
+		go srv.Handle(s)
+		return c, nil
+	})
+}
+
+// query asks the sink at statusSelf for the report of session id's
+// range at off under trace tid.
+func query(d lsl.Dialer, id wire.SessionID, tid wire.TraceID, off int64) (wire.Status, error) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	return lsl.Status(ctx, d, lsl.Spec{ID: id, Dst: statusSelf, Offset: off, Options: []wire.Option{wire.TraceIDOption(tid)}})
+}
+
+// TestStatusPending: a query whose report is still to come is answered
+// pending once statusWait passes, with the end its session has verified
+// so far; one past maxStatusWaits waiting queries is answered pending
+// at once; and a query after the session ended gets its report.
+func TestStatusPending(t *testing.T) {
+	k := NewSink(nil, nil)
+	srv, err := New(Config{Self: statusSelf, Dial: noDial, Local: k.Handle})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := pipeDialer(srv)
+	id, tid := sinkObject(4), sinkTrace(4)
+	sess, err := lsl.Start(d, lsl.Spec{ID: id, Dst: statusSelf, Options: []wire.Option{wire.TraceIDOption(tid)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := WritePattern(sess, make([]byte, 1000), id, 0, 1000); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	st, err := query(d, id, tid, 0)
+	if err != nil || st != (wire.Status{End: 1000, Verdict: wire.VerdictPending}) || time.Since(start) < statusWait {
+		t.Fatalf("status of an open session after %v = %+v, %v; want pending at 1000 after %v", time.Since(start), st, err, statusWait)
+	}
+	for k.waits.Load() != 0 {
+		time.Sleep(time.Millisecond) // the answer counts out after its write
+	}
+	k.waits.Store(maxStatusWaits)
+	start = time.Now()
+	st, err = query(d, id, tid, 0)
+	if err != nil || st.Verdict != wire.VerdictPending || time.Since(start) >= statusWait {
+		t.Fatalf("status past the wait cap after %v = %+v, %v; want pending at once", time.Since(start), st, err)
+	}
+	k.waits.Store(0)
+	sess.Close()
+	if st, err := query(d, id, tid, 0); err != nil || st != (wire.Status{End: 1000}) {
+		t.Fatalf("status of the ended session = %+v, %v", st, err)
 	}
 }

@@ -1,7 +1,11 @@
 package lsl
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"time"
 
 	"github.com/netlogistics/lsl/internal/wire"
@@ -15,11 +19,12 @@ import (
 // across a path's depots before deciding whether a transfer can be
 // served from cache.
 func CacheProbe(d Dialer, self, depotAddr wire.Endpoint, digest wire.ContentDigest, deadline time.Time) ([]wire.ByteRange, error) {
-	resp, err := cacheExchange(d, self, depotAddr, []wire.Option{wire.CacheLookupOption(digest)}, deadline)
+	resp, err := exchange(d, Spec{Type: wire.TypeCacheProbe, Src: self, Dst: depotAddr, Options: []wire.Option{wire.CacheLookupOption(digest)}}, deadline)
 	if err != nil {
 		return nil, err
 	}
-	ranges, _ := resp.CacheAdvert()
+	resp.Close()
+	ranges, _ := resp.Header.CacheAdvert()
 	return ranges, nil
 }
 
@@ -29,31 +34,64 @@ func CacheProbe(d Dialer, self, depotAddr wire.Endpoint, digest wire.ContentDige
 // to build the mesh-wide digest→holders map cache-aware planning
 // scores routes with. The whole exchange ends by deadline.
 func CacheInventory(d Dialer, self, depotAddr wire.Endpoint, deadline time.Time) ([]wire.ContentDigest, error) {
-	resp, err := cacheExchange(d, self, depotAddr, nil, deadline)
+	resp, err := exchange(d, Spec{Type: wire.TypeCacheProbe, Src: self, Dst: depotAddr}, deadline)
 	if err != nil {
 		return nil, err
 	}
-	return resp.CacheLookups(), nil
+	resp.Close()
+	return resp.Header.CacheLookups(), nil
 }
 
-// cacheExchange runs one TypeCacheProbe round trip by deadline.
-func cacheExchange(d Dialer, self, depotAddr wire.Endpoint, opts []wire.Option, deadline time.Time) (*wire.Header, error) {
-	req, err := Start(TimeoutDialer(d, max(time.Until(deadline), time.Nanosecond)), Spec{Type: wire.TypeCacheProbe, Src: self, Dst: depotAddr, Options: opts})
+// Status asks the sink at sp.Dst for its report of the session sp
+// names by id, trace option and resume offset, waiting until ctx's
+// deadline, which it must carry, or until ctx ends. ErrRefused means
+// the depot there runs no sink, or is a peer without status queries,
+// which closes them unanswered. A report still to come is answered
+// wire.VerdictPending: the caller asks again.
+func Status(ctx context.Context, d Dialer, sp Spec) (wire.Status, error) {
+	sp.Type = wire.TypeStatus
+	deadline, _ := ctx.Deadline()
+	resp, err := exchange(DialerFunc(func(address string) (net.Conn, error) {
+		conn, err := d.Dial(address)
+		if err == nil {
+			// Ending ctx closes the query, which ends its wait.
+			context.AfterFunc(ctx, func() { conn.Close() })
+		}
+		return conn, err
+	}), sp, deadline)
+	if errors.Is(err, io.EOF) {
+		err = fmt.Errorf("%w: %s closed the status query unanswered", ErrRefused, sp.Dst)
+	}
+	if err != nil {
+		return wire.Status{}, err
+	}
+	defer resp.Close()
+	return wire.ReadStatus(resp)
+}
+
+// exchange runs the first half of one request/response round trip by
+// deadline: it opens sp and reads the answer's header, which must be of
+// sp's type. The session it returns holds that header and is positioned
+// after it; the caller closes it.
+func exchange(d Dialer, sp Spec, deadline time.Time) (*Session, error) {
+	req, err := Start(TimeoutDialer(d, max(time.Until(deadline), time.Nanosecond)), sp)
 	if err != nil {
 		return nil, err
 	}
-	defer req.Close()
 	_ = req.SetDeadline(deadline)
 	resp, err := wire.ReadHeader(req)
-	if err != nil {
-		return nil, fmt.Errorf("lsl: cache probe response: %w", err)
-	}
-	if resp.Type == wire.TypeRefuse {
+	switch {
+	case err != nil:
+		err = fmt.Errorf("lsl: response to type %d: %w", sp.Type, err)
+	case resp.Type == wire.TypeRefuse:
 		metrics().Counter(MetricRefusalsSeen).Inc()
-		return nil, ErrRefused
+		err = ErrRefused
+	case resp.Type != sp.Type:
+		err = fmt.Errorf("lsl: response type %d to a type %d request", resp.Type, sp.Type)
 	}
-	if resp.Type != wire.TypeCacheProbe {
-		return nil, fmt.Errorf("lsl: unexpected cache probe response type %d", resp.Type)
+	if err != nil {
+		req.Close()
+		return nil, err
 	}
-	return resp, nil
+	return &Session{Conn: req.Conn, Header: resp}, nil
 }

@@ -14,6 +14,7 @@ package lsl
 import (
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync/atomic"
@@ -71,6 +72,16 @@ type Session struct {
 
 // ID returns the session identifier.
 func (s *Session) ID() wire.SessionID { return s.Header.Session }
+
+// Payload returns the writer a sender streams payload through: CRC-32C
+// frames every depot hop verifies when the header is checksummed, the
+// raw stream otherwise.
+func (s *Session) Payload() io.Writer {
+	if s.Header.Checksummed() {
+		return wire.NewFrameWriter(s)
+	}
+	return s
+}
 
 // Spec names one session for Start to open: its header (type, id,
 // endpoints, options) and how it reaches its first hop.

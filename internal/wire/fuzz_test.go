@@ -15,7 +15,7 @@ import (
 func FuzzParseOptions(f *testing.F) {
 	f.Add(uint16(OptSourceRoute), []byte{})
 	f.Add(uint16(OptSourceRoute), SourceRouteOption([]Endpoint{MustEndpoint("10.0.0.1:1")}).Data)
-	f.Add(uint16(OptBufferAdvert), BufferAdvertOption(4096).Data)
+	f.Add(uint16(2), []byte{0, 0, 0x10, 0}) // a reserved kind
 	f.Add(uint16(OptGenerate), GenerateOption(1<<20).Data)
 	f.Add(uint16(OptHopIndex), HopIndexOption(3).Data)
 	f.Add(uint16(OptResumeOffset), ResumeOffsetOption(12345).Data)
@@ -75,7 +75,6 @@ func FuzzParseOptions(f *testing.F) {
 		}
 		// The scalar parsers must simply not panic and must reject
 		// wrong-kind or wrong-length bodies without bogus success.
-		_, _ = ParseBufferAdvert(o)
 		_, _ = ParseGenerate(o)
 		_, _ = ParseFetchID(o)
 		_, _ = ParseHopIndex(o)
@@ -372,7 +371,7 @@ func FuzzReadHeader(f *testing.F) {
 		Type:    TypeData,
 		Src:     MustEndpoint("10.0.0.1:7411"),
 		Dst:     MustEndpoint("10.0.0.9:7411"),
-		Options: []Option{HopIndexOption(1), BufferAdvertOption(4096)},
+		Options: []Option{HopIndexOption(1), {Kind: 2, Data: []byte{0, 0, 0x10, 0}}},
 	}
 	buf, err := h.MarshalBinary()
 	if err != nil {
@@ -399,22 +398,22 @@ func FuzzReadHeader(f *testing.F) {
 	})
 }
 
-// FuzzPathOptions concentrates on the two multipath wire options, with
-// a seed corpus of the malformations a depot actually meets: truncated
-// and oversized set ids, zero path counts, and indices at or beyond the
-// count. A parser may reject or accept; an accepted body must
+// FuzzPathOptions concentrates on the multipath wire option, with a
+// seed corpus of the malformations a depot actually meets: zero path
+// counts, indices at or beyond the count, and the reserved kind 19 (a
+// set id once). A parser may reject or accept; an accepted body must
 // round-trip byte-for-byte and satisfy index < count, and whatever the
 // parser decides, the header accessors must degrade malformed bodies
-// to single-path (count 1, index 0, set id absent) rather than panic.
+// to single-path (count 1, index 0) rather than panic.
 func FuzzPathOptions(f *testing.F) {
 	var id SessionID
 	for i := range id {
 		id[i] = byte(i * 7)
 	}
-	f.Add(uint16(OptPathSetID), PathSetIDOption(id).Data)
-	f.Add(uint16(OptPathSetID), PathSetIDOption(id).Data[:15])
-	f.Add(uint16(OptPathSetID), append(PathSetIDOption(id).Data, 0xff))
-	f.Add(uint16(OptPathSetID), []byte{})
+	f.Add(uint16(19), id[:])
+	f.Add(uint16(19), id[:15])
+	f.Add(uint16(19), append(id[:], 0xff))
+	f.Add(uint16(19), []byte{})
 	f.Add(uint16(OptPathIndex), PathIndexOption(0, 1).Data)
 	f.Add(uint16(OptPathIndex), PathIndexOption(3, 4).Data)
 	f.Add(uint16(OptPathIndex), PathIndexOption(0, 0).Data)            // zero count
@@ -425,11 +424,6 @@ func FuzzPathOptions(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind uint16, data []byte) {
 		o := Option{Kind: kind, Data: data}
-		if got, err := ParsePathSetID(o); err == nil {
-			if !bytes.Equal(PathSetIDOption(got).Data, data) {
-				t.Errorf("path set id round-trip mismatch: %x", data)
-			}
-		}
 		if i, n, err := ParsePathIndex(o); err == nil {
 			if n == 0 || i >= n {
 				t.Fatalf("accepted path coordinate %d/%d", i, n)
@@ -454,6 +448,5 @@ func FuzzPathOptions(f *testing.F) {
 		if i := back.PathIndex(); i < 0 || (i != 0 && i >= back.PathCount()) {
 			t.Fatalf("PathIndex = %d of %d", i, back.PathCount())
 		}
-		_, _ = back.PathSetID()
 	})
 }

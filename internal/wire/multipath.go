@@ -5,38 +5,17 @@ import (
 	"fmt"
 )
 
-// Multipath options tie the k pinned-route sessions of one logical
-// transfer together. Every session of a multipath transfer shares the
-// transfer's session id (so sinks dispatch acks by absolute offset,
-// exactly as stripes do) and additionally carries a path-set id — a
-// second identifier grouping the disjoint routes for tracing and
-// per-path accounting — plus its own (index, count) coordinate in the
-// set. Depots forward both options untouched; a malformed body
-// degrades to absent, which a reader must treat as "single path".
+// Every session of a multipath transfer shares the transfer's session
+// id (so the sink stitches the routes by absolute offset, exactly as
+// stripes do) and carries its own (index, count) route coordinate,
+// which depots forward untouched; a malformed body degrades to absent,
+// which a reader must treat as "single path". Kind 19 is reserved: it
+// was a path-set id nothing read.
 const (
-	// OptPathSetID carries the 16-byte identifier of the multipath
-	// set this session belongs to.
-	OptPathSetID uint16 = 19
 	// OptPathIndex carries which disjoint route (index) of how many
 	// (count) this session is pinned to.
 	OptPathIndex uint16 = 20
 )
-
-// PathSetIDOption tags a session with the multipath set it belongs
-// to.
-func PathSetIDOption(id SessionID) Option {
-	return Option{Kind: OptPathSetID, Data: append([]byte(nil), id[:]...)}
-}
-
-// ParsePathSetID decodes a path-set-id option body.
-func ParsePathSetID(o Option) (SessionID, error) {
-	var id SessionID
-	if o.Kind != OptPathSetID || len(o.Data) != len(id) {
-		return id, fmt.Errorf("%w: bad path set id", ErrBadOption)
-	}
-	copy(id[:], o.Data)
-	return id, nil
-}
 
 // PathIndexOption identifies which of count disjoint routes this
 // session is pinned to. Index is zero-based and must be below count.
@@ -63,18 +42,6 @@ func ParsePathIndex(o Option) (index, count uint16, err error) {
 		return 0, 0, fmt.Errorf("%w: path index %d of %d", ErrBadOption, index, count)
 	}
 	return index, count, nil
-}
-
-// PathSetID returns the multipath set this session belongs to, if the
-// header carries a well-formed path-set-id option. Malformed degrades
-// to absent — the session is treated as an ordinary single-path one.
-func (h *Header) PathSetID() (SessionID, bool) {
-	if opt, ok := h.Option(OptPathSetID); ok {
-		if id, err := ParsePathSetID(opt); err == nil {
-			return id, true
-		}
-	}
-	return SessionID{}, false
 }
 
 // PathCount returns how many disjoint routes the session's transfer is

@@ -5,20 +5,6 @@ import (
 	"testing"
 )
 
-func TestPathSetIDRoundTrip(t *testing.T) {
-	id, err := NewSessionID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParsePathSetID(PathSetIDOption(id))
-	if err != nil {
-		t.Fatalf("ParsePathSetID: %v", err)
-	}
-	if got != id {
-		t.Fatalf("round trip mismatch: %v != %v", got, id)
-	}
-}
-
 func TestPathIndexRoundTrip(t *testing.T) {
 	for _, tc := range []struct{ index, count uint16 }{
 		{0, 1}, {0, 2}, {1, 2}, {7, 8}, {0, 65535}, {65534, 65535},
@@ -34,16 +20,6 @@ func TestPathIndexRoundTrip(t *testing.T) {
 }
 
 func TestParsePathOptionsMalformed(t *testing.T) {
-	for _, o := range []Option{
-		{Kind: OptStripeIndex, Data: make([]byte, 16)}, // wrong kind
-		{Kind: OptPathSetID, Data: make([]byte, 15)},   // short
-		{Kind: OptPathSetID, Data: make([]byte, 17)},   // long
-		{Kind: OptPathSetID},                           // empty
-	} {
-		if _, err := ParsePathSetID(o); err == nil {
-			t.Errorf("ParsePathSetID accepted kind=%d len=%d", o.Kind, len(o.Data))
-		}
-	}
 	for _, o := range []Option{
 		{Kind: OptStripeIndex, Data: make([]byte, 4)}, // wrong kind
 		{Kind: OptPathIndex, Data: make([]byte, 3)},   // short
@@ -65,18 +41,11 @@ func TestParsePathOptionsMalformed(t *testing.T) {
 // single-path traffic instead of refusing it.
 func TestHeaderPathOptionsDegradeToSinglePath(t *testing.T) {
 	h := &Header{Version: Version1, Type: TypeData}
-	if _, ok := h.PathSetID(); ok {
-		t.Fatal("PathSetID present on a header without the option")
-	}
 	if h.PathCount() != 1 || h.PathIndex() != 0 {
 		t.Fatalf("bare header: count=%d index=%d, want 1/0", h.PathCount(), h.PathIndex())
 	}
 
-	id, err := NewSessionID()
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Options = []Option{PathSetIDOption(id), PathIndexOption(2, 4)}
+	h.Options = []Option{PathIndexOption(2, 4)}
 	raw, err := h.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -85,15 +54,12 @@ func TestHeaderPathOptionsDegradeToSinglePath(t *testing.T) {
 	if err := back.UnmarshalBinary(raw); err != nil {
 		t.Fatal(err)
 	}
-	if got, ok := back.PathSetID(); !ok || got != id {
-		t.Fatalf("PathSetID after wire round trip = %v/%v", got, ok)
-	}
 	if back.PathCount() != 4 || back.PathIndex() != 2 {
 		t.Fatalf("path coordinate after round trip = %d/%d, want 2/4", back.PathIndex(), back.PathCount())
 	}
 
 	for _, opts := range [][]Option{
-		{{Kind: OptPathSetID, Data: make([]byte, 3)}, {Kind: OptPathIndex, Data: []byte{1}}},
+		{{Kind: 19, Data: make([]byte, 3)}, {Kind: OptPathIndex, Data: []byte{1}}},
 		{PathIndexOption(0, 0)},
 		{PathIndexOption(5, 5)},
 	} {
@@ -106,9 +72,6 @@ func TestHeaderPathOptionsDegradeToSinglePath(t *testing.T) {
 		if err := back.UnmarshalBinary(raw); err != nil {
 			t.Fatal(err)
 		}
-		if _, ok := back.PathSetID(); ok {
-			t.Errorf("malformed path set id %x read as present", opts)
-		}
 		if back.PathCount() != 1 || back.PathIndex() != 0 {
 			t.Errorf("malformed %x: count=%d index=%d, want single-path 1/0",
 				opts, back.PathCount(), back.PathIndex())
@@ -117,15 +80,12 @@ func TestHeaderPathOptionsDegradeToSinglePath(t *testing.T) {
 }
 
 // TestPathOptionsForwardedUntouched checks that a depot re-marshalling
-// a header preserves the path options byte-for-byte (the forwarding
-// path rewrites the source route but must not disturb path identity).
+// a header preserves the path option byte-for-byte (the forwarding
+// path rewrites the source route but must not disturb path identity),
+// and an option of the reserved kind 19 beside it.
 func TestPathOptionsForwardedUntouched(t *testing.T) {
-	id, err := NewSessionID()
-	if err != nil {
-		t.Fatal(err)
-	}
 	h := &Header{Version: Version1, Type: TypeData, Options: []Option{
-		PathSetIDOption(id),
+		{Kind: 19, Data: make([]byte, 16)},
 		PathIndexOption(1, 3),
 	}}
 	raw, err := h.MarshalBinary()

@@ -42,22 +42,6 @@ func ParseSourceRoute(o Option) ([]Endpoint, error) {
 	return hops, nil
 }
 
-// BufferAdvertOption advertises the sender's pipeline buffering in
-// bytes.
-func BufferAdvertOption(bytes uint32) Option {
-	var data [4]byte
-	binary.BigEndian.PutUint32(data[:], bytes)
-	return Option{Kind: OptBufferAdvert, Data: data[:]}
-}
-
-// ParseBufferAdvert decodes a buffer advertisement.
-func ParseBufferAdvert(o Option) (uint32, error) {
-	if o.Kind != OptBufferAdvert || len(o.Data) != 4 {
-		return 0, fmt.Errorf("%w: bad buffer advertisement", ErrBadOption)
-	}
-	return binary.BigEndian.Uint32(o.Data), nil
-}
-
 // GenerateOption carries the byte count of a TypeGenerate request.
 func GenerateOption(size uint64) Option {
 	var data [8]byte

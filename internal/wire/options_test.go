@@ -34,7 +34,7 @@ func TestSourceRouteEmpty(t *testing.T) {
 }
 
 func TestSourceRouteErrors(t *testing.T) {
-	if _, err := ParseSourceRoute(Option{Kind: OptBufferAdvert}); err == nil {
+	if _, err := ParseSourceRoute(Option{Kind: OptGenerate}); err == nil {
 		t.Fatal("wrong kind accepted")
 	}
 	if _, err := ParseSourceRoute(Option{Kind: OptSourceRoute, Data: []byte{1, 2, 3}}); err == nil {
@@ -63,16 +63,6 @@ func TestSourceRouteProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestBufferAdvert(t *testing.T) {
-	got, err := ParseBufferAdvert(BufferAdvertOption(12345))
-	if err != nil || got != 12345 {
-		t.Fatalf("advert = %v, %v", got, err)
-	}
-	if _, err := ParseBufferAdvert(Option{Kind: OptBufferAdvert, Data: []byte{1}}); err == nil {
-		t.Fatal("short advert accepted")
 	}
 }
 

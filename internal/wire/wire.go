@@ -6,8 +6,8 @@
 // header can carry variable-length options (Section 2 of the paper).
 // Options are TLVs; the ones defined here are the loose source route
 // (the initiator-specified path through session-layer depots), the
-// multicast staging tree, a buffer advertisement, and the generate-data
-// test request used by the evaluation harness.
+// multicast staging tree, and the generate-data test request used by
+// the evaluation harness.
 //
 // Fixed header layout, big endian:
 //
@@ -69,8 +69,8 @@ const (
 	// OptSourceRoute carries the remaining loose source route: a list
 	// of endpoints still to traverse, ending with the final sink.
 	OptSourceRoute uint16 = 1
-	// OptBufferAdvert advertises the sender's pipeline buffer size.
-	OptBufferAdvert uint16 = 2
+	// Kind 2 is reserved: it was a buffer advertisement nothing
+	// produced or read.
 	// OptGenerate carries the byte count for TypeGenerate sessions.
 	OptGenerate uint16 = 3
 	// OptMulticastTree carries a serialized staging tree.
