@@ -79,9 +79,12 @@ race:
 # returned (TestMultipathDigestMismatchFails: a verdict the duplicate
 # of a stolen range raced), the sink's record table, tombstones and
 # budgets, and its status answers (TestStatusQuery). A record leaked by
-# a late range fails here instead of flaking tier-1.
+# a late range fails here instead of flaking tier-1. So does a store
+# confirmed before the storing depot holds it: the depot's store status
+# (TestStoreStatus) and the in-process and engine stores that wait for
+# it (TestAsyncStoreConfirmed, TestEngineStoreAndFetch).
 stress:
-	$(GO) test -race -count=50 -run 'TestMultipath|TestSink|TestStatusQuery' ./internal/core/ ./internal/depot/
+	$(GO) test -race -count=50 -run 'TestMultipath|TestSink|TestStatusQuery|TestStoreStatus$$|TestAsyncStoreConfirmed|TestEngineStoreAndFetch' ./internal/core/ ./internal/depot/
 
 # Statement-coverage floors for the packages whose untested branches
 # hurt the most (see coverage-floors.txt for which and why). The

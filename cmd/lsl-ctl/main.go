@@ -58,6 +58,7 @@ import (
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/schedule"
+	"github.com/netlogistics/lsl/internal/stats"
 	"github.com/netlogistics/lsl/internal/topo"
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -103,7 +104,7 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	probeBytes, err := parseSize(*probeSpec)
+	probeBytes, err := stats.ParseSize(*probeSpec)
 	if err != nil {
 		return err
 	}
@@ -262,23 +263,4 @@ func loadRoster(path string) ([]rosterEntry, error) {
 		return nil, fmt.Errorf("%s: roster has %d hosts, need >= 2", path, len(roster))
 	}
 	return roster, nil
-}
-
-// parseSize parses a byte count with K/M/G suffixes.
-func parseSize(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	var n int64
-	if _, err := fmt.Sscanf(s, "%d", &n); err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return n * mult, nil
 }

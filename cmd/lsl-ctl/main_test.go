@@ -4,6 +4,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"github.com/netlogistics/lsl/internal/stats"
 )
 
 func writeRoster(t *testing.T, content string) string {
@@ -58,16 +60,18 @@ func TestLoadRosterRejectsBadInput(t *testing.T) {
 	}
 }
 
+// TestParseSize holds the -probe sizes lsl-ctl takes through the shared
+// parser: whole byte counts and K/M/G multiples, nothing below one.
 func TestParseSize(t *testing.T) {
 	for spec, want := range map[string]int64{"256K": 256 << 10, "1M": 1 << 20, "2G": 2 << 30, "512": 512} {
-		got, err := parseSize(spec)
+		got, err := stats.ParseSize(spec)
 		if err != nil || got != want {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", spec, got, err, want)
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", spec, got, err, want)
 		}
 	}
 	for _, spec := range []string{"", "-1", "0", "xK"} {
-		if _, err := parseSize(spec); err == nil {
-			t.Errorf("parseSize(%q) succeeded", spec)
+		if _, err := stats.ParseSize(spec); err == nil {
+			t.Errorf("ParseSize(%q) succeeded", spec)
 		}
 	}
 }

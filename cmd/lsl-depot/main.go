@@ -170,25 +170,13 @@ func run() error {
 	lsl.SetMetrics(reg)
 
 	// Trace sinks: a local JSONL file, a remote collector, or both.
-	var sinks obs.MultiSink
-	if *traceOut != "" {
-		tf, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return fmt.Errorf("trace file: %w", err)
-		}
-		defer tf.Close()
-		sinks = append(sinks, obs.NewJSONSink(tf).CountDrops(reg.Counter(obs.MetricTraceDrops)))
+	trace, closeTrace, err := obs.OpenTrace(*traceOut, *tracePush, reg)
+	defer closeTrace()
+	if err != nil {
+		return err
 	}
 	if *tracePush != "" {
-		push := obs.NewPushSink(obs.PushConfig{URL: *tracePush}).
-			CountDrops(reg.Counter(obs.MetricTraceDrops))
-		defer push.Close()
-		sinks = append(sinks, push)
 		log.Printf("pushing trace events to %s", *tracePush)
-	}
-	var trace obs.Sink
-	if len(sinks) > 0 {
-		trace = sinks
 	}
 
 	cfg := depot.Config{

@@ -6,37 +6,30 @@
 //
 //	lsl-xfer -to 198.51.100.9:7411 -via 198.51.100.7:7411,198.51.100.8:7411 -size 64M
 //
-// Every send mode runs on core.Engine, the sender the in-process
-// library drives over its emulated network. After each session it asks
-// the sink at -to, in a status session of its own, what the sink
-// verified: a retry (-retries, -retry-backoff) resumes at the acked
-// offset under the same session id, and a sink-side digest mismatch
-// fails the send with wire.ErrDigest and a non-zero exit. A send is
-// bounded by its progress, not its length. A sink that refuses the
-// query (a plain depot) or closes it unanswered leaves completion to
-// the send side, logged once. -failover drops the -via route after an
-// attempt without progress and dials -to directly.
+// Every mode runs on core.Engine, the sender the in-process library
+// drives over its emulated network, and completes when the endpoint
+// that keeps the data says so, asked in a status session of its own:
+// the sink at -to for a send, whose digest mismatch fails it with
+// wire.ErrDigest, and the depot at -to for a -store. A retry
+// (-retries) resumes at the acked offset. A peer that refuses the query
+// or closes it unanswered leaves completion to the send side, logged
+// once. A session is bounded by the progress it shows, not its length,
+// and ends on an interrupt.
 //
-// The send modes, mutually exclusive: -stripes N splits the object
-// over N parallel chains sharing one session id; -multipath K fans it
-// over K ';'-separated -via routes that pull ranges off one work queue
-// and steal an unfinished one once it drains; -table-driven dials one
-// -via entry depot with no source route, to be forwarded by
-// controller-pushed tables; -cached probes the -via depots' caches and
-// has the holder of a cached suffix serve it, sending only the cold
-// prefix (the first run prints the -id that names the object again);
-// -store stages the object at -to for a later -fetch; -generate has the
-// first depot synthesize it.
-//
-// -verify-integrity frames the payload in CRC-32C chunks every depot
-// verifies, and an unstriped send also carries a whole-object SHA-256
-// digest the sink checks. -weight N asks fair-share depots for N× a
-// weight-1 session's bandwidth.
+// The send modes, mutually exclusive: -stripes N (N parallel chains),
+// -multipath K (K ';'-separated -via routes pulling ranges off one work
+// queue), -table-driven (one -via entry depot, controller-pushed
+// tables), -cached (a depot's cached suffix served for the object -id
+// names), -store (staged at the depot -to for a later -fetch, whose id
+// it prints once the depot holds it all) and -generate (synthesized by
+// the first -via depot). -verify-integrity adds CRC-32C chunk frames
+// and, unstriped, a whole-object SHA-256 digest the sink checks;
+// -weight N asks fair-share depots for N shares; -failover drops the
+// -via route after an attempt without progress.
 //
 // Sink mode reads every session through depot.Sink, which verifies the
-// pattern and the header's integrity options, stitches resumed,
-// cache-served and multipath ranges into one digest per transfer,
-// prints each session's verdict, and answers senders' status queries:
+// pattern and the integrity options, prints each session's verdict and
+// answers senders' status queries:
 //
 //	lsl-xfer -sink -listen 0.0.0.0:7411 -self 198.51.100.9:7411
 //
@@ -57,7 +50,6 @@ import (
 	"net"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -67,6 +59,7 @@ import (
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/retry"
+	"github.com/netlogistics/lsl/internal/stats"
 	"github.com/netlogistics/lsl/internal/trace"
 	"github.com/netlogistics/lsl/internal/wire"
 )
@@ -117,24 +110,41 @@ func main() {
 // run serves as the sink, or makes one send or fetch under the -sample
 // sampler, which counts every byte its connections write and read.
 func run(ctx context.Context) error {
-	tr, closeTrace, err := openTrace()
+	reg := obs.NewRegistry()
+	tr, closeTrace, err := obs.OpenTrace(*traceOut, *tracePush, reg)
 	if err != nil {
 		return err
 	}
-	defer closeTrace()
+	defer func() {
+		closeTrace()
+		if n := reg.Counter(obs.MetricTraceDrops).Value(); n > 0 {
+			log.Printf("trace: %d events dropped", n)
+		}
+	}()
 	if *sink {
 		return runSink(ctx, tr)
+	}
+	if *to == "" {
+		usage("-to is required")
+	}
+	dst, err := wire.ParseEndpoint(*to)
+	if err != nil {
+		return err
+	}
+	srcEP, err := wire.ParseEndpoint(*src)
+	if err != nil {
+		return err
 	}
 	// One trace id spans the whole transfer: every attempt, stripe and
 	// range, and every depot hop the header reaches.
 	if tid, err := wire.NewTraceID(); err == nil {
 		xferTrace = tid
 	}
+	eng := &core.Engine{Dial: tcpDial, Src: srcEP, Await: depot.RemoteAwait(tcpDial, srcEP, dst, stallTimeout, log.Printf), Stall: stallTimeout, Trace: tr}
 	var sampler *obs.ByteSampler
-	dial := lsl.Dialer(tcpDial)
 	if *sampleIvl > 0 {
 		sampler = obs.NewByteSampler("lsl-xfer", *sampleIvl)
-		dial = lsl.DialerFunc(func(addr string) (net.Conn, error) {
+		eng.Dial = lsl.DialerFunc(func(addr string) (net.Conn, error) {
 			conn, err := tcpDial.Dial(addr)
 			if err != nil {
 				return nil, err
@@ -145,9 +155,9 @@ func run(ctx context.Context) error {
 	start := time.Now()
 	var id wire.SessionID
 	if *fetchID != "" {
-		id, err = runFetch(dial, tr)
+		id, err = runFetch(ctx, eng, dst)
 	} else {
-		id, err = runSend(ctx, dial, tr)
+		id, err = runSend(ctx, eng, dst)
 	}
 	if sampler != nil {
 		series := sampler.Stop()
@@ -160,29 +170,6 @@ func run(ctx context.Context) error {
 		}
 	}
 	return err
-}
-
-// openTrace opens the configured trace sinks — the -trace-out JSONL
-// file, the -trace-push collector shipper, or both — or returns a nil
-// Sink (no-op) when neither flag is set. close is always safe to call.
-func openTrace() (obs.Sink, func(), error) {
-	var sinks obs.MultiSink
-	closeAll := func() {}
-	if *traceOut != "" {
-		f, err := os.OpenFile(*traceOut, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
-		if err != nil {
-			return nil, closeAll, fmt.Errorf("trace-out: %w", err)
-		}
-		sinks, closeAll = append(sinks, obs.NewJSONSink(f)), func() { f.Close() }
-	}
-	if *tracePush != "" {
-		push, closeFile := obs.NewPushSink(obs.PushConfig{URL: *tracePush}), closeAll
-		sinks, closeAll = append(sinks, push), func() { closeFile(); push.Close() }
-	}
-	if len(sinks) == 0 {
-		return nil, closeAll, nil
-	}
-	return sinks, closeAll, nil
 }
 
 // tcpDial opens every connection lsl-xfer makes, each bounded to 10 s.
@@ -200,16 +187,13 @@ type sampledConn struct {
 func (c sampledConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 func (c sampledConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
 
-// xferTrace is the end-to-end trace id of this invocation's transfer.
-// Zero (untraced) when entropy failed — tracing is best-effort by
-// design.
+// xferTrace is the end-to-end trace id of this invocation's transfer,
+// zero (untraced) when entropy failed.
 var xferTrace wire.TraceID
 
 // sessionOpts returns the wire options every session of this
-// invocation carries besides the trace id: the fair-share weight (when
-// above the default, so unweighted sends put nothing extra on the
-// wire), and the chunk-checksum option when -verify-integrity armed
-// per-hop verification.
+// invocation carries besides the trace id: the fair-share weight above
+// the default, and chunk checksums under -verify-integrity.
 func sessionOpts() []wire.Option {
 	var opts []wire.Option
 	if *weight > int(wire.DefaultSessionWeight) {
@@ -219,26 +203,6 @@ func sessionOpts() []wire.Option {
 		opts = append(opts, wire.ChunkChecksumOption())
 	}
 	return opts
-}
-
-// traceOpts is the option carrying trace id tid, none when untraced.
-func traceOpts(tid wire.TraceID) []wire.Option {
-	if tid.IsZero() {
-		return nil
-	}
-	return []wire.Option{wire.TraceIDOption(tid)}
-}
-
-// emit0 reports a hop-0 (initiator-side) trace event, stamped with the
-// invocation's trace id when one was minted.
-func emit0(tr obs.Sink, session wire.SessionID, kind string, e obs.Event) {
-	e.Kind = kind
-	e.Session = session.String()
-	e.Node = *src
-	if !xferTrace.IsZero() {
-		e.Trace = xferTrace.String()
-	}
-	obs.Emit(tr, e)
 }
 
 // parseID decodes a 32-hex-digit session id.
@@ -252,59 +216,25 @@ func parseID(s string) (wire.SessionID, error) {
 	return id, nil
 }
 
-// runFetch retrieves an asynchronously stored session and verifies its
-// pattern.
-func runFetch(dial lsl.Dialer, tr obs.Sink) (wire.SessionID, error) {
+// runFetch reads the stored session -fetch names back from the depot
+// dst and verifies its pattern.
+func runFetch(ctx context.Context, eng *core.Engine, dst wire.Endpoint) (wire.SessionID, error) {
 	id, err := parseID(*fetchID)
 	if err != nil {
 		return id, fmt.Errorf("-fetch: %w", err)
 	}
-	depotEP, err := wire.ParseEndpoint(*to)
-	if err != nil {
-		return id, fmt.Errorf("-fetch needs -to <depot>: %w", err)
-	}
-	selfEP, err := wire.ParseEndpoint(*src)
-	if err != nil {
-		return id, err
-	}
 	start := time.Now()
-	sess, err := lsl.Fetch(dial, selfEP, depotEP, id)
+	n, err := eng.Fetch(ctx, dst, id, xferTrace)
 	if err != nil {
 		return id, err
 	}
-	defer sess.Close()
-	emit0(tr, id, obs.KindConnect, obs.Event{Peer: depotEP.String()})
-	total, err := depot.ReadVerified(sess, id, 0, false, func(_ []byte, off int64) {
-		if off == 0 {
-			emit0(tr, id, obs.KindFirstByte, obs.Event{})
-		}
-	})
-	if err != nil {
-		return id, err
-	}
-	emit0(tr, id, obs.KindLastByte, obs.Event{Bytes: total})
-	elapsed := time.Since(start)
-	fmt.Printf("fetched session %s: %d bytes in %v = %.2f Mbit/s [OK]\n",
-		id, total, elapsed.Round(time.Millisecond), float64(total)*8/1e6/elapsed.Seconds())
+	fmt.Printf("fetched session %s: %s [OK]\n", id, rate(n, time.Since(start)))
 	return id, nil
 }
 
-func parseSize(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
-	mult := int64(1)
-	switch {
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1<<10, s[:len(s)-1]
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1<<20, s[:len(s)-1]
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1<<30, s[:len(s)-1]
-	}
-	n, err := strconv.ParseInt(s, 10, 64)
-	if err != nil || n <= 0 {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return n * mult, nil
+// rate renders n bytes moved in d.
+func rate(n int64, d time.Duration) string {
+	return fmt.Sprintf("%d bytes in %v = %.2f Mbit/s", n, d.Round(time.Millisecond), float64(n)*8/1e6/d.Seconds())
 }
 
 // usage rejects the command line with msg.
@@ -315,10 +245,13 @@ func usage(msg string) {
 }
 
 // runSend makes the send the flags describe and returns its session id.
-func runSend(ctx context.Context, dial lsl.Dialer, tr obs.Sink) (wire.SessionID, error) {
-	var id wire.SessionID
-	if *to == "" {
-		usage("-to is required")
+func runSend(ctx context.Context, eng *core.Engine, dst wire.Endpoint) (wire.SessionID, error) {
+	id, err := wire.NewSessionID()
+	if *idSpec != "" {
+		id, err = parseID(*idSpec)
+	}
+	if err != nil {
+		return id, err
 	}
 	if modes := exclusiveModes(*cached, *tableMode, *store, *generate, *stripesN, *multipathN); len(modes) > 1 {
 		usage(strings.Join(modes, " and ") + " are mutually exclusive — pick one send mode")
@@ -326,15 +259,7 @@ func runSend(ctx context.Context, dial lsl.Dialer, tr obs.Sink) (wire.SessionID,
 	if f := overWireLimit(*stripesN, *multipathN); f != "" {
 		usage(fmt.Sprintf("%s above %d does not fit the 16-bit header field", f, math.MaxUint16))
 	}
-	size, err := parseSize(*sizeSpec)
-	if err != nil {
-		return id, err
-	}
-	dst, err := wire.ParseEndpoint(*to)
-	if err != nil {
-		return id, err
-	}
-	srcEP, err := wire.ParseEndpoint(*src)
+	size, err := stats.ParseSize(*sizeSpec)
 	if err != nil {
 		return id, err
 	}
@@ -347,24 +272,13 @@ func runSend(ctx context.Context, dial lsl.Dialer, tr obs.Sink) (wire.SessionID,
 	if *multipathN == 0 && len(routes) > 1 {
 		return id, fmt.Errorf("-via %q names %d routes: only -multipath takes ';'", *via, len(routes))
 	}
-	if *store || *generate {
-		return runStaged(dial, tr, srcEP, dst, route, size)
-	}
-
-	id, err = wire.NewSessionID()
-	if *idSpec != "" {
-		id, err = parseID(*idSpec)
-	}
-	if err != nil {
-		return id, err
-	}
 	o := core.Object{ID: id, Trace: xferTrace, Dst: dst, Size: size, Opts: sessionOpts()}
-	if *verifyInt && !*cached && *stripesN <= 1 {
+	if *verifyInt && !*cached && !*store && *stripesN <= 1 {
 		// Stripes interleave at the sink, so only an unstriped send can
-		// carry the whole-object digest; -cached adds its own.
+		// carry the whole-object digest; -cached adds its own, and a store
+		// has no sink to check one.
 		o.Opts = append(o.Opts, wire.ContentDigestOption(depot.PatternDigest(id, size)))
 	}
-	eng := &core.Engine{Dial: dial, Src: srcEP, Await: depot.RemoteAwait(tcpDial, srcEP, dst, stallTimeout, log.Printf), Stall: stallTimeout, Trace: tr}
 	if *failover {
 		eng.Failover = func(core.Route, wire.SessionID, wire.TraceID) core.Route {
 			log.Printf("failover: abandoning depot route, dialing %s directly", dst)
@@ -379,6 +293,16 @@ func runSend(ctx context.Context, dial lsl.Dialer, tr obs.Sink) (wire.SessionID,
 	start := time.Now()
 	var how string
 	switch {
+	case *generate && len(route) == 0:
+		return id, fmt.Errorf("-generate needs at least one -via depot to do the generating")
+	case *store, *generate:
+		// The depot dst answers for a store; a generate's payload comes
+		// from its first depot.
+		o.Type, how = wire.TypeStore, fmt.Sprintf("stored at %s; fetch with: lsl-xfer -to %s -fetch %s", dst, dst, id)
+		if *generate {
+			o.Type, how = wire.TypeGenerate, "generated by "+route[0].String()
+		}
+		err = eng.Once(ctx, o, core.Route{Via: route}, pol.AttemptTimeout)
 	case *multipathN > 0:
 		if len(routes) != *multipathN {
 			return id, fmt.Errorf("-multipath %d wants %d ';'-separated -via routes (got %d)", *multipathN, *multipathN, len(routes))
@@ -418,9 +342,7 @@ func runSend(ctx context.Context, dial lsl.Dialer, tr obs.Sink) (wire.SessionID,
 	if err != nil {
 		return id, err
 	}
-	elapsed := time.Since(start)
-	fmt.Printf("session %s: %d bytes in %v = %.2f Mbit/s (%s)\n",
-		id, size, elapsed.Round(time.Millisecond), float64(size)*8/1e6/elapsed.Seconds(), how)
+	fmt.Printf("session %s: %s (%s)\n", id, rate(size, time.Since(start)), how)
 	if *cached && *idSpec == "" {
 		fmt.Printf("repeat this object with: -cached -id %s\n", id)
 	}
@@ -431,46 +353,6 @@ func runSend(ctx context.Context, dial lsl.Dialer, tr obs.Sink) (wire.SessionID,
 // write that does not go through or, while the sender awaits the report,
 // a sink whose verified end does not move.
 const stallTimeout = time.Minute
-
-// runStaged is -store, one session that stages the object at the depot
-// dst for a later -fetch, or -generate, one request that has the first
-// -via depot synthesize it toward dst.
-func runStaged(dial lsl.Dialer, tr obs.Sink, srcEP, dst wire.Endpoint, route []wire.Endpoint, size int64) (wire.SessionID, error) {
-	sp := lsl.Spec{Type: wire.TypeStore, Src: srcEP, Dst: dst, Route: route, Options: append(traceOpts(xferTrace), sessionOpts()...)}
-	if *generate {
-		if len(route) == 0 {
-			return wire.SessionID{}, fmt.Errorf("-generate needs at least one -via depot to do the generating")
-		}
-		sp.Type, sp.Options = wire.TypeGenerate, append(sp.Options, wire.GenerateOption(uint64(size)))
-	}
-	start := time.Now()
-	sess, err := lsl.Start(dial, sp)
-	if err != nil {
-		return wire.SessionID{}, err
-	}
-	defer sess.Close()
-	first := dst
-	if len(route) > 0 {
-		first = route[0]
-	}
-	emit0(tr, sess.ID(), obs.KindConnect, obs.Event{Peer: first.String()})
-	if *generate {
-		// The depot closes the control connection when generation ends.
-		io.Copy(io.Discard, sess) //nolint:errcheck // EOF is the signal
-		emit0(tr, sess.ID(), obs.KindLastByte, obs.Event{Bytes: size})
-		fmt.Printf("session %s: %d bytes generated by %s\n", sess.ID(), size, route[0])
-		return sess.ID(), nil
-	}
-	emit0(tr, sess.ID(), obs.KindFirstByte, obs.Event{})
-	if written, err := depot.WritePattern(sess.Payload(), make([]byte, 64<<10), sess.ID(), 0, size); err != nil {
-		return sess.ID(), fmt.Errorf("store after %d bytes: %w", written, err)
-	}
-	sess.Close()
-	emit0(tr, sess.ID(), obs.KindLastByte, obs.Event{Bytes: size})
-	fmt.Printf("stored session %s at %s: %d bytes in %v (fetch with: lsl-xfer -to %s -fetch %s)\n",
-		sess.ID(), dst, size, time.Since(start).Round(time.Millisecond), dst, sess.ID())
-	return sess.ID(), nil
-}
 
 // exclusiveModes lists the mutually exclusive send-mode flags an
 // invocation enabled. Each mode owns the whole session layout — how
@@ -562,9 +444,7 @@ func sinkServer(self wire.Endpoint, tr obs.Sink) (*depot.Server, error) {
 		} else if r.Checked {
 			status = "OK, sha256 verified"
 		}
-		log.Printf("session %s from %s: %d bytes in %v = %.2f Mbit/s [%s]",
-			r.ID, r.Src, r.Bytes, r.Elapsed.Round(time.Millisecond),
-			float64(r.Bytes)*8/1e6/r.Elapsed.Seconds(), status)
+		log.Printf("session %s from %s: %s [%s]", r.ID, r.Src, rate(r.Bytes, r.Elapsed), status)
 	}, nil)
 	return depot.New(depot.Config{Self: self, Dial: tcpDial, Trace: tr, Local: sink.Handle, Logf: log.Printf})
 }

@@ -3,8 +3,13 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"github.com/netlogistics/lsl/internal/stats"
 )
 
+// TestParseSize holds the -size specs lsl-xfer takes through the shared
+// parser: suffixes in either case and surrounding space are read, a
+// bare suffix, a sign, zero or an unknown suffix is rejected.
 func TestParseSize(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -17,14 +22,14 @@ func TestParseSize(t *testing.T) {
 		{" 8m ", 8 << 20},
 	}
 	for _, c := range cases {
-		got, err := parseSize(c.in)
+		got, err := stats.ParseSize(c.in)
 		if err != nil || got != c.want {
-			t.Errorf("parseSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
 		}
 	}
 	for _, bad := range []string{"", "M", "-4M", "0", "12Q"} {
-		if _, err := parseSize(bad); err == nil {
-			t.Errorf("parseSize(%q) accepted", bad)
+		if _, err := stats.ParseSize(bad); err == nil {
+			t.Errorf("ParseSize(%q) accepted", bad)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"log"
 	"net"
 	"os"
+	"regexp"
 	"strconv"
 	"strings"
 	"sync"
@@ -18,6 +19,7 @@ import (
 
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/lsl"
+	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -49,12 +51,15 @@ func (l *logLines) statuses(id wire.SessionID) []string {
 // proxy forwards every connection it accepts to an upstream address:
 // a sublink the test can watch, slow and damage. Each connection's
 // header is read, its content digest flipped while digests is positive,
-// and written on; the byte at stream position at of the first
-// connection to reach it after being armed is flipped; what follows is
-// paced at pace per byte; sent counts what went upstream.
+// and written on (a status query is closed unanswered instead while
+// mute is set, as a peer that predates status queries does); the byte
+// at stream position at of the first connection to reach it after
+// being armed is flipped; what follows is paced at pace per byte; sent
+// counts what went upstream.
 type proxy struct {
 	at, digests, sent atomic.Int64
 	pace              atomic.Int64 // nanoseconds per byte forwarded
+	mute              atomic.Bool
 }
 
 // flipProxy serves a proxy on ln toward addr until ln closes.
@@ -82,7 +87,8 @@ func flipProxy(t *testing.T, ln net.Listener, addr string) *proxy {
 func (p *proxy) forward(c, up net.Conn) {
 	defer up.Close()
 	h, err := wire.ReadHeader(c)
-	if err != nil {
+	if err != nil || h.Type == wire.TypeStatus && p.mute.Load() {
+		c.Close()
 		return
 	}
 	for i, o := range h.Options {
@@ -166,6 +172,13 @@ func newChain(t *testing.T) *chain {
 // other flag at its default.
 func (c *chain) send(t *testing.T, args ...string) error {
 	t.Helper()
+	_, err := c.output(t, context.Background(), args...)
+	return err
+}
+
+// output is send under ctx, returning what lsl-xfer printed.
+func (c *chain) output(t *testing.T, ctx context.Context, args ...string) (string, error) {
+	t.Helper()
 	flag.VisitAll(func(f *flag.Flag) {
 		if !strings.HasPrefix(f.Name, "test.") {
 			f.Value.Set(f.DefValue) //nolint:errcheck // defaults parse
@@ -175,7 +188,50 @@ func (c *chain) send(t *testing.T, args ...string) error {
 	if err := flag.CommandLine.Parse(args); err != nil {
 		t.Fatal(err)
 	}
-	return run(context.Background())
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	err = run(ctx)
+	os.Stdout = stdout
+	w.Close()
+	out, _ := io.ReadAll(r)
+	return string(out), err
+}
+
+// sessionID returns the session id lsl-xfer printed.
+func sessionID(t *testing.T, out string) string {
+	t.Helper()
+	m := regexp.MustCompile(`session ([0-9a-f]{32})`).FindStringSubmatch(out)
+	if m == nil {
+		t.Fatalf("no session id printed:\n%s", out)
+	}
+	return m[1]
+}
+
+// plainDepot serves a depot with no sink behind a proxy the test can
+// pace, and returns the depot's endpoint (the proxy's) and the proxy.
+func plainDepot(t *testing.T) (wire.Endpoint, *proxy) {
+	t.Helper()
+	var lns [2]net.Listener
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ln.Close() })
+		lns[i] = ln
+	}
+	ep := wire.MustEndpoint(lns[0].Addr().String())
+	srv, err := depot.New(depot.Config{Self: ep, Dial: tcpDial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	go srv.Serve(lns[1]) //nolint:errcheck // ends with the listener
+	return ep, flipProxy(t, lns[0], lns[1].Addr().String())
 }
 
 // String returns everything logged so far.
@@ -298,7 +354,20 @@ func TestSendOverTCP(t *testing.T) {
 			}
 		})
 	}
-	for _, mode := range [][]string{{"-stripes", "3"}, {"-multipath", "2", "-via", via + ";"}, {"-table-driven", "-via", c.route[1].String()}, {"-cached", "-via", via}} {
+	// With no sink to report a generate, the generating depot's close of
+	// the session ends it: the send lasts as long as the generation.
+	t.Run("-generate toward a plain depot lasts the generation", func(t *testing.T) {
+		plain, front := plainDepot(t)
+		front.pace.Store(int64(time.Second / (16 << 20)))
+		start := time.Now()
+		if err := c.send(t, "-to", plain.String(), "-via", c.route[1].String(), "-generate", "-size", "32M"); err != nil {
+			t.Fatal(err)
+		}
+		if d := time.Since(start); d < time.Second {
+			t.Fatalf("a 2 s generation ended at the sender after %v", d)
+		}
+	})
+	for _, mode := range [][]string{{"-stripes", "3"}, {"-multipath", "2", "-via", via + ";"}, {"-table-driven", "-via", c.route[1].String()}, {"-cached", "-via", via}, {"-generate"}} {
 		t.Run("clean "+mode[0], func(t *testing.T) {
 			args := append([]string{"-size", sz, "-verify-integrity", "-via", via}, mode...)
 			if err := c.send(t, args...); err != nil {
@@ -375,5 +444,143 @@ func TestSinkOverTCP(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestStoreThenFetchOverTCP: a -store prints its session id only once
+// the storing depot holds the whole object, so a -fetch issued at once
+// finds it even when the last sublink into that depot is slow.
+func TestStoreThenFetchOverTCP(t *testing.T) {
+	c := newChain(t)
+	c.toSink.pace.Store(int64(time.Second / (1 << 20)))
+	defer c.toSink.pace.Store(0)
+	via := c.route[0].String() + "," + c.route[1].String()
+	out, err := c.output(t, context.Background(), "-store", "-via", via, "-size", "1M")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out, err = c.output(t, context.Background(), "-fetch", sessionID(t, out)); err != nil || !strings.Contains(out, "[OK]") {
+		t.Fatalf("immediate fetch of a confirmed store: %v\n%s", err, out)
+	}
+}
+
+// TestStoreCutShortIsNotHeld: a -store interrupted mid-payload closes
+// its session cleanly, and the storing depot, which reads a payload
+// shorter than the one declared, refuses it: a later -fetch of that id
+// fails instead of returning the prefix as whole.
+func TestStoreCutShortIsNotHeld(t *testing.T) {
+	c := newChain(t)
+	c.toSink.pace.Store(int64(time.Second / (32 << 20)))
+	defer c.toSink.pace.Store(0)
+	traceFile := t.TempDir() + "/trace.jsonl"
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer cancel()
+	if _, err := c.output(t, ctx, "-store", "-size", "64M", "-trace-out", traceFile); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("interrupted store = %v, want the interrupt's end", err)
+	}
+	events, err := os.ReadFile(traceFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := regexp.MustCompile(`"session":"([0-9a-f]{32})"`).FindSubmatch(events)
+	if m == nil {
+		t.Fatalf("no session in the trace:\n%s", events)
+	}
+	id := string(m[1])
+	sid, err := parseID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The depot answers for the store once it has read all that came.
+	ask := depot.RemoteAwait(tcpDial, wire.Endpoint{}, c.sinkEP, time.Minute, t.Logf)
+	if rep, err := ask(context.Background(), depot.Query{ID: sid, Offset: depot.StoredOffset}); err != nil || rep.Err == nil {
+		t.Fatalf("the depot's answer for a store cut short = %+v, %v; want it refused", rep, err)
+	}
+	if _, err := c.output(t, context.Background(), "-fetch", id); !errors.Is(err, lsl.ErrRefused) {
+		t.Fatalf("fetch of a store cut short = %v, want refused", err)
+	}
+}
+
+// TestStoreAndFetchBounds: a store the depot refuses fails the sender
+// with a fatal error; a store to a peer that leaves the depot's status
+// query unanswered, or answers it as a sink that predates store status,
+// completes send-side, logged; and a store or fetch against a depot
+// that stalls ends on an interrupt.
+func TestStoreAndFetchBounds(t *testing.T) {
+	c := newChain(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ep, faults := wire.MustEndpoint(ln.Addr().String()), depot.NewFaultInjector()
+	srv, err := depot.New(depot.Config{Self: ep, Dial: tcpDial, StoreBytes: 1 << 20, Faults: faults})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve(ln) //nolint:errcheck // ends with the listener
+
+	if err := c.send(t, "-to", ep.String(), "-store", "-size", "2M"); err == nil || !retry.IsFatal(err) {
+		t.Fatalf("store over the depot's budget: err = %v, want a fatal verdict", err)
+	}
+	out, err := c.output(t, context.Background(), "-to", ep.String(), "-store", "-size", "256K")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := sessionID(t, out)
+
+	c.toSink.mute.Store(true)
+	defer c.toSink.mute.Store(false)
+	if err := c.send(t, "-store", "-size", "256K"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(c.logs.String(), c.sinkEP.String()+": lsl: session refused by depot") {
+		t.Fatalf("no send-side completion logged:\n%s", c.logs)
+	}
+
+	// A sink built before stores answered for themselves answers a query
+	// at depot.StoredOffset pending, echoing that offset, on every ask:
+	// the store completes send-side, logged.
+	echo, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer echo.Close()
+	go func() {
+		for {
+			conn, err := echo.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				if h, err := wire.ReadHeader(conn); err == nil && h.Type == wire.TypeStatus {
+					depot.NewSink(nil, nil).Handle(&lsl.Session{Conn: conn, Header: h}) //nolint:errcheck // the asker reads the answer
+				} else {
+					io.Copy(io.Discard, conn) //nolint:errcheck // a store's payload
+				}
+			}()
+		}
+	}()
+	if err := c.send(t, "-to", echo.Addr().String(), "-store", "-size", "256K"); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(c.logs.String(), echo.Addr().String()+": lsl: session refused by depot: no store status") {
+		t.Fatalf("no send-side completion logged for an echoing sink:\n%s", c.logs)
+	}
+
+	// An interrupt cancels the context main hands run.
+	for _, args := range [][]string{{"-fetch", id}, {"-store", "-size", "256K"}} {
+		faults.StallAfter(0, 5*time.Second)
+		ctx, cancel := context.WithCancel(context.Background())
+		interrupt := time.AfterFunc(200*time.Millisecond, cancel)
+		start := time.Now()
+		_, err := c.output(t, ctx, append([]string{"-to", ep.String()}, args...)...)
+		interrupt.Stop()
+		cancel()
+		if !errors.Is(err, context.Canceled) || time.Since(start) > 2*time.Second {
+			t.Fatalf("%s against a stalled depot = %v after %v, want the interrupt's end at once", args[0], err, time.Since(start))
+		}
 	}
 }

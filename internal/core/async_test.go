@@ -99,25 +99,47 @@ func TestAsyncStoreHonorsContext(t *testing.T) {
 	}
 	// The depot holds the second store and nothing of the first.
 	di, _ := sys.Topo.HostIndex(topo.Denver)
-	if _, ok := sys.depots[di].StoredSession(stored.Session); !ok {
-		t.Fatal("confirmed store missing at the depot")
+	if st := sys.depots[di].Stats(); st.Stored != 1 || st.BytesStored != 64<<10 {
+		t.Fatalf("depot stored %d sessions of %d bytes, want only the confirmed one", st.Stored, st.BytesStored)
 	}
-	if _, entries, _ := sys.depots[di].StoreUsage(); entries != 1 {
-		t.Fatalf("depot holds %d stored sessions, want only the confirmed one", entries)
+	if got, err := sys.FetchFrom(topo.UIUC, topo.Denver, stored.Session); err != nil || got.Bytes != 64<<10 {
+		t.Fatalf("confirmed store fetched as %d bytes, %v", got.Bytes, err)
+	}
+}
+
+// TestAsyncStoreConfirmed: a store returns once the storing depot holds
+// the whole session, as the depot itself answers a status query, so
+// the depot's counters show it and a fetch issued at once finds it.
+func TestAsyncStoreConfirmed(t *testing.T) {
+	sys := smallSystem(t)
+	di, _ := sys.Topo.HostIndex(topo.Denver)
+	const size = 256 << 10
+	for i := int64(1); i <= 3; i++ {
+		stored, err := sys.StoreAt(topo.UCSB, topo.Denver, size)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st := sys.depots[di].Stats(); st.Stored != i || st.BytesStored != i*size {
+			t.Fatalf("store %d confirmed, but the depot stored %d sessions of %d bytes", i, st.Stored, st.BytesStored)
+		}
+		if got, err := sys.FetchFrom(topo.UIUC, topo.Denver, stored.Session); err != nil || got.Bytes != size {
+			t.Fatalf("fetch of store %d = %d bytes, %v", i, got.Bytes, err)
+		}
 	}
 }
 
 // TestAsyncStoreContextBoundsWrite: a context that expires mid-payload
 // closes the session under the write, so the store fails with the
 // context's error at once instead of after the whole payload crawls
-// over a real-time-paced link.
+// over a real-time-paced link; and the storing depot, which sees a
+// clean close, holds none of the prefix that reached it.
 func TestAsyncStoreContextBoundsWrite(t *testing.T) {
 	sys, err := NewSystem(topo.TwoPath(), Config{TimeScale: 1, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(sys.Close)
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
 	defer cancel()
 	start := time.Now()
 	_, err = sys.StoreAtContext(ctx, topo.UCSB, topo.Denver, 64<<20)
@@ -126,5 +148,12 @@ func TestAsyncStoreContextBoundsWrite(t *testing.T) {
 	}
 	if took := time.Since(start); took > time.Second {
 		t.Fatalf("store returned after %v: the write ignored the context", took)
+	}
+	di, _ := sys.Topo.HostIndex(topo.Denver)
+	if !sys.depots[di].Shutdown(10 * time.Second) {
+		t.Fatal("the storing depot never saw the store end")
+	}
+	if st := sys.depots[di].Stats(); st.Stored != 0 || st.BytesStored != 0 {
+		t.Fatalf("a store cut short is held: %d sessions of %d bytes", st.Stored, st.BytesStored)
 	}
 }

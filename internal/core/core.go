@@ -24,6 +24,7 @@ import (
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/emu"
 	"github.com/netlogistics/lsl/internal/fairshare"
+	"github.com/netlogistics/lsl/internal/graph"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/schedule"
 	"github.com/netlogistics/lsl/internal/topo"
@@ -215,7 +216,7 @@ func NewSystem(t *topo.Topology, cfg Config) (*System, error) {
 			Dial:          s.dialerFor(i),
 			Routes:        s.routeLookup(i),
 			Local:         s.sink.Handle,
-			PipelineBytes: int(pipelineOf(t.Hosts[i])),
+			PipelineBytes: int(t.Hosts[i].PipelineBytes), // 0: the depot's default
 			MaxHops:       cfg.MaxHops,
 			Metrics:       cfg.Metrics,
 			Trace:         cfg.Trace,
@@ -276,13 +277,6 @@ func NewSystem(t *topo.Topology, cfg Config) (*System, error) {
 	return s, nil
 }
 
-func pipelineOf(h topo.Host) int64 {
-	if h.PipelineBytes > 0 {
-		return h.PipelineBytes
-	}
-	return depot.DefaultPipelineBytes
-}
-
 // hostAddr is the emulated-network host identity of host index i (its
 // IPv4 address as text).
 func (s *System) hostAddr(i int) string {
@@ -332,7 +326,7 @@ func (s *System) routeLookup(host int) func(wire.Endpoint) (wire.Endpoint, bool)
 		if err != nil {
 			return wire.Endpoint{}, false
 		}
-		next := tree.NextHop(graphNode(di))
+		next := tree.NextHop(graph.NodeID(di))
 		if next < 0 {
 			return wire.Endpoint{}, false
 		}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -57,10 +58,12 @@ type Route struct {
 }
 
 // Object is what one transfer moves: Size bytes of session ID's pattern
-// to Dst, under trace Trace, every session carrying Opts. A zero ID
-// lets each attempt mint its own; a content digest in Opts needs the ID
-// it was computed for.
+// to Dst, under trace Trace, in sessions of type Type (zero: data)
+// carrying Opts. A zero ID lets each attempt mint its own; a content
+// digest in Opts needs the ID it was computed for. The storing depot
+// Dst reports a store, asked at depot.StoredOffset.
 type Object struct {
+	Type  uint16
 	ID    wire.SessionID
 	Trace wire.TraceID
 	Dst   wire.Endpoint
@@ -73,7 +76,7 @@ type run struct {
 	*Engine
 	ctx    context.Context
 	obj    Object
-	opts   []wire.Option // the trace id, then obj.Opts
+	opts   []wire.Option // the trace id, obj.Opts, a staged session's size
 	digest bool          // obj.Opts carries a content digest
 	// checked is set once a report carried the digest verdict, so the
 	// transfer need not ask for it.
@@ -81,7 +84,15 @@ type run struct {
 }
 
 func (e *Engine) start(ctx context.Context, o Object) *run {
-	return &run{Engine: e, ctx: ctx, obj: o, opts: append(traceOpt(o.Trace), o.Opts...), digest: hasOption(o.Opts, wire.OptContentDigest)}
+	var opts []wire.Option // an untraced transfer puts no trace id on the wire
+	if !o.Trace.IsZero() {
+		opts = append(opts, wire.TraceIDOption(o.Trace))
+	}
+	opts = append(opts, o.Opts...)
+	if o.Type == wire.TypeStore || o.Type == wire.TypeGenerate { // what a depot generates, or must read to hold
+		opts = append(opts, wire.GenerateOption(uint64(o.Size)))
+	}
+	return &run{Engine: e, ctx: ctx, obj: o, opts: opts, digest: hasOption(o.Opts, wire.OptContentDigest)}
 }
 
 // leg is the unit every transfer mode is built from: the byte range
@@ -99,6 +110,16 @@ type leg struct {
 
 func (r *run) leg(from, to int64, extra ...wire.Option) leg {
 	return leg{id: r.obj.ID, from: from, to: to, opts: append(r.opts[:len(r.opts):len(r.opts)], extra...)}
+}
+
+// together runs f(0) .. f(n-1) at once and returns when all have.
+func together(n int, f func(int)) {
+	var wg sync.WaitGroup
+	wg.Add(n)
+	for i := range n {
+		go func() { defer wg.Done(); f(i) }()
+	}
+	wg.Wait()
 }
 
 // drainWindow is how long a torn attempt waits for the sink's report of
@@ -130,6 +151,7 @@ func (r *run) emit(id wire.SessionID, kind string, e obs.Event) {
 // timeout and reports it connected.
 func (r *run) open(l leg, timeout time.Duration) (*lsl.Session, error) {
 	sess, err := lsl.Start(lsl.TimeoutDialer(r.Dial, timeout), lsl.Spec{
+		Type:    r.obj.Type,
 		ID:      l.id,
 		Src:     r.Src,
 		Dst:     r.obj.Dst,
@@ -152,11 +174,16 @@ func (r *run) open(l leg, timeout time.Duration) (*lsl.Session, error) {
 
 // send streams l's range into sess and closes it. Every write races
 // one deadline, timeout from now (Stall from the write, when set), so a
-// stalled chain never pins the sender. It returns how long to wait for
+// stalled chain never pins the sender, and ending the transfer's
+// context closes the session under it. It returns how long to wait for
 // the sink's report: the rest of the deadline after a clean write —
 // that report IS the success signal — and only a short drain window
-// after a torn one, whose chain can deliver only bytes in flight.
+// after a torn one, whose chain can deliver only bytes in flight. A
+// generate sends nothing: its first depot synthesizes the payload.
 func (r *run) send(sess *lsl.Session, l leg, timeout time.Duration) (time.Duration, error) {
+	if r.obj.Type == wire.TypeGenerate {
+		return timeout, nil
+	}
 	deadline := time.Now().Add(timeout)
 	if r.Stall > 0 {
 		sess = &lsl.Session{Conn: stallConn{sess.Conn, r.Stall}, Header: sess.Header}
@@ -164,7 +191,11 @@ func (r *run) send(sess *lsl.Session, l leg, timeout time.Duration) (time.Durati
 		_ = sess.SetWriteDeadline(deadline)
 	}
 	r.emit(sess.ID(), obs.KindFirstByte, l.tag)
+	stop := context.AfterFunc(r.ctx, func() { sess.Close() })
 	werr := writeSessionPattern(sess, l.from, l.to)
+	if !stop() && werr != nil {
+		werr = r.ctx.Err()
+	}
 	sess.Close()
 	if werr == nil {
 		e := l.tag
@@ -183,7 +214,7 @@ func (r *run) send(sess *lsl.Session, l leg, timeout time.Duration) (time.Durati
 	return settle, werr
 }
 
-// stallConn renews its write deadline before every write.
+// stallConn renews its deadline before every read and write.
 type stallConn struct {
 	net.Conn
 	stall time.Duration
@@ -194,6 +225,13 @@ func (c stallConn) Write(p []byte) (int, error) {
 		return 0, err
 	}
 	return c.Conn.Write(p)
+}
+
+func (c stallConn) Read(p []byte) (int, error) {
+	if err := c.Conn.SetReadDeadline(time.Now().Add(c.stall)); err != nil {
+		return 0, err
+	}
+	return c.Conn.Read(p)
 }
 
 // await asks for the report q names while ctx lasts, noting a verdict.
@@ -215,6 +253,7 @@ func (r *run) attempt(l leg, timeout time.Duration) (int64, wire.SessionID, erro
 	if err != nil {
 		return l.from, l.id, err
 	}
+	defer sess.Close() // send closed it, unless it is a generate's
 	id := sess.ID()
 	settle, werr := r.send(sess, l, timeout)
 	ctx, cancel := context.WithTimeout(r.ctx, settle)
@@ -223,14 +262,28 @@ func (r *run) attempt(l leg, timeout time.Duration) (int64, wire.SessionID, erro
 	// from an earlier torn attempt can land here. Its range starts no
 	// deeper than from, so it can only under-report, never advance the
 	// ack past what the sink verified.
-	res, err := r.await(ctx, depot.Query{ID: id, Trace: r.obj.Trace, Offset: l.from})
+	q := depot.Query{ID: id, Trace: r.obj.Trace, Offset: l.from}
+	if r.obj.Type == wire.TypeStore {
+		q.Offset = depot.StoredOffset
+	}
+	res, err := r.await(ctx, q)
+	if r.obj.Type == wire.TypeGenerate && (err == nil || errors.Is(err, lsl.ErrRefused)) {
+		// The first depot closes the session once it has generated the
+		// whole payload: with no sink to report it, the end a sender sees.
+		stop := context.AfterFunc(ctx, func() { sess.Close() })
+		if _, werr = io.Copy(io.Discard, sess); !stop() {
+			werr = ctx.Err()
+		} else if werr == nil {
+			r.emit(id, obs.KindLastByte, obs.Event{Bytes: l.to - l.from})
+		}
+	}
 	switch {
 	case errors.Is(err, lsl.ErrRefused) && werr == nil:
 		return l.to, id, nil
 	case err != nil && werr != nil:
 		return l.from, id, fmt.Errorf("core: send: %w", werr)
 	case err != nil:
-		return l.from, id, retry.AsTransient(fmt.Errorf("core: no sink report within %v", settle))
+		return l.from, id, retry.AsTransient(fmt.Errorf("core: no sink report within %v: %w", settle, cmp.Or(ctx.Err(), err)))
 	}
 	acked := max(l.from, res.Offset+res.Bytes)
 	if res.Err != nil {
@@ -400,6 +453,43 @@ func (e *Engine) Send(ctx context.Context, o Object, route Route, pol RecoveryPo
 		err = r.verdict(pol.AttemptTimeout)
 	}
 	return sr.current(), err
+}
+
+// Fetch reads the session id stored at the depot from, verifies its
+// pattern, and returns its length; its hop-0 events carry trace tid.
+// Ending ctx ends it and, when Stall is set, so does a dial, read or
+// write that makes no progress for Stall.
+func (e *Engine) Fetch(ctx context.Context, from wire.Endpoint, id wire.SessionID, tid wire.TraceID) (n int64, err error) {
+	r, stop := &run{Engine: e, ctx: ctx, obj: Object{ID: id, Trace: tid}}, func() bool { return false }
+	defer func() {
+		if stop(); err != nil {
+			err = fmt.Errorf("core: fetch %s from %s: %w", id, from, cmp.Or(ctx.Err(), err))
+		}
+	}()
+	sess, err := lsl.Fetch(lsl.DialerFunc(func(addr string) (net.Conn, error) {
+		c, err := lsl.TimeoutDialer(e.Dial, e.Stall).Dial(addr)
+		if err != nil {
+			return nil, err
+		}
+		stop = context.AfterFunc(ctx, func() { c.Close() })
+		if e.Stall > 0 {
+			return stallConn{c, e.Stall}, nil
+		}
+		return c, nil
+	}), e.Src, from, id)
+	if err != nil {
+		return 0, err
+	}
+	defer sess.Close()
+	r.emit(id, obs.KindConnect, obs.Event{Peer: from.String()})
+	if n, err = depot.ReadVerified(sess, id, 0, false, func(_ []byte, off int64) {
+		if off == 0 {
+			r.emit(id, obs.KindFirstByte, obs.Event{})
+		}
+	}); err == nil {
+		r.emit(id, obs.KindLastByte, obs.Event{Bytes: n})
+	}
+	return n, err
 }
 
 // writeSessionPattern streams the session's deterministic pattern for

@@ -240,11 +240,7 @@ func (s *System) TransferMultipath(srcHost, dstHost string, size int64, k int, p
 	if k < 1 {
 		return MultipathResult{}, fmt.Errorf("core: path count %d must be positive", k)
 	}
-	si, err := s.resolve(srcHost)
-	if err != nil {
-		return MultipathResult{}, err
-	}
-	di, err := s.resolve(dstHost)
+	si, di, err := s.pair(srcHost, dstHost)
 	if err != nil {
 		return MultipathResult{}, err
 	}
@@ -315,18 +311,12 @@ func (e *Engine) Multipath(ctx context.Context, o Object, routes []Route, pol Re
 	count := len(routes)
 	workers := make([]*sharedRoute, count)
 	errs := make([]error, count)
-	var wg sync.WaitGroup
-	for w := range routes {
+	together(count, func(w int) {
 		workers[w] = &sharedRoute{route: routes[w]}
 		l := r.leg(0, 0, wire.PathIndexOption(uint16(w), uint16(count)))
 		l.tag = obs.Event{Path: obs.PathOf(w)}
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			errs[w] = r.mpWorker(q, l, workers[w], w, pol)
-		}(w)
-	}
-	wg.Wait()
+		errs[w] = r.mpWorker(q, l, workers[w], w, pol)
+	})
 
 	out := Spread{Routes: make([]Route, count)}
 	for w := range workers {

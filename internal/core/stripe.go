@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"github.com/netlogistics/lsl/internal/obs"
@@ -123,17 +122,12 @@ func (e *Engine) Striped(ctx context.Context, o Object, route Route, n int, pol 
 	r := e.start(ctx, o)
 	sr := &sharedRoute{route: route}
 	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for k, rng := range stripeRanges(o.Size, n) {
-		l := r.leg(rng.start, rng.end, wire.StripeCountOption(uint16(n)), wire.StripeIndexOption(uint16(k)))
+	ranges := stripeRanges(o.Size, n)
+	together(n, func(k int) {
+		l := r.leg(ranges[k].start, ranges[k].end, wire.StripeCountOption(uint16(n)), wire.StripeIndexOption(uint16(k)))
 		l.tag = obs.Event{Stripe: obs.StripeOf(k)}
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			_, errs[k] = r.drive(l, sr, pol, MetricStripeRetries, r.attempt)
-		}(k)
-	}
-	wg.Wait()
+		_, errs[k] = r.drive(l, sr, pol, MetricStripeRetries, r.attempt)
+	})
 	for k, err := range errs {
 		if err != nil {
 			return sr.current(), fmt.Errorf("core: stripe %d/%d: %w", k, n, err)

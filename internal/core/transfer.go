@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/netlogistics/lsl/internal/depot"
-	"github.com/netlogistics/lsl/internal/graph"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -51,18 +50,6 @@ func mintTrace() wire.TraceID {
 	return tid
 }
 
-// traceOpt renders tid as the header options an initiator puts in its
-// lsl.Spec: empty for a zero id, so untraced transfers put nothing on
-// the wire.
-func traceOpt(tid wire.TraceID) []wire.Option {
-	if tid.IsZero() {
-		return nil
-	}
-	return []wire.Option{wire.TraceIDOption(tid)}
-}
-
-func graphNode(i int) graph.NodeID { return graph.NodeID(i) }
-
 // TransferResult reports one completed transfer.
 type TransferResult struct {
 	Bytes int64
@@ -92,6 +79,14 @@ func (s *System) resolve(host string) (int, error) {
 	return i, nil
 }
 
+// pair resolves two host names.
+func (s *System) pair(a, b string) (i, j int, err error) {
+	if i, err = s.resolve(a); err == nil {
+		j, err = s.resolve(b)
+	}
+	return
+}
+
 // Transfer moves size bytes from srcHost to dstHost over the planner's
 // chosen path (which may be direct), waiting until the sink has
 // received and verified every byte.
@@ -118,11 +113,7 @@ func (s *System) TransferWeighted(srcHost, dstHost string, size int64, weight ui
 // DirectTransfer bypasses the scheduler and moves the bytes over the
 // single end-to-end connection, the baseline of every comparison.
 func (s *System) DirectTransfer(srcHost, dstHost string, size int64) (TransferResult, error) {
-	si, err := s.resolve(srcHost)
-	if err != nil {
-		return TransferResult{}, err
-	}
-	di, err := s.resolve(dstHost)
+	si, di, err := s.pair(srcHost, dstHost)
 	if err != nil {
 		return TransferResult{}, err
 	}
@@ -132,10 +123,7 @@ func (s *System) DirectTransfer(srcHost, dstHost string, size int64) (TransferRe
 // plan resolves both hosts and returns their indexes and the
 // planner's path between them (nil when it forecasts none).
 func (s *System) plan(srcHost, dstHost string) (si, di int, path []int, err error) {
-	if si, err = s.resolve(srcHost); err != nil {
-		return
-	}
-	if di, err = s.resolve(dstHost); err != nil {
+	if si, di, err = s.pair(srcHost, dstHost); err != nil {
 		return
 	}
 	if si == di {
@@ -332,60 +320,39 @@ func (s *System) Multicast(srcHost string, dstHosts []string, size int64) (Multi
 		}
 	}
 
-	start := time.Now()
-	tid := mintTrace()
 	treeOpt, err := wire.MulticastTreeOption(root)
 	if err != nil {
 		return MulticastResult{}, fmt.Errorf("core: %w", err)
 	}
-	mopts := append([]wire.Option{treeOpt}, traceOpt(tid)...)
+	o := Object{Type: wire.TypeMulticast, Trace: mintTrace(), Dst: s.endpoints[si], Size: size, Opts: []wire.Option{treeOpt}}
+	if o.ID, err = wire.NewSessionID(); err != nil {
+		return MulticastResult{}, err
+	}
 	if s.cfg.Integrity {
 		// Every duplication point of the staging tree verifies and
 		// re-stamps the chunk framing. The digest stays off: every leaf
 		// sink would key its running digest by the one session id.
-		mopts = append(mopts, wire.ChunkChecksumOption())
+		o.Opts = append(o.Opts, wire.ChunkChecksumOption())
 	}
-	sess, err := lsl.Start(s.dialerFor(si), lsl.Spec{
-		Type:    wire.TypeMulticast,
-		Src:     s.endpoints[si],
-		Dst:     s.endpoints[si],
-		Entry:   root.Addr,
-		Options: mopts,
-	})
-	if err != nil {
-		s.observed(TransferResult{}, err) //nolint:errcheck // counted; the caller returns err
-		return MulticastResult{}, err
-	}
-	node := s.endpoints[si]
-	emitHop0(s.cfg.Trace, node, sess.ID(), tid, obs.KindConnect, obs.Event{Peer: root.Addr.String()})
+	// Every leaf's sink reports the one session at offset 0: the
+	// engine's attempt takes the first report, the loop the others.
+	start, leaves, delivered := time.Now(), root.Leaves(), size
 	ctx, cancel := context.WithTimeout(s.ctx, transferTimeout)
 	defer cancel()
-
-	_ = sess.SetWriteDeadline(start.Add(transferTimeout))
-	emitHop0(s.cfg.Trace, node, sess.ID(), tid, obs.KindFirstByte, obs.Event{})
-	if err := writeSessionPattern(sess, 0, size); err != nil {
-		sess.Close()
-		s.observed(TransferResult{}, err) //nolint:errcheck // counted; the caller returns err
-		return MulticastResult{}, fmt.Errorf("core: multicast send: %w", err)
-	}
-	sess.Close()
-	emitHop0(s.cfg.Trace, node, sess.ID(), tid, obs.KindLastByte, obs.Event{Bytes: size})
-
-	// Every leaf's sink reports the one session at offset 0.
-	leaves := root.Leaves()
-	var delivered int64
-	for range leaves {
-		res, err := s.sink.Await(ctx, depot.Query{ID: sess.ID(), Trace: tid})
-		if err != nil {
-			err = fmt.Errorf("core: multicast timed out after %v", transferTimeout)
-		} else if res.Err != nil {
-			err = fmt.Errorf("core: multicast sink: %w", res.Err)
+	err = s.engine(si, si).Once(ctx, o, Route{Entry: root.Addr}, transferTimeout)
+	for range leaves[1:] {
+		var res depot.Report
+		if err == nil {
+			res, err = s.sink.Await(ctx, depot.Query{ID: o.ID, Trace: o.Trace})
 		}
-		if err != nil {
-			s.observed(TransferResult{}, err) //nolint:errcheck // counted; the caller returns err
-			return MulticastResult{}, err
+		if err == nil {
+			err = res.Err
 		}
 		delivered += res.Bytes
+	}
+	if err != nil {
+		s.observed(TransferResult{}, err) //nolint:errcheck // counted; the caller returns err
+		return MulticastResult{}, fmt.Errorf("core: multicast: %w", err)
 	}
 	res, _ := s.observed(s.result(delivered, time.Since(start), nil), nil)
 	leafNames := make([]string, len(leaves))

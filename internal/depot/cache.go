@@ -311,12 +311,3 @@ func (t *cacheTap) settle() {
 		t.fill.Settle()
 	}
 }
-
-// CacheStats exposes the configured cache's statistics (zero Stats
-// without a cache).
-func (s *Server) CacheStats() cache.Stats {
-	if s.cfg.Cache == nil {
-		return cache.Stats{}
-	}
-	return s.cfg.Cache.Stats()
-}

@@ -350,7 +350,7 @@ func TestSpoolReindexDropCounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := srv.store.spoolReindexDropped(); got != 2 {
+	if got := srv.store.reindexDropped; got != 2 {
 		t.Fatalf("reindex dropped = %d, want 2", got)
 	}
 	if got := reg.Counter(MetricSpoolReindexDropped).Value(); got != 2 {
@@ -429,7 +429,7 @@ func TestSpoolReindexDamagedBesideValidSameDigest(t *testing.T) {
 	}
 
 	s := spoolStore(t, 64, 1<<20, dir)
-	if got := s.spoolReindexDropped(); got != 1 {
+	if got := s.reindexDropped; got != 1 {
 		t.Fatalf("reindex dropped = %d, want 1", got)
 	}
 	if data, ok := s.get(wire.SessionID{1}); !ok || !bytes.Equal(data, payload) {

@@ -78,10 +78,10 @@ type Config struct {
 	// loop) and for malicious or buggy source routes alike.
 	MaxHops int
 	// Local handles sessions addressed to Self, and status queries
-	// (wire.TypeStatus), which a Sink's Handle answers. Any other
-	// handler must answer or refuse a status query, or close it: its
-	// asker waits. Nil means count and discard the payload, and refuse
-	// status queries.
+	// (wire.TypeStatus) other than a store's, which a Sink's Handle
+	// answers. Any other handler must answer or refuse a status query,
+	// or close it: its asker waits. Nil means count and discard the
+	// payload, and refuse status queries.
 	Local Handler
 	// PipelineBytes bounds per-session buffering (0 selects
 	// DefaultPipelineBytes).
@@ -381,7 +381,7 @@ func New(cfg Config) (*Server, error) {
 		store: store,
 		met:   newMetrics(cfg.Metrics),
 	}
-	if dropped := store.spoolReindexDropped(); dropped > 0 {
+	if dropped := store.reindexDropped; dropped > 0 {
 		srv.met.reindexDrops.Add(dropped)
 		srv.logf("depot %s: spool re-index dropped %d unrecoverable file(s) from %s",
 			cfg.Self, dropped, cfg.SpoolDir)
@@ -658,9 +658,11 @@ const ungatedTypes uint64 = 1<<wire.TypeControl | 1<<wire.TypeCacheProbe | 1<<wi
 // could shed the load), cache probes (how load gets shed to begin with)
 // and status queries (a loaded sink must still answer its senders, or
 // they time out and retry into it). None carries payload to relay. A
-// depot with no Local sink refuses status queries.
+// query at StoredOffset is answered from the store; any other, by the
+// Local sink, and a depot with none refuses it.
 func (s *Server) handleUngated(conn net.Conn, h *wire.Header, f *flow) {
-	if h.Type == wire.TypeStatus && s.cfg.Local == nil {
+	stored := h.Type == wire.TypeStatus && h.ResumeOffset() == StoredOffset
+	if h.Type == wire.TypeStatus && !stored && s.cfg.Local == nil {
 		s.st.refused.Add(1)
 		s.met.refused.Inc()
 		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "no sink"})
@@ -671,11 +673,13 @@ func (s *Server) handleUngated(conn net.Conn, h *wire.Header, f *flow) {
 	s.met.accepted.Inc()
 	f.emit(obs.KindAccept, obs.Event{Peer: h.Src.String()})
 	var err error
-	switch h.Type {
-	case wire.TypeControl:
+	switch {
+	case h.Type == wire.TypeControl:
 		err = s.handleControl(conn, h, f)
-	case wire.TypeCacheProbe:
+	case h.Type == wire.TypeCacheProbe:
 		err = s.handleCacheProbe(conn, h, f)
+	case stored:
+		err = s.store.answer(&lsl.Session{Conn: conn, Header: h})
 	default:
 		err = s.cfg.Local(&lsl.Session{Conn: conn, Header: h})
 	}

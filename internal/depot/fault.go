@@ -31,7 +31,7 @@ var ErrInjected = errors.New("depot: injected fault")
 //     the fault disarms after firing, modelling a depot that dies once
 //     mid-stream.
 //   - StallAfter(n, d): after n payload bytes the depot stops reading
-//     for d, modelling a wedged process. One-shot.
+//     or writing for d, modelling a wedged process. One-shot.
 //   - CorruptAfter(n): the first chunk read past n payload bytes has a
 //     byte flipped in place, modelling silent data corruption — the one
 //     fault retries must NOT paper over. One-shot.
@@ -75,8 +75,8 @@ func (f *FaultInjector) DropAfter(n int64) {
 	f.dropAfter.Store(n)
 }
 
-// StallAfter arms a one-shot read stall of duration d after n payload
-// bytes.
+// StallAfter arms a one-shot stall of duration d of the next read or
+// write after n payload bytes.
 func (f *FaultInjector) StallAfter(n int64, d time.Duration) {
 	f.seen.Store(0)
 	f.stallNanos.Store(int64(d))
@@ -113,9 +113,9 @@ func (f *FaultInjector) wrap(conn net.Conn, met *obs.Counter) net.Conn {
 	return &faultConn{Conn: conn, f: f, met: met}
 }
 
-// faultConn fires armed drop/stall faults as payload flows through
-// Read — the direction every depot role (forward, deliver, store)
-// consumes the session from.
+// faultConn fires armed faults as payload flows through Read — the
+// direction every depot role (forward, deliver, store) consumes the
+// session from — and a stall on Write as well.
 type faultConn struct {
 	net.Conn
 	f       *FaultInjector
@@ -123,15 +123,25 @@ type faultConn struct {
 	carried int64 // payload bytes read so far; Read has one caller
 }
 
+// stall fires an armed stall once its threshold is reached.
+func (c *faultConn) stall() {
+	f := c.f
+	if st := f.stallAfter.Load(); st >= 0 && f.seen.Load() >= st && f.stallAfter.CompareAndSwap(st, -1) {
+		f.injected.Add(1)
+		c.met.Inc()
+		time.Sleep(time.Duration(f.stallNanos.Load()))
+	}
+}
+
+// Write stalls like Read: a wedged depot answers nothing, not a fetch.
+func (c *faultConn) Write(p []byte) (int, error) {
+	c.stall()
+	return c.Conn.Write(p)
+}
+
 func (c *faultConn) Read(p []byte) (int, error) {
 	f := c.f
-	if st := f.stallAfter.Load(); st >= 0 && f.seen.Load() >= st {
-		if f.stallAfter.CompareAndSwap(st, -1) {
-			f.injected.Add(1)
-			c.met.Inc()
-			time.Sleep(time.Duration(f.stallNanos.Load()))
-		}
-	}
+	c.stall()
 	n, err := c.Conn.Read(p)
 	if co := f.corruptAfter.Load(); co >= 0 && n > 0 && f.seen.Load()+int64(n) > co {
 		if f.corruptAfter.CompareAndSwap(co, -1) {

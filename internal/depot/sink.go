@@ -238,41 +238,55 @@ func (k *Sink) file(rep Report, keys ...Query) {
 }
 
 // answer serves a status query: it awaits the report the header names
-// (its session id, trace id and resume offset) and writes it back as a
-// TypeStatus header and one status record. Once statusWait passes, or
-// when maxStatusWaits queries already wait, the record is pending and
-// carries the end the session has verified so far (its offset when no
-// such session is being read), so the asker can tell a slow drain from
-// a stall. An asker that hangs up gets nothing.
+// (its session id, trace id and resume offset); once the wait ends
+// unanswered, the record is pending and carries the end the session has
+// verified so far (its offset when no such session is being read), so
+// the asker can tell a slow drain from a stall.
 func (k *Sink) answer(sess *lsl.Session) error {
-	defer sess.Close()
 	h := sess.Header
 	tid, _ := h.TraceID()
 	q := Query{h.Session, tid, h.ResumeOffset()}
-	rep, ok := Report{}, false
-	n := k.waits.Add(1)
-	defer k.waits.Add(-1)
-	if n <= maxStatusWaits {
-		_ = sess.SetReadDeadline(time.Now().Add(statusWait))
-		var hangup error
-		gone := make(chan struct{})
-		go func() {
-			_, hangup = io.Copy(io.Discard, sess)
-			close(gone)
-		}()
-		if rep, ok = k.await(q, gone); !ok && !errors.Is(hangup, os.ErrDeadlineExceeded) {
-			return nil // the asker hung up
+	return answerStatus(sess, &k.waits, func(stop <-chan struct{}) wire.Status {
+		if rep, ok := k.await(q, stop); ok {
+			return wire.StatusOf(rep.Offset+rep.Bytes, rep.Checked, rep.Err, retry.IsFatal(rep.Err))
 		}
-	}
-	st := wire.StatusOf(rep.Offset+rep.Bytes, rep.Checked, rep.Err, retry.IsFatal(rep.Err))
-	if !ok {
-		st = wire.Status{End: q.Offset, Verdict: wire.VerdictPending}
+		st := wire.Status{End: q.Offset, Verdict: wire.VerdictPending}
 		k.mu.Lock()
 		if end := k.reading[q]; end != nil {
 			st.End = end.Load()
 		}
 		k.mu.Unlock()
+		return st
+	})
+}
+
+// answerStatus writes the answer to one status query back as a
+// TypeStatus header and one status record. await returns the answer
+// once it is final, or the pending one once stop closes: after
+// statusWait, at once when waits already counts maxStatusWaits
+// queries, or when the asker hangs up, which then gets nothing.
+func answerStatus(sess *lsl.Session, waits *atomic.Int32, await func(stop <-chan struct{}) wire.Status) error {
+	defer sess.Close()
+	waited := os.ErrDeadlineExceeded // why stop closed: else the asker hung up
+	stop := make(chan struct{})
+	if waits.Add(1) <= maxStatusWaits {
+		_ = sess.SetReadDeadline(time.Now().Add(statusWait))
+		go func() {
+			_, waited = io.Copy(io.Discard, sess)
+			close(stop)
+		}()
+	} else {
+		close(stop)
 	}
+	st := await(stop)
+	waits.Add(-1)
+	if st.Verdict == wire.VerdictPending {
+		<-stop // await returns pending only once stop is closed
+		if !errors.Is(waited, os.ErrDeadlineExceeded) {
+			return nil
+		}
+	}
+	h := sess.Header
 	resp := &wire.Header{Version: wire.Version1, Type: wire.TypeStatus, Session: h.Session, Src: h.Dst, Dst: h.Src}
 	b, err := resp.MarshalBinary()
 	if err != nil {
@@ -306,6 +320,11 @@ func RemoteAwait(d lsl.Dialer, src, dst wire.Endpoint, stall time.Duration, logf
 			st, err := lsl.Status(qctx, d, sp)
 			cancel()
 			switch {
+			case err == nil && st.Verdict == wire.VerdictPending && q.Offset == StoredOffset && st.End >= q.Offset:
+				// A sink built before stores answered for themselves
+				// echoes the offset it was asked at: no store status.
+				err = fmt.Errorf("%w: no store status", lsl.ErrRefused)
+				fallthrough
 			case errors.Is(err, lsl.ErrRefused):
 				once.Do(func() { logf("%s: %v: completion is send-side", dst, err) })
 				return Report{}, err

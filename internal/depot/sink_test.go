@@ -387,6 +387,16 @@ func TestStatusQuery(t *testing.T) {
 		}
 		return sess
 	}
+	// A session releases the depot's one admission slot only after it
+	// files the report a query may already have heard: the next session
+	// waits for the slot, or the depot refuses it while it writes.
+	idle := func() {
+		for deadline := time.Now().Add(5 * time.Second); len(srv.admit) > 0; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the depot's admission slot was never released")
+			}
+		}
+	}
 
 	// A query for a report still to come waits for it; the resumed
 	// session completes the digest and the verdict query hears it.
@@ -401,6 +411,7 @@ func TestStatusQuery(t *testing.T) {
 		answer <- st
 	}()
 	time.Sleep(20 * time.Millisecond)
+	idle()
 	send(id, tid, 1000, size, PatternDigest(id, size)).Close()
 	if st := <-answer; st != (wire.Status{End: size, Verdict: wire.VerdictOK, Checked: true}) {
 		t.Fatalf("status of the resumed session = %+v", st)
@@ -414,6 +425,7 @@ func TestStatusQuery(t *testing.T) {
 	id, tid = sinkObject(3), sinkTrace(3)
 	bad := PatternDigest(id, size)
 	bad.Sum[0] ^= 1
+	idle()
 	send(id, tid, 0, size, bad).Close()
 	hold, err := lsl.Start(d, lsl.Spec{Dst: statusSelf})
 	if err != nil {

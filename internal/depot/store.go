@@ -6,15 +6,24 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
+	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
 // DefaultStoreBytes bounds a depot's asynchronous-session storage.
 const DefaultStoreBytes = 256 << 20
+
+// StoredOffset is the Query offset that asks the storing depot, not a
+// sink, about a store session: a status query at it is answered from
+// the depot's own store — held (End is its size), refused (a verdict,
+// End 0: nothing is held), or pending with the bytes read so far.
+const StoredOffset = math.MaxInt64 - 1
 
 // storeEntry is one stored payload, resident in exactly one tier:
 // data is non-nil while it sits in memory, path is non-empty once it
@@ -48,9 +57,16 @@ type sessionStore struct {
 	recovered int64
 	restored  int64
 	// reindexDropped counts spool files crash recovery deleted instead
-	// of re-indexing: interrupted .tmp writes plus .p files whose bytes
-	// no longer matched the digest in their name.
+	// of re-indexing (interrupted .tmp writes, .p files failing the
+	// digest in their name); set before the store is shared: no lock.
 	reindexDropped int64
+	// For status queries at StoredOffset: the bytes read so far of each
+	// store session being read, the error that refused each of the last
+	// maxRecords refused, and arrived, closed and replaced as each ends.
+	reading  map[wire.SessionID]*atomic.Int64
+	rejected map[wire.SessionID]error
+	arrived  chan struct{}
+	waits    atomic.Int32 // status queries waiting
 }
 
 // newSessionStore builds the store; with a spool directory it also
@@ -63,6 +79,9 @@ func newSessionStore(capacity int64, spoolDir string, spoolBytes int64) (*sessio
 		capacity: capacity,
 		entries:  make(map[wire.SessionID]*list.Element),
 		lru:      list.New(),
+		reading:  make(map[wire.SessionID]*atomic.Int64),
+		rejected: make(map[wire.SessionID]error),
+		arrived:  make(chan struct{}),
 	}
 	if spoolDir != "" {
 		sp, err := newSpool(spoolDir)
@@ -213,11 +232,6 @@ func (s *sessionStore) spoolUsage() (bytes int64, spilled, recovered, restored i
 	return s.diskUsed, s.spilled, s.recovered, s.restored
 }
 
-// spoolReindexDropped reports how many spool files crash recovery
-// deleted rather than re-indexed. Set once at construction, before the
-// store is shared, so no lock is needed.
-func (s *sessionStore) spoolReindexDropped() int64 { return s.reindexDropped }
-
 // handleStore implements the storing half of asynchronous sessions: a
 // TypeStore session addressed to this depot is absorbed into the store;
 // one addressed elsewhere is forwarded like data with its type intact.
@@ -254,19 +268,104 @@ func (s *Server) handleStore(sess *lsl.Session, f *flow) error {
 	if sess.Header.Checksummed() {
 		src = wire.NewFrameReader(sess)
 	}
-	var buf bytes.Buffer
-	limited := io.LimitReader(src, s.store.capacity+1)
-	n, err := io.Copy(&buf, limited)
+	opt, _ := sess.Header.Option(wire.OptGenerate)
+	size, _ := wire.ParseGenerate(opt) // 0 from a sender that declares none
+	n, err := s.store.receive(sess.ID(), int64(size), src, func(n int64) {
+		s.st.stored.Add(1)
+		s.st.bytesStored.Add(n)
+	})
 	f.addBytes(n)
-	if err != nil && !errors.Is(err, io.EOF) {
-		return s.flagCorrupt(sess, f, fmt.Errorf("store read: %w", err))
+	return s.flagCorrupt(sess, f, err)
+}
+
+// receive reads one store session's payload from r and holds it under
+// id, calling held with its size once it does. A payload that is not
+// the size its sender declared (size, when positive) was cut short and
+// is refused, not held. Status queries see its progress while it
+// reads and, once it ends (after held), the payload held or the error
+// that refused it.
+func (s *sessionStore) receive(id wire.SessionID, size int64, r io.Reader, held func(n int64)) (int64, error) {
+	read := new(atomic.Int64)
+	s.mu.Lock()
+	s.reading[id] = read
+	s.mu.Unlock()
+	var buf bytes.Buffer
+	n, err := io.Copy(&buf, io.LimitReader(progressReader{r, read}, s.capacity+1))
+	switch {
+	case err != nil:
+		err = fmt.Errorf("store read: %w", err)
+	case size > 0 && n != size && n <= s.capacity:
+		err = fmt.Errorf("store read %d of %d bytes: %w", n, size, io.ErrUnexpectedEOF)
+	default:
+		if err = s.put(id, buf.Bytes()); err == nil {
+			held(n) // status queries see it held only once reading ends below
+		}
 	}
-	if err := s.store.put(sess.ID(), buf.Bytes()); err != nil {
-		return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.reading[id] == read {
+		delete(s.reading, id)
 	}
-	s.st.stored.Add(1)
-	s.st.bytesStored.Add(n)
-	return nil
+	delete(s.rejected, id)
+	if err != nil {
+		if len(s.rejected) >= maxRecords {
+			clear(s.rejected)
+		}
+		s.rejected[id] = err
+	}
+	close(s.arrived)
+	s.arrived = make(chan struct{})
+	return n, err
+}
+
+// progressReader counts what passes through it into n.
+type progressReader struct {
+	r io.Reader
+	n *atomic.Int64
+}
+
+func (p progressReader) Read(b []byte) (int, error) {
+	m, err := p.r.Read(b)
+	p.n.Add(int64(m))
+	return m, err
+}
+
+// status is what the store can say of session id: pending while it is
+// read, with the bytes read so far; then held (End is its size) or
+// refused, both final; otherwise pending. A pending answer comes with
+// a channel closed when that may change.
+func (s *sessionStore) status(id wire.SessionID) (wire.Status, <-chan struct{}) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if read := s.reading[id]; read != nil {
+		return wire.Status{End: read.Load(), Verdict: wire.VerdictPending}, s.arrived
+	}
+	if el, ok := s.entries[id]; ok {
+		return wire.Status{End: el.Value.(*storeEntry).size}, nil
+	}
+	if err, ok := s.rejected[id]; ok {
+		return wire.StatusOf(0, false, err, retry.IsFatal(err)), nil
+	}
+	return wire.Status{Verdict: wire.VerdictPending}, s.arrived
+}
+
+// answer serves a status query at StoredOffset from the store, waiting
+// as a Sink's status answer does.
+func (s *sessionStore) answer(sess *lsl.Session) error {
+	return answerStatus(sess, &s.waits, func(stop <-chan struct{}) wire.Status {
+		for {
+			st, changed := s.status(sess.ID())
+			if changed == nil {
+				return st
+			}
+			select {
+			case <-changed:
+			case <-stop:
+				st, _ = s.status(sess.ID())
+				return st
+			}
+		}
+	})
 }
 
 // handleFetch implements the reading half: the receiver names a stored
@@ -310,22 +409,9 @@ func (s *Server) handleFetch(sess *lsl.Session) error {
 	return nil
 }
 
-// StoreUsage reports the async store's occupancy: bytes held, entries,
-// and evictions so far.
-func (s *Server) StoreUsage() (bytes int64, entries int, evicted int64) {
-	return s.store.usage()
-}
-
 // SpoolUsage reports the durable disk tier: bytes spooled, entries
 // spilled from memory, entries re-indexed by crash recovery, and
 // spooled payloads read back since start.
 func (s *Server) SpoolUsage() (bytes int64, spilled, recovered, restored int64) {
 	return s.store.spoolUsage()
-}
-
-// StoredSession reports whether the store holds the given session and
-// how many bytes it has.
-func (s *Server) StoredSession(id wire.SessionID) (int64, bool) {
-	data, ok := s.store.get(id)
-	return int64(len(data)), ok
 }

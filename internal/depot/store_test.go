@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/netlogistics/lsl/internal/lsl"
+	"github.com/netlogistics/lsl/internal/retry"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -86,8 +89,8 @@ func TestAsyncStoreAndFetch(t *testing.T) {
 	sess.Close()
 	waitFor(t, func() bool { return h.servers[epC].Stats().Stored == 1 })
 
-	if used, entries, _ := h.servers[epC].StoreUsage(); entries != 1 || used != int64(len(payload)) {
-		t.Fatalf("store usage = %d bytes, %d entries", used, entries)
+	if st := h.servers[epC].Stats(); st.Stored != 1 || st.BytesStored != int64(len(payload)) {
+		t.Fatalf("store stats = %d sessions, %d bytes", st.Stored, st.BytesStored)
 	}
 
 	// A different receiver discovers the session id and fetches from
@@ -170,8 +173,8 @@ func TestFetchMissingOption(t *testing.T) {
 func TestStoredSessionLookup(t *testing.T) {
 	h := newHarness(t)
 	srv := h.addDepot(epB, Config{})
-	if _, ok := srv.StoredSession(wire.SessionID{1}); ok {
-		t.Fatal("empty store reported a session")
+	if _, err := lsl.Fetch(h.dialerFrom("10.0.0.1"), epA, epB, wire.SessionID{1}); !errors.Is(err, lsl.ErrRefused) {
+		t.Fatalf("fetch from an empty store: %v, want lsl.ErrRefused", err)
 	}
 	sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeStore, Src: epA, Dst: epB})
 	if err != nil {
@@ -180,7 +183,105 @@ func TestStoredSessionLookup(t *testing.T) {
 	sess.Write([]byte("abcde"))
 	sess.Close()
 	waitFor(t, func() bool {
-		n, ok := srv.StoredSession(sess.ID())
-		return ok && n == 5
+		st := srv.Stats()
+		return st.Stored == 1 && st.BytesStored == 5
 	})
+}
+
+// TestStoreStatus: a status query at StoredOffset is answered by the
+// storing depot, which runs no sink: a query that waits while the
+// store is read hears it held as soon as it is, one after gets its size
+// at once, a store over the depot's budget reads as a fatal verdict and
+// one shorter than it declared as a transient one, with nothing held.
+func TestStoreStatus(t *testing.T) {
+	srv, err := New(Config{Self: statusSelf, Dial: noDial, StoreBytes: 4000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := pipeDialer(srv)
+	store := func(n int, opts ...wire.Option) *lsl.Session {
+		sess, err := lsl.Start(d, lsl.Spec{Type: wire.TypeStore, Dst: statusSelf, Options: opts})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := WritePattern(sess, make([]byte, 1000), sess.ID(), 0, int64(n)); err != nil && n <= 4000 {
+			t.Fatal(err) // the depot hangs up on a store over its budget
+		}
+		return sess
+	}
+
+	sess := store(1000)
+	answer := make(chan wire.Status, 1)
+	go func() {
+		st, err := query(d, sess.ID(), wire.TraceID{}, StoredOffset)
+		if err != nil {
+			t.Error(err)
+		}
+		answer <- st
+	}()
+	for srv.store.waits.Load() == 0 {
+		time.Sleep(time.Millisecond) // the query is waiting
+	}
+	start := time.Now()
+	if _, err := WritePattern(sess, make([]byte, 1000), sess.ID(), 1000, 2000); err != nil {
+		t.Fatal(err)
+	}
+	sess.Close()
+	if st := <-answer; st != (wire.Status{End: 2000}) || time.Since(start) >= statusWait {
+		t.Fatalf("status of a store that ended while asked = %+v after %v, want held at 2000 at once", st, time.Since(start))
+	}
+	if st, err := query(d, sess.ID(), wire.TraceID{}, StoredOffset); err != nil || st != (wire.Status{End: 2000}) {
+		t.Fatalf("status of a held store = %+v, %v", st, err)
+	}
+
+	big := store(5000)
+	big.Close()
+	st, err := query(d, big.ID(), wire.TraceID{}, StoredOffset)
+	if err != nil || st.Verdict != wire.VerdictFatal || st.End != 0 || !retry.IsFatal(st.Err()) {
+		t.Fatalf("status of a store over budget = %+v (%v), %v; want fatal, nothing held", st, st.Err(), err)
+	}
+	short := store(1000, wire.GenerateOption(3000))
+	short.Close()
+	st, err = query(d, short.ID(), wire.TraceID{}, StoredOffset)
+	if err != nil || st.Verdict != wire.VerdictTransient || st.End != 0 {
+		t.Fatalf("status of a store cut short = %+v (%v), %v; want transient, nothing held", st, st.Err(), err)
+	}
+	if got := srv.Stats(); got.Stored != 1 || got.BytesStored != 2000 {
+		t.Fatalf("stats = %+v, want the one store held", got)
+	}
+}
+
+// TestStoreStatusPending: a query about a store still being read, or
+// not yet begun, is answered pending once statusWait passes, carrying
+// the bytes read so far.
+func TestStoreStatusPending(t *testing.T) {
+	srv, err := New(Config{Self: statusSelf, Dial: noDial})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := pipeDialer(srv)
+	sess, err := lsl.Start(d, lsl.Spec{Type: wire.TypeStore, Dst: statusSelf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := WritePattern(sess, make([]byte, 1000), sess.ID(), 0, 1000); err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for _, c := range []struct {
+		id  wire.SessionID
+		end int64
+	}{{sess.ID(), 1000}, {wire.SessionID{7}, 0}} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			start := time.Now()
+			st, err := query(d, c.id, wire.TraceID{}, StoredOffset)
+			if err != nil || st != (wire.Status{End: c.end, Verdict: wire.VerdictPending}) || time.Since(start) < statusWait {
+				t.Errorf("status of %s after %v = %+v, %v; want pending at %d after %v", c.id, time.Since(start), st, err, c.end, statusWait)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -2,7 +2,9 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -233,6 +235,33 @@ func (s *MemorySink) Session(id string) []Event {
 		}
 	}
 	return out
+}
+
+// OpenTrace opens the trace sinks of a binary's -trace-out and
+// -trace-push flags: path, a file the events are appended to as JSON
+// lines, and pushURL, a collector's ingest URL they are shipped to;
+// either may be empty. Every event either sink drops counts into reg's
+// MetricTraceDrops (reg may be nil). The Sink is nil when both are
+// empty; close flushes and closes what was opened and is always safe
+// to call.
+func OpenTrace(path, pushURL string, reg *Registry) (Sink, func(), error) {
+	var sinks MultiSink
+	closeAll, drops := func() {}, reg.Counter(MetricTraceDrops)
+	if path != "" {
+		f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			return nil, closeAll, fmt.Errorf("trace-out: %w", err)
+		}
+		sinks, closeAll = append(sinks, NewJSONSink(f).CountDrops(drops)), func() { f.Close() }
+	}
+	if pushURL != "" {
+		push, closeFile := NewPushSink(PushConfig{URL: pushURL}).CountDrops(drops), closeAll
+		sinks, closeAll = append(sinks, push), func() { closeFile(); push.Close() }
+	}
+	if len(sinks) == 0 {
+		return nil, closeAll, nil
+	}
+	return sinks, closeAll, nil
 }
 
 // MultiSink fans each event out to every member sink.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -157,4 +159,36 @@ func BenchmarkEmit(b *testing.B) {
 			c.Emit(e)
 		}
 	})
+}
+
+// TestOpenTrace: no flags open nothing; a -trace-out file gets each
+// event as a JSON line, and an event it drops (here, after close)
+// counts into the registry's trace_drops_total.
+func TestOpenTrace(t *testing.T) {
+	if sink, closeAll, err := OpenTrace("", "", nil); sink != nil || err != nil {
+		t.Fatalf("no flags: sink %v, err %v; want neither", sink, err)
+	} else {
+		closeAll()
+	}
+	if _, _, err := OpenTrace(filepath.Join(t.TempDir(), "missing", "t.jsonl"), "", nil); err == nil {
+		t.Fatal("a file in a missing directory opened")
+	}
+	path, reg := filepath.Join(t.TempDir(), "t.jsonl"), NewRegistry()
+	sink, closeAll, err := OpenTrace(path, "", reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	Emit(sink, Event{Kind: KindAccept, Session: "s1"})
+	closeAll()
+	Emit(sink, Event{Kind: KindAccept, Session: "s2"})
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lines := strings.Count(string(data), "\n"); lines != 1 || !strings.Contains(string(data), `"s1"`) {
+		t.Fatalf("trace file holds %d lines:\n%s", lines, data)
+	}
+	if n := reg.Counter(MetricTraceDrops).Value(); n != 1 {
+		t.Fatalf("%s = %d, want the event emitted after close", MetricTraceDrops, n)
+	}
 }

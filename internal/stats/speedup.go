@@ -2,7 +2,10 @@ package stats
 
 import (
 	"fmt"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // CaseKey identifies one (source, destination, size) test case in the
@@ -127,6 +130,23 @@ func (a *SpeedupAggregator) BySize() []SizeRow {
 		})
 	}
 	return rows
+}
+
+// ParseSize reads a byte count as the command-line flags take it: a
+// whole positive number with an optional K, M or G suffix (binary
+// multiples, either case) and nothing else but surrounding space.
+func ParseSize(s string) (int64, error) {
+	t, shift := strings.ToUpper(strings.TrimSpace(s)), 0
+	if n := len(t); n > 0 {
+		if i := strings.IndexByte("KMG", t[n-1]); i >= 0 {
+			t, shift = t[:n-1], 10*(i+1)
+		}
+	}
+	n, err := strconv.ParseInt(t, 10, 64)
+	if err != nil || n <= 0 || n > math.MaxInt64>>shift {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	return n << shift, nil
 }
 
 // FormatSize renders a byte count as the paper's "1M".."128M" labels

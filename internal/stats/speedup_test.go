@@ -111,3 +111,30 @@ func TestFormatSize(t *testing.T) {
 		t.Fatalf("FormatSize(1000) = %q", got)
 	}
 }
+
+// TestParseSize holds the one size parser of lsl-xfer -size and lsl-ctl
+// -probe: suffixes and space are read, and anything left over, a
+// fraction, a sign below one or an overflow is rejected.
+func TestParseSize(t *testing.T) {
+	for _, c := range []struct {
+		in   string
+		want int64
+	}{
+		{"512", 512},
+		{"1024", 1024},
+		{"64K", 64 << 10},
+		{"256k", 256 << 10},
+		{"16M", 16 << 20},
+		{" 8m ", 8 << 20},
+		{"2G", 2 << 30},
+	} {
+		if got, err := ParseSize(c.in); err != nil || got != c.want {
+			t.Errorf("ParseSize(%q) = %d, %v; want %d", c.in, got, err, c.want)
+		}
+	}
+	for _, bad := range []string{"", "M", "-4M", "-1", "0", "xK", "4Q", "12Q", "12.5M", "4MB", "1 M", "9999999999G"} {
+		if n, err := ParseSize(bad); err == nil {
+			t.Errorf("ParseSize(%q) = %d, want an error", bad, n)
+		}
+	}
+}

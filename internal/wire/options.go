@@ -42,7 +42,7 @@ func ParseSourceRoute(o Option) ([]Endpoint, error) {
 	return hops, nil
 }
 
-// GenerateOption carries the byte count of a TypeGenerate request.
+// GenerateOption carries the byte count of a TypeGenerate or TypeStore session.
 func GenerateOption(size uint64) Option {
 	var data [8]byte
 	binary.BigEndian.PutUint64(data[:], size)

@@ -71,7 +71,7 @@ const (
 	OptSourceRoute uint16 = 1
 	// Kind 2 is reserved: it was a buffer advertisement nothing
 	// produced or read.
-	// OptGenerate carries the byte count for TypeGenerate sessions.
+	// OptGenerate carries the byte count of a TypeGenerate or TypeStore session.
 	OptGenerate uint16 = 3
 	// OptMulticastTree carries a serialized staging tree.
 	OptMulticastTree uint16 = 4
