@@ -19,8 +19,8 @@
 // The send modes, mutually exclusive: -stripes N (N parallel chains),
 // -multipath K (K ';'-separated -via routes pulling ranges off one work
 // queue), -table-driven (one -via entry depot, controller-pushed
-// tables), -cached (a depot's cached suffix served for the object -id
-// names), -store (staged at the depot -to for a later -fetch, whose id
+// tables), -cached (the last -via depot's cached suffix of the object
+// -id names), -store (staged at the depot -to for a later -fetch, whose id
 // it prints once the depot holds it all) and -generate (synthesized by
 // the first -via depot). -verify-integrity adds CRC-32C chunk frames
 // and, unstriped, a whole-object SHA-256 digest the sink checks;
@@ -86,7 +86,7 @@ var (
 	weight     = flag.Int("weight", 1, "fair-share weight (1..65535) carried in the session header; fair-share depots grant bandwidth in proportion")
 	verifyInt  = flag.Bool("verify-integrity", false, "send CRC-32C-framed chunks every depot hop verifies; unstriped sends also carry a whole-object SHA-256 digest the sink checks")
 	multipathN = flag.Int("multipath", 0, "fan the send across this many ';'-separated -via depot routes sharing one session id (0 = off)")
-	cached     = flag.Bool("cached", false, "probe the -via depots' content caches and have a holder serve the cached suffix toward -to, sending only the cold prefix from here (implies integrity framing)")
+	cached     = flag.Bool("cached", false, "let only the last -via depot cache the object, probe it, and have it serve its cached suffix toward -to, sending only the cold prefix from here (implies integrity framing)")
 	idSpec     = flag.String("id", "", "with -cached, reuse this 32-hex-digit session id so the repeat names the same object (empty = mint a new one)")
 )
 
@@ -316,10 +316,10 @@ func runSend(ctx context.Context, eng *core.Engine, dst wire.Endpoint) (wire.Ses
 		how = fmt.Sprintf("over %d disjoint routes, %d ranges stolen", len(routes), spread.Stolen)
 	case *cached:
 		if len(route) == 0 {
-			return id, fmt.Errorf("-cached needs at least one -via depot to probe")
+			return id, fmt.Errorf("-cached needs a -via depot to cache at")
 		}
 		var off core.Offload
-		off, err = eng.Cached(ctx, o, depot.PatternDigest(id, size), core.Route{Via: route}, pol)
+		off, err = eng.Cached(ctx, o, depot.PatternDigest(id, size), core.Route{Via: route}, len(route)-1, pol)
 		how = "all from origin"
 		if off.Cached > 0 {
 			how = fmt.Sprintf("%d origin + %d served by %s", off.Origin, off.Cached, route[off.Holder])

@@ -392,7 +392,7 @@ func TestSinkOverTCP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		depot.WritePattern(wire.NewFrameWriter(sess), make([]byte, 64<<10), id, from, to) //nolint:errcheck // a torn send shows in the sink's verdict
+		depot.WritePattern(wire.NewFrameWriter(sess), id, from, to) //nolint:errcheck // a torn send shows in the sink's verdict
 		sess.Close()
 	}
 	awaitStatuses := func(id wire.SessionID, n int) []string {
@@ -498,6 +498,30 @@ func TestStoreCutShortIsNotHeld(t *testing.T) {
 	}
 	if _, err := c.output(t, context.Background(), "-fetch", id); !errors.Is(err, lsl.ErrRefused) {
 		t.Fatalf("fetch of a store cut short = %v, want refused", err)
+	}
+}
+
+// TestStoreRefusedNamesTheDepot: a -store larger than the storing
+// depot's store budget (lsl-depot -store-bytes) fails fatally, with an
+// error naming that depot and the verdict's class, not a sink.
+func TestStoreRefusedNamesTheDepot(t *testing.T) {
+	c := newChain(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ep := wire.MustEndpoint(ln.Addr().String())
+	srv, err := depot.New(depot.Config{Self: ep, Dial: tcpDial, StoreBytes: 512 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve(ln) //nolint:errcheck // ends with the listener
+
+	err = c.send(t, "-to", ep.String(), "-store", "-size", "1M")
+	if want := "core: store at " + ep.String() + ": refused (fatal)"; err == nil || err.Error() != want || !retry.IsFatal(err) {
+		t.Fatalf("store over the depot's budget: err = %v, want fatal %q", err, want)
 	}
 }
 

@@ -41,15 +41,16 @@ type CachedResult struct {
 }
 
 // TransferCached moves one content-addressed object from srcHost to
-// dstHost, serving as much of it as possible from depot caches along
-// the planned path. The object is identified by id: its payload is the
-// deterministic session pattern of id over size bytes, so its content
-// digest — the cache key every depot tracks — is computable up front
-// and stable across repeat transfers.
+// dstHost, serving as much of it as possible from the cache of one
+// depot on the planned path. The object is identified by id: its
+// payload is the deterministic session pattern of id over size bytes,
+// so its content digest — the cache key every depot tracks — is
+// computable up front and stable across repeat transfers.
 //
-// The transfer runs in phases. The path's relay depots are probed for
-// the digest; the holder covering the longest suffix of the object
-// wins. Any cold prefix the cache cannot supply is sent by the origin
+// The planner names the one relay that may cache the object (cacheAt):
+// every session of the transfer lets only that depot admit it, and only
+// that depot is probed. The probe's longest cached suffix decides the
+// split. Any cold prefix the cache cannot supply is sent by the origin
 // first (the sink's end-to-end digest is order-sensitive), then the
 // holder is directed to serve the remainder out of its cache. A serve
 // that dies partway — a tampered cache span fails its CRC on read, for
@@ -59,8 +60,8 @@ type CachedResult struct {
 // of who supplied which range.
 //
 // A transfer with no holder is an ordinary reliable send that, as a
-// side effect, populates the caches of every depot it traverses —
-// that is what makes the next TransferCached of the same object warm.
+// side effect, populates the named depot's cache — that is what makes
+// the next TransferCached of the same object warm.
 func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size int64, pol RecoveryPolicy) (CachedResult, error) {
 	if size <= 0 {
 		return CachedResult{}, fmt.Errorf("core: transfer size %d must be positive", size)
@@ -74,13 +75,29 @@ func (s *System) TransferCached(srcHost, dstHost string, id wire.SessionID, size
 	o := Object{ID: id, Trace: mintTrace(), Dst: s.endpoints[di], Size: size}
 	defer s.sink.Retire(id, o.Trace)
 	start := time.Now()
-	off, err := s.engine(si, di).Cached(s.ctx, o, digest, Route{Via: s.route(path)}, pol)
+	off, err := s.engine(si, di).Cached(s.ctx, o, digest, Route{Via: s.route(path)}, s.cacheAt(path), pol)
 	out := CachedResult{OriginBytes: off.Origin, CachedBytes: off.Cached}
 	if off.Holder >= 0 {
 		out.Holder = s.Topo.Hosts[path[off.Holder+1]].Name
 	}
 	out.TransferResult, err = s.observed(s.result(size, time.Since(start), path), err)
 	return out, err
+}
+
+// cacheAt returns which of path's relays (an index into its interior)
+// a cached transfer over path lets cache the object, or -1 for none:
+// the relay whose bottleneck to the destination beats the whole
+// route's by more than the planner's ε, the later one on a tie. The
+// minimax principle says a chain runs at its slowest sublink, so a copy
+// upstream of that sublink cannot speed a repeat transfer. A relay's
+// bottleneck to the destination only falls along the path, so the last
+// relay is the one candidate.
+func (s *System) cacheAt(path []int) int {
+	last := len(path) - 3
+	if last < 0 || s.Planner.EffectiveCost(path, map[int]bool{path[last+1]: true}, 0) >= (1-s.Planner.Epsilon)*s.Planner.EffectiveCost(path, nil, 1) {
+		return -1
+	}
+	return last
 }
 
 // Offload is a cached transfer's split: the payload the origin sent and
@@ -92,32 +109,29 @@ type Offload struct {
 }
 
 // Cached moves the object over route, with as much of it as possible
-// served from the caches of route's depots (see System.TransferCached).
-// Every session carries the chunk framing and digest, the object's
-// content digest, which is also the cache key. The route stays fixed,
-// without failover: the holder is an index into it.
-func (e *Engine) Cached(ctx context.Context, o Object, digest wire.ContentDigest, route Route, pol RecoveryPolicy) (Offload, error) {
+// served from the cache of route.Via[at] (see System.TransferCached):
+// the one depot its sessions let cache the object, and the one probed
+// for it; at -1 lets none cache it and probes none. Every session
+// carries the chunk framing and digest, the object's content digest,
+// which is also the cache key. The route stays fixed, without
+// failover: the holder is an index into it.
+func (e *Engine) Cached(ctx context.Context, o Object, digest wire.ContentDigest, route Route, at int, pol RecoveryPolicy) (Offload, error) {
 	pol = pol.withDefaults()
 	pol.Failover = false
 	if !hasOption(o.Opts, wire.OptChunkChecksum) {
 		o.Opts = append(o.Opts, wire.ChunkChecksumOption())
 	}
-	o.Opts = append(o.Opts, wire.ContentDigestOption(digest))
-	r := e.start(ctx, o)
-
-	out := Offload{Holder: -1}
-	coldEnd := o.Size
-	for i, hop := range route.Via {
-		ranges, err := lsl.CacheProbe(e.Dial, e.Src, hop, digest, time.Now().Add(pol.AttemptTimeout))
-		if err != nil {
-			continue // no cache there, or unreachable: not a holder
-		}
-		// Prefer the longest suffix; on ties the later depot wins — it
-		// is nearer the destination, so more hops are offloaded.
-		if c := suffixStart(ranges, o.Size); c < o.Size && c <= coldEnd {
-			out.Holder, coldEnd = i, c
+	o.Opts = append(o.Opts, wire.ContentDigestOption(digest), noCache)
+	out, coldEnd := Offload{Holder: -1}, o.Size
+	if at >= 0 {
+		o.Opts[len(o.Opts)-1] = wire.CacheAtOption(route.Via[at])
+		// A probe that fails (no cache there, or unreachable) finds no holder.
+		ranges, _ := lsl.CacheProbe(e.Dial, e.Src, route.Via[at], digest, time.Now().Add(pol.AttemptTimeout))
+		if c := suffixStart(ranges, o.Size); c < o.Size {
+			out.Holder, coldEnd = at, c
 		}
 	}
+	r := e.start(ctx, o)
 
 	var acked int64
 	// Phase A: origin-send the cold prefix the cache cannot supply,

@@ -6,19 +6,58 @@ import (
 
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/obs"
+	"github.com/netlogistics/lsl/internal/simtime"
+	"github.com/netlogistics/lsl/internal/topo"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
-// cachedSystem is chainSystem with a depot cache on every host.
-func cachedSystem(t *testing.T, reg *obs.Registry) (*System, *obs.MemorySink) {
+// risingChainTopology is the cache testbed: the minimax route src→dst
+// runs through relay-a then relay-b, and its bandwidth rises toward the
+// destination (20, 50, 100 Mbit/s), so a copy at relay-b skips the
+// route's bottleneck and one at relay-a would not. Every other pair is
+// a trickle, so the planner always picks the chain.
+func risingChainTopology(t *testing.T) *topo.Topology {
+	t.Helper()
+	const (
+		mbit = 1e6 / 8
+		buf  = int64(8 << 20)
+	)
+	hosts := []topo.Host{
+		{Name: "src", Site: "src", SndBuf: buf, RcvBuf: buf},
+		{Name: "relay-a", Site: "a", SndBuf: buf, RcvBuf: buf,
+			Depot: true, ForwardRate: 60e6, PipelineBytes: 256 << 10},
+		{Name: "relay-b", Site: "b", SndBuf: buf, RcvBuf: buf,
+			Depot: true, ForwardRate: 60e6, PipelineBytes: 256 << 10},
+		{Name: "dst", Site: "dst", SndBuf: buf, RcvBuf: buf},
+	}
+	tp, err := topo.New("rising-chain", hosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := func(a, b string, capMbit float64) {
+		tp.SetLink(tp.MustHost(a), tp.MustHost(b), topo.Link{RTT: simtime.Milliseconds(10), Capacity: capMbit * mbit})
+	}
+	set("src", "relay-a", 20)
+	set("relay-a", "relay-b", 50)
+	set("relay-b", "dst", 100)
+	set("src", "dst", 2)
+	set("src", "relay-b", 4)
+	set("relay-a", "dst", 4)
+	return tp
+}
+
+// cachedSystem runs tp with a depot cache on every host; integrity
+// puts a content digest on every transfer's sessions.
+func cachedSystem(t *testing.T, tp *topo.Topology, reg *obs.Registry, integrity bool) (*System, *obs.MemorySink) {
 	t.Helper()
 	mem := &obs.MemorySink{}
-	sys, err := NewSystem(chainTopology(t), Config{
+	sys, err := NewSystem(tp, Config{
 		TimeScale:  0.0005,
 		Seed:       1,
 		Metrics:    reg,
 		Trace:      mem,
 		CacheBytes: 64 << 20,
+		Integrity:  integrity,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -31,14 +70,44 @@ func cachedPolicy() RecoveryPolicy {
 	return RecoveryPolicy{Retry: fastPolicy(4), AttemptTimeout: 3 * time.Second}
 }
 
+// probes counts the cache probes the trace shows: a depot accepts a
+// probe under no trace id, while every session a System transfer opens
+// carries its transfer's.
+func probes(mem *obs.MemorySink) int {
+	n := 0
+	for _, e := range mem.Events() {
+		if e.Kind == obs.KindAccept && e.Hop > 0 && e.Trace == "" {
+			n++
+		}
+	}
+	return n
+}
+
+// assertHolders fails unless exactly the named hosts' caches hold the
+// whole object.
+func assertHolders(t *testing.T, sys *System, digest wire.ContentDigest, holders ...string) {
+	t.Helper()
+	for _, h := range sys.Topo.Hosts {
+		rs := sys.DepotCache(h.Name).Ranges(digest)
+		held := len(rs) == 1 && rs[0] == (wire.ByteRange{Off: 0, Len: digest.Size})
+		want := false
+		for _, name := range holders {
+			want = want || name == h.Name
+		}
+		if held != want || !held && len(rs) > 0 {
+			t.Fatalf("%s cache holds %v of the object, want whole: %v", h.Name, rs, want)
+		}
+	}
+}
+
 // TestCachedColdThenWarm is the subsystem's core scenario: the first
-// transfer of an object runs entirely from the origin and populates
-// every relay cache it traverses; the repeat transfer of the same
-// object is served out of the cache nearest the destination with zero
-// origin bytes.
+// transfer of an object runs entirely from the origin and populates the
+// cache of the one relay the planner names, relay-b, past the route's
+// bottleneck; the repeat transfer of the same object is served out of
+// it with zero origin bytes. Each transfer probes that one depot once.
 func TestCachedColdThenWarm(t *testing.T) {
 	reg := obs.NewRegistry()
-	sys, mem := cachedSystem(t, reg)
+	sys, mem := cachedSystem(t, risingChainTopology(t), reg, false)
 
 	id, err := wire.NewSessionID()
 	if err != nil {
@@ -59,16 +128,11 @@ func TestCachedColdThenWarm(t *testing.T) {
 	}
 	assertPath(t, cold.Path, "src", "relay-a", "relay-b", "dst")
 
-	// The cold run's forwarded traffic must have populated both relays.
+	// The cold run's forwarded traffic populated relay-b's cache alone.
 	digest := depot.PatternDigest(id, size)
-	for _, host := range []string{"relay-a", "relay-b"} {
-		c := sys.DepotCache(host)
-		if c == nil {
-			t.Fatalf("DepotCache(%s) = nil", host)
-		}
-		if rs := c.Ranges(digest); len(rs) != 1 || rs[0] != (wire.ByteRange{Off: 0, Len: size}) {
-			t.Fatalf("%s cache does not hold the object after the cold run", host)
-		}
+	assertHolders(t, sys, digest, "relay-b")
+	if n := probes(mem); n != 1 {
+		t.Fatalf("cold run made %d cache probes, want 1", n)
 	}
 
 	warm, err := sys.TransferCached("src", "dst", id, size, cachedPolicy())
@@ -84,10 +148,11 @@ func TestCachedColdThenWarm(t *testing.T) {
 	if warm.CachedBytes != size {
 		t.Fatalf("warm cached bytes = %d, want %d", warm.CachedBytes, size)
 	}
-	// Both relays hold the whole object; the tie must go to the one
-	// nearer the destination.
 	if warm.Holder != "relay-b" {
 		t.Fatalf("warm holder = %q, want relay-b", warm.Holder)
+	}
+	if n := probes(mem); n != 2 {
+		t.Fatalf("cold and warm runs made %d cache probes, want 2", n)
 	}
 	if v := reg.Counter(MetricCacheServedBytes).Value(); v != size {
 		t.Fatalf("%s = %d, want %d", MetricCacheServedBytes, v, int64(size))
@@ -107,13 +172,50 @@ func TestCachedColdThenWarm(t *testing.T) {
 	}
 }
 
+// TestCachedNamesNoDepotUpstreamOfTheBottleneck: on TwoPath the
+// bottleneck is the last sublink, downstream of every relay, so no
+// cached copy could speed a repeat. A planned, a multipath and two
+// cached transfers of one object leave every depot cache empty, and the
+// cached ones probe nothing.
+func TestCachedNamesNoDepotUpstreamOfTheBottleneck(t *testing.T) {
+	sys, mem := cachedSystem(t, topo.TwoPath(), obs.NewRegistry(), true)
+	id, err := wire.NewSessionID()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const size = 256 << 10
+	if _, err := sys.Transfer(topo.UCSB, topo.UIUC, size); err != nil {
+		t.Fatalf("planned transfer: %v", err)
+	}
+	if _, err := sys.TransferMultipath(topo.UCSB, topo.UIUC, size, 2, cachedPolicy()); err != nil {
+		t.Fatalf("multipath transfer: %v", err)
+	}
+	for run := range 2 {
+		res, err := sys.TransferCached(topo.UCSB, topo.UIUC, id, size, cachedPolicy())
+		if err != nil {
+			t.Fatalf("cached transfer %d: %v", run, err)
+		}
+		if res.OriginBytes != size || res.Holder != "" {
+			t.Fatalf("cached transfer %d = origin %d holder %q, want all-origin", run, res.OriginBytes, res.Holder)
+		}
+	}
+	for _, h := range sys.Topo.Hosts {
+		if keys := sys.DepotCache(h.Name).Keys(); len(keys) != 0 {
+			t.Fatalf("%s cache holds %d objects, want none", h.Name, len(keys))
+		}
+	}
+	if n := probes(mem); n != 0 {
+		t.Fatalf("cached transfers made %d cache probes, want 0", n)
+	}
+}
+
 // TestCachedPartialSuffixSplice: when a relay caches only a suffix of
 // the object, the transfer must splice — origin sends exactly the cold
 // prefix, the holder serves the cached suffix — and the sink's
 // end-to-end digest must still verify across the seam.
 func TestCachedPartialSuffixSplice(t *testing.T) {
 	reg := obs.NewRegistry()
-	sys, _ := cachedSystem(t, reg)
+	sys, _ := cachedSystem(t, risingChainTopology(t), reg, false)
 
 	id, err := wire.NewSessionID()
 	if err != nil {
@@ -158,7 +260,7 @@ func TestCachedPartialSuffixSplice(t *testing.T) {
 // correctness.
 func TestCachedTamperFallsBackToOrigin(t *testing.T) {
 	reg := obs.NewRegistry()
-	sys, _ := cachedSystem(t, reg)
+	sys, _ := cachedSystem(t, risingChainTopology(t), reg, false)
 
 	id, err := wire.NewSessionID()
 	if err != nil {
@@ -170,12 +272,13 @@ func TestCachedTamperFallsBackToOrigin(t *testing.T) {
 	}
 
 	digest := depot.PatternDigest(id, size)
-	// Both relays cached the object on the cold run; tamper both so the
-	// warm run cannot be rescued by the second cache.
-	for _, host := range []string{"relay-a", "relay-b"} {
-		if !sys.DepotCache(host).Tamper(digest, 0) {
-			t.Fatalf("Tamper found nothing to corrupt on %s", host)
-		}
+	// The cold run cached the object at relay-b alone: tampering with
+	// the one holder leaves no cache to rescue the warm run.
+	if !sys.DepotCache("relay-b").Tamper(digest, 0) {
+		t.Fatal("Tamper found nothing to corrupt on relay-b")
+	}
+	if rs := sys.DepotCache("relay-a").Ranges(digest); len(rs) != 0 {
+		t.Fatalf("relay-a caches %v of the object, want nothing", rs)
 	}
 
 	warm, err := sys.TransferCached("src", "dst", id, size, cachedPolicy())

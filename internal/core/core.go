@@ -106,9 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.TimeScale <= 0 {
 		c.TimeScale = 0.01
 	}
-	if c.Epsilon < 0 {
-		c.Epsilon = schedule.DefaultEpsilon
-	}
 	if c.PrimeSamples <= 0 {
 		c.PrimeSamples = 8
 	}
@@ -194,14 +191,10 @@ func NewSystem(t *topo.Topology, cfg Config) (*System, error) {
 			if !l.Valid() {
 				continue
 			}
-			window := t.Hosts[i].SndBuf
-			if r := t.Hosts[j].RcvBuf; r < window {
-				window = r
-			}
 			s.Net.SetLink(s.hostAddr(i), s.hostAddr(j), emu.LinkProps{
 				Latency: time.Duration(float64(l.RTT.Std()) / 2),
 				Rate:    l.Capacity / cfg.TimeScale,
-				Window:  int(window),
+				Window:  int(min(t.Hosts[i].SndBuf, t.Hosts[j].RcvBuf)),
 			})
 		}
 	}

@@ -11,7 +11,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
@@ -286,7 +285,9 @@ func (r *run) attempt(l leg, timeout time.Duration) (int64, wire.SessionID, erro
 		return l.from, id, retry.AsTransient(fmt.Errorf("core: no sink report within %v: %w", settle, cmp.Or(ctx.Err(), err)))
 	}
 	acked := max(l.from, res.Offset+res.Bytes)
-	if res.Err != nil {
+	if c := retry.Classify(res.Err); res.Err != nil && q.Offset == depot.StoredOffset { // the storing depot refused it
+		return acked, id, retry.As(c, fmt.Errorf("core: store at %s: refused (%s)", r.obj.Dst, c))
+	} else if res.Err != nil {
 		return acked, id, fmt.Errorf("core: sink: %w", res.Err)
 	}
 	if werr != nil && acked < l.to {
@@ -494,11 +495,8 @@ func (e *Engine) Fetch(ctx context.Context, from wire.Endpoint, id wire.SessionI
 
 // writeSessionPattern streams the session's deterministic pattern for
 // absolute object offsets [from, to) — through the chunk framer when
-// the session is checksummed. The copy buffer is pooled with the depot
-// pumps and sink loops.
+// the session is checksummed.
 func writeSessionPattern(sess *lsl.Session, from, to int64) error {
-	bp := bufpool.Get()
-	defer bufpool.Put(bp)
-	_, err := depot.WritePattern(sess.Payload(), *bp, sess.ID(), from, to)
+	_, err := depot.WritePattern(sess.Payload(), sess.ID(), from, to)
 	return err
 }

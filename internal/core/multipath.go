@@ -196,13 +196,7 @@ func multipathRanges(size int64, k int) []stripeRange {
 	if int64(n)*multipathMinRange > size {
 		n = int(size / multipathMinRange)
 	}
-	if n < k {
-		n = k
-	}
-	if int64(n) > size {
-		n = int(size)
-	}
-	return stripeRanges(size, n)
+	return stripeRanges(size, int(min(int64(max(n, k)), size)))
 }
 
 // TransferMultipath moves size bytes from srcHost to dstHost as one

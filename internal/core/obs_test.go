@@ -96,7 +96,7 @@ func TestSystemTelemetryThreading(t *testing.T) {
 	lifecycle := []string{obs.KindConnect, obs.KindFirstByte, obs.KindLastByte}
 	for _, m := range modes {
 		t.Run("hop0/"+m.name, func(t *testing.T) {
-			sys, mem := cachedSystem(t, nil)
+			sys, mem := cachedSystem(t, chainTopology(t), nil, false)
 			if err := m.run(sys); err != nil {
 				t.Fatal(err)
 			}

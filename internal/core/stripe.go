@@ -102,7 +102,7 @@ func (s *System) TransferStriped(srcHost, dstHost string, size int64, stripes in
 	// the sink, so only the per-hop verifiers guard them.
 	o := Object{ID: id, Trace: mintTrace(), Dst: s.endpoints[di], Size: size}
 	if s.cfg.Integrity {
-		o.Opts = []wire.Option{wire.ChunkChecksumOption()}
+		o.Opts = []wire.Option{wire.ChunkChecksumOption(), noCache}
 	}
 	start := time.Now()
 	route, err := s.engine(si, di).Striped(s.ctx, o, Route{Via: s.route(path)}, stripes, pol)

@@ -28,10 +28,7 @@ const maxInventoryDigests = 1024
 func (s *Server) handleCacheProbe(conn net.Conn, h *wire.Header, f *flow) error {
 	defer conn.Close()
 	if s.cfg.Cache == nil {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "no cache configured"})
-		return lsl.Refuse(conn, h)
+		return s.refuse(conn, h, f, "no cache configured")
 	}
 	resp := &wire.Header{
 		Version: wire.Version1,
@@ -67,18 +64,12 @@ func (s *Server) handleCacheServe(sess *lsl.Session, f *flow) error {
 	h := sess.Header
 	d, r, ok := h.CacheServe()
 	if !ok || s.cfg.Cache == nil {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "cache serve unavailable"})
-		_ = lsl.Refuse(sess.Conn, h)
+		_ = s.refuse(sess.Conn, h, f, "cache serve unavailable")
 		return nil
 	}
 	rc, err := s.cfg.Cache.Open(d, r)
 	if err != nil {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "cache miss: " + err.Error()})
-		_ = lsl.Refuse(sess.Conn, h)
+		_ = s.refuse(sess.Conn, h, f, "cache miss: "+err.Error())
 		return nil
 	}
 	defer rc.Close()
@@ -149,12 +140,7 @@ func serveHeader(h *wire.Header, r wire.ByteRange, hop int) *wire.Header {
 		Session: h.Session,
 		Src:     h.Src,
 		Dst:     h.Dst,
-	}
-	for _, o := range h.Options {
-		if o.Kind == wire.OptCacheServe || o.Kind == wire.OptResumeOffset || o.Kind == wire.OptHopIndex {
-			continue
-		}
-		out.AddOption(o)
+		Options: without(h.Options, wire.OptCacheServe, wire.OptResumeOffset, wire.OptHopIndex),
 	}
 	if r.Off > 0 {
 		out.AddOption(wire.ResumeOffsetOption(uint64(r.Off)))
@@ -247,14 +233,15 @@ type cacheTap struct {
 }
 
 // cacheTap returns a population tap for the session, or nil when the
-// session is not cacheable, would not fit the cache, or carries a range
-// the cache already holds.
+// session is not cacheable, names another depot (or none) to be cached
+// at, would not fit the cache, or carries a range the cache already
+// holds.
 func (s *Server) cacheTap(h *wire.Header) *cacheTap {
 	if s.cfg.Cache == nil {
 		return nil
 	}
 	d, r, ok := cacheable(h)
-	if !ok || !s.cfg.Cache.Fits(r.Len) {
+	if !ok || !h.CacheAdmits(s.cfg.Self) || !s.cfg.Cache.Fits(r.Len) {
 		return nil
 	}
 	fill := s.cfg.Cache.Begin(d, r)

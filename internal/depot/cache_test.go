@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -107,6 +108,87 @@ func TestCacheForwardPopulatesAndAdvertises(t *testing.T) {
 	other := digestOf([]byte("different"))
 	if ranges, err := lsl.CacheProbe(h.dialerFrom("10.0.0.1"), epA, epB, other, time.Now().Add(5*time.Second)); err != nil || len(ranges) != 0 {
 		t.Fatalf("probe of absent digest = %v, %v", ranges, err)
+	}
+}
+
+// TestCacheAdmissionNamedDepot: over a chain of two caching relays, a
+// digest-carrying session without OptCacheAt is admitted at both (the
+// rule for senders that predate the option), OptCacheAt(none) and a
+// malformed body at neither, and OptCacheAt(X) at X alone. The data
+// session a cache-serve directive pushes downstream obeys the option
+// it carries the same way.
+func TestCacheAdmissionNamedDepot(t *testing.T) {
+	h := newHarness(t)
+	caches := map[wire.Endpoint]*cache.Cache{epB: testCache(t, 1<<20), epC: testCache(t, 1<<20)}
+	h.addDepot(epB, Config{Cache: caches[epB]})
+	h.addDepot(epC, Config{Cache: caches[epC]})
+	h.addDepot(epD, Config{Local: h.unframingLocal()})
+	holders := func(d wire.ContentDigest) (out []wire.Endpoint) {
+		for _, ep := range []wire.Endpoint{epB, epC} {
+			if rs := caches[ep].Ranges(d); len(rs) > 0 {
+				out = append(out, ep)
+			}
+		}
+		return out
+	}
+	send := func(payload []byte, opts ...wire.Option) wire.ContentDigest {
+		d := digestOf(payload)
+		sess, err := lsl.Open(h.dialerFrom("10.0.0.1"), epA, epD, []wire.Endpoint{epB, epC},
+			append([]wire.Option{wire.ChunkChecksumOption(), wire.ContentDigestOption(d)}, opts...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			wire.NewFrameWriter(sess).Write(payload) //nolint:errcheck // the delivery shows a torn send
+			sess.Close()
+		}()
+		h.waitDelivery(sess.ID())
+		return d
+	}
+	for i, c := range []struct {
+		name string
+		opts []wire.Option
+		want []wire.Endpoint
+	}{
+		{"no option", nil, []wire.Endpoint{epB, epC}},
+		{"none", []wire.Option{wire.CacheAtOption(wire.Endpoint{})}, nil},
+		{"named first relay", []wire.Option{wire.CacheAtOption(epB)}, []wire.Endpoint{epB}},
+		{"named last relay", []wire.Option{wire.CacheAtOption(epC)}, []wire.Endpoint{epC}},
+		{"named sink", []wire.Option{wire.CacheAtOption(epD)}, nil},
+		{"malformed", []wire.Option{{Kind: wire.OptCacheAt, Data: []byte{10, 0, 0, 3}}}, nil},
+	} {
+		d := send(bytes.Repeat([]byte{byte(i), 'a'}, 20000), c.opts...)
+		if got := holders(d); !slices.Equal(got, c.want) {
+			t.Errorf("%s: held at %v, want %v", c.name, got, c.want)
+		}
+	}
+
+	// Downstream of a serve directive: relay-b serves an object only it
+	// holds toward the sink through relay-c, which admits it only when
+	// the directive's session names relay-c.
+	for _, c := range []struct {
+		at   wire.Endpoint
+		want []wire.Endpoint
+	}{{epB, []wire.Endpoint{epB}}, {epC, []wire.Endpoint{epB, epC}}} {
+		payload := bytes.Repeat([]byte("serve "+c.at.String()), 5000)
+		d := send(payload, wire.CacheAtOption(epB))
+		id, err := wire.NewSessionID()
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := lsl.Start(h.dialerFrom("10.0.0.1"), lsl.Spec{Type: wire.TypeCacheServe, ID: id, Src: epA, Dst: epD,
+			Route: []wire.Endpoint{epB, epC}, Options: []wire.Option{wire.CacheServeOption(d, wire.ByteRange{Off: 0, Len: d.Size}),
+				wire.ChunkChecksumOption(), wire.ContentDigestOption(d), wire.CacheAtOption(c.at)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := h.waitDelivery(id); !bytes.Equal(got, payload) {
+			t.Fatalf("cache-served %d bytes, want %d", len(got), len(payload))
+		}
+		sess.Close()
+		if got := holders(d); !slices.Equal(got, c.want) {
+			t.Errorf("serve naming %v: held at %v, want %v", c.at, got, c.want)
+		}
 	}
 }
 

@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -582,11 +583,8 @@ func (s *Server) Handle(conn net.Conn) {
 	}
 	release, refusal := s.admitSession(f, h)
 	if refusal != "" {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: refusal})
 		s.logf("depot %s: refusing session %s (%s)", s.cfg.Self, h.Session, refusal)
-		_ = lsl.Refuse(conn, h)
+		_ = s.refuse(conn, h, f, refusal)
 		return
 	}
 	defer release()
@@ -663,10 +661,7 @@ const ungatedTypes uint64 = 1<<wire.TypeControl | 1<<wire.TypeCacheProbe | 1<<wi
 func (s *Server) handleUngated(conn net.Conn, h *wire.Header, f *flow) {
 	stored := h.Type == wire.TypeStatus && h.ResumeOffset() == StoredOffset
 	if h.Type == wire.TypeStatus && !stored && s.cfg.Local == nil {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "no sink"})
-		_ = lsl.Refuse(conn, h)
+		_ = s.refuse(conn, h, f, "no sink")
 		return
 	}
 	s.st.accepted.Add(1)
@@ -817,18 +812,19 @@ func forwardHeader(h *wire.Header, rest []wire.Endpoint, hop int) *wire.Header {
 		Session: h.Session,
 		Src:     h.Src,
 		Dst:     h.Dst,
-	}
-	for _, o := range h.Options {
-		if o.Kind == wire.OptSourceRoute || o.Kind == wire.OptHopIndex {
-			continue
-		}
-		out.AddOption(o)
+		Options: without(h.Options, wire.OptSourceRoute, wire.OptHopIndex),
 	}
 	if len(rest) > 0 {
 		out.AddOption(wire.SourceRouteOption(rest))
 	}
 	out.AddOption(wire.HopIndexOption(uint16(hop)))
 	return out
+}
+
+// without returns a copy of opts without the options of the given
+// kinds.
+func without(opts []wire.Option, kinds ...uint16) []wire.Option {
+	return slices.DeleteFunc(slices.Clone(opts), func(o wire.Option) bool { return slices.Contains(kinds, o.Kind) })
 }
 
 // handleData forwards or delivers a data session. up is the accepted
@@ -992,14 +988,7 @@ func (s *Server) handleGenerate(sess *lsl.Session, f *flow) error {
 		f.emit(obs.KindConnect, obs.Event{Peer: next.String()})
 		fh := forwardHeader(sess.Header, rest, f.hop)
 		fh.Type = wire.TypeData
-		// Strip the generate option: downstream sees a plain stream.
-		kept := fh.Options[:0]
-		for _, o := range fh.Options {
-			if o.Kind != wire.OptGenerate {
-				kept = append(kept, o)
-			}
-		}
-		fh.Options = kept
+		fh.Options = without(fh.Options, wire.OptGenerate) // downstream sees a plain stream
 		if err := wire.WriteHeader(out, fh); err != nil {
 			return err
 		}
@@ -1012,9 +1001,7 @@ func (s *Server) handleGenerate(sess *lsl.Session, f *flow) error {
 	if sess.Header.Checksummed() {
 		w = wire.NewFrameWriter(dst)
 	}
-	bp := bufpool.Get()
-	n, err := WritePattern(w, *bp, sess.Header.Session, 0, int64(size))
-	bufpool.Put(bp)
+	n, err := WritePattern(w, sess.Header.Session, 0, int64(size))
 	s.st.generated.Add(1)
 	s.st.bytesForwarded.Add(n)
 	s.met.bytesFwd.Add(n)

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 
-	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/obs"
 	"github.com/netlogistics/lsl/internal/wire"
@@ -33,9 +32,7 @@ func (s *Server) flagCorrupt(sess *lsl.Session, f *flow, err error) error {
 // pattern-filled transfer of the given size.
 func PatternDigest(id wire.SessionID, size int64) wire.ContentDigest {
 	h := sha256.New()
-	bp := bufpool.Get()
-	defer bufpool.Put(bp)
-	WritePattern(h, *bp, id, 0, size) //nolint:errcheck // a hash never fails a write
+	WritePattern(h, id, 0, size) //nolint:errcheck // a hash never fails a write
 	d := wire.ContentDigest{Size: size}
 	h.Sum(d.Sum[:0])
 	return d

@@ -156,7 +156,7 @@ func TestPatternDigestMatchesStream(t *testing.T) {
 		t.Fatalf("Size = %d", d.Size)
 	}
 	var buf bytes.Buffer
-	if _, err := WritePattern(&buf, make([]byte, 32<<10), id, 0, size); err != nil {
+	if _, err := WritePattern(&buf, id, 0, size); err != nil {
 		t.Fatal(err)
 	}
 	if sum := sha256.Sum256(buf.Bytes()); sum != d.Sum {

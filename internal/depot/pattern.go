@@ -1,6 +1,7 @@
 package depot
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -30,16 +31,10 @@ func patternByte(id wire.SessionID, pos int64) byte {
 	return id[pos&15] ^ byte(pos) ^ byte(pos>>8)
 }
 
-// patternHead returns how many bytes of an n-byte buffer at offset
-// precede the first 16-aligned stream offset.
-func patternHead(n int, offset int64) int {
-	return min(n, int(-offset&15))
-}
-
 // FillPattern fills buf with the deterministic byte pattern of the
 // session at the given stream offset.
 func FillPattern(buf []byte, id wire.SessionID, offset int64) {
-	i := patternHead(len(buf), offset)
+	i := min(len(buf), int(-offset&15)) // up to the first 16-aligned offset
 	for j := range buf[:i] {
 		buf[j] = patternByte(id, offset+int64(j))
 	}
@@ -54,16 +49,59 @@ func FillPattern(buf []byte, id wire.SessionID, offset int64) {
 	}
 }
 
+// patternPeriod is the pattern's period: id[pos%16] repeats every 16
+// offsets and byte(pos) ^ byte(pos>>8) every 65 536.
+const patternPeriod = 1 << 16
+
+// patternTable is a session's pattern from stream offset base on, for
+// at most one period: a whole period holds the pattern at every offset
+// from base on. Nothing writes to it once it is filled.
+type patternTable struct {
+	base int64
+	b    []byte
+}
+
+// newPatternTable builds session id's table at base, n bytes long or
+// one period, whichever is shorter.
+func newPatternTable(id wire.SessionID, base, n int64) patternTable {
+	t := patternTable{base: base, b: make([]byte, max(min(n, patternPeriod), 0))}
+	FillPattern(t.b, id, base)
+	return t
+}
+
+// at returns the table's run of the pattern at stream offset off, at
+// most n bytes long.
+func (t patternTable) at(off int64, n int) []byte {
+	i := int((off - t.base) % int64(len(t.b)))
+	return t.b[i:min(len(t.b), i+n)]
+}
+
+// verify checks that p is the pattern at stream offset off: run by run
+// against the table and, in a run that differs, byte by byte, so the
+// error names the first mismatching offset.
+func (t patternTable) verify(p []byte, off int64) error {
+	for len(p) > 0 {
+		q := t.at(off, len(p))
+		if !bytes.Equal(p[:len(q)], q) {
+			for i := range q {
+				if p[i] != q[i] {
+					return fmt.Errorf("depot: pattern mismatch at offset %d", off+int64(i))
+				}
+			}
+		}
+		p, off = p[len(q):], off+int64(len(q))
+	}
+	return nil
+}
+
 // WritePattern writes the session pattern for absolute offsets
-// [from, to) to w, one buf-sized Write at a time: the one pattern
-// writer of every sender, generating depot and digest. It returns how
-// many bytes w took.
-func WritePattern(w io.Writer, buf []byte, id wire.SessionID, from, to int64) (int64, error) {
-	off := from
+// [from, to) to w, as runs of one period table: the one pattern writer
+// of every sender, generating depot and digest. It returns how many
+// bytes w took.
+func WritePattern(w io.Writer, id wire.SessionID, from, to int64) (int64, error) {
+	t, off := newPatternTable(id, from, to-from), from
 	for off < to {
-		n := min(int64(len(buf)), to-off)
-		FillPattern(buf[:n], id, off)
-		m, err := w.Write(buf[:n])
+		m, err := w.Write(t.at(off, int(min(to-off, patternPeriod))))
 		off += int64(m)
 		if err != nil {
 			return off - from, err
@@ -75,25 +113,5 @@ func WritePattern(w io.Writer, buf []byte, id wire.SessionID, from, to int64) (i
 // VerifyPattern checks that buf matches the session pattern at offset.
 // The error names the first mismatching stream offset.
 func VerifyPattern(buf []byte, id wire.SessionID, offset int64) error {
-	i := patternHead(len(buf), offset)
-	if err := verifyPatternBytes(buf[:i], id, offset); err != nil {
-		return err
-	}
-	lo, hi := patternWords(id)
-	for ; i+16 <= len(buf); i += 16 {
-		mix := patternMix(offset + int64(i))
-		if binary.LittleEndian.Uint64(buf[i:]) != lo^mix || binary.LittleEndian.Uint64(buf[i+8:]) != hi^mix {
-			break // the byte loop below finds which of the sixteen
-		}
-	}
-	return verifyPatternBytes(buf[i:], id, offset+int64(i))
-}
-
-func verifyPatternBytes(buf []byte, id wire.SessionID, offset int64) error {
-	for i, b := range buf {
-		if pos := offset + int64(i); b != patternByte(id, pos) {
-			return fmt.Errorf("depot: pattern mismatch at offset %d", pos)
-		}
-	}
-	return nil
+	return newPatternTable(id, offset, int64(len(buf))).verify(buf, offset)
 }

@@ -3,8 +3,11 @@ package depot
 import (
 	"bytes"
 	"fmt"
+	"io"
+	"math/rand"
 	"testing"
 
+	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -65,6 +68,83 @@ func TestPatternKernelMatchesReference(t *testing.T) {
 	}
 	// Every stream byte of two 64 KiB wraps, in one buffer.
 	checkPatternKernel(t, id, 3, 2<<16+40, 1<<16+1)
+}
+
+// keeper is a writer that keeps every slice it is handed, unchanged
+// and uncopied, and a copy of the stream.
+type keeper struct {
+	slices [][]byte
+	stream []byte
+}
+
+func (k *keeper) Write(p []byte) (int, error) {
+	k.slices = append(k.slices, p)
+	k.stream = append(k.stream, p...)
+	return len(p), nil
+}
+
+// TestPeriodTable holds the period table to FillPattern at offsets in
+// [0, 2·65 536) over lengths that cross the period boundary once to
+// three times: WritePattern writes FillPattern's bytes, no write of the
+// send reaches the table (every slice the writer kept still holds the
+// pattern once the send is over), and ReadVerified, plain or framed,
+// reports a single flipped byte at its exact offset with VerifyPattern's
+// error, having handed on only whole reads before it.
+func TestPeriodTable(t *testing.T) {
+	id := wire.SessionID{0x5a, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xa5}
+	rng := rand.New(rand.NewSource(1))
+	froms := []int64{0, 1, 15, 16, patternPeriod - 16, patternPeriod - 1, patternPeriod, patternPeriod + 7, 2*patternPeriod - 1}
+	for len(froms) < 60 {
+		froms = append(froms, rng.Int63n(2*patternPeriod))
+	}
+	for _, from := range froms {
+		n := patternPeriod - from%patternPeriod + 1 + rng.Int63n(2*patternPeriod)
+		want := make([]byte, n)
+		FillPattern(want, id, from)
+
+		var k keeper
+		if m, err := WritePattern(&k, id, from, from+n); err != nil || m != n {
+			t.Fatalf("WritePattern(from %d, n %d) = %d, %v", from, n, m, err)
+		}
+		if !bytes.Equal(k.stream, want) {
+			t.Fatalf("WritePattern(from %d, n %d) differs from FillPattern", from, n)
+		}
+		off := from
+		for _, p := range k.slices {
+			if err := VerifyPattern(p, id, off); err != nil {
+				t.Fatalf("from %d: a slice handed to the writer was written through: %v", from, err)
+			}
+			off += int64(len(p))
+		}
+
+		flip := rng.Int63n(n)
+		bad := bytes.Clone(want)
+		bad[flip] ^= 0x20
+		msg := fmt.Sprintf("depot: pattern mismatch at offset %d", from+flip)
+		if err := VerifyPattern(bad, id, from); err == nil || err.Error() != msg {
+			t.Fatalf("VerifyPattern(from %d, flip %d) = %v, want %q", from, flip, err, msg)
+		}
+		var framed bytes.Buffer
+		wire.NewFrameWriter(&framed).Write(bad) //nolint:errcheck // a buffer takes every write
+		for _, in := range []struct {
+			r      io.Reader
+			framed bool
+		}{{bytes.NewReader(bad), false}, {&framed, true}} {
+			var handed int64
+			got, err := ReadVerified(in.r, id, from, in.framed, func(p []byte, off int64) {
+				if off != from+handed {
+					t.Fatalf("ReadVerified handed offset %d, want %d", off, from+handed)
+				}
+				handed += int64(len(p))
+			})
+			if err == nil || err.Error() != msg {
+				t.Fatalf("ReadVerified(from %d, flip %d, framed %v) = %v, want %q", from, flip, in.framed, err, msg)
+			}
+			if got != handed || got > flip || flip-got >= bufpool.ChunkSize {
+				t.Fatalf("ReadVerified(from %d, flip %d, framed %v) verified %d, handed on %d", from, flip, in.framed, got, handed)
+			}
+		}
+	}
 }
 
 func FuzzPatternKernel(f *testing.F) {

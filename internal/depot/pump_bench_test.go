@@ -88,16 +88,15 @@ func BenchmarkPumpChecksum(b *testing.B) {
 	}
 }
 
-// BenchmarkWritePattern measures the generate-path pattern writer, the
-// other per-transfer buffer consumer on the depot.
+// BenchmarkWritePattern measures the pattern writer every sender and
+// the generate path use: one period table per call.
 func BenchmarkWritePattern(b *testing.B) {
 	var id wire.SessionID
-	buf := make([]byte, chunkSize)
 	b.SetBytes(8 << 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := WritePattern(io.Discard, buf, id, 0, 8<<20); err != nil {
+		if _, err := WritePattern(io.Discard, id, 0, 8<<20); err != nil {
 			b.Fatal(err)
 		}
 	}

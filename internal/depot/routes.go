@@ -102,10 +102,7 @@ func (s *Server) lookupRoute(dst wire.Endpoint) (wire.Endpoint, bool) {
 func (s *Server) handleControl(conn net.Conn, h *wire.Header, f *flow) error {
 	defer conn.Close()
 	if !s.cfg.AcceptControl {
-		s.st.refused.Add(1)
-		s.met.refused.Inc()
-		f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: "control sessions not accepted"})
-		return lsl.Refuse(conn, h)
+		return s.refuse(conn, h, f, "control sessions not accepted")
 	}
 	epoch := h.TableEpoch()
 	entries, perr := h.RouteEntries()
@@ -152,14 +149,20 @@ func (s *Server) refuseRouting(sess *lsl.Session, f *flow, err error) bool {
 	if !errors.Is(err, ErrNoRoute) && !errors.Is(err, ErrHopLimit) {
 		return false
 	}
-	s.st.refused.Add(1)
-	s.met.refused.Inc()
 	if errors.Is(err, ErrHopLimit) {
 		s.st.hopLimited.Add(1)
 		s.met.hopLimited.Inc()
 	}
-	f.emit(obs.KindRefused, obs.Event{Peer: sess.Header.Src.String(), Detail: err.Error()})
 	s.logf("depot %s: refusing session %s: %v", s.cfg.Self, sess.Header.Session, err)
-	_ = lsl.Refuse(sess.Conn, sess.Header)
+	_ = s.refuse(sess.Conn, sess.Header, f, err.Error())
 	return true
+}
+
+// refuse counts a refusal of h's session for reason, traces it, and
+// answers it on conn with a typed refusal.
+func (s *Server) refuse(conn net.Conn, h *wire.Header, f *flow, reason string) error {
+	s.st.refused.Add(1)
+	s.met.refused.Inc()
+	f.emit(obs.KindRefused, obs.Event{Peer: h.Src.String(), Detail: reason})
+	return lsl.Refuse(conn, h)
 }

@@ -349,20 +349,21 @@ func RemoteAwait(d lsl.Dialer, src, dst wire.Endpoint, stall time.Duration, logf
 // ReadVerified is the one read loop of a receiving endpoint, a Sink's
 // session and a fetch alike: it reads r to EOF, unframing it when
 // framed, checks each buffer against session id's pattern at its offset
-// and hands it to each (when not nil). It returns the bytes that
-// verified, stopping at the first error.
+// (against one period table, and on a mismatch byte by byte, to name
+// the first bad offset) and hands it to each (when not nil). It returns
+// the bytes that verified, stopping at the first error.
 func ReadVerified(r io.Reader, id wire.SessionID, offset int64, framed bool, each func(p []byte, off int64)) (int64, error) {
 	if framed {
 		r = wire.NewFrameReader(r)
 	}
-	bp := bufpool.Get()
+	bp, t := bufpool.Get(), newPatternTable(id, offset, patternPeriod)
 	defer bufpool.Put(bp)
 	var n int64
 	for {
 		m, err := r.Read(*bp)
 		if m > 0 {
 			p := (*bp)[:m]
-			if verr := VerifyPattern(p, id, offset+n); verr != nil {
+			if verr := t.verify(p, offset+n); verr != nil {
 				return n, verr
 			}
 			if each != nil {

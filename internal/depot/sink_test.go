@@ -382,7 +382,7 @@ func TestStatusQuery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := WritePattern(sess, make([]byte, 1000), id, from, to); err != nil {
+		if _, err := WritePattern(sess, id, from, to); err != nil {
 			t.Fatal(err)
 		}
 		return sess
@@ -482,7 +482,7 @@ func TestStatusPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	if _, err := WritePattern(sess, make([]byte, 1000), id, 0, 1000); err != nil {
+	if _, err := WritePattern(sess, id, 0, 1000); err != nil {
 		t.Fatal(err)
 	}
 	start := time.Now()

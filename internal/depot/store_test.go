@@ -204,7 +204,7 @@ func TestStoreStatus(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := WritePattern(sess, make([]byte, 1000), sess.ID(), 0, int64(n)); err != nil && n <= 4000 {
+		if _, err := WritePattern(sess, sess.ID(), 0, int64(n)); err != nil && n <= 4000 {
 			t.Fatal(err) // the depot hangs up on a store over its budget
 		}
 		return sess
@@ -223,7 +223,7 @@ func TestStoreStatus(t *testing.T) {
 		time.Sleep(time.Millisecond) // the query is waiting
 	}
 	start := time.Now()
-	if _, err := WritePattern(sess, make([]byte, 1000), sess.ID(), 1000, 2000); err != nil {
+	if _, err := WritePattern(sess, sess.ID(), 1000, 2000); err != nil {
 		t.Fatal(err)
 	}
 	sess.Close()
@@ -265,7 +265,7 @@ func TestStoreStatusPending(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sess.Close()
-	if _, err := WritePattern(sess, make([]byte, 1000), sess.ID(), 0, 1000); err != nil {
+	if _, err := WritePattern(sess, sess.ID(), 0, 1000); err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup

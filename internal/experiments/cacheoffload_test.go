@@ -31,7 +31,9 @@ func TestCacheOffloadAcceptance(t *testing.T) {
 	if cold.Holder != "" || cold.OriginBytes != cold.Bytes {
 		t.Fatalf("cold run not all-origin: %+v", cold)
 	}
-	if warm.OriginBytes != 0 || warm.CachedBytes != warm.Bytes || warm.Holder == "" {
+	// The planner names relay-b, past the chain's bottleneck, as the one
+	// depot that may cache the object.
+	if warm.OriginBytes != 0 || warm.CachedBytes != warm.Bytes || warm.Holder != "relay-b" {
 		t.Fatalf("warm run not a full cache hit: %+v", warm)
 	}
 	if warm.Mbps < 2*cold.Mbps {

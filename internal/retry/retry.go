@@ -57,23 +57,22 @@ type classified struct {
 func (c *classified) Error() string { return c.err.Error() }
 func (c *classified) Unwrap() error { return c.err }
 
-// AsFatal marks err as fatal regardless of its underlying type. A nil
+// As marks err as of class c regardless of its underlying type. A nil
 // err stays nil.
-func AsFatal(err error) error {
+func As(c Class, err error) error {
 	if err == nil {
 		return nil
 	}
-	return &classified{err: err, class: Fatal}
+	return &classified{err: err, class: c}
 }
+
+// AsFatal marks err as fatal regardless of its underlying type. A nil
+// err stays nil.
+func AsFatal(err error) error { return As(Fatal, err) }
 
 // AsTransient marks err as transient regardless of its underlying type.
 // A nil err stays nil.
-func AsTransient(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &classified{err: err, class: Transient}
-}
+func AsTransient(err error) error { return As(Transient, err) }
 
 // ErrExhausted wraps the final attempt's error when a Policy runs out
 // of attempts.

@@ -1,11 +1,9 @@
-// Cache-aware planning: scoring candidate routes by what a depot cache
-// along them can serve. The cost model mirrors how a cached transfer
-// actually runs (see core.TransferCached): the cold fraction of the
-// object crosses the whole path from the origin, then the cached
-// remainder crosses only the hops downstream of the holding depot. A
-// route through a holder can therefore beat the plain minimax route
-// even when its links are slower — most of the bytes never touch its
-// upstream half.
+// Cache-aware planning: scoring a route by what a depot cache along it
+// can serve. The cost model mirrors how a cached transfer actually runs
+// (see core.TransferCached, which names its one caching depot by it):
+// the cold fraction of the object crosses the whole path from the
+// origin, then the cached remainder crosses only the hops downstream of
+// the holding depot, so a cache pays only past the route's bottleneck.
 package schedule
 
 import (
@@ -68,58 +66,4 @@ func (p *Planner) EffectiveCost(path []int, holders map[int]bool, coldFrac float
 		return graph.Inf
 	}
 	return coldFrac*full + (1-coldFrac)*warm
-}
-
-// CacheAwarePath picks the route src→dst with the lowest EffectiveCost
-// among the planned minimax route and, for every holder depot, the
-// detour through it (the minimax route src→holder joined to the minimax
-// route holder→dst, when both exist and are loop-free). It returns the
-// planned path unchanged when no detour scores strictly better — cache
-// affinity bends a route only when the model says the bytes saved
-// outweigh the links taken.
-func (p *Planner) CacheAwarePath(src, dst int, holders map[int]bool, coldFrac float64) ([]int, error) {
-	best, err := p.Path(src, dst)
-	if err != nil {
-		return nil, err
-	}
-	if best == nil || len(holders) == 0 {
-		return best, nil
-	}
-	bestCost := p.EffectiveCost(best, holders, coldFrac)
-	for h := range holders {
-		if h == src || h == dst || !p.Topo.Hosts[h].Depot {
-			continue
-		}
-		detour := p.detourVia(src, h, dst)
-		if detour == nil {
-			continue
-		}
-		if c := p.EffectiveCost(detour, holders, coldFrac); c < bestCost {
-			best, bestCost = detour, c
-		}
-	}
-	return best, nil
-}
-
-// detourVia joins the planned routes src→via and via→dst into one
-// loop-free path, or returns nil when either leg is missing or the legs
-// revisit a host.
-func (p *Planner) detourVia(src, via, dst int) []int {
-	a, err := p.Path(src, via)
-	if err != nil || a == nil {
-		return nil
-	}
-	b, err := p.Path(via, dst)
-	if err != nil || b == nil {
-		return nil
-	}
-	out := append(append([]int(nil), a...), b[1:]...)
-	seen := make(map[int]bool, len(out))
-	for _, h := range out {
-		if seen[h] {
-			return nil
-		}
-		seen[h] = true
-	}
-	return out
 }

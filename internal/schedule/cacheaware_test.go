@@ -50,14 +50,6 @@ func hostSet(tp *topo.Topology, names ...string) map[int]bool {
 	return out
 }
 
-func pathNames(tp *topo.Topology, path []int) []string {
-	out := make([]string, len(path))
-	for i, h := range path {
-		out[i] = tp.Hosts[h].Name
-	}
-	return out
-}
-
 func TestEffectiveCostModel(t *testing.T) {
 	tp := cacheTopology(t)
 	p := newPlanned(t, tp, 0)
@@ -108,59 +100,5 @@ func TestEffectiveCostModel(t *testing.T) {
 	}
 	if got := p.EffectiveCost([]int{src}, nil, 0.5); !math.IsInf(got, 1) {
 		t.Fatalf("degenerate path cost = %v, want +Inf", got)
-	}
-}
-
-// TestCacheAwarePathBendsTowardHolder: with the object fully cached at
-// the holder the chosen route must detour through it (the served bytes
-// skip the slow upstream), but a fully cold transfer must keep the
-// planned minimax route — the detour's slow half would carry every
-// byte.
-func TestCacheAwarePathBendsTowardHolder(t *testing.T) {
-	tp := cacheTopology(t)
-	p := newPlanned(t, tp, 0)
-	src, dst := tp.MustHost("src"), tp.MustHost("dst")
-	holders := hostSet(tp, "hold")
-
-	planned, err := p.Path(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := pathNames(tp, planned); len(planned) != 3 || names[1] != "fast" {
-		t.Fatalf("planned path = %v, want src→fast→dst", names)
-	}
-
-	warm, err := p.CacheAwarePath(src, dst, holders, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := pathNames(tp, warm); len(warm) != 3 || names[1] != "hold" {
-		t.Fatalf("full-hit path = %v, want the detour via hold", names)
-	}
-
-	cold, err := p.CacheAwarePath(src, dst, holders, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := pathNames(tp, cold); len(cold) != 3 || names[1] != "fast" {
-		t.Fatalf("fully-cold path = %v, want the planned route", names)
-	}
-
-	// No holders at all: the planned route comes back untouched.
-	plain, err := p.CacheAwarePath(src, dst, nil, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := pathNames(tp, plain); names[1] != "fast" {
-		t.Fatalf("holderless path = %v, want the planned route", names)
-	}
-
-	// A holder that is an endpoint is never a detour candidate.
-	self, err := p.CacheAwarePath(src, dst, map[int]bool{src: true, dst: true}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if names := pathNames(tp, self); names[1] != "fast" {
-		t.Fatalf("endpoint-holder path = %v, want the planned route", names)
 	}
 }

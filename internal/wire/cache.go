@@ -44,6 +44,13 @@ const (
 	// (40 bytes) followed by one byte range (16 bytes) the depot must
 	// serve from its cache toward the session destination.
 	OptCacheServe uint16 = 18
+	// OptCacheAt names the one depot that may admit the session's
+	// payload to its cache: its 6-byte endpoint, or an empty body for
+	// none. Depots forward it untouched. A session without it may be
+	// admitted wherever it passes; a malformed body admits nowhere,
+	// because a cache is an optimisation and a guessed admission is
+	// not one.
+	OptCacheAt uint16 = 21
 )
 
 // ByteRange is a half-open byte range [Off, Off+Len) of a cached
@@ -224,4 +231,39 @@ func (h *Header) CacheLookups() []ContentDigest {
 		}
 	}
 	return out
+}
+
+// CacheAtOption names the depot at which the session may be cached;
+// the zero endpoint names none.
+func CacheAtOption(at Endpoint) Option {
+	if at.IsZero() {
+		return Option{Kind: OptCacheAt, Data: []byte{}}
+	}
+	return Option{Kind: OptCacheAt, Data: appendEndpoint(nil, at)}
+}
+
+// ParseCacheAt decodes a cache-at option: the named depot, or the zero
+// endpoint when the body names none.
+func ParseCacheAt(o Option) (Endpoint, error) {
+	var at Endpoint
+	if o.Kind != OptCacheAt || (len(o.Data) != 0 && len(o.Data) != 6) {
+		return at, fmt.Errorf("%w: bad cache-at", ErrBadOption)
+	}
+	if len(o.Data) == 6 {
+		copy(at.IP[:], o.Data)
+		at.Port = binary.BigEndian.Uint16(o.Data[4:])
+	}
+	return at, nil
+}
+
+// CacheAdmits reports whether the depot self may admit the session's
+// payload to its cache: always when the header carries no OptCacheAt,
+// otherwise only when the option names self.
+func (h *Header) CacheAdmits(self Endpoint) bool {
+	opt, ok := h.Option(OptCacheAt)
+	if !ok {
+		return true
+	}
+	at, err := ParseCacheAt(opt)
+	return err == nil && !at.IsZero() && at == self
 }

@@ -32,6 +32,47 @@ func TestCacheLookupRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCacheAtRoundTrip: the named depot and "none" survive a header
+// round trip, and CacheAdmits reads them: no option admits anywhere,
+// an empty body nowhere, a name only at that depot, a malformed body
+// nowhere.
+func TestCacheAtRoundTrip(t *testing.T) {
+	self, other := MustEndpoint("10.0.0.2:7411"), MustEndpoint("10.0.0.3:7411")
+	for _, at := range []Endpoint{{}, self} {
+		h := &Header{Version: Version1, Type: TypeData, Src: other, Dst: other, Options: []Option{CacheAtOption(at)}}
+		b, err := h.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Header
+		if err := back.UnmarshalBinary(b); err != nil {
+			t.Fatal(err)
+		}
+		opt, ok := back.Option(OptCacheAt)
+		if !ok {
+			t.Fatalf("cache-at %v lost in the round trip", at)
+		}
+		if got, err := ParseCacheAt(opt); err != nil || got != at {
+			t.Fatalf("ParseCacheAt = %v, %v; want %v", got, err, at)
+		}
+		if back.CacheAdmits(self) != (at == self) || back.CacheAdmits(other) {
+			t.Fatalf("cache-at %v: CacheAdmits(self) = %v, CacheAdmits(other) = %v", at, back.CacheAdmits(self), back.CacheAdmits(other))
+		}
+	}
+	if !(&Header{}).CacheAdmits(self) {
+		t.Fatal("a header without OptCacheAt must admit anywhere")
+	}
+	for _, body := range [][]byte{{1}, {10, 0, 0, 2, 0x1c}, append(appendEndpoint(nil, self), 0)} {
+		h := &Header{Options: []Option{{Kind: OptCacheAt, Data: body}}}
+		if _, err := ParseCacheAt(h.Options[0]); !errors.Is(err, ErrBadOption) {
+			t.Fatalf("ParseCacheAt(%x) = %v, want ErrBadOption", body, err)
+		}
+		if h.CacheAdmits(self) {
+			t.Fatalf("malformed cache-at %x admits", body)
+		}
+	}
+}
+
 func TestCacheAdvertRoundTrip(t *testing.T) {
 	for _, tc := range [][]ByteRange{
 		nil,

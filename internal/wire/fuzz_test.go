@@ -33,6 +33,7 @@ func FuzzParseOptions(f *testing.F) {
 	f.Add(uint16(OptCacheLookup), CacheLookupOption(ContentDigest{Size: 1 << 20}).Data)
 	f.Add(uint16(OptCacheAdvert), CacheAdvertOption([]ByteRange{{Off: 0, Len: 4096}, {Off: 8192, Len: 100}}).Data)
 	f.Add(uint16(OptCacheServe), CacheServeOption(ContentDigest{Size: 1 << 20}, ByteRange{Off: 512, Len: 1024}).Data)
+	f.Add(uint16(OptCacheAt), CacheAtOption(MustEndpoint("10.0.0.2:1")).Data)
 	if rt, err := RouteTableOptions([]RouteEntry{{Dst: MustEndpoint("10.0.0.2:1"), Next: MustEndpoint("10.0.0.3:1")}}); err == nil {
 		f.Add(uint16(OptRouteTable), rt[0].Data)
 	}
@@ -87,6 +88,7 @@ func FuzzParseOptions(f *testing.F) {
 		_, _ = ParseContentDigest(o)
 		_, _ = ParseCacheLookup(o)
 		_, _, _ = ParseCacheServe(o)
+		_, _ = ParseCacheAt(o)
 		if rs, err := ParseCacheAdvert(o); err == nil {
 			if re := CacheAdvertOption(rs); !bytes.Equal(re.Data, data) {
 				t.Errorf("cache advert round-trip mismatch: %x != %x", re.Data, data)
@@ -299,7 +301,7 @@ func readAll(r io.Reader) ([]byte, error) {
 	}
 }
 
-// FuzzCacheOptions concentrates on the three cache wire options, with
+// FuzzCacheOptions concentrates on the four cache wire options, with
 // a seed corpus of the malformations a depot actually meets: truncated
 // advertisements, overlapping and unsorted ranges, zero-length ranges,
 // and serve directives that overrun the digested object. A parser may
@@ -330,6 +332,9 @@ func FuzzCacheOptions(f *testing.F) {
 	f.Add(uint16(OptCacheServe), CacheServeOption(d, ByteRange{Off: 0, Len: 1 << 20}).Data)
 	f.Add(uint16(OptCacheServe), CacheServeOption(d, ByteRange{Off: 1 << 19, Len: 1 << 20}).Data) // overruns object
 	f.Add(uint16(OptCacheServe), CacheServeOption(d, ByteRange{Off: 0, Len: 1}).Data[:40])
+	f.Add(uint16(OptCacheAt), CacheAtOption(MustEndpoint("10.0.0.2:7411")).Data)
+	f.Add(uint16(OptCacheAt), CacheAtOption(Endpoint{}).Data)
+	f.Add(uint16(OptCacheAt), []byte{10, 0, 0, 2, 0x1c})
 
 	f.Fuzz(func(t *testing.T, kind uint16, data []byte) {
 		o := Option{Kind: kind, Data: data}
@@ -355,8 +360,14 @@ func FuzzCacheOptions(f *testing.F) {
 				t.Errorf("cache lookup round-trip mismatch: %x != %x", re.Data, data)
 			}
 		}
+		if at, err := ParseCacheAt(o); err == nil {
+			if re := CacheAtOption(at); !bytes.Equal(re.Data, data) {
+				t.Errorf("cache-at round-trip mismatch: %x != %x", re.Data, data)
+			}
+		}
 		// Accessors degrade, never panic, on whatever the parsers reject.
 		h := &Header{Options: []Option{o}}
+		_ = h.CacheAdmits(MustEndpoint("10.0.0.2:7411"))
 		_, _ = h.CacheLookup()
 		_, _ = h.CacheAdvert()
 		_, _, _ = h.CacheServe()
