@@ -274,10 +274,10 @@ func runSend(ctx context.Context, eng *core.Engine, dst wire.Endpoint) (wire.Ses
 	}
 	o := core.Object{ID: id, Trace: xferTrace, Dst: dst, Size: size, Opts: sessionOpts()}
 	if *verifyInt && !*cached && !*store && *stripesN <= 1 {
-		// Stripes interleave at the sink, so only an unstriped send can
-		// carry the whole-object digest; -cached adds its own, and a store
-		// has no sink to check one.
-		o.Opts = append(o.Opts, wire.ContentDigestOption(depot.PatternDigest(id, size)))
+		// Only an unstriped send carries the whole-object digest (stripes
+		// interleave at the sink, -cached adds its own, a store has no
+		// sink), and no depot caches a fresh id that no repeat asks for.
+		o.Opts = append(o.Opts, wire.ContentDigestOption(depot.PatternDigest(id, size)), wire.CacheAtOption(wire.Endpoint{}))
 	}
 	if *failover {
 		eng.Failover = func(core.Route, wire.SessionID, wire.TraceID) core.Route {

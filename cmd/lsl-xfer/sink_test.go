@@ -17,6 +17,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/netlogistics/lsl/internal/cache"
 	"github.com/netlogistics/lsl/internal/depot"
 	"github.com/netlogistics/lsl/internal/lsl"
 	"github.com/netlogistics/lsl/internal/retry"
@@ -498,6 +499,49 @@ func TestStoreCutShortIsNotHeld(t *testing.T) {
 	}
 	if _, err := c.output(t, context.Background(), "-fetch", id); !errors.Is(err, lsl.ErrRefused) {
 		t.Fatalf("fetch of a store cut short = %v, want refused", err)
+	}
+}
+
+// TestOnlyCachedSendsCache: a caching depot on the route admits
+// nothing from -verify-integrity sends, plain, multipath or generated,
+// whose digest keys no repeat; a -cached send naming it as the last
+// -via depot fills it.
+func TestOnlyCachedSendsCache(t *testing.T) {
+	c := newChain(t)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	ep := wire.MustEndpoint(ln.Addr().String())
+	held, err := cache.New(cache.Config{MemoryBytes: 8 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := depot.New(depot.Config{Self: ep, Dial: tcpDial, Cache: held})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	go srv.Serve(ln) //nolint:errcheck // ends with the listener
+
+	via := c.route[1].String() + "," + ep.String()
+	for _, mode := range [][]string{nil, {"-multipath", "2", "-via", via + ";"}, {"-generate"}} {
+		args := append([]string{"-size", "256K", "-verify-integrity", "-via", via}, mode...)
+		if err := c.send(t, args...); err != nil {
+			t.Fatalf("%v: %v", args, err)
+		}
+		if keys := held.Keys(); len(keys) != 0 {
+			t.Fatalf("%v: the depot cached %d objects, want none", args, len(keys))
+		}
+	}
+	if err := c.send(t, "-size", "256K", "-via", via, "-cached"); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); len(held.Keys()) != 1; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("a -cached send left %d objects in its named depot's cache, want 1", len(held.Keys()))
+		}
 	}
 }
 

@@ -140,7 +140,12 @@ func serveHeader(h *wire.Header, r wire.ByteRange, hop int) *wire.Header {
 		Session: h.Session,
 		Src:     h.Src,
 		Dst:     h.Dst,
-		Options: without(h.Options, wire.OptCacheServe, wire.OptResumeOffset, wire.OptHopIndex),
+	}
+	for _, o := range h.Options {
+		if o.Kind == wire.OptCacheServe || o.Kind == wire.OptResumeOffset || o.Kind == wire.OptHopIndex {
+			continue
+		}
+		out.AddOption(o)
 	}
 	if r.Off > 0 {
 		out.AddOption(wire.ResumeOffsetOption(uint64(r.Off)))

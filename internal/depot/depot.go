@@ -812,19 +812,18 @@ func forwardHeader(h *wire.Header, rest []wire.Endpoint, hop int) *wire.Header {
 		Session: h.Session,
 		Src:     h.Src,
 		Dst:     h.Dst,
-		Options: without(h.Options, wire.OptSourceRoute, wire.OptHopIndex),
+	}
+	for _, o := range h.Options {
+		if o.Kind == wire.OptSourceRoute || o.Kind == wire.OptHopIndex {
+			continue
+		}
+		out.AddOption(o)
 	}
 	if len(rest) > 0 {
 		out.AddOption(wire.SourceRouteOption(rest))
 	}
 	out.AddOption(wire.HopIndexOption(uint16(hop)))
 	return out
-}
-
-// without returns a copy of opts without the options of the given
-// kinds.
-func without(opts []wire.Option, kinds ...uint16) []wire.Option {
-	return slices.DeleteFunc(slices.Clone(opts), func(o wire.Option) bool { return slices.Contains(kinds, o.Kind) })
 }
 
 // handleData forwards or delivers a data session. up is the accepted
@@ -988,7 +987,8 @@ func (s *Server) handleGenerate(sess *lsl.Session, f *flow) error {
 		f.emit(obs.KindConnect, obs.Event{Peer: next.String()})
 		fh := forwardHeader(sess.Header, rest, f.hop)
 		fh.Type = wire.TypeData
-		fh.Options = without(fh.Options, wire.OptGenerate) // downstream sees a plain stream
+		// Strip the generate option: downstream sees a plain stream.
+		fh.Options = slices.DeleteFunc(fh.Options, func(o wire.Option) bool { return o.Kind == wire.OptGenerate })
 		if err := wire.WriteHeader(out, fh); err != nil {
 			return err
 		}

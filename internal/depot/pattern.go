@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"github.com/netlogistics/lsl/internal/bufpool"
 	"github.com/netlogistics/lsl/internal/wire"
 )
 
@@ -95,13 +96,13 @@ func (t patternTable) verify(p []byte, off int64) error {
 }
 
 // WritePattern writes the session pattern for absolute offsets
-// [from, to) to w, as runs of one period table: the one pattern writer
-// of every sender, generating depot and digest. It returns how many
-// bytes w took.
+// [from, to) to w from one period table, a bufpool chunk a Write (one
+// frame under a FrameWriter): the one pattern writer of every sender,
+// generating depot and digest. It returns how many bytes w took.
 func WritePattern(w io.Writer, id wire.SessionID, from, to int64) (int64, error) {
 	t, off := newPatternTable(id, from, to-from), from
 	for off < to {
-		m, err := w.Write(t.at(off, int(min(to-off, patternPeriod))))
+		m, err := w.Write(t.at(off, int(min(to-off, bufpool.ChunkSize))))
 		off += int64(m)
 		if err != nil {
 			return off - from, err

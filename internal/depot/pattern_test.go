@@ -85,11 +85,12 @@ func (k *keeper) Write(p []byte) (int, error) {
 
 // TestPeriodTable holds the period table to FillPattern at offsets in
 // [0, 2·65 536) over lengths that cross the period boundary once to
-// three times: WritePattern writes FillPattern's bytes, no write of the
-// send reaches the table (every slice the writer kept still holds the
-// pattern once the send is over), and ReadVerified, plain or framed,
-// reports a single flipped byte at its exact offset with VerifyPattern's
-// error, having handed on only whole reads before it.
+// three times: WritePattern writes FillPattern's bytes at most a
+// bufpool chunk a Write, no write of the send reaches the table (every
+// slice the writer kept still holds the pattern once the send is
+// over), and ReadVerified, plain or framed, reports a single flipped
+// byte at its exact offset with VerifyPattern's error, having handed on
+// only whole reads before it.
 func TestPeriodTable(t *testing.T) {
 	id := wire.SessionID{0x5a, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xa5}
 	rng := rand.New(rand.NewSource(1))
@@ -111,6 +112,9 @@ func TestPeriodTable(t *testing.T) {
 		}
 		off := from
 		for _, p := range k.slices {
+			if len(p) > bufpool.ChunkSize {
+				t.Fatalf("from %d: a %d-byte write, over one %d-byte chunk", from, len(p), bufpool.ChunkSize)
+			}
 			if err := VerifyPattern(p, id, off); err != nil {
 				t.Fatalf("from %d: a slice handed to the writer was written through: %v", from, err)
 			}

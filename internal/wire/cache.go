@@ -243,7 +243,8 @@ func CacheAtOption(at Endpoint) Option {
 }
 
 // ParseCacheAt decodes a cache-at option: the named depot, or the zero
-// endpoint when the body names none.
+// endpoint when the body is empty. A 6-byte body naming the zero
+// endpoint is malformed: "none" has the one encoding.
 func ParseCacheAt(o Option) (Endpoint, error) {
 	var at Endpoint
 	if o.Kind != OptCacheAt || (len(o.Data) != 0 && len(o.Data) != 6) {
@@ -252,6 +253,9 @@ func ParseCacheAt(o Option) (Endpoint, error) {
 	if len(o.Data) == 6 {
 		copy(at.IP[:], o.Data)
 		at.Port = binary.BigEndian.Uint16(o.Data[4:])
+		if at.IsZero() {
+			return at, fmt.Errorf("%w: cache-at names the zero endpoint", ErrBadOption)
+		}
 	}
 	return at, nil
 }

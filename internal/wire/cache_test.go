@@ -35,7 +35,7 @@ func TestCacheLookupRoundTrip(t *testing.T) {
 // TestCacheAtRoundTrip: the named depot and "none" survive a header
 // round trip, and CacheAdmits reads them: no option admits anywhere,
 // an empty body nowhere, a name only at that depot, a malformed body
-// nowhere.
+// (the zero endpoint spelt out among them) nowhere.
 func TestCacheAtRoundTrip(t *testing.T) {
 	self, other := MustEndpoint("10.0.0.2:7411"), MustEndpoint("10.0.0.3:7411")
 	for _, at := range []Endpoint{{}, self} {
@@ -62,7 +62,7 @@ func TestCacheAtRoundTrip(t *testing.T) {
 	if !(&Header{}).CacheAdmits(self) {
 		t.Fatal("a header without OptCacheAt must admit anywhere")
 	}
-	for _, body := range [][]byte{{1}, {10, 0, 0, 2, 0x1c}, append(appendEndpoint(nil, self), 0)} {
+	for _, body := range [][]byte{{1}, {10, 0, 0, 2, 0x1c}, append(appendEndpoint(nil, self), 0), {0, 0, 0, 0, 0, 0}} {
 		h := &Header{Options: []Option{{Kind: OptCacheAt, Data: body}}}
 		if _, err := ParseCacheAt(h.Options[0]); !errors.Is(err, ErrBadOption) {
 			t.Fatalf("ParseCacheAt(%x) = %v, want ErrBadOption", body, err)

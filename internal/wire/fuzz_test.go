@@ -335,6 +335,7 @@ func FuzzCacheOptions(f *testing.F) {
 	f.Add(uint16(OptCacheAt), CacheAtOption(MustEndpoint("10.0.0.2:7411")).Data)
 	f.Add(uint16(OptCacheAt), CacheAtOption(Endpoint{}).Data)
 	f.Add(uint16(OptCacheAt), []byte{10, 0, 0, 2, 0x1c})
+	f.Add(uint16(OptCacheAt), []byte{0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, kind uint16, data []byte) {
 		o := Option{Kind: kind, Data: data}
